@@ -13,14 +13,23 @@
 //   ./bench_convergence [sw-trials] [hw-trials] [csv-path]
 //   ./bench_convergence --iters N          # N software / max(1, N/4) hw trials
 //
+// Trial counts are positive integers; anything else prints usage and exits
+// with status 2.
+//
 // Emits BENCH_ga.json (shared runner; see bench_harness.hpp): the paper's
 // headline numbers as leo_bench_ga_* gauges plus the instrumented layers'
-// own counters, so the perf trajectory accumulates run over run.
+// own counters, so the perf trajectory accumulates run over run. The
+// software GA's throughput, leo_bench_ga_sw_generations_per_sec, times
+// core::evolve() over the software trials' seeds on one thread.
 #include <algorithm>
+#include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 #include "bench_harness.hpp"
+#include "core/evolution_engine.hpp"
 #include "core/experiment.hpp"
 #include "obs/metrics.hpp"
 #include "util/csv.hpp"
@@ -29,14 +38,58 @@ namespace leo::bench {
 
 const char* bench_name() { return "ga"; }
 
+namespace {
+
+/// Strict positive decimal count; false for empty, signed, non-numeric,
+/// trailing-garbage, out-of-range or zero input.
+bool parse_trials(const std::string& text, std::size_t& out) {
+  if (text.empty() ||
+      text.find_first_not_of("0123456789") != std::string::npos) {
+    return false;
+  }
+  errno = 0;
+  const unsigned long long value = std::strtoull(text.c_str(), nullptr, 10);
+  if (errno != 0 || value == 0) return false;
+  out = static_cast<std::size_t>(value);
+  return true;
+}
+
+/// Software generations per wall-clock second: sequential core::evolve()
+/// over seeds 1..trials, repeated until at least 0.25 s have elapsed.
+double sw_generations_per_sec(const core::EvolutionConfig& config,
+                              std::size_t trials) {
+  using Clock = std::chrono::steady_clock;
+  std::uint64_t generations = 0;
+  const Clock::time_point start = Clock::now();
+  double seconds = 0.0;
+  do {
+    for (std::size_t i = 0; i < trials; ++i) {
+      core::EvolutionConfig trial = config;
+      trial.seed = 1 + i;
+      generations += core::evolve(trial).generations;
+    }
+    seconds = std::chrono::duration<double>(Clock::now() - start).count();
+  } while (seconds < 0.25);
+  return static_cast<double>(generations) / seconds;
+}
+
+}  // namespace
+
 int bench_run(const Options& options) {
   using namespace leo;
   std::size_t sw_trials = options.iters ? options.iters : 100;
   std::size_t hw_trials =
       options.iters ? std::max<std::uint64_t>(1, options.iters / 4) : 25;
   const auto& argv = options.args;
-  if (argv.size() > 0) sw_trials = std::strtoull(argv[0].c_str(), nullptr, 0);
-  if (argv.size() > 1) hw_trials = std::strtoull(argv[1].c_str(), nullptr, 0);
+  if ((argv.size() > 0 && !parse_trials(argv[0], sw_trials)) ||
+      (argv.size() > 1 && !parse_trials(argv[1], hw_trials)) ||
+      argv.size() > 3) {
+    std::fprintf(stderr,
+                 "usage: bench_convergence [--iters N] [--out PATH] "
+                 "[--no-json] [sw-trials [hw-trials [csv-path]]]\n"
+                 "  trial counts are positive integers\n");
+    return 2;
+  }
 
   std::printf("E1 — generations to maximum fitness "
               "(paper: \"an average of about 2000 generations\")\n\n");
@@ -44,8 +97,11 @@ int bench_run(const Options& options) {
   core::EvolutionConfig sw;
   sw.backend = core::Backend::kSoftware;
   const core::TrialSummary sw_sum = core::run_trials(sw, sw_trials, 1);
-  std::printf("software GA (%zu trials):\n  %s\n\n", sw_trials,
+  std::printf("software GA (%zu trials):\n  %s\n", sw_trials,
               core::describe(sw_sum).c_str());
+  const double sw_gens_per_sec = sw_generations_per_sec(sw, sw_trials);
+  std::printf("  throughput: %.0f generations/s (one thread)\n\n",
+              sw_gens_per_sec);
 
   core::EvolutionConfig hw;
   hw.backend = core::Backend::kHardware;
@@ -87,6 +143,7 @@ int bench_run(const Options& options) {
   reg.gauge("leo_bench_ga_hw_trials").set(static_cast<double>(hw_trials));
   reg.gauge("leo_bench_ga_sw_generations_mean").set(sw_sum.generations.mean());
   reg.gauge("leo_bench_ga_sw_evaluations_mean").set(sw_sum.evaluations.mean());
+  reg.gauge("leo_bench_ga_sw_generations_per_sec").set(sw_gens_per_sec);
   reg.gauge("leo_bench_ga_hw_generations_mean").set(hw_sum.generations.mean());
   reg.gauge("leo_bench_ga_hw_cycles_mean").set(hw_sum.clock_cycles.mean());
   reg.gauge("leo_bench_ga_hw_seconds_at_1mhz_mean")

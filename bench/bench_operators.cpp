@@ -43,8 +43,9 @@ void BM_TournamentSelection(benchmark::State& state) {
   util::Xoshiro256 rng(2);
   ga::Population pop;
   for (int i = 0; i < 32; ++i) {
-    pop.push_back(ga::Individual{rng.next_bits(36),
-                                 static_cast<unsigned>(rng.next_below(61))});
+    const ga::Genome g{rng.next_u64() & genome::kGenomeMask};
+    pop.push_back(
+        ga::Individual{g, static_cast<unsigned>(rng.next_below(61))});
   }
   const ga::TournamentSelection sel(util::Prob8::from_double(0.8));
   for (auto _ : state) {
@@ -55,11 +56,11 @@ BENCHMARK(BM_TournamentSelection);
 
 void BM_SinglePointCrossover(benchmark::State& state) {
   util::Xoshiro256 rng(3);
-  const util::BitVec a = rng.next_bits(36);
-  const util::BitVec b = rng.next_bits(36);
+  const std::uint64_t a = rng.next_u64() & genome::kGenomeMask;
+  const std::uint64_t b = rng.next_u64() & genome::kGenomeMask;
   const ga::SinglePointCrossover op;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(op.apply(a, b, rng));
+    benchmark::DoNotOptimize(op.apply(a, b, 36, rng));
   }
 }
 BENCHMARK(BM_SinglePointCrossover);
@@ -68,20 +69,20 @@ void BM_ExactCountMutation(benchmark::State& state) {
   util::Xoshiro256 rng(4);
   ga::Population pop;
   for (int i = 0; i < 32; ++i) {
-    pop.push_back(ga::Individual{rng.next_bits(36), 0});
+    pop.push_back(
+        ga::Individual{ga::Genome{rng.next_u64() & genome::kGenomeMask}, 0});
   }
   const ga::ExactCountMutation op(15);
   for (auto _ : state) {
-    op.apply(pop, rng);
+    op.apply(pop, 36, rng);
     benchmark::DoNotOptimize(pop);
   }
 }
 BENCHMARK(BM_ExactCountMutation);
 
 void BM_GaGeneration(benchmark::State& state) {
-  ga::GaEngine engine(ga::GaParams{}, [](const util::BitVec& g) {
-    return fitness::score(g.to_u64());
-  });
+  ga::GaEngine engine(ga::GaParams{},
+                      [](std::uint64_t g) { return fitness::score(g); });
   util::Xoshiro256 rng(5);
   ga::Population pop = engine.make_initial_population(rng);
   for (auto _ : state) {

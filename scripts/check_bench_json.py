@@ -32,6 +32,11 @@ import sys
 # Headline gauges a bench's JSON must contain, keyed by its "bench" id.
 # Benches not listed are only schema-checked.
 REQUIRED_GAUGES = {
+    "ga": (
+        "leo_bench_ga_sw_generations_mean",
+        "leo_bench_ga_hw_generations_mean",
+        "leo_bench_ga_sw_generations_per_sec",
+    ),
     "rtl": (
         "leo_bench_rtl_speedup",
         "leo_bench_rtl_level_cycles_per_sec",
@@ -54,6 +59,7 @@ REQUIRED_GAUGES = {
 # ratios belong here; deterministic count metrics (generations, cycles)
 # are exact-equality material for the equivalence tests, not floors.
 FLOOR_GAUGES = {
+    "ga": ("leo_bench_ga_sw_generations_per_sec",),
     "rtl": (
         "leo_bench_rtl_level_cycles_per_sec",
         "leo_bench_rtl_event_cycles_per_sec",

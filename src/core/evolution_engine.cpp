@@ -38,8 +38,8 @@ void record_gap_run(const gap::GapTop& top, std::uint64_t total_cycles) {
 
 ga::GaEngine make_engine(const EvolutionConfig& config) {
   const fitness::FitnessSpec spec = config.spec;
-  return ga::GaEngine(config.ga, [spec](const util::BitVec& g) {
-    return fitness::score(g.to_u64(), spec);
+  return ga::GaEngine(config.ga, [spec](std::uint64_t g) {
+    return fitness::score(g, spec);
   });
 }
 

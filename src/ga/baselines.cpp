@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "ga/individual.hpp"
+
 namespace leo::ga {
 
 ScanResult exhaustive_scan(std::uint64_t begin, std::uint64_t end,
@@ -28,12 +30,10 @@ ScanResult exhaustive_scan(std::uint64_t begin, std::uint64_t end,
 ScanResult random_search(std::size_t genome_bits, std::uint64_t max_draws,
                          const FitnessU64Fn& fitness, unsigned target_fitness,
                          util::RandomSource& rng) {
-  if (genome_bits == 0 || genome_bits > 64) {
+  if (genome_bits == 0 || genome_bits > kMaxGenomeBits) {
     throw std::invalid_argument("random_search: genome_bits in [1, 64]");
   }
-  const std::uint64_t mask = genome_bits >= 64
-                                 ? ~std::uint64_t{0}
-                                 : (std::uint64_t{1} << genome_bits) - 1;
+  const std::uint64_t mask = genome_mask(genome_bits);
   ScanResult r;
   for (std::uint64_t i = 0; i < max_draws; ++i) {
     const std::uint64_t g = rng.next_u64() & mask;

@@ -5,60 +5,50 @@
 namespace leo::ga {
 
 namespace {
-void check_widths(const util::BitVec& a, const util::BitVec& b) {
-  if (a.width() != b.width() || a.width() < 2) {
-    throw std::invalid_argument("crossover: genomes must share width >= 2");
+void check_parents(std::uint64_t a, std::uint64_t b, std::size_t width) {
+  if (width < 2 || width > kMaxGenomeBits || ((a | b) & ~genome_mask(width))) {
+    throw std::invalid_argument(
+        "crossover: parents must fit a shared width in [2, 64]");
   }
 }
 
-/// child = lo-part of `head` + tail of `tail` from bit c upward.
-util::BitVec splice(const util::BitVec& head, const util::BitVec& tail,
-                    std::size_t c) {
-  util::BitVec out = head;
-  for (std::size_t i = c; i < out.width(); ++i) {
-    out.set(i, tail.get(i));
-  }
-  return out;
+/// Low `n` bits set, n in [0, 63].
+std::uint64_t low_bits(std::uint64_t n) { return (std::uint64_t{1} << n) - 1; }
+
+/// Children of swapping the loci selected by `swap`.
+GenomePair exchange(std::uint64_t a, std::uint64_t b, std::uint64_t swap) {
+  const std::uint64_t diff = (a ^ b) & swap;
+  return {a ^ diff, b ^ diff};
 }
 }  // namespace
 
-std::pair<util::BitVec, util::BitVec> SinglePointCrossover::apply(
-    const util::BitVec& a, const util::BitVec& b,
-    util::RandomSource& rng) const {
-  check_widths(a, b);
-  const std::size_t c = 1 + rng.next_below(a.width() - 1);
-  return {splice(a, b, c), splice(b, a, c)};
+GenomePair SinglePointCrossover::apply(std::uint64_t a, std::uint64_t b,
+                                       std::size_t width,
+                                       util::RandomSource& rng) const {
+  check_parents(a, b, width);
+  const std::uint64_t c = 1 + rng.next_below(width - 1);
+  return exchange(a, b, ~low_bits(c));
 }
 
-std::pair<util::BitVec, util::BitVec> TwoPointCrossover::apply(
-    const util::BitVec& a, const util::BitVec& b,
-    util::RandomSource& rng) const {
-  check_widths(a, b);
-  std::size_t c1 = 1 + rng.next_below(a.width() - 1);
-  std::size_t c2 = 1 + rng.next_below(a.width() - 1);
+GenomePair TwoPointCrossover::apply(std::uint64_t a, std::uint64_t b,
+                                    std::size_t width,
+                                    util::RandomSource& rng) const {
+  check_parents(a, b, width);
+  std::uint64_t c1 = 1 + rng.next_below(width - 1);
+  std::uint64_t c2 = 1 + rng.next_below(width - 1);
   if (c1 > c2) std::swap(c1, c2);
-  util::BitVec ca = a;
-  util::BitVec cb = b;
-  for (std::size_t i = c1; i < c2; ++i) {
-    ca.set(i, b.get(i));
-    cb.set(i, a.get(i));
-  }
-  return {std::move(ca), std::move(cb)};
+  return exchange(a, b, low_bits(c2) & ~low_bits(c1));
 }
 
-std::pair<util::BitVec, util::BitVec> UniformCrossover::apply(
-    const util::BitVec& a, const util::BitVec& b,
-    util::RandomSource& rng) const {
-  check_widths(a, b);
-  util::BitVec ca = a;
-  util::BitVec cb = b;
-  for (std::size_t i = 0; i < a.width(); ++i) {
-    if (rng.next_u64() & 1) {
-      ca.set(i, b.get(i));
-      cb.set(i, a.get(i));
-    }
+GenomePair UniformCrossover::apply(std::uint64_t a, std::uint64_t b,
+                                   std::size_t width,
+                                   util::RandomSource& rng) const {
+  check_parents(a, b, width);
+  std::uint64_t swap = 0;
+  for (std::size_t i = 0; i < width; ++i) {
+    swap |= (rng.next_u64() & 1) << i;
   }
-  return {std::move(ca), std::move(cb)};
+  return exchange(a, b, swap);
 }
 
 }  // namespace leo::ga

@@ -2,9 +2,13 @@
 //
 // The GAP implements single-point crossover (§3.2): cut both genomes at a
 // random position and swap the tails. Two-point and uniform variants are
-// software baselines for the operator-ablation bench.
+// software baselines for the operator-ablation bench. All three are mask
+// arithmetic on packed genomes: a swap mask m selects the loci that trade
+// places, and each child is its parent XOR ((a ^ b) & m).
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <utility>
 
 #include "ga/individual.hpp"
@@ -12,13 +16,17 @@
 
 namespace leo::ga {
 
+using GenomePair = std::pair<std::uint64_t, std::uint64_t>;
+
 class CrossoverOp {
  public:
   virtual ~CrossoverOp() = default;
-  /// Produces two children from two parents (widths must match).
-  [[nodiscard]] virtual std::pair<util::BitVec, util::BitVec> apply(
-      const util::BitVec& a, const util::BitVec& b,
-      util::RandomSource& rng) const = 0;
+  /// Produces two children from two `width`-bit parents. Throws
+  /// std::invalid_argument unless width is in [2, 64] and both parents
+  /// fit in it.
+  [[nodiscard]] virtual GenomePair apply(std::uint64_t a, std::uint64_t b,
+                                         std::size_t width,
+                                         util::RandomSource& rng) const = 0;
   [[nodiscard]] virtual const char* name() const noexcept = 0;
 };
 
@@ -27,9 +35,9 @@ class CrossoverOp {
 /// parents, which the crossover *threshold* already accounts for.)
 class SinglePointCrossover final : public CrossoverOp {
  public:
-  [[nodiscard]] std::pair<util::BitVec, util::BitVec> apply(
-      const util::BitVec& a, const util::BitVec& b,
-      util::RandomSource& rng) const override;
+  [[nodiscard]] GenomePair apply(std::uint64_t a, std::uint64_t b,
+                                 std::size_t width,
+                                 util::RandomSource& rng) const override;
   [[nodiscard]] const char* name() const noexcept override {
     return "single-point";
   }
@@ -38,9 +46,9 @@ class SinglePointCrossover final : public CrossoverOp {
 /// Swaps the segment between two distinct cut points.
 class TwoPointCrossover final : public CrossoverOp {
  public:
-  [[nodiscard]] std::pair<util::BitVec, util::BitVec> apply(
-      const util::BitVec& a, const util::BitVec& b,
-      util::RandomSource& rng) const override;
+  [[nodiscard]] GenomePair apply(std::uint64_t a, std::uint64_t b,
+                                 std::size_t width,
+                                 util::RandomSource& rng) const override;
   [[nodiscard]] const char* name() const noexcept override {
     return "two-point";
   }
@@ -49,9 +57,9 @@ class TwoPointCrossover final : public CrossoverOp {
 /// Each bit swaps between the children with probability 1/2.
 class UniformCrossover final : public CrossoverOp {
  public:
-  [[nodiscard]] std::pair<util::BitVec, util::BitVec> apply(
-      const util::BitVec& a, const util::BitVec& b,
-      util::RandomSource& rng) const override;
+  [[nodiscard]] GenomePair apply(std::uint64_t a, std::uint64_t b,
+                                 std::size_t width,
+                                 util::RandomSource& rng) const override;
   [[nodiscard]] const char* name() const noexcept override {
     return "uniform";
   }

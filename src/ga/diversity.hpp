@@ -7,6 +7,8 @@
 // ablations show the collapse when mutation is removed.
 #pragma once
 
+#include <cstddef>
+
 #include "ga/individual.hpp"
 
 namespace leo::ga {
@@ -15,8 +17,8 @@ namespace leo::ga {
 /// expected width/2 for uniform random populations).
 [[nodiscard]] double mean_pairwise_hamming(const Population& pop);
 
-/// Mean per-bit Shannon entropy in bits (1.0 = every locus undecided,
-/// 0.0 = population fully converged).
-[[nodiscard]] double mean_bit_entropy(const Population& pop);
+/// Mean per-bit Shannon entropy over the `width` loci, in bits (1.0 =
+/// every locus undecided, 0.0 = population fully converged).
+[[nodiscard]] double mean_bit_entropy(const Population& pop, std::size_t width);
 
 }  // namespace leo::ga

@@ -1,19 +1,19 @@
 #include "ga/engine.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "ga/diversity.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace leo::ga {
 
 namespace {
 
-/// Registry instruments, resolved once per process so per-generation
-/// telemetry is relaxed atomics only. Telemetry never draws from the run's
-/// RNG or alters operator order: an instrumented run evolves the
-/// bit-identical best genome of an uninstrumented one.
+/// Registry instruments, resolved once per process. The engine flushes
+/// them once per start()/run_from(), never per generation. Telemetry never
+/// draws from the run's RNG or alters operator order: an instrumented run
+/// evolves the bit-identical best genome of an uninstrumented one.
 struct GaMetrics {
   obs::Counter& generations = obs::registry().counter("leo_ga_generations_total");
   obs::Counter& evaluations = obs::registry().counter("leo_ga_evaluations_total");
@@ -31,6 +31,39 @@ struct GaMetrics {
   }
 };
 
+/// Best/worst/mean fitness of `pop` (non-empty).
+GenerationStats population_stats(const Population& pop,
+                                 std::uint64_t generation) {
+  GenerationStats gs;
+  gs.generation = generation;
+  gs.worst_fitness = pop.front().fitness;
+  double sum = 0.0;
+  for (const auto& ind : pop) {
+    gs.best_fitness = std::max(gs.best_fitness, ind.fitness);
+    gs.worst_fitness = std::min(gs.worst_fitness, ind.fitness);
+    sum += static_cast<double>(ind.fitness);
+  }
+  gs.mean_fitness = sum / static_cast<double>(pop.size());
+  return gs;
+}
+
+/// Scans the population, updates state.best, and returns this
+/// generation's statistics (appending to state.history when tracking).
+GenerationStats observe(EngineState& state, std::uint64_t generation,
+                        bool track_history) {
+  const Population& pop = state.population;
+  GenerationStats gs = population_stats(pop, generation);
+  for (const auto& ind : pop) {
+    if (ind.fitness > state.best.fitness) state.best = ind;
+  }
+  gs.best_ever_fitness = state.best.fitness;
+  if (track_history) {
+    gs.diversity = mean_pairwise_hamming(pop);
+    state.history.push_back(gs);
+  }
+  return gs;
+}
+
 }  // namespace
 
 GaEngine::GaEngine(GaParams params, FitnessFn fitness)
@@ -42,12 +75,13 @@ GaEngine::GaEngine(GaParams params, FitnessFn fitness)
   if (params_.population_size < 2 || params_.population_size % 2 != 0) {
     throw std::invalid_argument("GaEngine: population size must be even, >= 2");
   }
-  if (params_.genome_bits < 2) {
-    throw std::invalid_argument("GaEngine: genome must have >= 2 bits");
+  if (params_.genome_bits < 2 || params_.genome_bits > kMaxGenomeBits) {
+    throw std::invalid_argument("GaEngine: genome_bits must be in [2, 64]");
   }
   if (!fitness_) {
     throw std::invalid_argument("GaEngine: fitness function required");
   }
+  mask_ = genome_mask(params_.genome_bits);
 }
 
 void GaEngine::set_selection(std::unique_ptr<SelectionOp> op) {
@@ -63,50 +97,37 @@ void GaEngine::set_mutation(std::unique_ptr<MutationOp> op) {
   mutation_ = std::move(op);
 }
 
-void GaEngine::evaluate(Population& pop) {
-  obs::TraceSpan span("leo_ga_eval");
-  for (auto& ind : pop) {
-    ind.fitness = fitness_(ind.genome);
-    ++evaluations_;
-  }
-  if (obs::enabled()) GaMetrics::get().evaluations.inc(pop.size());
+void GaEngine::evaluate(Population& pop) const {
+  for (auto& ind : pop) ind.fitness = fitness_(ind.genome.bits);
 }
 
-Population GaEngine::make_initial_population(util::RandomSource& rng) {
-  Population pop;
-  pop.reserve(params_.population_size);
-  for (std::size_t i = 0; i < params_.population_size; ++i) {
-    pop.push_back(Individual{rng.next_bits(params_.genome_bits), 0});
-  }
+Population GaEngine::make_initial_population(util::RandomSource& rng) const {
+  Population pop(params_.population_size);
+  for (auto& ind : pop) ind.genome.bits = rng.next_u64() & mask_;
   evaluate(pop);
   return pop;
 }
 
 void GaEngine::step_generation(Population& pop, util::RandomSource& rng) {
+  if (pop.size() != params_.population_size) {
+    throw std::invalid_argument("step_generation: population size mismatch");
+  }
+  const std::size_t width = params_.genome_bits;
   // Selection + crossover into the intermediate population (paper's
   // pipelined pair of operators writing the second RAM).
-  Population intermediate;
-  intermediate.reserve(pop.size());
-  {
-    obs::TraceSpan span("leo_ga_selxover");
-    while (intermediate.size() < pop.size()) {
-      const std::size_t pa = selection_->select(pop, rng);
-      const std::size_t pb = selection_->select(pop, rng);
-      if (rng.next_bool_p8(params_.crossover_threshold.raw())) {
-        auto [ca, cb] = crossover_->apply(pop[pa].genome, pop[pb].genome, rng);
-        intermediate.push_back(Individual{std::move(ca), 0});
-        intermediate.push_back(Individual{std::move(cb), 0});
-      } else {
-        intermediate.push_back(Individual{pop[pa].genome, 0});
-        intermediate.push_back(Individual{pop[pb].genome, 0});
-      }
+  intermediate_.resize(pop.size());
+  for (std::size_t i = 0; i < pop.size(); i += 2) {
+    const std::size_t pa = selection_->select(pop, rng);
+    const std::size_t pb = selection_->select(pop, rng);
+    GenomePair children{pop[pa].genome.bits, pop[pb].genome.bits};
+    if (rng.next_bool_p8(params_.crossover_threshold.raw())) {
+      children = crossover_->apply(children.first, children.second, width, rng);
     }
+    intermediate_[i].genome.bits = children.first;
+    intermediate_[i + 1].genome.bits = children.second;
   }
 
-  {
-    obs::TraceSpan span("leo_ga_mutation");
-    mutation_->apply(intermediate, rng);
-  }
+  mutation_->apply(intermediate_, width, rng);
 
   if (params_.elitism) {
     // Preserve the best of the outgoing generation in slot 0.
@@ -114,53 +135,22 @@ void GaEngine::step_generation(Population& pop, util::RandomSource& rng) {
     for (std::size_t i = 1; i < pop.size(); ++i) {
       if (pop[i].fitness > pop[best].fitness) best = i;
     }
-    intermediate[0] = pop[best];
+    intermediate_[0] = pop[best];
   }
 
-  pop = std::move(intermediate);
+  // The intermediate population becomes the basis population; the old
+  // basis buffer is reused as the next generation's intermediate.
+  pop.swap(intermediate_);
   evaluate(pop);
 }
 
-GenerationStats GaEngine::observe(EngineState& state, std::uint64_t generation,
-                                  bool track_history) {
-  const Population& pop = state.population;
-  GenerationStats gs;
-  gs.generation = generation;
-  gs.best_fitness = 0;
-  gs.worst_fitness = pop.front().fitness;
-  double sum = 0.0;
-  for (const auto& ind : pop) {
-    gs.best_fitness = std::max(gs.best_fitness, ind.fitness);
-    gs.worst_fitness = std::min(gs.worst_fitness, ind.fitness);
-    sum += static_cast<double>(ind.fitness);
-    if (ind.fitness > state.best.fitness) state.best = ind;
-  }
-  gs.mean_fitness = sum / static_cast<double>(pop.size());
-  gs.best_ever_fitness = state.best.fitness;
-  if (track_history) {
-    gs.diversity = mean_pairwise_hamming(pop);
-    state.history.push_back(gs);
-  }
-  if (obs::enabled()) {
-    GaMetrics& m = GaMetrics::get();
-    if (generation > 0) m.generations.inc();
-    m.generation.set(static_cast<double>(generation));
-    m.best.set(static_cast<double>(gs.best_fitness));
-    m.worst.set(static_cast<double>(gs.worst_fitness));
-    m.mean.set(gs.mean_fitness);
-    m.best_ever.set(static_cast<double>(gs.best_ever_fitness));
-    if (track_history) m.diversity.set(gs.diversity);
-  }
-  return gs;
-}
-
 EngineState GaEngine::start(util::RandomSource& rng, bool track_history) {
-  evaluations_ = 0;
   EngineState state;
   state.population = make_initial_population(rng);
   state.best = state.population.front();
+  state.evaluations = state.population.size();
   observe(state, 0, track_history);
-  state.evaluations = evaluations_;
+  if (obs::enabled()) GaMetrics::get().evaluations.inc(state.evaluations);
   return state;
 }
 
@@ -169,36 +159,46 @@ RunResult GaEngine::run_from(EngineState& state, util::RandomSource& rng,
                              std::optional<unsigned> target_fitness,
                              bool track_history,
                              const StepCallback& on_generation) {
-  if (obs::enabled()) GaMetrics::get().runs.inc();
-  evaluations_ = state.evaluations;
-
-  RunResult result;
-  auto finish = [&] {
-    result.generations = state.generation;
-    result.evaluations = state.evaluations;
-    result.best = state.best;
-    result.history = state.history;
-    return result;
+  const std::uint64_t first_generation = state.generation;
+  const std::uint64_t first_evaluations = state.evaluations;
+  auto reached = [&] {
+    return target_fitness && state.best.fitness >= *target_fitness;
   };
 
-  if (target_fitness && state.best.fitness >= *target_fitness) {
-    result.reached_target = true;
-    return finish();
-  }
-
-  for (std::uint64_t gen = state.generation + 1; gen <= max_generations;
-       ++gen) {
+  RunResult result;
+  result.reached_target = reached();
+  for (std::uint64_t gen = state.generation + 1;
+       !result.reached_target && gen <= max_generations; ++gen) {
     step_generation(state.population, rng);
     const GenerationStats gs = observe(state, gen, track_history);
     state.generation = gen;
-    state.evaluations = evaluations_;
-    if (target_fitness && state.best.fitness >= *target_fitness) {
-      result.reached_target = true;
-      break;
-    }
-    if (on_generation && !on_generation(gs)) break;
+    state.evaluations += state.population.size();
+    result.reached_target = reached();
+    if (!result.reached_target && on_generation && !on_generation(gs)) break;
   }
-  return finish();
+
+  if (obs::enabled()) {
+    GaMetrics& m = GaMetrics::get();
+    m.runs.inc();
+    m.generations.inc(state.generation - first_generation);
+    m.evaluations.inc(state.evaluations - first_evaluations);
+    const GenerationStats last =
+        population_stats(state.population, state.generation);
+    m.generation.set(static_cast<double>(state.generation));
+    m.best.set(static_cast<double>(last.best_fitness));
+    m.worst.set(static_cast<double>(last.worst_fitness));
+    m.mean.set(last.mean_fitness);
+    m.best_ever.set(static_cast<double>(state.best.fitness));
+    if (track_history && !state.history.empty()) {
+      m.diversity.set(state.history.back().diversity);
+    }
+  }
+
+  result.generations = state.generation;
+  result.evaluations = state.evaluations;
+  result.best = state.best;
+  result.history = state.history;
+  return result;
 }
 
 RunResult GaEngine::run(util::RandomSource& rng, std::uint64_t max_generations,

@@ -5,8 +5,11 @@
 // crossover, and finally mutation." Selection+crossover write into an
 // intermediate population (the GAP's second RAM); mutation runs over the
 // intermediate population, which then becomes the next basis population.
+// Like the GAP's two RAMs, the two populations are fixed buffers swapped
+// each generation: a running engine allocates nothing per generation.
 //
-// The engine is width-agnostic; GaParams carries the paper's defaults.
+// Genomes are packed u64 words of GaParams::genome_bits (2..64) bits;
+// GaParams carries the paper's defaults.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +30,7 @@ namespace leo::ga {
 /// Parameters of §3.3 ("The different parameters used for the GAP").
 struct GaParams {
   std::size_t population_size = 32;
-  std::size_t genome_bits = 36;
+  std::size_t genome_bits = 36;  ///< 2..64; GaEngine rejects other widths
   util::Prob8 selection_threshold = util::Prob8::from_double(0.8);
   util::Prob8 crossover_threshold = util::Prob8::from_double(0.7);
   unsigned mutations_per_generation = 15;
@@ -78,7 +81,9 @@ using StepCallback = std::function<bool(const GenerationStats&)>;
 class GaEngine {
  public:
   /// Operators default to the paper's: tournament(selection_threshold),
-  /// single-point crossover, exact-count mutation.
+  /// single-point crossover, exact-count mutation. Throws
+  /// std::invalid_argument for an odd or < 2 population, genome_bits
+  /// outside [2, 64], or an empty fitness function.
   GaEngine(GaParams params, FitnessFn fitness);
 
   /// Operator injection for ablation studies (non-null).
@@ -100,35 +105,38 @@ class GaEngine {
   /// Advances `state` until the target is reached, `max_generations` total
   /// generations elapse (an absolute count including generations already in
   /// `state`), or `on_generation` returns false. Resuming a stopped state
-  /// with the same rng stream continues the identical run.
+  /// with the same rng stream continues the identical run. Telemetry is
+  /// flushed once on return: the ga counters grow by this call's
+  /// generations and evaluations (start() counts generation 0's), and each
+  /// gauge is set once from the final state.
   RunResult run_from(EngineState& state, util::RandomSource& rng,
                      std::uint64_t max_generations,
                      std::optional<unsigned> target_fitness,
                      bool track_history = false,
                      const StepCallback& on_generation = {});
 
-  /// One generation on an explicit population (exposed for testing and
-  /// for lock-step comparison against the hardware GAP).
+  /// One generation on an explicit population of params().population_size
+  /// individuals (exposed for testing and for lock-step comparison against
+  /// the hardware GAP). The next generation is built in an engine-owned
+  /// buffer and swapped into `pop`.
   void step_generation(Population& pop, util::RandomSource& rng);
 
-  /// Random initial population, evaluated.
-  Population make_initial_population(util::RandomSource& rng);
+  /// Random initial population, evaluated: one next_u64() per individual,
+  /// masked to genome_bits.
+  Population make_initial_population(util::RandomSource& rng) const;
 
   [[nodiscard]] const GaParams& params() const noexcept { return params_; }
 
  private:
-  void evaluate(Population& pop);
-  /// Scans the population, updates state.best, and returns this
-  /// generation's statistics (appending to state.history when tracking).
-  GenerationStats observe(EngineState& state, std::uint64_t generation,
-                          bool track_history);
+  void evaluate(Population& pop) const;
 
   GaParams params_;
   FitnessFn fitness_;
   std::unique_ptr<SelectionOp> selection_;
   std::unique_ptr<CrossoverOp> crossover_;
   std::unique_ptr<MutationOp> mutation_;
-  std::uint64_t evaluations_ = 0;
+  std::uint64_t mask_ = 0;  ///< genome_mask(params_.genome_bits)
+  Population intermediate_;  ///< next generation, swapped into the basis
 };
 
 }  // namespace leo::ga

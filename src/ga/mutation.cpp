@@ -1,22 +1,35 @@
 #include "ga/mutation.hpp"
 
+#include <stdexcept>
+
 namespace leo::ga {
 
-void ExactCountMutation::apply(Population& pop, util::RandomSource& rng) const {
+namespace {
+void check_width(std::size_t width) {
+  if (width == 0 || width > kMaxGenomeBits) {
+    throw std::invalid_argument("mutation: width must be in [1, 64]");
+  }
+}
+}  // namespace
+
+void ExactCountMutation::apply(Population& pop, std::size_t width,
+                               util::RandomSource& rng) const {
+  check_width(width);
   if (pop.empty()) return;
-  const std::size_t genome_bits = pop.front().genome.width();
-  const std::size_t total_bits = pop.size() * genome_bits;
+  const std::size_t total_bits = pop.size() * width;
   for (unsigned i = 0; i < count_; ++i) {
     const std::uint64_t pos = rng.next_below(total_bits);
-    pop[pos / genome_bits].genome.flip(pos % genome_bits);
+    pop[pos / width].genome.bits ^= std::uint64_t{1} << (pos % width);
   }
 }
 
-void PerBitMutation::apply(Population& pop, util::RandomSource& rng) const {
+void PerBitMutation::apply(Population& pop, std::size_t width,
+                           util::RandomSource& rng) const {
+  check_width(width);
   for (auto& ind : pop) {
-    for (std::size_t bit = 0; bit < ind.genome.width(); ++bit) {
+    for (std::size_t bit = 0; bit < width; ++bit) {
       if (rng.next_bool_p8(rate_.raw())) {
-        ind.genome.flip(bit);
+        ind.genome.bits ^= std::uint64_t{1} << bit;
       }
     }
   }

@@ -6,6 +6,8 @@
 // PerBitMutation is the textbook alternative for ablations.
 #pragma once
 
+#include <cstddef>
+
 #include "ga/individual.hpp"
 #include "util/fixed.hpp"
 #include "util/rng.hpp"
@@ -15,8 +17,10 @@ namespace leo::ga {
 class MutationOp {
  public:
   virtual ~MutationOp() = default;
-  /// Mutates the population in place (fitness values become stale).
-  virtual void apply(Population& pop, util::RandomSource& rng) const = 0;
+  /// Mutates the `width`-bit genomes of the population in place (fitness
+  /// values become stale).
+  virtual void apply(Population& pop, std::size_t width,
+                     util::RandomSource& rng) const = 0;
   [[nodiscard]] virtual const char* name() const noexcept = 0;
 };
 
@@ -27,7 +31,8 @@ class MutationOp {
 class ExactCountMutation final : public MutationOp {
  public:
   explicit ExactCountMutation(unsigned count) : count_(count) {}
-  void apply(Population& pop, util::RandomSource& rng) const override;
+  void apply(Population& pop, std::size_t width,
+             util::RandomSource& rng) const override;
   [[nodiscard]] const char* name() const noexcept override {
     return "exact-count";
   }
@@ -41,7 +46,8 @@ class ExactCountMutation final : public MutationOp {
 class PerBitMutation final : public MutationOp {
  public:
   explicit PerBitMutation(util::Prob8 rate) : rate_(rate) {}
-  void apply(Population& pop, util::RandomSource& rng) const override;
+  void apply(Population& pop, std::size_t width,
+             util::RandomSource& rng) const override;
   [[nodiscard]] const char* name() const noexcept override {
     return "per-bit";
   }

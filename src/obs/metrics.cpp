@@ -126,7 +126,17 @@ Histogram& MetricsRegistry::histogram(std::string_view name,
 }
 
 Histogram& MetricsRegistry::histogram(std::string_view name) {
-  return histogram(name, duration_buckets());
+  // Look up first: the bucket layout is built only when a new histogram is
+  // registered, so a repeated lookup allocates nothing.
+  const std::scoped_lock lock(mutex_);
+  auto it = histograms_.find(name);
+  if (it == histograms_.end()) {
+    it = histograms_
+             .emplace(std::string(name),
+                      std::make_unique<Histogram>(duration_buckets()))
+             .first;
+  }
+  return *it->second;
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {

@@ -16,32 +16,42 @@ namespace {
 using detail::ByteReader;
 using detail::ByteWriter;
 
-void write_bitvec(ByteWriter& w, const util::BitVec& v) {
-  w.u32(static_cast<std::uint32_t>(v.width()));
-  for (const std::uint64_t word : v.words()) w.u64(word);
-}
-
-util::BitVec read_bitvec(ByteReader& r) {
-  const std::uint32_t width = r.u32();
-  if (width > 1u << 20) throw std::runtime_error("snapshot: absurd genome width");
-  util::BitVec v(width);
-  for (std::size_t lo = 0; lo < width; lo += 64) {
-    const std::size_t chunk = std::min<std::size_t>(64, width - lo);
-    v.set_slice_u64(lo, chunk, r.u64());
-  }
-  return v;
-}
-
-void write_individual(ByteWriter& w, const ga::Individual& ind) {
-  write_bitvec(w, ind.genome);
+/// An individual is its genome width (u32), the packed genome word (u64)
+/// and its fitness (u32).
+void write_individual(ByteWriter& w, const ga::Individual& ind,
+                      std::size_t genome_bits) {
+  w.u32(static_cast<std::uint32_t>(genome_bits));
+  w.u64(ind.genome.bits);
   w.u32(ind.fitness);
 }
 
-ga::Individual read_individual(ByteReader& r) {
+/// Strict inverse of write_individual for a `genome_bits`-wide config:
+/// anything write_individual could not have produced is rejected.
+ga::Individual read_individual(ByteReader& r, std::size_t genome_bits) {
+  const std::uint32_t width = r.u32();
+  if (width == 0 || width > ga::kMaxGenomeBits) {
+    throw std::runtime_error("snapshot: genome width outside [1, 64]");
+  }
+  if (width != genome_bits) {
+    throw std::runtime_error("snapshot: genome width does not match config");
+  }
   ga::Individual ind;
-  ind.genome = read_bitvec(r);
+  ind.genome.bits = r.u64();
+  if (ind.genome.bits & ~ga::genome_mask(width)) {
+    throw std::runtime_error("snapshot: genome bits set above its width");
+  }
   ind.fitness = r.u32();
   return ind;
+}
+
+/// "0x" + one hex digit per started nibble of `genome_bits`.
+std::string genome_hex(std::uint64_t genome, std::size_t genome_bits) {
+  const int digits =
+      static_cast<int>((std::min(genome_bits, ga::kMaxGenomeBits) + 3) / 4);
+  char buf[19];
+  std::snprintf(buf, sizeof buf, "0x%0*llx", digits,
+                static_cast<unsigned long long>(genome));
+  return buf;
 }
 
 }  // namespace
@@ -70,11 +80,14 @@ std::vector<std::uint8_t> serialize_snapshot(const Snapshot& snapshot) {
   for (const std::uint64_t word : snapshot.rng_state) w.u64(word);
 
   const ga::EngineState& st = snapshot.state;
+  const std::size_t bits = snapshot.config.ga.genome_bits;
   w.u64(st.generation);
   w.u64(st.evaluations);
-  write_individual(w, st.best);
+  write_individual(w, st.best, bits);
   w.u32(static_cast<std::uint32_t>(st.population.size()));
-  for (const ga::Individual& ind : st.population) write_individual(w, ind);
+  for (const ga::Individual& ind : st.population) {
+    write_individual(w, ind, bits);
+  }
   w.u32(static_cast<std::uint32_t>(st.history.size()));
   for (const ga::GenerationStats& gs : st.history) {
     w.u64(gs.generation);
@@ -111,7 +124,11 @@ Snapshot deserialize_snapshot(const std::vector<std::uint8_t>& bytes) {
   if (config_len > r.remaining()) {
     throw std::runtime_error("snapshot: truncated config block");
   }
+  const std::size_t config_end = r.remaining() - config_len;
   snap.config = decode_config(r);
+  if (r.remaining() != config_end) {
+    throw std::runtime_error("snapshot: config block length mismatch");
+  }
   if (config_key(snap.config) != snap.config_key) {
     throw std::runtime_error("snapshot: config key mismatch (corrupt file)");
   }
@@ -119,16 +136,17 @@ Snapshot deserialize_snapshot(const std::vector<std::uint8_t>& bytes) {
   for (std::uint64_t& word : snap.rng_state) word = r.u64();
 
   ga::EngineState& st = snap.state;
+  const std::size_t bits = snap.config.ga.genome_bits;
   st.generation = r.u64();
   st.evaluations = r.u64();
-  st.best = read_individual(r);
+  st.best = read_individual(r, bits);
   const std::uint32_t pop_size = r.u32();
-  if (std::size_t{pop_size} * 5 > r.remaining()) {
+  if (std::size_t{pop_size} * 16 > r.remaining()) {
     throw std::runtime_error("snapshot: truncated population");
   }
   st.population.reserve(pop_size);
   for (std::uint32_t i = 0; i < pop_size; ++i) {
-    st.population.push_back(read_individual(r));
+    st.population.push_back(read_individual(r, bits));
   }
   const std::uint32_t history_size = r.u32();
   if (std::size_t{history_size} * 32 > r.remaining()) {
@@ -180,7 +198,9 @@ std::string describe_snapshot(const Snapshot& snapshot) {
       << snapshot.state.evaluations << "\n"
       << "  best fitness " << snapshot.state.best.fitness << "/"
       << snapshot.config.spec.max_score() << "  best genome "
-      << snapshot.state.best.genome.to_hex() << "\n"
+      << genome_hex(snapshot.state.best.genome.bits,
+                    snapshot.config.ga.genome_bits)
+      << "\n"
       << "  population " << snapshot.state.population.size() << " x "
       << snapshot.config.ga.genome_bits << " bits, history "
       << snapshot.state.history.size() << " entries";

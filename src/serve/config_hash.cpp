@@ -47,6 +47,13 @@ namespace {
 
 std::uint8_t bool_byte(bool b) { return b ? 1 : 0; }
 
+/// Inverse of bool_byte; any other byte is corruption, not "true".
+bool read_bool(detail::ByteReader& r) {
+  const std::uint8_t byte = r.u8();
+  if (byte > 1) throw std::runtime_error("decode: bad bool value");
+  return byte != 0;
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> encode_config(const core::EvolutionConfig& config) {
@@ -96,17 +103,17 @@ core::EvolutionConfig decode_config(detail::ByteReader& r) {
   config.backend = static_cast<core::Backend>(backend);
   config.seed = r.u64();
   config.max_generations = r.u64();
-  config.track_history = r.u8() != 0;
+  config.track_history = read_bool(r);
 
   fitness::FitnessSpec& spec = config.spec;
   spec.w_equilibrium = r.u32();
   spec.w_symmetry = r.u32();
   spec.w_coherence = r.u32();
   spec.w_support = r.u32();
-  spec.use_equilibrium = r.u8() != 0;
-  spec.use_symmetry = r.u8() != 0;
-  spec.use_coherence = r.u8() != 0;
-  spec.use_support = r.u8() != 0;
+  spec.use_equilibrium = read_bool(r);
+  spec.use_symmetry = read_bool(r);
+  spec.use_coherence = read_bool(r);
+  spec.use_support = read_bool(r);
 
   ga::GaParams& ga = config.ga;
   ga.population_size = r.u64();
@@ -114,7 +121,7 @@ core::EvolutionConfig decode_config(detail::ByteReader& r) {
   ga.selection_threshold = util::Prob8(r.u8());
   ga.crossover_threshold = util::Prob8(r.u8());
   ga.mutations_per_generation = r.u32();
-  ga.elitism = r.u8() != 0;
+  ga.elitism = read_bool(r);
 
   gap::GapParams& gap = config.gap;
   gap.population_size = r.u32();
@@ -122,7 +129,7 @@ core::EvolutionConfig decode_config(detail::ByteReader& r) {
   gap.selection_threshold = util::Prob8(r.u8());
   gap.crossover_threshold = util::Prob8(r.u8());
   gap.mutations_per_generation = r.u32();
-  gap.pipelined = r.u8() != 0;
+  gap.pipelined = read_bool(r);
   gap.target_fitness = r.u32();
   return config;
 }

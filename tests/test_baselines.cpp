@@ -81,8 +81,8 @@ TEST(RandomSearch, RejectsBadWidth) {
 TEST(Baselines, GaBeatsRandomSearchOnEvaluations) {
   // The paper's core quantitative story (E2): evolution needs orders of
   // magnitude fewer evaluations than undirected search.
-  GaEngine engine(GaParams{}, [](const util::BitVec& g) {
-    return fitness::score(g.to_u64());
+  GaEngine engine(GaParams{}, [](std::uint64_t g) {
+    return fitness::score(g);
   });
   util::RunningStats ga_evals;
   util::RunningStats rs_evals;

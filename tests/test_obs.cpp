@@ -204,6 +204,22 @@ TEST(Registry, InstrumentsAreStableAndSnapshotIsPlainValues) {
             0u);
 }
 
+TEST(Registry, HistogramLookupReturnsTheRegisteredInstance) {
+  MetricsRegistry reg;
+  Histogram& d = reg.histogram("leo_test_span_seconds");
+  EXPECT_EQ(&d, &reg.histogram("leo_test_span_seconds"));
+  d.observe(0.5);
+  EXPECT_EQ(reg.snapshot().histograms.at("leo_test_span_seconds").bounds,
+            duration_buckets());
+
+  // A histogram registered with custom bounds keeps them when later looked
+  // up through the duration overload.
+  Histogram& custom = reg.histogram("leo_test_sizes", {1.0, 2.0});
+  EXPECT_EQ(&custom, &reg.histogram("leo_test_sizes"));
+  EXPECT_EQ(reg.snapshot().histograms.at("leo_test_sizes").bounds,
+            (std::vector<double>{1.0, 2.0}));
+}
+
 TEST(Registry, SnapshotMergeCombines) {
   MetricsRegistry a;
   MetricsRegistry b;

@@ -134,6 +134,53 @@ TEST(Checkpoint, SerializeDeserializeRoundTrip) {
   }
 }
 
+// Byte-exact LEOS layout guard: digests of snapshots of budget-suspended
+// runs, captured before the GA moved from BitVec to u64 genomes. Covers
+// history (diversity doubles), elitism, and widths 36/40/64.
+TEST(Checkpoint, GoldenSnapshotDigests) {
+  struct Case {
+    std::uint64_t seed;
+    std::uint64_t budget;
+    std::size_t genome_bits;
+    bool track_history;
+    bool elitism;
+    std::size_t bytes;
+    std::uint64_t digest;
+  };
+  constexpr Case kCases[] = {
+    {21, 5, 36, false, false, 688, 0xdac980a1d549ec8cULL},
+    {7, 20, 36, true, false, 1444, 0xd1014e09f8c9ee31ULL},
+    {3, 1, 36, false, false, 688, 0x7c8f2f7c66d9ee05ULL},
+    {1000, 40, 36, false, true, 688, 0x7ac3205b33ec5164ULL},
+    {11, 12, 40, false, false, 688, 0x06ad9d72707ecb61ULL},
+    {12, 9, 64, true, false, 1048, 0x0cfbc629e9d48f3aULL},
+  };
+  auto fnv1a = [](const std::vector<std::uint8_t>& bytes) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const std::uint8_t b : bytes) {
+      h ^= b;
+      h *= 0x100000001b3ULL;
+    }
+    return h;
+  };
+  for (const Case& c : kCases) {
+    core::EvolutionConfig config = base_config(c.seed);
+    config.ga.genome_bits = c.genome_bits;
+    config.ga.elitism = c.elitism;
+    config.track_history = c.track_history;
+    core::EvolutionSession session(config);
+    core::RunControl control;
+    control.generation_budget = c.budget;
+    (void)session.run(control);
+    const std::vector<std::uint8_t> bytes =
+        serialize_snapshot(make_snapshot(session));
+    EXPECT_EQ(bytes.size(), c.bytes) << "seed " << c.seed;
+    EXPECT_EQ(fnv1a(bytes), c.digest) << "seed " << c.seed;
+    EXPECT_EQ(serialize_snapshot(deserialize_snapshot(bytes)), bytes)
+        << "seed " << c.seed;
+  }
+}
+
 TEST(Checkpoint, RejectsCorruptInput) {
   core::EvolutionSession session(base_config(3));
   std::vector<std::uint8_t> bytes = serialize_snapshot(make_snapshot(session));
@@ -155,6 +202,103 @@ TEST(Checkpoint, RejectsCorruptInput) {
   std::vector<std::uint8_t> tampered = bytes;
   tampered[25] ^= 0x01;  // inside the config block
   EXPECT_THROW(deserialize_snapshot(tampered), std::runtime_error);
+}
+
+/// Offset of the best individual's width field: header (magic, version,
+/// codec version, key), config length + block, RNG state, generation and
+/// evaluation counters.
+std::size_t best_individual_offset(const core::EvolutionConfig& config) {
+  return 4 + 4 + 4 + 8 + 4 + encode_config(config).size() + 32 + 8 + 8;
+}
+
+void put_u32(std::vector<std::uint8_t>& bytes, std::size_t at,
+             std::uint32_t v) {
+  for (std::size_t i = 0; i < 4; ++i) {
+    bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+TEST(Checkpoint, RejectsInvalidGenomeFields) {
+  core::EvolutionConfig config = base_config(5);
+  config.track_history = true;
+  core::EvolutionSession session(config);
+  const std::vector<std::uint8_t> bytes =
+      serialize_snapshot(make_snapshot(session));
+  const std::size_t at = best_individual_offset(config);
+  ASSERT_NO_THROW((void)deserialize_snapshot(bytes));
+
+  for (const std::uint32_t width : {0u, 35u, 37u, 64u, 65u, 1u << 20}) {
+    std::vector<std::uint8_t> bad = bytes;
+    put_u32(bad, at, width);
+    EXPECT_THROW((void)deserialize_snapshot(bad), std::runtime_error)
+        << "width " << width;
+  }
+  // Genome bit 36 (above the 36-bit width): byte 4 of the genome word.
+  std::vector<std::uint8_t> high_bit = bytes;
+  high_bit[at + 4 + 4] |= 0x10;
+  EXPECT_THROW((void)deserialize_snapshot(high_bit), std::runtime_error);
+  // A non-canonical "true" in the config block (track_history byte 3):
+  // it decodes to the same config and key, but would not re-serialize.
+  std::vector<std::uint8_t> bool_byte = bytes;
+  bool_byte[4 + 4 + 4 + 8 + 4 + 1 + 8 + 8] = 3;
+  EXPECT_THROW((void)deserialize_snapshot(bool_byte), std::runtime_error);
+}
+
+/// Every truncation and random single/double bit flip of a snapshot either
+/// is rejected with std::runtime_error or decodes to a snapshot that
+/// re-serializes to exactly the corrupted bytes: the decoder accepts only
+/// canonical encodings and never crashes (run under ASan/UBSan in CI).
+TEST(SnapshotFuzz, TruncationAndBitFlipsThrowOrRoundTrip) {
+  core::EvolutionConfig config = base_config(31);
+  config.track_history = true;
+  core::EvolutionSession session(config);
+  core::RunControl control;
+  control.generation_budget = 4;
+  (void)session.run(control);
+  const std::vector<std::uint8_t> bytes =
+      serialize_snapshot(make_snapshot(session));
+
+  std::size_t accepted = 0;
+  auto check = [&](const std::vector<std::uint8_t>& input,
+                   const std::string& what) {
+    Snapshot snap;
+    try {
+      snap = deserialize_snapshot(input);
+    } catch (const std::runtime_error&) {
+      return;
+    }
+    ++accepted;
+    ASSERT_EQ(serialize_snapshot(snap), input) << what;
+  };
+
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    const std::vector<std::uint8_t> prefix(
+        bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(len));
+    ASSERT_THROW((void)deserialize_snapshot(prefix), std::runtime_error)
+        << "truncated to " << len;
+  }
+  const std::size_t bits = bytes.size() * 8;
+  auto flip = [](std::vector<std::uint8_t>& v, std::size_t bit) {
+    v[bit / 8] = static_cast<std::uint8_t>(v[bit / 8] ^ (1u << (bit % 8)));
+  };
+  for (std::size_t a = 0; a < bits; ++a) {
+    std::vector<std::uint8_t> corrupt = bytes;
+    flip(corrupt, a);
+    check(corrupt, "flip " + std::to_string(a));
+  }
+  util::Xoshiro256 rng(107);
+  for (int i = 0; i < 20'000; ++i) {
+    const std::size_t a = rng.next_below(bits);
+    std::size_t b = rng.next_below(bits);
+    while (b == a) b = rng.next_below(bits);
+    std::vector<std::uint8_t> corrupt = bytes;
+    flip(corrupt, a);
+    flip(corrupt, b);
+    check(corrupt, "flips " + std::to_string(a) + ", " + std::to_string(b));
+  }
+  // Flips in free-valued fields (RNG state, counters, fitness, genome bits
+  // below the width, history) are legitimately accepted.
+  EXPECT_GT(accepted, 0u);
 }
 
 TEST(Checkpoint, FileRoundTrip) {
@@ -454,6 +598,16 @@ TEST(Service, FailedJobThrowsOnWait) {
   EXPECT_THROW((void)job.wait(), std::runtime_error);
   EXPECT_EQ(job.state(), JobState::kFailed);
   EXPECT_FALSE(job.error().empty());
+}
+
+TEST(Service, GenomeWiderThan64BitsFailsCleanly) {
+  EvolutionService service(1);
+  core::EvolutionConfig wide = base_config(1);
+  wide.ga.genome_bits = 65;  // the software GA packs genomes into a u64
+  JobHandle job = service.submit(wide);
+  EXPECT_THROW((void)job.wait(), std::runtime_error);
+  EXPECT_EQ(job.state(), JobState::kFailed);
+  EXPECT_NE(job.error().find("genome_bits"), std::string::npos) << job.error();
 }
 
 TEST(Service, ResumeRejectsHardwareSnapshots) {
