@@ -79,21 +79,23 @@ struct FitnessSpec {
     if (use_support) m += w_support * kMaxSupportViolations;
     return m;
   }
+
+  constexpr bool operator==(const FitnessSpec&) const noexcept = default;
 };
 
 /// The configuration used by Discipulus Simplex (max score 60).
 inline constexpr FitnessSpec kDefaultSpec{};
 
 /// Counts violations directly on the packed 36-bit genome — the hot path
-/// of every software-backend evaluation. Equilibrium, support and
-/// coherence depend only on one step's 18 bits, so they come out of two
-/// 2^18-entry tables built lazily at first use; symmetry is a popcount of
-/// the XOR of the two steps' horizontal bits. Bit-identical to
-/// count_violations_reference (tested exhaustively per step).
+/// of every software-backend evaluation. Like the hardware's AND/XOR
+/// trees followed by small population counts, it is mask, AND and XOR
+/// logic over the word, with each rule's per-leg results summed per step
+/// by one multiply; no tables. Bit-identical to count_violations_reference
+/// (tested exhaustively per step and over all horizontal bits).
 [[nodiscard]] RuleViolations count_violations(std::uint64_t genome_bits) noexcept;
 
 /// The direct rule-by-rule loop implementation — the combinational
-/// function the hardware implements, kept as the oracle the LUT fast path
+/// function the hardware implements, kept as the oracle the fast logic
 /// (and the FPGA netlist) are checked against.
 [[nodiscard]] RuleViolations count_violations_reference(
     std::uint64_t genome_bits) noexcept;

@@ -29,7 +29,7 @@ ScanResult exhaustive_scan(std::uint64_t begin, std::uint64_t end,
 
 ScanResult random_search(std::size_t genome_bits, std::uint64_t max_draws,
                          const FitnessU64Fn& fitness, unsigned target_fitness,
-                         util::RandomSource& rng) {
+                         util::Xoshiro256& rng) {
   if (genome_bits == 0 || genome_bits > kMaxGenomeBits) {
     throw std::invalid_argument("random_search: genome_bits in [1, 64]");
   }

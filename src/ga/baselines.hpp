@@ -39,6 +39,6 @@ struct ScanResult {
                                        std::uint64_t max_draws,
                                        const FitnessU64Fn& fitness,
                                        unsigned target_fitness,
-                                       util::RandomSource& rng);
+                                       util::Xoshiro256& rng);
 
 }  // namespace leo::ga

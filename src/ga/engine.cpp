@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <variant>
 
 #include "ga/diversity.hpp"
 #include "obs/metrics.hpp"
@@ -69,9 +70,9 @@ GenerationStats observe(EngineState& state, std::uint64_t generation,
 GaEngine::GaEngine(GaParams params, FitnessFn fitness)
     : params_(params),
       fitness_(std::move(fitness)),
-      selection_(std::make_unique<TournamentSelection>(params.selection_threshold)),
-      crossover_(std::make_unique<SinglePointCrossover>()),
-      mutation_(std::make_unique<ExactCountMutation>(params.mutations_per_generation)) {
+      selection_(TournamentSelection(params.selection_threshold)),
+      crossover_(SinglePointCrossover()),
+      mutation_(ExactCountMutation(params.mutations_per_generation)) {
   if (params_.population_size < 2 || params_.population_size % 2 != 0) {
     throw std::invalid_argument("GaEngine: population size must be even, >= 2");
   }
@@ -84,50 +85,48 @@ GaEngine::GaEngine(GaParams params, FitnessFn fitness)
   mask_ = genome_mask(params_.genome_bits);
 }
 
-void GaEngine::set_selection(std::unique_ptr<SelectionOp> op) {
-  if (!op) throw std::invalid_argument("set_selection: null");
-  selection_ = std::move(op);
-}
-void GaEngine::set_crossover(std::unique_ptr<CrossoverOp> op) {
-  if (!op) throw std::invalid_argument("set_crossover: null");
-  crossover_ = std::move(op);
-}
-void GaEngine::set_mutation(std::unique_ptr<MutationOp> op) {
-  if (!op) throw std::invalid_argument("set_mutation: null");
-  mutation_ = std::move(op);
-}
-
 void GaEngine::evaluate(Population& pop) const {
   for (auto& ind : pop) ind.fitness = fitness_(ind.genome.bits);
 }
 
-Population GaEngine::make_initial_population(util::RandomSource& rng) const {
+Population GaEngine::make_initial_population(util::Xoshiro256& rng) const {
   Population pop(params_.population_size);
   for (auto& ind : pop) ind.genome.bits = rng.next_u64() & mask_;
   evaluate(pop);
   return pop;
 }
 
-void GaEngine::step_generation(Population& pop, util::RandomSource& rng) {
+void GaEngine::step_generation(Population& pop, util::Xoshiro256& rng) {
   if (pop.size() != params_.population_size) {
     throw std::invalid_argument("step_generation: population size mismatch");
   }
+  std::visit(
+      [&](const auto& selection, const auto& crossover, const auto& mutation) {
+        breed(pop, rng, selection, crossover, mutation);
+      },
+      selection_, crossover_, mutation_);
+}
+
+template <class Select, class Cross, class Mutate>
+void GaEngine::breed(Population& pop, util::Xoshiro256& rng,
+                     const Select& selection, const Cross& crossover,
+                     const Mutate& mutation) {
   const std::size_t width = params_.genome_bits;
   // Selection + crossover into the intermediate population (paper's
   // pipelined pair of operators writing the second RAM).
   intermediate_.resize(pop.size());
   for (std::size_t i = 0; i < pop.size(); i += 2) {
-    const std::size_t pa = selection_->select(pop, rng);
-    const std::size_t pb = selection_->select(pop, rng);
+    const std::size_t pa = selection.select(pop, rng);
+    const std::size_t pb = selection.select(pop, rng);
     GenomePair children{pop[pa].genome.bits, pop[pb].genome.bits};
     if (rng.next_bool_p8(params_.crossover_threshold.raw())) {
-      children = crossover_->apply(children.first, children.second, width, rng);
+      children = crossover.apply(children.first, children.second, width, rng);
     }
     intermediate_[i].genome.bits = children.first;
     intermediate_[i + 1].genome.bits = children.second;
   }
 
-  mutation_->apply(intermediate_, width, rng);
+  mutation.apply(intermediate_, width, rng);
 
   if (params_.elitism) {
     // Preserve the best of the outgoing generation in slot 0.
@@ -144,7 +143,7 @@ void GaEngine::step_generation(Population& pop, util::RandomSource& rng) {
   evaluate(pop);
 }
 
-EngineState GaEngine::start(util::RandomSource& rng, bool track_history) {
+EngineState GaEngine::start(util::Xoshiro256& rng, bool track_history) {
   EngineState state;
   state.population = make_initial_population(rng);
   state.best = state.population.front();
@@ -154,7 +153,7 @@ EngineState GaEngine::start(util::RandomSource& rng, bool track_history) {
   return state;
 }
 
-RunResult GaEngine::run_from(EngineState& state, util::RandomSource& rng,
+RunResult GaEngine::run_from(EngineState& state, util::Xoshiro256& rng,
                              std::uint64_t max_generations,
                              std::optional<unsigned> target_fitness,
                              bool track_history,
@@ -201,7 +200,7 @@ RunResult GaEngine::run_from(EngineState& state, util::RandomSource& rng,
   return result;
 }
 
-RunResult GaEngine::run(util::RandomSource& rng, std::uint64_t max_generations,
+RunResult GaEngine::run(util::Xoshiro256& rng, std::uint64_t max_generations,
                         std::optional<unsigned> target_fitness,
                         bool track_history) {
   EngineState state = start(rng, track_history);

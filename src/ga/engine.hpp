@@ -10,11 +10,16 @@
 //
 // Genomes are packed u64 words of GaParams::genome_bits (2..64) bits;
 // GaParams carries the paper's defaults.
+//
+// Like the GAP's fixed datapath, the loop has no dispatch per draw or per
+// pair: the engine draws from the concrete util::Xoshiro256, and its
+// operators are values of the closed Selection/Crossover/Mutation
+// variants, resolved by one std::visit per generation into a single
+// templated loop body in which every operator call inlines.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -86,21 +91,21 @@ class GaEngine {
   /// outside [2, 64], or an empty fitness function.
   GaEngine(GaParams params, FitnessFn fitness);
 
-  /// Operator injection for ablation studies (non-null).
-  void set_selection(std::unique_ptr<SelectionOp> op);
-  void set_crossover(std::unique_ptr<CrossoverOp> op);
-  void set_mutation(std::unique_ptr<MutationOp> op);
+  /// Operator injection for ablation studies.
+  void set_selection(Selection op) { selection_ = op; }
+  void set_crossover(Crossover op) { crossover_ = op; }
+  void set_mutation(Mutation op) { mutation_ = op; }
 
   /// Runs until `target_fitness` is reached (if set) or `max_generations`
   /// elapse. `track_history` stores one GenerationStats per generation.
   /// Equivalent to start() followed by run_from().
-  RunResult run(util::RandomSource& rng, std::uint64_t max_generations,
+  RunResult run(util::Xoshiro256& rng, std::uint64_t max_generations,
                 std::optional<unsigned> target_fitness,
                 bool track_history = false);
 
   /// Creates and evaluates the initial population (generation 0), drawing
   /// from `rng` exactly as run() does.
-  EngineState start(util::RandomSource& rng, bool track_history = false);
+  EngineState start(util::Xoshiro256& rng, bool track_history = false);
 
   /// Advances `state` until the target is reached, `max_generations` total
   /// generations elapse (an absolute count including generations already in
@@ -109,7 +114,7 @@ class GaEngine {
   /// flushed once on return: the ga counters grow by this call's
   /// generations and evaluations (start() counts generation 0's), and each
   /// gauge is set once from the final state.
-  RunResult run_from(EngineState& state, util::RandomSource& rng,
+  RunResult run_from(EngineState& state, util::Xoshiro256& rng,
                      std::uint64_t max_generations,
                      std::optional<unsigned> target_fitness,
                      bool track_history = false,
@@ -119,22 +124,26 @@ class GaEngine {
   /// individuals (exposed for testing and for lock-step comparison against
   /// the hardware GAP). The next generation is built in an engine-owned
   /// buffer and swapped into `pop`.
-  void step_generation(Population& pop, util::RandomSource& rng);
+  void step_generation(Population& pop, util::Xoshiro256& rng);
 
   /// Random initial population, evaluated: one next_u64() per individual,
   /// masked to genome_bits.
-  Population make_initial_population(util::RandomSource& rng) const;
+  Population make_initial_population(util::Xoshiro256& rng) const;
 
   [[nodiscard]] const GaParams& params() const noexcept { return params_; }
 
  private:
   void evaluate(Population& pop) const;
+  /// step_generation()'s loop body for one operator combination.
+  template <class Select, class Cross, class Mutate>
+  void breed(Population& pop, util::Xoshiro256& rng, const Select& selection,
+             const Cross& crossover, const Mutate& mutation);
 
   GaParams params_;
   FitnessFn fitness_;
-  std::unique_ptr<SelectionOp> selection_;
-  std::unique_ptr<CrossoverOp> crossover_;
-  std::unique_ptr<MutationOp> mutation_;
+  Selection selection_;
+  Crossover crossover_;
+  Mutation mutation_;
   std::uint64_t mask_ = 0;  ///< genome_mask(params_.genome_bits)
   Population intermediate_;  ///< next generation, swapped into the basis
 };

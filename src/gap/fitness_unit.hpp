@@ -7,9 +7,10 @@
 //  which is also what makes the exhaustive-search pipeline of the paper's
 //  19-hour comparison possible (one genome per clock).
 //
-// The logic function is fitness::score() (shared with the software GA);
-// the FPGA netlist elaboration in src/fpga/ builds the same function out
-// of gates and the tests check all three agree.
+// The logic function is fitness::score() (shared with the software GA),
+// itself written as that mask/AND/XOR logic on the 36-bit word; the FPGA
+// netlist elaboration in src/fpga/ builds the same function out of gates
+// and the tests check all three agree.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +36,8 @@ struct CombinationalFitness {
 
 /// The walking-rules fitness of Discipulus Simplex: rule logic elaborated
 /// to gates (fpga::build_fitness_netlist) and technology-mapped, so the
-/// LUT tally is the cover of the *actual* function.
+/// LUT tally is the cover of the *actual* function. The mapping is done
+/// once per distinct spec and reused by later calls (thread-safe).
 [[nodiscard]] CombinationalFitness make_gait_fitness(
     const fitness::FitnessSpec& spec = fitness::kDefaultSpec);
 

@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace leo::obs {
 
@@ -21,6 +22,20 @@ std::uint64_t micros_between(std::chrono::steady_clock::time_point a,
   if (b <= a) return 0;
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(b - a).count());
+}
+
+/// The `<name>_seconds` histogram of a span name. Each thread resolves a
+/// name through the registry (string build + registry lock) once, so
+/// closing a span takes neither; the registry keeps histogram references
+/// valid for the life of the process.
+Histogram& span_histogram(const char* name) {
+  thread_local std::vector<std::pair<std::string, Histogram*>> resolved;
+  for (const auto& [known, histogram] : resolved) {
+    if (known == name) return *histogram;
+  }
+  Histogram& histogram = registry().histogram(std::string(name) + "_seconds");
+  resolved.emplace_back(name, &histogram);
+  return histogram;
 }
 
 }  // namespace
@@ -100,7 +115,7 @@ void TraceSpan::close() noexcept {
     const double seconds =
         std::chrono::duration<double>(end - start_).count();
     try {
-      registry().histogram(std::string(name_) + "_seconds").observe(seconds);
+      span_histogram(name_).observe(seconds);
     } catch (...) {
       // A span must never throw out of a destructor; a malformed name
       // simply drops the sample.

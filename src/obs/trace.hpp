@@ -70,8 +70,8 @@ void write_chrome_trace(const std::string& path,
 
 /// RAII scoped timer. `name` must outlive the span (string literals).
 /// On destruction the duration is observed into
-/// registry().histogram(name + "_seconds") and, if the collector is
-/// armed, recorded as a trace event.
+/// registry().histogram(name + "_seconds"), resolved once per name and
+/// thread, and, if the collector is armed, recorded as a trace event.
 class TraceSpan {
  public:
   explicit TraceSpan(const char* name) noexcept

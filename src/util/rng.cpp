@@ -1,29 +1,17 @@
 #include "util/rng.hpp"
 
-#include <bit>
 #include <stdexcept>
 
 namespace leo::util {
 
-std::uint64_t RandomSource::next_below(std::uint64_t bound) {
-  if (bound == 0) throw std::invalid_argument("next_below: bound == 0");
-  // Bitmask rejection: draw ceil(log2(bound)) bits until the value lands
-  // in range. Expected < 2 draws; unbiased; avoids 128-bit arithmetic.
-  const std::uint64_t max = bound - 1;
-  if (max == 0) return 0;
-  std::uint64_t mask = ~std::uint64_t{0} >> std::countl_zero(max);
-  for (;;) {
-    const std::uint64_t v = next_u64() & mask;
-    if (v < bound) return v;
-  }
+namespace detail {
+void throw_zero_bound() {
+  throw std::invalid_argument("next_below: bound == 0");
 }
+}  // namespace detail
 
 double RandomSource::next_double() {
   return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
-bool RandomSource::next_bool_p8(std::uint8_t p8) {
-  return static_cast<std::uint8_t>(next_u64() & 0xFF) < p8;
 }
 
 BitVec RandomSource::next_bits(std::size_t width) {
@@ -57,18 +45,6 @@ void Xoshiro256::set_state(const State& s) {
     throw std::invalid_argument("Xoshiro256::set_state: all-zero state");
   }
   s_ = s;
-}
-
-std::uint64_t Xoshiro256::next_u64() {
-  const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = std::rotl(s_[3], 45);
-  return result;
 }
 
 void Xoshiro256::long_jump() noexcept {

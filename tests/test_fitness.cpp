@@ -91,11 +91,12 @@ TEST(Rules, PackedAndDecodedAgree) {
   }
 }
 
-/// The LUT fast path vs the rule-by-rule reference loop. Exhaustive over
-/// each step's full 2^18 space (as step 0 and as step 1 — the other step
-/// zero), which covers every table entry in every position; random full
-/// genomes then exercise the cross-step combination and R2.
-TEST(Rules, LutFastPathMatchesReferenceExhaustivelyPerStep) {
+/// The mask/AND/XOR logic vs the rule-by-rule reference loop. R1, R3 and
+/// R4 have no cross-step terms, so sweeping each step's full 2^18 space
+/// (as step 0 and as step 1, the other step zero) checks them completely;
+/// R2 reads only the twelve horizontal bits, all 2^12 of which are swept.
+/// Random full genomes then exercise every rule together.
+TEST(Rules, LogicMatchesReferenceExhaustivelyPerStep) {
   for (std::uint32_t s = 0; s < (1u << 18); ++s) {
     const std::uint64_t as_step0 = s;
     ASSERT_EQ(count_violations(as_step0), count_violations_reference(as_step0))
@@ -104,11 +105,20 @@ TEST(Rules, LutFastPathMatchesReferenceExhaustivelyPerStep) {
     ASSERT_EQ(count_violations(as_step1), count_violations_reference(as_step1))
         << "step-1 word " << s;
   }
+  for (std::uint32_t h = 0; h < (1u << 12); ++h) {
+    std::uint64_t bits = 0;
+    for (unsigned i = 0; i < 12; ++i) {
+      // Horizontal field of leg i % 6 in step i / 6.
+      bits |= static_cast<std::uint64_t>((h >> i) & 1) << (3 * i + 1);
+    }
+    ASSERT_EQ(count_violations(bits), count_violations_reference(bits))
+        << "horizontal bits " << h;
+  }
 }
 
-TEST(Rules, LutFastPathMatchesReferenceOnRandomFullGenomes) {
+TEST(Rules, LogicMatchesReferenceOnRandomFullGenomes) {
   util::Xoshiro256 rng(36);
-  for (int i = 0; i < 100'000; ++i) {
+  for (int i = 0; i < 10'000'000; ++i) {
     const std::uint64_t bits = rng.next_u64() & genome::kGenomeMask;
     ASSERT_EQ(count_violations(bits), count_violations_reference(bits))
         << "genome " << bits;

@@ -6,8 +6,8 @@
 
 #include <bit>
 #include <iterator>
-#include <memory>
 #include <string>
+#include <variant>
 
 #include "fitness/rules.hpp"
 #include "ga/diversity.hpp"
@@ -187,15 +187,16 @@ TEST(UniformCrossover, MixesRoughlyHalf) {
 }
 
 TEST(Crossover, WidthOutsideRangeThrows) {
-  const SinglePointCrossover sp;
-  const TwoPointCrossover tp;
-  const UniformCrossover un;
   util::Xoshiro256 rng(12);
-  for (const CrossoverOp* op : {static_cast<const CrossoverOp*>(&sp),
-                                static_cast<const CrossoverOp*>(&tp),
-                                static_cast<const CrossoverOp*>(&un)}) {
-    EXPECT_THROW((void)op->apply(0, 1, 1, rng), std::invalid_argument);
-    EXPECT_THROW((void)op->apply(0, 0, 65, rng), std::invalid_argument);
+  for (const Crossover& op : {Crossover(SinglePointCrossover()),
+                              Crossover(TwoPointCrossover()),
+                              Crossover(UniformCrossover())}) {
+    std::visit(
+        [&](const auto& xo) {
+          EXPECT_THROW((void)xo.apply(0, 1, 1, rng), std::invalid_argument);
+          EXPECT_THROW((void)xo.apply(0, 0, 65, rng), std::invalid_argument);
+        },
+        op);
   }
 }
 
@@ -421,20 +422,13 @@ TEST(GaTelemetry, CountersMatchRunTotalsAndObsIsInert) {
   EXPECT_EQ(off.evaluations, on.evaluations);
 }
 
-TEST(GaEngine, OperatorInjectionRejectsNull) {
-  GaEngine engine(GaParams{}, onemax);
-  EXPECT_THROW(engine.set_selection(nullptr), std::invalid_argument);
-  EXPECT_THROW(engine.set_crossover(nullptr), std::invalid_argument);
-  EXPECT_THROW(engine.set_mutation(nullptr), std::invalid_argument);
-}
-
 TEST(GaEngine, AlternativeOperatorsStillConverge) {
   GaEngine engine(GaParams{}, [](std::uint64_t g) {
     return fitness::score(g);
   });
-  engine.set_selection(std::make_unique<TruncationSelection>(0.5));
-  engine.set_crossover(std::make_unique<UniformCrossover>());
-  engine.set_mutation(std::make_unique<PerBitMutation>(
+  engine.set_selection(TruncationSelection(0.5));
+  engine.set_crossover(UniformCrossover());
+  engine.set_mutation(PerBitMutation(
       util::Prob8::from_double(0.02)));
   util::Xoshiro256 rng(20);
   const RunResult r = engine.run(rng, 50'000, 60u);
@@ -525,20 +519,20 @@ TEST(GaGolden, OperatorCombinations) {
     params.elitism = c.elitism;
     GaEngine engine(params, [](std::uint64_t g) { return fitness::score(g); });
     if (c.crossover == 1) {
-      engine.set_crossover(std::make_unique<TwoPointCrossover>());
+      engine.set_crossover(TwoPointCrossover());
     }
     if (c.crossover == 2) {
-      engine.set_crossover(std::make_unique<UniformCrossover>());
+      engine.set_crossover(UniformCrossover());
     }
     if (c.mutation == 1) {
       engine.set_mutation(
-          std::make_unique<PerBitMutation>(util::Prob8::from_double(0.02)));
+          PerBitMutation(util::Prob8::from_double(0.02)));
     }
     if (c.selection == 1) {
-      engine.set_selection(std::make_unique<RouletteSelection>());
+      engine.set_selection(RouletteSelection());
     }
     if (c.selection == 2) {
-      engine.set_selection(std::make_unique<TruncationSelection>(0.5));
+      engine.set_selection(TruncationSelection(0.5));
     }
     util::Xoshiro256 rng(100 + c.crossover * 12 + c.mutation * 6 +
                          c.selection * 2 + (c.elitism ? 1u : 0u));

@@ -370,6 +370,27 @@ TEST(Trace, SpanFeedsSecondsHistogramInGlobalRegistry) {
             before + 1);
 }
 
+TEST(Trace, RepeatedSpansOfEachNameLandInItsOwnHistogram) {
+  auto count = [](const char* histogram) {
+    return registry().histogram(histogram).snapshot().count;
+  };
+  const std::uint64_t a0 = count("leo_test_span_a_seconds");
+  const std::uint64_t b0 = count("leo_test_span_b_seconds");
+  auto spans = [] {
+    for (int i = 0; i < 3; ++i) {
+      TraceSpan a("leo_test_span_a");
+      TraceSpan b("leo_test_span_b");
+      b.close();
+      TraceSpan a_again("leo_test_span_a");
+    }
+  };
+  spans();
+  std::thread other(spans);
+  other.join();
+  EXPECT_EQ(count("leo_test_span_a_seconds"), a0 + 12);
+  EXPECT_EQ(count("leo_test_span_b_seconds"), b0 + 6);
+}
+
 TEST(Trace, CollectorRecordsArmedSpans) {
   TraceCollector collector;
   collector.arm(8);

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <vector>
 
 #include "util/fixed.hpp"
 
@@ -40,6 +42,37 @@ TEST(Xoshiro256, LongJumpDecorrelates) {
     if (a.next_u64() == b.next_u64()) ++equal;
   }
   EXPECT_EQ(equal, 0);
+}
+
+TEST(Xoshiro256, ConcreteDrawsMatchDrawsThroughRandomSource) {
+  Xoshiro256 through_base(2026);
+  Xoshiro256 concrete(2026);
+  RandomSource& base = through_base;
+  std::vector<std::uint64_t> bounds = {1, 2, 1152,
+                                       (std::uint64_t{1} << 63) + 1};
+  for (unsigned k = 2; k < 64; ++k) bounds.push_back(std::uint64_t{1} << k);
+  SplitMix64 pick(7);  // chooses each draw's kind and argument
+  for (int i = 0; i < 1'000'000; ++i) {
+    const std::uint64_t choice = pick.next_u64();
+    switch (choice % 3) {
+      case 0:
+        ASSERT_EQ(base.next_u64(), concrete.next_u64()) << "draw " << i;
+        break;
+      case 1: {
+        const std::uint64_t bound = bounds[(choice >> 8) % bounds.size()];
+        ASSERT_EQ(base.next_below(bound), concrete.next_below(bound))
+            << "draw " << i << " bound " << bound;
+        break;
+      }
+      default: {
+        const auto p8 = static_cast<std::uint8_t>(choice >> 8);
+        ASSERT_EQ(base.next_bool_p8(p8), concrete.next_bool_p8(p8))
+            << "draw " << i << " p8 " << unsigned{p8};
+      }
+    }
+  }
+  EXPECT_EQ(through_base.state(), concrete.state());
+  EXPECT_THROW((void)concrete.next_below(0), std::invalid_argument);
 }
 
 TEST(RandomSource, NextBelowRespectsBound) {
