@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdio>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -658,18 +659,29 @@ TEST(Progress, PackUnpackRoundTrip) {
 /// that monotonicity. Hammer progress() from two threads while the job
 /// runs and assert both fields only ever move forward.
 TEST(Progress, ConcurrentPollSeesConsistentMonotoneSnapshots) {
+  // The run must outlast the pollers' wake-up on a loaded machine: 40k
+  // generations take ~40 ms of one core at ~1 us per generation.
+  constexpr std::uint64_t kBudget = 40'000;
   EvolutionService service(1);
   JobOptions options;
   options.use_cache = false;
-  options.generation_budget = 5'000;
-  JobHandle job = service.submit(stuck_config(), options);
+  options.generation_budget = kBudget;
 
+  // The pollers are running before the job is submitted, so each one
+  // samples the live job rather than racing its own start-up.
+  std::optional<JobHandle> job;
+  std::atomic<int> ready{0};
+  std::atomic<bool> submitted{false};
   std::atomic<bool> done{false};
-  auto poll = [&job, &done] {
+  auto poll = [&job, &ready, &submitted, &done] {
+    ready.fetch_add(1);
+    while (!submitted.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
     JobProgress last;
     std::uint64_t samples = 0;
     while (!done.load(std::memory_order_relaxed)) {
-      const JobProgress p = job.progress();
+      const JobProgress p = job->progress();
       EXPECT_GE(p.generation, last.generation);
       EXPECT_GE(p.best_fitness, last.best_fitness);
       last = p;
@@ -680,13 +692,16 @@ TEST(Progress, ConcurrentPollSeesConsistentMonotoneSnapshots) {
   };
   std::thread poller_a(poll);
   std::thread poller_b(poll);
-  (void)job.wait();
+  while (ready.load() < 2) std::this_thread::yield();
+  job.emplace(service.submit(stuck_config(), options));
+  submitted.store(true, std::memory_order_release);
+  (void)job->wait();
   done.store(true, std::memory_order_relaxed);
   poller_a.join();
   poller_b.join();
 
   // The terminal store publishes the final generation count.
-  EXPECT_EQ(job.progress().generation, 5'000u);
+  EXPECT_EQ(job->progress().generation, kBudget);
 }
 
 // ---- trials over the service -------------------------------------------
