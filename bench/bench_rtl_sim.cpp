@@ -1,24 +1,27 @@
-// Settle-kernel comparison on the full GAP: levelized one-pass vs
-// event-driven worklist vs dense sweep.
+// Settle-kernel comparison on the full GAP: the static rank-ordered
+// schedule (SimMode::kLevel) vs the dense sweep (SimMode::kDense).
 //
-// The GAP's per-cycle activity is a handful of modules out of dozens (one
-// FSM advances, one RAM port moves), so the dense settle — evaluate every
-// module, rescan every net, every pass, every cycle — does mostly wasted
-// work. The event kernel schedules only the fanout of nets that actually
-// changed; the level kernel additionally drains that fanout in topological
-// rank order (at most one evaluate() per activated module per settle) and
-// runs sparse clock-edge and commit phases. This bench runs the same full
-// evolution (identical seed, so bit-identical trajectories) under all
-// three kernels and reports per-kernel cycles/sec and evaluations/cycle.
+// The GAP's per-cycle activity is a handful of modules out of ten
+// (one FSM advances, one RAM port moves), so the dense settle — evaluate
+// every module, rescan every net, every pass, every cycle — does mostly
+// wasted work. The static schedule evaluates each module at most once per
+// cycle, in rank order, and only when one of its inputs changed. This
+// bench runs the same full evolution (identical seed, so bit-identical
+// trajectories) under both kernels and reports per-kernel cycles/sec and
+// evaluations/cycle.
 //
 //   ./bench_rtl_sim [seeds]
 //   ./bench_rtl_sim --iters N     # N seeds
 //
+// The seed count is a positive integer; anything else prints usage and
+// exits with status 2.
+//
 // Emits BENCH_rtl.json (shared runner; see bench_harness.hpp) with the
-// speedups and all throughputs as leo_bench_rtl_* gauges. The run aborts
-// (nonzero exit) if any two modes disagree on any evolved genome,
+// speedup and both throughputs as leo_bench_rtl_* gauges. The run aborts
+// (nonzero exit) if the two kernels disagree on any evolved genome,
 // fitness, generation count, or cycle count — the bench doubles as an
 // end-to-end equivalence check.
+#include <cerrno>
 #include <chrono>
 #include <cstddef>
 #include <cstdio>
@@ -43,15 +46,27 @@ struct RunResult {
   std::uint64_t best_genome = 0;
   unsigned best_fitness = 0;
   std::uint64_t evaluations = 0;
-  std::uint64_t edge_skips = 0;
   double seconds = 0.0;
   bool converged = false;
 };
 
-constexpr rtl::SimMode kModes[] = {rtl::SimMode::kLevel, rtl::SimMode::kEvent,
-                                   rtl::SimMode::kDense};
-constexpr const char* kModeNames[] = {"level", "event", "dense"};
-constexpr std::size_t kModeCount = 3;
+constexpr rtl::SimMode kModes[] = {rtl::SimMode::kLevel, rtl::SimMode::kDense};
+constexpr const char* kModeNames[] = {"level", "dense"};
+constexpr std::size_t kModeCount = 2;
+
+/// Strict positive decimal count; false for empty, signed, non-numeric,
+/// trailing-garbage, out-of-range or zero input.
+bool parse_seeds(const std::string& text, std::uint64_t& out) {
+  if (text.empty() ||
+      text.find_first_not_of("0123456789") != std::string::npos) {
+    return false;
+  }
+  errno = 0;
+  const unsigned long long value = std::strtoull(text.c_str(), nullptr, 10);
+  if (errno != 0 || value == 0) return false;
+  out = value;
+  return true;
+}
 
 RunResult run_gap(std::uint64_t seed, rtl::SimMode mode) {
   gap::GapParams params;
@@ -68,7 +83,6 @@ RunResult run_gap(std::uint64_t seed, rtl::SimMode mode) {
   r.best_genome = top.best_genome();
   r.best_fitness = top.best_fitness();
   r.evaluations = sim.evaluations();
-  r.edge_skips = sim.edge_skips();
   return r;
 }
 
@@ -76,16 +90,20 @@ RunResult run_gap(std::uint64_t seed, rtl::SimMode mode) {
 
 int bench_run(const Options& options) {
   std::uint64_t seeds = options.iters ? options.iters : 8;
-  if (!options.args.empty()) {
-    seeds = std::strtoull(options.args[0].c_str(), nullptr, 0);
+  if ((!options.args.empty() && !parse_seeds(options.args[0], seeds)) ||
+      options.args.size() > 1) {
+    std::fprintf(stderr,
+                 "usage: bench_rtl_sim [--iters N] [--out PATH] [--no-json] "
+                 "[seeds]\n"
+                 "  the seed count is a positive integer\n");
+    return 2;
   }
 
-  std::printf("RTL settle kernels — levelized vs event-driven vs dense "
+  std::printf("RTL settle kernels — static rank-ordered schedule vs dense "
               "sweep on the GAP\n\n");
 
   util::RunningStats cps[kModeCount];
   util::RunningStats evals_per_cycle[kModeCount];
-  util::RunningStats edge_skips_per_cycle;
   for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
     RunResult results[kModeCount];
     bool all_converged = true;
@@ -98,26 +116,23 @@ int bench_run(const Options& options) {
                   static_cast<unsigned long long>(seed));
       continue;
     }
-    for (std::size_t m = 1; m < kModeCount; ++m) {
-      const RunResult& a = results[0];
-      const RunResult& b = results[m];
-      if (a.cycles != b.cycles || a.generations != b.generations ||
-          a.best_genome != b.best_genome ||
-          a.best_fitness != b.best_fitness) {
-        std::printf("MODE DIVERGENCE at seed %llu: "
-                    "%s {cycles %llu gen %llu genome %09llx fit %u} vs "
-                    "%s {cycles %llu gen %llu genome %09llx fit %u}\n",
-                    static_cast<unsigned long long>(seed), kModeNames[0],
-                    static_cast<unsigned long long>(a.cycles),
-                    static_cast<unsigned long long>(a.generations),
-                    static_cast<unsigned long long>(a.best_genome),
-                    a.best_fitness, kModeNames[m],
-                    static_cast<unsigned long long>(b.cycles),
-                    static_cast<unsigned long long>(b.generations),
-                    static_cast<unsigned long long>(b.best_genome),
-                    b.best_fitness);
-        return 1;
-      }
+    const RunResult& a = results[0];
+    const RunResult& b = results[1];
+    if (a.cycles != b.cycles || a.generations != b.generations ||
+        a.best_genome != b.best_genome || a.best_fitness != b.best_fitness) {
+      std::printf("MODE DIVERGENCE at seed %llu: "
+                  "%s {cycles %llu gen %llu genome %09llx fit %u} vs "
+                  "%s {cycles %llu gen %llu genome %09llx fit %u}\n",
+                  static_cast<unsigned long long>(seed), kModeNames[0],
+                  static_cast<unsigned long long>(a.cycles),
+                  static_cast<unsigned long long>(a.generations),
+                  static_cast<unsigned long long>(a.best_genome),
+                  a.best_fitness, kModeNames[1],
+                  static_cast<unsigned long long>(b.cycles),
+                  static_cast<unsigned long long>(b.generations),
+                  static_cast<unsigned long long>(b.best_genome),
+                  b.best_fitness);
+      return 1;
     }
     for (std::size_t m = 0; m < kModeCount; ++m) {
       const double cycles = static_cast<double>(results[m].cycles);
@@ -125,8 +140,6 @@ int bench_run(const Options& options) {
       evals_per_cycle[m].add(static_cast<double>(results[m].evaluations) /
                              cycles);
     }
-    edge_skips_per_cycle.add(static_cast<double>(results[0].edge_skips) /
-                             static_cast<double>(results[0].cycles));
   }
   if (cps[0].count() == 0) {
     std::printf("no seed converged; nothing to report\n");
@@ -140,14 +153,8 @@ int bench_run(const Options& options) {
                 kModeNames[m], cps[m].mean(), cps[m].stddev(),
                 evals_per_cycle[m].mean());
   }
-  const double level_vs_event = cps[0].mean() / cps[1].mean();
-  const double level_vs_dense = cps[0].mean() / cps[2].mean();
-  const double event_vs_dense = cps[1].mean() / cps[2].mean();
-  std::printf("  level vs event: %.2fx   level vs dense: %.2fx   "
-              "event vs dense: %.2fx\n",
-              level_vs_event, level_vs_dense, event_vs_dense);
-  std::printf("  level skips %.2f clock_edge() calls per cycle\n",
-              edge_skips_per_cycle.mean());
+  const double level_vs_dense = cps[0].mean() / cps[1].mean();
+  std::printf("  level vs dense: %.2fx\n", level_vs_dense);
 
   auto& reg = obs::registry();
   reg.gauge("leo_bench_rtl_seeds").set(static_cast<double>(cps[0].count()));
@@ -156,15 +163,7 @@ int bench_run(const Options& options) {
     reg.gauge(prefix + "_cycles_per_sec").set(cps[m].mean());
     reg.gauge(prefix + "_evals_per_cycle").set(evals_per_cycle[m].mean());
   }
-  reg.gauge("leo_bench_rtl_level_speedup_vs_event").set(level_vs_event);
   reg.gauge("leo_bench_rtl_level_speedup_vs_dense").set(level_vs_dense);
-  // Historical gauge names (pre-level); kept so trend dashboards and the
-  // committed baselines stay comparable across the kernel generations.
-  reg.gauge("leo_bench_rtl_speedup").set(event_vs_dense);
-  reg.gauge("leo_bench_rtl_evaluations_ratio")
-      .set(evals_per_cycle[2].mean() / evals_per_cycle[1].mean());
-  reg.gauge("leo_bench_rtl_edge_skips_per_cycle")
-      .set(edge_skips_per_cycle.mean());
   return 0;
 }
 

@@ -38,14 +38,10 @@ REQUIRED_GAUGES = {
         "leo_bench_ga_sw_generations_per_sec",
     ),
     "rtl": (
-        "leo_bench_rtl_speedup",
         "leo_bench_rtl_level_cycles_per_sec",
-        "leo_bench_rtl_event_cycles_per_sec",
         "leo_bench_rtl_dense_cycles_per_sec",
         "leo_bench_rtl_level_evals_per_cycle",
-        "leo_bench_rtl_event_evals_per_cycle",
         "leo_bench_rtl_dense_evals_per_cycle",
-        "leo_bench_rtl_level_speedup_vs_event",
         "leo_bench_rtl_level_speedup_vs_dense",
     ),
     "serve": (
@@ -62,7 +58,6 @@ FLOOR_GAUGES = {
     "ga": ("leo_bench_ga_sw_generations_per_sec",),
     "rtl": (
         "leo_bench_rtl_level_cycles_per_sec",
-        "leo_bench_rtl_event_cycles_per_sec",
         "leo_bench_rtl_dense_cycles_per_sec",
         "leo_bench_rtl_level_speedup_vs_dense",
     ),

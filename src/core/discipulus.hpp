@@ -63,11 +63,6 @@ class DiscipulusTop final : public rtl::Module {
             &controller_.ground_sensors, &controller_.obstacle_sensors};
   }
 
-  /// Pure glue — there is no clock_edge.
-  [[nodiscard]] rtl::EdgeSpec edge_sensitivity() const override {
-    return rtl::EdgeSpec::never();
-  }
-
   [[nodiscard]] gap::GapTop& gap() noexcept { return gap_; }
   [[nodiscard]] const gap::GapTop& gap() const noexcept { return gap_; }
   [[nodiscard]] WalkingController& controller() noexcept {

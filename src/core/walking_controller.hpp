@@ -69,14 +69,6 @@ class WalkingController final : public rtl::Module {
   /// The phase observer wire plus the 12 servo position commands.
   [[nodiscard]] rtl::Drives drives() const override;
 
-  /// Frozen (`run` low) the edge is a no-op; running, either the timer or
-  /// (at cycles_per_phase == 1) the phase register changes every cycle and
-  /// re-arms it. Genome changes only matter while running, when the edge
-  /// is awake anyway.
-  [[nodiscard]] rtl::EdgeSpec edge_sensitivity() const override {
-    return rtl::EdgeSpec::when_changed({&run, &timer_, &phase_});
-  }
-
   /// Servo target for a leg in the *current* phase, decoded from the
   /// genome bus (exposed so the robot-coupling layer can bypass the PWM
   /// path when running lock-step with the quasi-static walker).

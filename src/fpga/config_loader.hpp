@@ -52,14 +52,6 @@ class ConfigLoader final : public rtl::Module {
     return {&payload, &valid, &error, &busy};
   }
 
-  /// Terminal states (kValid/kError) early-return, so the edge only needs
-  /// to fire while something moves: the cursor advances every streaming
-  /// cycle and every early exit changes state_. reprogram() takes effect
-  /// at reset, which re-arms all edges anyway.
-  [[nodiscard]] rtl::EdgeSpec edge_sensitivity() const override {
-    return rtl::EdgeSpec::when_changed({&state_, &cursor_});
-  }
-
   /// Replaces the ROM contents (takes effect at the next reset).
   void reprogram(util::BitVec rom);
 

@@ -6,21 +6,21 @@ CaRngModule::CaRngModule(rtl::Module* parent, std::string name,
                          std::uint64_t seed)
     : rtl::Module(parent, std::move(name)),
       word(this, "word", kWidth),
-      seed_(seed == 0 ? 1 : seed),
-      model_(util::CaRng::make_hortensius16(seed_)),
       cells_(this, "cells", kWidth,
-             static_cast<std::uint16_t>(model_.state())) {}
+             static_cast<std::uint16_t>(
+                 util::CaRng::make_hortensius16(seed).state())) {}
 
 void CaRngModule::evaluate() {
   word.write(cells_.read());
 }
 
 void CaRngModule::clock_edge() {
-  // The CA's next-state function is pure combinational logic; reuse the
-  // software model on the registered state so HW and SW streams match
-  // bit-for-bit.
-  util::CaRng stepper(kWidth, util::CaRng::kHortensius16Rule, cells_.read());
-  cells_.set_next(static_cast<std::uint16_t>(stepper.step()));
+  // The CA's next-state function is pure combinational logic; apply the
+  // software model's function to the registered state so HW and SW
+  // streams match bit-for-bit.
+  cells_.set_next(static_cast<std::uint16_t>(util::CaRng::next_state(
+      cells_.read(), (std::uint64_t{1} << kWidth) - 1,
+      util::CaRng::kHortensius16Rule)));
 }
 
 void CaRngModule::reset() {

@@ -37,19 +37,12 @@ class CaRngModule final : public rtl::Module {
 
   [[nodiscard]] rtl::Drives drives() const override { return {&word}; }
 
-  /// Free-runs by design (paper §3.2): the CA steps every clock.
-  [[nodiscard]] rtl::EdgeSpec edge_sensitivity() const override {
-    return rtl::EdgeSpec::always();
-  }
-
   /// 16 FFs plus one LUT4 (XOR3 max) per cell.
   [[nodiscard]] rtl::ResourceTally own_resources() const override;
 
   static constexpr unsigned kWidth = 16;
 
  private:
-  std::uint64_t seed_;
-  util::CaRng model_;               // combinational next-state function
   rtl::Reg<std::uint16_t> cells_;
 };
 

@@ -59,15 +59,6 @@ class CrossoverEngine final : public rtl::Module {
             &inter_addr, &inter_we, &inter_wdata};
   }
 
-  /// Quiescent in kIdle with no start and no pair to pop, in kDone with
-  /// start low, or gated off. Working states advance state_ every cycle,
-  /// re-arming the flag; out_pair only matters at a pop edge, which
-  /// pop/empty movement wakes.
-  [[nodiscard]] rtl::EdgeSpec edge_sensitivity() const override {
-    return rtl::EdgeSpec::when_changed(
-        {&state_, &start, &enable, &fifo_->pop, &fifo_->empty});
-  }
-
   /// Busy as a pure function of the state register — lets the control FSM
   /// read engine activity without a combinational busy-wire path back into
   /// its own enable outputs (which would cycle the module graph).

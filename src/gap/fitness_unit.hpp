@@ -59,11 +59,6 @@ class FitnessUnit final : public rtl::Module {
 
   [[nodiscard]] rtl::Drives drives() const override { return {&score}; }
 
-  /// Pure logic — there is no clock_edge at all.
-  [[nodiscard]] rtl::EdgeSpec edge_sensitivity() const override {
-    return rtl::EdgeSpec::never();
-  }
-
   [[nodiscard]] const CombinationalFitness& fitness() const noexcept {
     return fitness_;
   }

@@ -59,7 +59,7 @@ class GapTop final : public rtl::Module {
   /// basis-bank read mux, engine start/enable gating and the fitness
   /// unit's genome feed. The RAM port muxing lives in the PortMux child
   /// (see below), so nothing here reads an engine request wire — the
-  /// module graph stays acyclic and the level kernel can rank it.
+  /// module graph stays acyclic and the static schedule can rank it.
   /// Both banks' rdata are declared (the bank bit muxes between them);
   /// rng_.word and basis_rdata_mux_ are read only in clock_edge(), and
   /// sequential-mode gating reads the crossover *state register* (via
@@ -90,17 +90,6 @@ class GapTop final : public rtl::Module {
             &crossover_.start,
             &crossover_.enable,
             &fitness_unit_.genome};
-  }
-
-  /// Some declared register changes every cycle of every live phase
-  /// (sub_ cycles in kInit/kEval/kMutate, selxover_cycles_ counts in
-  /// kSelXover, phase_ moves through kSwap), so the edge re-arms itself
-  /// until kDone — where its body is a no-op (start_pulse_ is already
-  /// low) and skipping is what makes a finished GAP cheap to keep in a
-  /// larger design.
-  [[nodiscard]] rtl::EdgeSpec edge_sensitivity() const override {
-    return rtl::EdgeSpec::when_changed(
-        {&phase_, &sub_, &start_pulse_, &selxover_cycles_});
   }
 
   // --- observability for experiments and tests ---
@@ -149,7 +138,7 @@ class GapTop final : public rtl::Module {
   /// combinational module graph is acyclic — GapTop's control outputs
   /// (engine enables, fitness genome) feed the engines and the fitness
   /// unit, whose request/score wires feed back into the RAM ports; with
-  /// one module doing both, that loop was a self-edge no levelized
+  /// one module doing both, that loop was a self-edge no static
   /// schedule could rank. Owns no nets, so it costs nothing in the
   /// resource tally and adds only an empty scope to VCD dumps.
   class PortMux final : public rtl::Module {
@@ -158,9 +147,6 @@ class GapTop final : public rtl::Module {
     void evaluate() override;
     [[nodiscard]] rtl::Sensitivity inputs() const override;
     [[nodiscard]] rtl::Drives drives() const override;
-    [[nodiscard]] rtl::EdgeSpec edge_sensitivity() const override {
-      return rtl::EdgeSpec::never();
-    }
 
    private:
     GapTop* top_;

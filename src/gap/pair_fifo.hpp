@@ -36,14 +36,6 @@ class PairFifo final : public rtl::Module {
     return {&full, &empty, &out_pair};
   }
 
-  /// clock_edge() only moves state when a port is asserted or the queue
-  /// registers already changed; with all of those quiet it recomputes the
-  /// identical next state.
-  [[nodiscard]] rtl::EdgeSpec edge_sensitivity() const override {
-    return rtl::EdgeSpec::when_changed(
-        {&push, &pop, &in_pair, &count_, &slot0_, &slot1_});
-  }
-
   [[nodiscard]] unsigned occupancy() const noexcept {
     return static_cast<unsigned>(count_.read());
   }

@@ -47,25 +47,14 @@ class SelectionEngine final : public rtl::Module {
   void evaluate() override;
   void clock_edge() override;
 
-  /// rand_word and fitness_rdata are read only in clock_edge() — they are
-  /// deliberately not declared here (see edge_sensitivity() for why the
-  /// edge still fires whenever it matters).
+  /// rand_word and fitness_rdata are read only in clock_edge(), which runs
+  /// every cycle, so they are deliberately not declared here.
   [[nodiscard]] rtl::Sensitivity inputs() const override {
     return {&state_, &enable, &cand_a_, &cand_b_, &winner_a_};
   }
 
   [[nodiscard]] rtl::Drives drives() const override {
     return {&busy, &done, &fitness_addr, &fifo_->push, &fifo_->in_pair};
-  }
-
-  /// Quiescent only in kIdle/kDone with start low, stalled in kPush with
-  /// the FIFO full, or gated off — in each case the edge is a no-op until
-  /// one of these nets moves. Every working state advances state_, which
-  /// re-arms the flag itself; rand_word/fitness_rdata are only read in
-  /// states the FSM is guaranteed to be awake for.
-  [[nodiscard]] rtl::EdgeSpec edge_sensitivity() const override {
-    return rtl::EdgeSpec::when_changed(
-        {&state_, &start, &enable, &fifo_->full});
   }
 
   /// FSM + two index registers + fitness latch + pair counter; the

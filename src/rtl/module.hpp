@@ -5,21 +5,22 @@
 // rooted at a top module. Modules implement:
 //
 //   evaluate()   — combinational logic: read wires/regs, write wires.
-//                  Called until all wires settle; must be idempotent for
-//                  a fixed set of inputs.
+//                  Must be a pure function of the nets it reads, and must
+//                  write every wire it drives on every call.
 //   clock_edge() — sequential logic: read wires/regs, call Reg::set_next.
-//                  Called exactly once per cycle, after settle.
+//                  Called on every module exactly once per cycle.
 //   reset()      — module-specific state reset beyond registers
 //                  (registers reset automatically).
-//   inputs()     — sensitivity list: the nets evaluate() reads. Lets the
-//                  event-driven simulator re-run evaluate() only when one
-//                  of them changed; undeclared modules fall back to the
-//                  conservative "sensitive to everything" schedule.
+//   inputs()     — sensitivity list: the nets evaluate() reads. The
+//                  static kernel re-runs evaluate() only when one of
+//                  their values differs from what the module last saw.
 //   drives()     — output list: the wires evaluate() writes (own or
-//                  foreign). With every module's drives() declared the
-//                  levelized kernel can rank the combinational dependency
-//                  graph at elaboration; see Drives.
-//   edge_sensitivity() — when clock_edge() may be skipped; see EdgeSpec.
+//                  foreign). Together with inputs() it lets the simulator
+//                  rank the combinational dependency graph at
+//                  elaboration; see Drives.
+//
+// A design in which any module leaves inputs() or drives() undeclared is
+// simulated by the dense sweep instead (see simulator.hpp).
 //
 // Modules also self-report FPGA resource usage (see ResourceTally): the
 // counts are per-module formulas documented at each override, and feed the
@@ -52,22 +53,21 @@ struct ResourceTally {
   }
 };
 
-/// Result of Module::inputs(): the sensitivity list for event-driven
-/// simulation.
+/// Result of Module::inputs(): the sensitivity list of evaluate().
 ///
 ///   * default-constructed (`declared == false`) — the module has not
-///     been ported; the simulator conservatively re-evaluates it whenever
-///     *any* net in the design changes (correct, never fast);
+///     been ported; the whole design runs on the dense sweep (correct,
+///     never fast);
 ///   * `Sensitivity{&a, &b, ...}` — evaluate() reads exactly these nets
 ///     (wires or registers, own or foreign) and nothing else;
 ///   * `Sensitivity::none()` — evaluate() reads no nets at all (pure
 ///     sequential modules, constant drivers); it runs only at reset.
 ///
-/// The contract is on *evaluate()* only: clock_edge() always runs every
-/// cycle, so nets read exclusively there never need declaring. An
-/// undeclared net that evaluate() does read makes event-driven results
-/// diverge from the dense sweep — the mode-equivalence tests exist to
-/// catch exactly that.
+/// The contract is on *evaluate()* only: clock_edge() runs every cycle,
+/// so nets read exclusively there never need declaring. An undeclared
+/// net that evaluate() does read makes static-kernel results diverge
+/// from the dense sweep — the mode-equivalence tests exist to catch
+/// exactly that.
 struct Sensitivity {
   Sensitivity() = default;
   Sensitivity(std::initializer_list<const NetBase*> ns)
@@ -87,12 +87,12 @@ struct Sensitivity {
 /// Result of Module::drives(): the set of wires evaluate() writes — the
 /// dual of the Sensitivity contract. Ownership is *not* the driver
 /// relation in this codebase (control modules legally write wires owned
-/// by their children, e.g. RAM port requests), so the levelized kernel
+/// by their children, e.g. RAM port requests), so the static kernel
 /// needs the drive sets declared explicitly:
 ///
 ///   * default-constructed (`declared == false`) — not ported; the
-///     levelized kernel cannot rank the design and falls back to the
-///     round-based event kernel;
+///     simulator cannot rank the design and falls back to the dense
+///     sweep;
 ///   * `Drives{&a, &b, ...}` — evaluate() writes exactly these wires
 ///     (a superset is safe, a missing wire is a correctness bug the
 ///     mode-equivalence tests catch);
@@ -115,44 +115,6 @@ struct Drives {
 
   bool declared = false;
   std::vector<const NetBase*> nets;
-};
-
-/// When a module's clock_edge() must run (Module::edge_sensitivity()).
-enum class EdgeSensitivity : std::uint8_t {
-  /// Run every cycle (free-running counters, RAMs, undeclared modules).
-  kAlways,
-  /// Run only when one of the declared nets changed since the module's
-  /// last *executed* clock_edge (the simulator seeds every module pending
-  /// at reset). Sound iff clock_edge() is a no-op — no register ends the
-  /// cycle with a new value, no side effects — whenever none of the
-  /// declared nets changed since it last ran.
-  kWhenInputsChanged,
-  /// The module has no clock_edge (pure combinational logic).
-  kNever,
-};
-
-/// Result of Module::edge_sensitivity(): lets the levelized kernel skip
-/// clock_edge() calls on quiescent modules. The default (kAlways) is
-/// always correct.
-struct EdgeSpec {
-  EdgeSpec() = default;
-
-  [[nodiscard]] static EdgeSpec always() { return {}; }
-  [[nodiscard]] static EdgeSpec never() {
-    EdgeSpec e;
-    e.kind = EdgeSensitivity::kNever;
-    return e;
-  }
-  [[nodiscard]] static EdgeSpec when_changed(
-      std::initializer_list<const NetBase*> ns) {
-    EdgeSpec e;
-    e.kind = EdgeSensitivity::kWhenInputsChanged;
-    e.nets = ns;
-    return e;
-  }
-
-  EdgeSensitivity kind = EdgeSensitivity::kAlways;
-  std::vector<const NetBase*> nets;  // kWhenInputsChanged wake-up set
 };
 
 class Module {
@@ -188,10 +150,6 @@ class Module {
 
   /// Output list of evaluate() (see Drives). Called once, at elaboration.
   [[nodiscard]] virtual Drives drives() const { return {}; }
-
-  /// clock_edge() schedule contract (see EdgeSpec). Called once, at
-  /// elaboration; only the levelized kernel consumes it.
-  [[nodiscard]] virtual EdgeSpec edge_sensitivity() const { return {}; }
 
   /// Resources used by this module alone (excluding children). The default
   /// counts one FF per declared register bit; combinational overrides add

@@ -1,5 +1,7 @@
 #include "rtl/net.hpp"
 
+#include <stdexcept>
+
 #include "rtl/module.hpp"
 
 namespace leo::rtl {
@@ -14,8 +16,8 @@ std::uint64_t width_mask(unsigned width) {
 }  // namespace
 
 NetBase::NetBase(Module* owner, std::string name, unsigned width)
-    : owner_(owner), name_(std::move(name)), width_(width),
-      mask_(width_mask(width)) {
+    : mask_(width_mask(width)), owner_(owner), name_(std::move(name)),
+      width_(width) {
   if (owner_ == nullptr) {
     throw std::invalid_argument("net '" + name_ + "' requires an owner module");
   }
@@ -26,8 +28,12 @@ std::string NetBase::full_name() const {
   return owner_->full_name() + "." + name_;
 }
 
-RegBase::RegBase(Module* owner, std::string name, unsigned width)
-    : NetBase(owner, std::move(name), width) {
+RegBase::RegBase(Module* owner, std::string name, unsigned width,
+                 std::uint64_t reset_value)
+    : NetBase(owner, std::move(name), width),
+      next_(reset_value & mask()),
+      reset_(next_) {
+  store(reset_);
   owner->register_reg(this);
 }
 

@@ -6,67 +6,35 @@
 // updates, exactly like real flip-flops on a shared clock).
 //
 //   Wire<T>  — a combinational net. Written by exactly one driver module's
-//              evaluate(); readable by anyone. Change-tracked so the
-//              simulator can settle combinational logic to a fixpoint.
+//              evaluate(); readable by anyone.
 //   Reg<T>   — a flip-flop (or register bank). Modules call set_next()
 //              during clock_edge(); the simulator commits all registers
 //              simultaneously afterwards.
 //
-// Value changes are the simulator's event source: besides raising the
-// dirty flag, mark_dirty() writes through the attached NetEventHub (raw
-// views into the event-driven / levelized Simulator's per-net arrays) —
-// refreshing a plain u64 mirror of the net and appending the net's index
-// to a deduplicated touched list. Everything is inline stores: no virtual
-// call per event, and confirm loops never call the virtual value_u64().
-// With no hub attached (dense mode, or a design not bound to a simulator)
-// a change is just a flag write, as before.
-//
-// Reg::set_next() additionally writes through a RegCommitHub so the
-// levelized kernel commits only the registers a clock edge actually
-// touched instead of sweeping every register every cycle.
+// Every net keeps its current value as one plain masked u64 word in
+// NetBase, whatever T is: a write is a masked store, a read a narrowing
+// load, and the simulator detects changes by comparing these words (it
+// holds pointers to them), so nothing here is virtual and nothing
+// notifies anyone.
 //
 // T is an unsigned integral type; `width` (in bits) is declared explicitly
 // for value masking and VCD dumping.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 
 namespace leo::rtl {
 
 class Module;
-
-/// Raw views into the owning Simulator's per-net arrays, shared by every
-/// net of one design. mark_dirty() writes through these — two or three
-/// inline stores — instead of making a virtual call per value change.
-/// The Simulator owns the hub and the arrays it points into; all are
-/// pre-sized at elaboration and never reallocate while nets are attached,
-/// and `touched` dedupes so `list` (capacity = net count) cannot overflow.
-/// Internal wiring between the net layer and the simulation kernel — user
-/// modules never touch it.
-struct NetEventHub {
-  std::uint64_t* mirror = nullptr;  ///< per-net last written (masked) value
-  std::uint8_t* touched = nullptr;  ///< per-net "already recorded" flag
-  std::uint32_t* list = nullptr;    ///< dense list of touched net indices
-  std::size_t count = 0;            ///< live entries in `list`
-};
-
-/// Same idea for Reg::set_next(): feeds the levelized kernel's
-/// pending-commit list so the commit phase walks only touched registers.
-struct RegCommitHub {
-  std::uint8_t* pending = nullptr;  ///< per-reg "already listed" flag
-  std::uint32_t* list = nullptr;    ///< dense list of pending reg indices
-  std::size_t count = 0;            ///< live entries in `list`
-};
 
 /// Non-template base so the simulator and the VCD writer can track nets
 /// without knowing their value type.
 class NetBase {
  public:
   NetBase(Module* owner, std::string name, unsigned width);
-  virtual ~NetBase() = default;
 
   NetBase(const NetBase&) = delete;
   NetBase& operator=(const NetBase&) = delete;
@@ -76,36 +44,23 @@ class NetBase {
   [[nodiscard]] unsigned width() const noexcept { return width_; }
   [[nodiscard]] Module* owner() const noexcept { return owner_; }
 
-  /// Current value widened to u64 (for tracing; masked to `width`).
-  [[nodiscard]] virtual std::uint64_t value_u64() const noexcept = 0;
-
-  /// True if the net changed since the flag was last cleared.
-  [[nodiscard]] bool dirty() const noexcept { return dirty_; }
-  void clear_dirty() noexcept { dirty_ = false; }
+  /// Current value widened to u64 (masked to `width`).
+  [[nodiscard]] std::uint64_t value_u64() const noexcept { return value_; }
 
  protected:
-  void mark_dirty(std::uint64_t value) noexcept {
-    dirty_ = true;
-    if (hub_ != nullptr) {
-      hub_->mirror[hub_index_] = value;
-      if (hub_->touched[hub_index_] == 0) {
-        hub_->touched[hub_index_] = 1;
-        hub_->list[hub_->count++] = hub_index_;
-      }
-    }
-  }
+  ~NetBase() = default;
+
+  void store(std::uint64_t v) noexcept { value_ = v & mask_; }
   [[nodiscard]] std::uint64_t mask() const noexcept { return mask_; }
 
  private:
-  friend class Simulator;  // attaches/detaches the event hub
+  friend class Simulator;  // compares value words to schedule evaluate()
 
+  std::uint64_t value_ = 0;
+  std::uint64_t mask_;
   Module* owner_;
   std::string name_;
   unsigned width_;
-  std::uint64_t mask_;
-  bool dirty_ = false;
-  NetEventHub* hub_ = nullptr;
-  std::uint32_t hub_index_ = 0;
 };
 
 /// A combinational net. Values are masked to the declared width on write.
@@ -118,48 +73,33 @@ class Wire final : public NetBase {
   Wire(Module* owner, std::string name, unsigned width)
       : NetBase(owner, std::move(name), width) {}
 
-  [[nodiscard]] T read() const noexcept { return value_; }
-
-  void write(T v) noexcept {
-    const T masked = static_cast<T>(static_cast<std::uint64_t>(v) & mask());
-    if (masked != value_) {
-      value_ = masked;
-      mark_dirty(static_cast<std::uint64_t>(masked));
-    }
-  }
-
-  [[nodiscard]] std::uint64_t value_u64() const noexcept override {
-    return static_cast<std::uint64_t>(value_);
-  }
-
- private:
-  T value_{};
+  [[nodiscard]] T read() const noexcept { return static_cast<T>(value_u64()); }
+  void write(T v) noexcept { store(static_cast<std::uint64_t>(v)); }
 };
 
 /// Register base: the simulator commits all registers after the clock
 /// edge so updates appear simultaneous.
 class RegBase : public NetBase {
  public:
-  RegBase(Module* owner, std::string name, unsigned width);
+  RegBase(Module* owner, std::string name, unsigned width,
+          std::uint64_t reset_value);
 
   /// Applies the pending next value (called only by the Simulator).
-  virtual void commit() noexcept = 0;
+  void commit() noexcept { store(next_); }
   /// Returns the register to its reset value.
-  virtual void reset() noexcept = 0;
-
- protected:
-  void notify_set_next() noexcept {
-    if (commit_hub_ != nullptr && commit_hub_->pending[commit_index_] == 0) {
-      commit_hub_->pending[commit_index_] = 1;
-      commit_hub_->list[commit_hub_->count++] = commit_index_;
-    }
+  void reset() noexcept {
+    next_ = reset_;
+    store(reset_);
   }
 
- private:
-  friend class Simulator;  // attaches/detaches the commit hub
+ protected:
+  ~RegBase() = default;
 
-  RegCommitHub* commit_hub_ = nullptr;
-  std::uint32_t commit_index_ = 0;
+  void schedule(std::uint64_t v) noexcept { next_ = v & mask(); }
+
+ private:
+  std::uint64_t next_;
+  std::uint64_t reset_;
 };
 
 template <typename T>
@@ -169,42 +109,15 @@ class Reg final : public RegBase {
 
  public:
   Reg(Module* owner, std::string name, unsigned width, T reset_value = T{})
-      : RegBase(owner, std::move(name), width),
-        reset_value_(static_cast<T>(static_cast<std::uint64_t>(reset_value) & mask())),
-        value_(reset_value_),
-        next_(reset_value_) {}
+      : RegBase(owner, std::move(name), width,
+                static_cast<std::uint64_t>(reset_value)) {}
 
-  [[nodiscard]] T read() const noexcept { return value_; }
+  [[nodiscard]] T read() const noexcept { return static_cast<T>(value_u64()); }
 
   /// Schedules the value the register takes at the end of this cycle.
   /// Legal only inside clock_edge(); the old value stays readable until
   /// the simulator commits.
-  void set_next(T v) noexcept {
-    next_ = static_cast<T>(static_cast<std::uint64_t>(v) & mask());
-    notify_set_next();
-  }
-
-  void commit() noexcept override {
-    if (next_ != value_) {
-      value_ = next_;
-      mark_dirty(static_cast<std::uint64_t>(value_));
-    }
-  }
-
-  void reset() noexcept override {
-    value_ = reset_value_;
-    next_ = reset_value_;
-    mark_dirty(static_cast<std::uint64_t>(value_));
-  }
-
-  [[nodiscard]] std::uint64_t value_u64() const noexcept override {
-    return static_cast<std::uint64_t>(value_);
-  }
-
- private:
-  T reset_value_;
-  T value_;
-  T next_;
+  void set_next(T v) noexcept { schedule(static_cast<std::uint64_t>(v)); }
 };
 
 }  // namespace leo::rtl

@@ -38,13 +38,6 @@ class SyncRam final : public Module {
   /// evaluate() is absent; the port wires here are written by the client.
   [[nodiscard]] Drives drives() const override { return Drives::none(); }
 
-  /// Must run every cycle: read-first semantics make back-to-back edges
-  /// with unchanged ports non-idempotent when we is held high, and poke()
-  /// rewrites mem_ without any net event to observe.
-  [[nodiscard]] EdgeSpec edge_sensitivity() const override {
-    return EdgeSpec::always();
-  }
-
   /// Debug/testbench backdoor (does not consume simulated cycles; the real
   /// hardware equivalent is the configuration readback path).
   [[nodiscard]] std::uint64_t peek(std::size_t index) const;

@@ -1,9 +1,7 @@
 #include "rtl/simulator.hpp"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
-#include <numeric>
 #include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
@@ -15,42 +13,29 @@ namespace leo::rtl {
 
 namespace {
 
-/// Bucket edges for the per-step settle-depth histogram. Settle depth is
-/// small integers (rank count of the design), so the buckets are too.
-const std::vector<double>& settle_round_bounds() {
-  static const std::vector<double> bounds{1, 2, 3, 4, 6, 8, 16, 32, 64};
-  return bounds;
-}
+/// The simulator's registry instruments, resolved once per process (the
+/// registry keeps references stable), so a burst flush takes no lock.
+struct RtlMetrics {
+  obs::Counter& cycles = obs::registry().counter("leo_rtl_cycles_total");
+  obs::Gauge& cycles_per_second =
+      obs::registry().gauge("leo_rtl_cycles_per_second");
+  obs::Gauge& evaluations_per_cycle =
+      obs::registry().gauge("leo_rtl_evaluations_per_cycle");
+};
 
 /// Bulk-records a finished run() / run_until() burst. Instrumentation sits
 /// at burst granularity — never per cycle — so the simulator hot loop
 /// stays untouched and a disabled registry costs one relaxed load.
 void record_burst(std::uint64_t cycles, double wall_seconds,
-                  std::uint64_t evaluations, std::uint64_t edge_skips) {
+                  std::uint64_t evaluations) {
   if (cycles == 0) return;
-  auto& reg = obs::registry();
-  reg.counter("leo_rtl_cycles_total").inc(cycles);
+  static const RtlMetrics metrics;
+  metrics.cycles.inc(cycles);
   if (wall_seconds > 0.0) {
-    reg.gauge("leo_rtl_cycles_per_second")
-        .set(static_cast<double>(cycles) / wall_seconds);
+    metrics.cycles_per_second.set(static_cast<double>(cycles) / wall_seconds);
   }
-  reg.gauge("leo_rtl_evaluations_per_cycle")
-      .set(static_cast<double>(evaluations) / static_cast<double>(cycles));
-  reg.counter("leo_rtl_edge_skips_total").inc(edge_skips);
-}
-
-/// Per-burst settle-depth tallies. The run loops count depths in this
-/// stack array (one increment per step) and flush once per burst with a
-/// bulk observe — the histogram's atomics never sit in the hot loop.
-using RoundsTally =
-    std::array<std::uint64_t, Simulator::kMaxSettlePasses + 2>;
-
-void flush_rounds(const RoundsTally& tally) {
-  auto& hist =
-      obs::registry().histogram("leo_rtl_settle_rounds", settle_round_bounds());
-  for (std::size_t r = 0; r < tally.size(); ++r) {
-    if (tally[r] != 0) hist.observe_n(static_cast<double>(r), tally[r]);
-  }
+  metrics.evaluations_per_cycle.set(static_cast<double>(evaluations) /
+                                    static_cast<double>(cycles));
 }
 
 }  // namespace
@@ -58,36 +43,12 @@ void flush_rounds(const RoundsTally& tally) {
 Simulator::Simulator(Module& top, SimMode mode)
     : top_(&top), mode_(mode), requested_mode_(mode) {
   collect(top);
-  // Pre-size the per-net arrays once — the settle entry points rely on it.
   snapshot_.assign(nets_.size(), 0);
-  mirror_.assign(nets_.size(), 0);
-  vcd_index_.resize(nets_.size());
-  std::iota(vcd_index_.begin(), vcd_index_.end(), 0u);
-  if (mode_ == SimMode::kDense) {
-    reset();
-    return;
+  if (mode_ == SimMode::kLevel && !plan_static_schedule()) {
+    mode_ = SimMode::kDense;  // requested_mode_ keeps the ask
   }
-  if (mode_ == SimMode::kLevel) {
-    if (plan_level_schedule()) {
-      level_active_ = true;
-    } else {
-      mode_ = SimMode::kEvent;  // requested_mode_ keeps the ask
-    }
-  }
-  build_event_graph();
-  if (level_active_) build_level_structures();
-  // The initial settle can legitimately throw (combinational loop in the
-  // design under test); release the nets' hub hooks first so they do not
-  // dangle into this dead simulator.
-  try {
-    reset();
-  } catch (...) {
-    detach_hubs();
-    throw;
-  }
+  reset();
 }
-
-Simulator::~Simulator() { detach_hubs(); }
 
 void Simulator::collect(Module& m) {
   modules_.push_back(&m);
@@ -96,55 +57,56 @@ void Simulator::collect(Module& m) {
   for (auto* child : m.children()) collect(*child);
 }
 
-bool Simulator::plan_level_schedule() {
-  // A module-level combinational dependency graph: edge u -> v iff some
-  // wire in drives(u) appears in inputs(v). Ranks are longest-path depths
-  // (Kahn); an acyclic graph means one ascending sweep over the rank
-  // buckets settles the design with <= 1 evaluate() per module.
-  std::unordered_map<const Module*, std::uint32_t> module_index;
-  module_index.reserve(modules_.size());
+bool Simulator::plan_static_schedule() {
+  // Every declaration is checked against the design first, so a net from
+  // another tree fails loudly even when some other module is undeclared.
+  const std::unordered_set<const NetBase*> net_set(nets_.begin(), nets_.end());
+  const auto check = [&](const Module& m, const NetBase* n, const char* what) {
+    if (net_set.count(n) == 0) {
+      throw std::logic_error("Simulator: module '" + m.full_name() +
+                             "' declares " + what + " net '" + n->full_name() +
+                             "' which is not part of this design");
+    }
+  };
+  std::vector<Sensitivity> sens(modules_.size());
+  std::vector<Drives> outs(modules_.size());
+  std::string undeclared;
   for (std::size_t m = 0; m < modules_.size(); ++m) {
-    module_index.emplace(modules_[m], static_cast<std::uint32_t>(m));
+    sens[m] = modules_[m]->inputs();
+    outs[m] = modules_[m]->drives();
+    for (const NetBase* n : sens[m].nets) {
+      check(*modules_[m], n, "sensitivity to");
+    }
+    for (const NetBase* n : outs[m].nets) check(*modules_[m], n, "it drives");
+    if (!undeclared.empty()) continue;
+    if (!sens[m].declared) {
+      undeclared = "module '" + modules_[m]->full_name() +
+                   "' declares no inputs() sensitivity";
+    } else if (!outs[m].declared) {
+      undeclared = "module '" + modules_[m]->full_name() +
+                   "' declares no drives() output set";
+    }
   }
-  std::unordered_set<const NetBase*> net_set(nets_.begin(), nets_.end());
+  if (!undeclared.empty()) {
+    level_fallback_reason_ = std::move(undeclared);
+    return false;
+  }
 
-  // Per-net declared readers, for turning drive sets into edges.
+  // Module-level combinational dependency graph: edge u -> v iff some
+  // wire in drives(u) appears in inputs(v). Kahn's algorithm visits it in
+  // a topological order — every module after all of its drivers — which
+  // is the schedule; a module it never reaches sits on a cycle.
   std::unordered_map<const NetBase*, std::vector<std::uint32_t>> readers;
   for (std::size_t m = 0; m < modules_.size(); ++m) {
-    const Sensitivity sens = modules_[m]->inputs();
-    if (!sens.declared) {
-      level_fallback_reason_ = "module '" + modules_[m]->full_name() +
-                               "' declares no inputs() sensitivity";
-      return false;
-    }
-    for (const NetBase* n : sens.nets) {
-      if (net_set.count(n) == 0) {
-        throw std::logic_error(
-            "Simulator: module '" + modules_[m]->full_name() +
-            "' declares sensitivity to net '" + n->full_name() +
-            "' which is not part of this design");
-      }
+    for (const NetBase* n : sens[m].nets) {
       readers[n].push_back(static_cast<std::uint32_t>(m));
     }
   }
-
   std::vector<std::vector<std::uint32_t>> adj(modules_.size());
   std::vector<std::uint32_t> indegree(modules_.size(), 0);
   for (std::size_t u = 0; u < modules_.size(); ++u) {
-    const Drives out = modules_[u]->drives();
-    if (!out.declared) {
-      level_fallback_reason_ = "module '" + modules_[u]->full_name() +
-                               "' declares no drives() output set";
-      return false;
-    }
     auto& edges = adj[u];
-    for (const NetBase* n : out.nets) {
-      if (net_set.count(n) == 0) {
-        throw std::logic_error(
-            "Simulator: module '" + modules_[u]->full_name() +
-            "' declares it drives net '" + n->full_name() +
-            "' which is not part of this design");
-      }
+    for (const NetBase* n : outs[u].nets) {
       const auto it = readers.find(n);
       if (it == readers.end()) continue;
       edges.insert(edges.end(), it->second.begin(), it->second.end());
@@ -154,24 +116,17 @@ bool Simulator::plan_level_schedule() {
     for (const std::uint32_t v : edges) ++indegree[v];
   }
 
-  module_rank_.assign(modules_.size(), 0);
-  std::vector<std::uint32_t> queue;
-  queue.reserve(modules_.size());
+  std::vector<std::uint32_t> order;
+  order.reserve(modules_.size());
   for (std::uint32_t m = 0; m < modules_.size(); ++m) {
-    if (indegree[m] == 0) queue.push_back(m);
+    if (indegree[m] == 0) order.push_back(m);
   }
-  std::size_t processed = 0;
-  max_rank_ = 0;
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const std::uint32_t u = queue[head];
-    ++processed;
-    max_rank_ = std::max(max_rank_, static_cast<unsigned>(module_rank_[u]));
-    for (const std::uint32_t v : adj[u]) {
-      module_rank_[v] = std::max(module_rank_[v], module_rank_[u] + 1);
-      if (--indegree[v] == 0) queue.push_back(v);
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    for (const std::uint32_t v : adj[order[head]]) {
+      if (--indegree[v] == 0) order.push_back(v);
     }
   }
-  if (processed != modules_.size()) {
+  if (order.size() != modules_.size()) {
     std::string cyclic;
     for (std::size_t m = 0; m < modules_.size(); ++m) {
       if (indegree[m] > 0 && cyclic.size() < 256) {
@@ -185,232 +140,12 @@ bool Simulator::plan_level_schedule() {
     return false;
   }
 
-  // Rank-order the net arrays: nets of rank-0 modules first, and so on.
-  // The settle sweep then walks snapshot_/mirror_ mostly front to back.
-  // vcd_index_ remembers each net's pre-order position, which is the VCD
-  // writer's entry order.
-  std::vector<std::uint32_t> order(nets_.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return module_rank_[module_index.at(nets_[a]->owner())] <
-                            module_rank_[module_index.at(nets_[b]->owner())];
-                   });
-  std::vector<NetBase*> permuted(nets_.size());
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    permuted[i] = nets_[order[i]];
-    vcd_index_[i] = order[i];
+  for (const std::uint32_t m : order) {
+    for (const NetBase* n : sens[m].nets) inputs_.push_back({&n->value_, 0});
+    schedule_.push_back(
+        {modules_[m], static_cast<std::uint32_t>(inputs_.size())});
   }
-  nets_.swap(permuted);
   return true;
-}
-
-void Simulator::build_event_graph() {
-  std::unordered_map<const NetBase*, std::uint32_t> net_index;
-  net_index.reserve(nets_.size());
-  for (std::size_t i = 0; i < nets_.size(); ++i) {
-    net_index.emplace(nets_[i], static_cast<std::uint32_t>(i));
-  }
-
-  // Gather per-net declared dependents and the fallback set (modules with
-  // no sensitivity list, scheduled on every event).
-  std::vector<std::vector<std::uint32_t>> dependents(nets_.size());
-  std::vector<std::uint32_t> fallback;
-  for (std::size_t m = 0; m < modules_.size(); ++m) {
-    const Sensitivity sens = modules_[m]->inputs();
-    if (!sens.declared) {
-      fallback.push_back(static_cast<std::uint32_t>(m));
-      continue;
-    }
-    for (const NetBase* n : sens.nets) {
-      const auto it = net_index.find(n);
-      if (it == net_index.end()) {
-        throw std::logic_error(
-            "Simulator: module '" + modules_[m]->full_name() +
-            "' declares sensitivity to net '" + n->full_name() +
-            "' which is not part of this design");
-      }
-      dependents[it->second].push_back(static_cast<std::uint32_t>(m));
-    }
-  }
-  fallback_count_ = fallback.size();
-
-  // CSR layout; fallback modules ride along on every net's row.
-  fanout_offsets_.assign(nets_.size() + 1, 0);
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < nets_.size(); ++i) {
-    fanout_offsets_[i] = static_cast<std::uint32_t>(total);
-    total += dependents[i].size() + fallback.size();
-  }
-  fanout_offsets_[nets_.size()] = static_cast<std::uint32_t>(total);
-  fanout_.clear();
-  fanout_.reserve(total);
-  for (std::size_t i = 0; i < nets_.size(); ++i) {
-    fanout_.insert(fanout_.end(), dependents[i].begin(), dependents[i].end());
-    fanout_.insert(fanout_.end(), fallback.begin(), fallback.end());
-  }
-
-  queued_.assign(modules_.size(), 0);
-  worklist_.reserve(modules_.size());
-  round_.reserve(modules_.size());
-  touched_.assign(nets_.size(), 0);
-  touched_nets_.resize(nets_.size());  // hub list capacity: one slot per net
-  vcd_changed_.reserve(nets_.size());
-
-  for (std::size_t i = 0; i < nets_.size(); ++i) {
-    if (nets_[i]->hub_ != nullptr) {
-      throw std::logic_error(
-          "Simulator: net '" + nets_[i]->full_name() +
-          "' is already bound to another event-driven simulator");
-    }
-  }
-  // The hub hands every net raw views into the arrays sized above; none
-  // of them reallocates while the design is attached.
-  net_hub_.mirror = mirror_.data();
-  net_hub_.touched = touched_.data();
-  net_hub_.list = touched_nets_.data();
-  net_hub_.count = 0;
-  for (std::size_t i = 0; i < nets_.size(); ++i) {
-    nets_[i]->hub_ = &net_hub_;
-    nets_[i]->hub_index_ = static_cast<std::uint32_t>(i);
-  }
-}
-
-void Simulator::build_level_structures() {
-  // Flat rank buckets: row r of bucket_storage_ holds the queued modules
-  // of rank r (bucket_sizes_[r] live entries). One contiguous block — no
-  // per-bucket vectors to swap in the settle loop.
-  bucket_stride_ = modules_.size();
-  bucket_storage_.assign((max_rank_ + 1) * bucket_stride_, 0);
-  bucket_sizes_.assign(max_rank_ + 1, 0);
-  level_queued_ = 0;
-
-  std::unordered_map<const NetBase*, std::uint32_t> net_index;
-  net_index.reserve(nets_.size());
-  for (std::size_t i = 0; i < nets_.size(); ++i) {
-    net_index.emplace(nets_[i], static_cast<std::uint32_t>(i));
-  }
-
-  // Sparse sequential phase. kAlways modules run unconditionally from
-  // edge_always_ (a tight, perfectly predicted loop); kWhenInputsChanged
-  // modules run only when listed in edge_pending_list_, fed by the
-  // net -> module wake-up CSR at confirmed-change time — the same
-  // dense-list shape as the touched-net and pending-reg paths, so the
-  // edge phase never iterates over (or branches on) modules with nothing
-  // to do. kNever modules drop out entirely.
-  std::vector<std::vector<std::uint32_t>> wake(nets_.size());
-  edge_always_.clear();
-  edge_conditional_.clear();
-  edge_pending_.assign(modules_.size(), 0);
-  edge_pending_list_.resize(modules_.size());
-  edge_pending_count_ = 0;
-  for (std::size_t m = 0; m < modules_.size(); ++m) {
-    const EdgeSpec spec = modules_[m]->edge_sensitivity();
-    switch (spec.kind) {
-      case EdgeSensitivity::kAlways:
-        edge_always_.push_back(static_cast<std::uint32_t>(m));
-        break;
-      case EdgeSensitivity::kNever:
-        break;
-      case EdgeSensitivity::kWhenInputsChanged:
-        edge_conditional_.push_back(static_cast<std::uint32_t>(m));
-        for (const NetBase* n : spec.nets) {
-          const auto it = net_index.find(n);
-          if (it == net_index.end()) {
-            throw std::logic_error(
-                "Simulator: module '" + modules_[m]->full_name() +
-                "' declares edge sensitivity to net '" + n->full_name() +
-                "' which is not part of this design");
-          }
-          wake[it->second].push_back(static_cast<std::uint32_t>(m));
-        }
-        break;
-    }
-  }
-  edge_csr_offsets_.assign(nets_.size() + 1, 0);
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < nets_.size(); ++i) {
-    edge_csr_offsets_[i] = static_cast<std::uint32_t>(total);
-    total += wake[i].size();
-  }
-  edge_csr_offsets_[nets_.size()] = static_cast<std::uint32_t>(total);
-  edge_csr_.clear();
-  edge_csr_.reserve(total);
-  for (std::size_t i = 0; i < nets_.size(); ++i) {
-    edge_csr_.insert(edge_csr_.end(), wake[i].begin(), wake[i].end());
-  }
-
-  // Sparse commit: set_next() feeds the pending-register list through the
-  // commit hub.
-  reg_pending_.assign(regs_.size(), 0);
-  pending_regs_.resize(regs_.size());  // hub list capacity: one slot per reg
-  reg_hub_.pending = reg_pending_.data();
-  reg_hub_.list = pending_regs_.data();
-  reg_hub_.count = 0;
-  for (std::size_t k = 0; k < regs_.size(); ++k) {
-    regs_[k]->commit_hub_ = &reg_hub_;
-    regs_[k]->commit_index_ = static_cast<std::uint32_t>(k);
-  }
-}
-
-void Simulator::detach_hubs() noexcept {
-  for (auto* net : nets_) {
-    if (net->hub_ == &net_hub_) {
-      net->hub_ = nullptr;
-      net->hub_index_ = 0;
-    }
-  }
-  for (auto* reg : regs_) {
-    if (reg->commit_hub_ == &reg_hub_) {
-      reg->commit_hub_ = nullptr;
-      reg->commit_index_ = 0;
-    }
-  }
-}
-
-void Simulator::dispatch_touched() {
-  // mark_dirty() only *recorded* touched nets (and refreshed mirror_);
-  // changes are confirmed here, at the round/bucket boundary, against the
-  // last confirmed snapshot. An evaluate() that writes a default and then
-  // overrides it back (legal, see the dense kernel's convergence rule)
-  // thus produces no scheduling work.
-  const std::size_t touched_count = net_hub_.count;
-  for (std::size_t t = 0; t < touched_count; ++t) {
-    const std::uint32_t i = touched_nets_[t];
-    touched_[i] = 0;
-    const std::uint64_t v = mirror_[i];
-    if (v == snapshot_[i]) continue;  // toggled back: not a change
-    snapshot_[i] = v;
-    if (vcd_ != nullptr) vcd_changed_.push_back(vcd_index_[i]);
-    if (level_active_) {
-      // Wake conditional clock_edges watching this net.
-      const std::uint32_t wbegin = edge_csr_offsets_[i];
-      const std::uint32_t wend = edge_csr_offsets_[i + 1];
-      for (std::uint32_t k = wbegin; k < wend; ++k) {
-        const std::uint32_t em = edge_csr_[k];
-        if (edge_pending_[em] == 0) {
-          edge_pending_[em] = 1;
-          edge_pending_list_[edge_pending_count_++] = em;
-        }
-      }
-    }
-    const std::uint32_t begin = fanout_offsets_[i];
-    const std::uint32_t end = fanout_offsets_[i + 1];
-    for (std::uint32_t k = begin; k < end; ++k) {
-      const std::uint32_t m = fanout_[k];
-      if (queued_[m] == 0) {
-        queued_[m] = 1;
-        if (level_active_) {
-          const std::uint32_t r = module_rank_[m];
-          bucket_storage_[r * bucket_stride_ + bucket_sizes_[r]++] = m;
-          ++level_queued_;
-        } else {
-          worklist_.push_back(m);
-        }
-      }
-    }
-  }
-  net_hub_.count = 0;
 }
 
 void Simulator::reset() {
@@ -419,60 +154,16 @@ void Simulator::reset() {
   cycles_ = 0;
   if (mode_ == SimMode::kDense) {
     settle_dense();
-    return;
-  }
-  // Discard events the resets fired, take a fresh confirmed snapshot,
-  // and settle from a full module seed.
-  net_hub_.count = 0;
-  std::fill(touched_.begin(), touched_.end(), std::uint8_t{0});
-  for (std::size_t i = 0; i < nets_.size(); ++i) {
-    snapshot_[i] = mirror_[i] = nets_[i]->value_u64();
-  }
-  vcd_changed_.clear();
-  vcd_resync_ = true;  // module resets bypassed the change list
-  std::fill(queued_.begin(), queued_.end(), std::uint8_t{1});
-  if (level_active_) {
-    level_queued_ = 0;
-    std::fill(bucket_sizes_.begin(), bucket_sizes_.end(), 0u);
-    for (std::uint32_t m = 0; m < modules_.size(); ++m) {
-      const std::uint32_t r = module_rank_[m];
-      bucket_storage_[r * bucket_stride_ + bucket_sizes_[r]++] = m;
-      ++level_queued_;
-    }
-    // Every conditional clock_edge starts pending; no commit is (every
-    // register was just hard-reset, so next == value everywhere).
-    edge_pending_count_ = 0;
-    for (const std::uint32_t m : edge_conditional_) {
-      edge_pending_[m] = 1;
-      edge_pending_list_[edge_pending_count_++] = m;
-    }
-    reg_hub_.count = 0;
-    std::fill(reg_pending_.begin(), reg_pending_.end(), std::uint8_t{0});
-    settle_level();
   } else {
-    worklist_.clear();
-    for (std::uint32_t m = 0; m < modules_.size(); ++m) {
-      worklist_.push_back(m);
-    }
-    settle_event();
-  }
-}
-
-void Simulator::settle() {
-  if (level_active_) {
-    settle_level();
-  } else if (mode_ == SimMode::kEvent) {
-    settle_event();
-  } else {
-    settle_dense();
+    settle_static(true);
   }
 }
 
 void Simulator::settle_dense() {
   // Convergence is judged on end-of-pass values: a module's evaluate()
   // may legitimately write a default and then override it within one
-  // pass, so intra-pass toggles (the nets' dirty flags) are not loop
-  // evidence — only a value that differs between consecutive passes is.
+  // pass, so intra-pass toggles are not loop evidence — only a value that
+  // differs between consecutive passes is.
   for (std::size_t i = 0; i < nets_.size(); ++i) {
     snapshot_[i] = nets_[i]->value_u64();
   }
@@ -487,72 +178,30 @@ void Simulator::settle_dense() {
         snapshot_[i] = v;
       }
     }
-    if (!changed) {
-      last_settle_rounds_ = pass + 1;
-      return;
-    }
+    if (!changed) return;
   }
   report_oscillation();
 }
 
-void Simulator::settle_event() {
-  // Confirm changes accumulated since the last settle (register commits,
-  // external pokes), then drain the worklist in rounds: everything queued
-  // at round start is evaluated once, and nets its writes touched are
-  // confirmed against the snapshot to queue the next round. A round
-  // corresponds to one dense pass (one rank of the zero-delay dependency
-  // chain), so the same pass budget bounds it.
-  if (net_hub_.count != 0) dispatch_touched();
-  unsigned rounds = 0;
-  while (!worklist_.empty()) {
-    if (++rounds > kMaxSettlePasses) report_oscillation();
-    round_.swap(worklist_);
-    for (const std::uint32_t m : round_) {
-      // Clear before evaluating: a change this round in a net feeding an
-      // already-evaluated module must re-queue it for the next round.
-      queued_[m] = 0;
-      modules_[m]->evaluate();
+void Simulator::settle_static(bool force) {
+  // Each net changes at most once per settle (registers at commit or a
+  // testbench poke before it, wires when their driver runs), and every
+  // reader comes after its drivers. So comparing a module's input words
+  // with what it saw last time activates exactly the modules whose inputs
+  // changed, each once, after all of its inputs are final.
+  std::size_t k = 0;
+  for (const Slot& slot : schedule_) {
+    bool changed = force;
+    for (; k < slot.end; ++k) {
+      const std::uint64_t v = *inputs_[k].word;
+      changed |= v != inputs_[k].seen;
+      inputs_[k].seen = v;
     }
-    evaluations_ += round_.size();
-    round_.clear();
-    if (net_hub_.count != 0) dispatch_touched();
-  }
-  last_settle_rounds_ = rounds;
-}
-
-void Simulator::settle_level() {
-  // One ascending sweep over the rank buckets: by construction (acyclic
-  // module graph, sound drives() declarations) everything a rank-r drain
-  // wakes sits at rank > r, so each activated module evaluates exactly
-  // once. A wake at rank <= r is a declaration the graph says cannot
-  // happen; tolerate it with another sweep (level_backtracks_ counts
-  // them, the tests pin zero) under the usual oscillation budget.
-  if (net_hub_.count != 0) dispatch_touched();
-  unsigned sweeps = 0;
-  unsigned rounds = 0;
-  while (level_queued_ > 0) {
-    if (++sweeps > kMaxSettlePasses) report_oscillation();
-    if (sweeps > 1) ++level_backtracks_;
-    for (unsigned r = 0; r <= max_rank_; ++r) {
-      const std::size_t size = bucket_sizes_[r];
-      if (size == 0) continue;
-      ++rounds;
-      // Zero the size before draining: a (theoretical) backtrack wake at
-      // this rank lands at row start for the next sweep; the row is fully
-      // read out before any dispatch could overwrite it.
-      bucket_sizes_[r] = 0;
-      const std::uint32_t* row = &bucket_storage_[r * bucket_stride_];
-      for (std::size_t t = 0; t < size; ++t) {
-        const std::uint32_t m = row[t];
-        queued_[m] = 0;
-        modules_[m]->evaluate();
-      }
-      evaluations_ += size;
-      level_queued_ -= size;
-      if (net_hub_.count != 0) dispatch_touched();
+    if (changed) {
+      slot.module->evaluate();
+      ++evaluations_;
     }
   }
-  last_settle_rounds_ = rounds;
 }
 
 void Simulator::report_oscillation() {
@@ -578,53 +227,15 @@ void Simulator::report_oscillation() {
 
 void Simulator::step() {
   // Wires already settled (end of previous step / reset).
-  if (level_active_) {
-    // Confirm external testbench pokes first: they must arm the edge
-    // flags and queue their fanout exactly like any settled change.
-    if (net_hub_.count != 0) dispatch_touched();
-    for (const std::uint32_t m : edge_always_) modules_[m]->clock_edge();
-    // Wakes only happen inside dispatch_touched(), so the pending lists
-    // are stable during both drains below: clock_edge() raises net events
-    // and marks registers, neither of which appends here.
-    const std::size_t edge_count = edge_pending_count_;
-    for (std::size_t t = 0; t < edge_count; ++t) {
-      const std::uint32_t m = edge_pending_list_[t];
-      edge_pending_[m] = 0;
-      modules_[m]->clock_edge();
-    }
-    edge_pending_count_ = 0;
-    edge_skips_ += modules_.size() - edge_always_.size() - edge_count;
-    const std::size_t pending_count = reg_hub_.count;
-    for (std::size_t t = 0; t < pending_count; ++t) {
-      const std::uint32_t k = pending_regs_[t];
-      reg_pending_[k] = 0;
-      regs_[k]->commit();
-    }
-    reg_hub_.count = 0;
-    ++cycles_;
-    settle_level();
+  for (auto* m : modules_) m->clock_edge();
+  for (auto* reg : regs_) reg->commit();
+  ++cycles_;
+  if (mode_ == SimMode::kDense) {
+    settle_dense();
   } else {
-    // In event mode the register commits (and any external wire pokes
-    // since the last step) have already queued their dependents.
-    for (auto* m : modules_) m->clock_edge();
-    for (auto* reg : regs_) reg->commit();
-    ++cycles_;
-    settle();
+    settle_static(false);
   }
-  if (vcd_ != nullptr) trace_step();
-}
-
-void Simulator::trace_step() {
-  if (mode_ == SimMode::kDense || vcd_resync_) {
-    // Dense mode has no change list; a fresh/re-attached sink needs one
-    // full scan before deltas are trustworthy.
-    vcd_->sample(cycles_);
-    vcd_resync_ = false;
-  } else {
-    std::sort(vcd_changed_.begin(), vcd_changed_.end());
-    vcd_->sample_sparse(cycles_, vcd_changed_);
-  }
-  vcd_changed_.clear();
+  if (vcd_ != nullptr) vcd_->sample(cycles_);
 }
 
 void Simulator::run(std::uint64_t n) {
@@ -632,20 +243,13 @@ void Simulator::run(std::uint64_t n) {
     for (std::uint64_t i = 0; i < n; ++i) step();
     return;
   }
-  RoundsTally rounds_tally{};
   const std::uint64_t evals0 = evaluations_;
-  const std::uint64_t skips0 = edge_skips_;
   const auto start = std::chrono::steady_clock::now();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    step();
-    ++rounds_tally[std::min<unsigned>(last_settle_rounds_,
-                                      kMaxSettlePasses + 1)];
-  }
+  for (std::uint64_t i = 0; i < n; ++i) step();
   const double wall = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - start)
                           .count();
-  flush_rounds(rounds_tally);
-  record_burst(n, wall, evaluations_ - evals0, edge_skips_ - skips0);
+  record_burst(n, wall, evaluations_ - evals0);
 }
 
 bool Simulator::run_until(const std::function<bool()>& done,
@@ -657,16 +261,12 @@ bool Simulator::run_until(const std::function<bool()>& done,
     }
     return done();
   }
-  RoundsTally rounds_tally{};
   const std::uint64_t evals0 = evaluations_;
-  const std::uint64_t skips0 = edge_skips_;
   const auto start = std::chrono::steady_clock::now();
   const std::uint64_t first = cycles_;
   bool reached = false;
   for (std::uint64_t i = 0; i < max_cycles; ++i) {
     step();
-    ++rounds_tally[std::min<unsigned>(last_settle_rounds_,
-                                      kMaxSettlePasses + 1)];
     if (done()) {
       reached = true;
       break;
@@ -676,9 +276,7 @@ bool Simulator::run_until(const std::function<bool()>& done,
   const double wall = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - start)
                           .count();
-  flush_rounds(rounds_tally);
-  record_burst(cycles_ - first, wall, evaluations_ - evals0,
-               edge_skips_ - skips0);
+  record_burst(cycles_ - first, wall, evaluations_ - evals0);
   return reached;
 }
 

@@ -3,46 +3,36 @@
 // Cycle semantics (matching a synchronous FPGA design at the paper's
 // 1 MHz clock):
 //
-//   1. settle: evaluate combinational logic to a fixpoint (no wire
-//      changes). Combinational loops are detected and reported.
-//   2. edge:   clock_edge() on every module that can act — registers
-//              sample inputs.
-//   3. commit: registers take their next values simultaneously;
+//   1. edge:   clock_edge() on every module — registers sample inputs.
+//   2. commit: every register takes its next value simultaneously;
 //              synchronous RAMs apply their sampled port operations.
+//   3. settle: combinational logic is evaluated until no wire changes.
 //   4. trace:  the attached VCD sink (if any) records changed nets.
 //
-// Three settle kernels implement step 1 (SimMode, chosen at construction):
+// Two settle kernels implement step 3 (SimMode, chosen at construction):
 //
-//   kLevel (default) — levelized one-pass schedule. At elaboration the
-//     simulator derives a module-level combinational dependency graph
-//     from each module's declared inputs() sensitivity and drives()
-//     output set, topologically ranks it, and drains triggered modules
-//     from a rank-bucketed worklist in ascending rank — at most one
-//     evaluate() per activated module per settle, with no round-boundary
-//     re-confirmation passes. The sequential phase is sparse too:
-//     clock_edge() runs only on modules whose edge_sensitivity() demands
-//     it this cycle, and commit touches only registers set_next() was
-//     called on (fed by the RegCommitHub write-through). Nets are re-indexed in
-//     rank order and a plain u64 value mirror is maintained on every
-//     mark_dirty, so the confirm loop is array reads — no virtual calls.
+//   kLevel (default) — one static rank-ordered schedule, like the fixed
+//     combinational order of a synthesized netlist. At elaboration the
+//     simulator builds the module-level dependency graph (edge u -> v iff
+//     a wire in u's drives() is in v's inputs()), orders it topologically
+//     with Kahn's algorithm, and flattens each module's inputs() into
+//     pointers to the nets' value words plus the values the module saw at
+//     its last evaluate(). A settle is then one pass in that order that
+//     calls evaluate() only at reset or when an input word differs from
+//     the value last seen. Every reader comes after its drivers, so each
+//     module sees its inputs' final values and runs at most once.
 //     Designs the ranking cannot handle (an undeclared inputs() or
-//     drives(), or a combinational cycle in the module graph) fall back
-//     to the event kernel at elaboration — level_fallback_reason() says
-//     why, and the oscillation diagnostic is intact because the event
-//     kernel still bounds its rounds.
-//
-//   kEvent — event-driven worklist. The same fanout graph net ->
-//     dependent modules, drained in rounds with value-confirmed dispatch
-//     at each round boundary; a module may re-evaluate once per round.
-//     clock_edge() and commit stay dense. Retained as the fallback target
-//     and as a second oracle.
+//     drives(), or a combinational cycle in the module graph) run on the
+//     dense sweep instead; level_fallback_reason() says why, and the
+//     oscillation diagnostic is intact because the dense sweep bounds its
+//     passes.
 //
 //   kDense — the reference sweep: evaluate *all* modules and rescan *all*
 //     nets each pass until a pass changes nothing. The ground truth the
-//     other kernels are proven bit-identical against (see
+//     static schedule is proven bit-identical against (see
 //     tests/test_sim_equivalence.cpp).
 //
-// All kernels reach the same fixpoint (evaluate() is an idempotent pure
+// Both kernels reach the same fixpoint (evaluate() is an idempotent pure
 // function of the declared inputs and every module fully drives its
 // outputs each call), so settled net values, VCD dumps, evolved genomes
 // and generation counts are identical — only the work per cycle differs.
@@ -65,22 +55,19 @@ namespace leo::rtl {
 class VcdWriter;
 
 /// Settle-kernel selection (see file header). Bit-identical results; the
-/// level kernel is fastest on fully declared designs.
+/// static schedule is the fast one.
 enum class SimMode : std::uint8_t {
-  kEvent,  ///< fanout-graph worklist drained in rounds
   kDense,  ///< evaluate-everything reference sweep
-  kLevel,  ///< rank-ordered one-pass worklist (default)
+  kLevel,  ///< static rank-ordered schedule (default)
 };
 
 class Simulator final {
  public:
   /// Binds to a fully-constructed design. The module tree must not change
   /// afterwards (hardware does not grow new blocks at runtime either).
-  /// In kLevel/kEvent mode the simulator owns the design's event hooks
-  /// until it is destroyed; binding a second simulator to the same tree
-  /// throws std::logic_error.
+  /// A kLevel request throws std::logic_error if a module declares a net
+  /// outside the tree in its inputs() or drives().
   explicit Simulator(Module& top, SimMode mode = SimMode::kLevel);
-  ~Simulator();
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -101,14 +88,14 @@ class Simulator final {
 
   [[nodiscard]] std::uint64_t cycles() const noexcept { return cycles_; }
 
-  /// The kernel actually running — kEvent if a requested kLevel fell back.
+  /// The kernel actually running — kDense if a requested kLevel fell back.
   [[nodiscard]] SimMode mode() const noexcept { return mode_; }
   /// The kernel asked for at construction.
   [[nodiscard]] SimMode requested_mode() const noexcept {
     return requested_mode_;
   }
   /// Non-empty iff kLevel was requested but the design could not be
-  /// levelized (undeclared inputs()/drives(), or a combinational cycle in
+  /// ranked (undeclared inputs()/drives(), or a combinational cycle in
   /// the module graph); explains why. The porting tests pin this empty
   /// for the shipped trees.
   [[nodiscard]] const std::string& level_fallback_reason() const noexcept {
@@ -121,65 +108,41 @@ class Simulator final {
   }
 
   /// Attaches a VCD trace sink (not owned). Pass nullptr to detach.
-  void attach_vcd(VcdWriter* vcd) noexcept {
-    vcd_ = vcd;
-    vcd_resync_ = true;  // next sample full-scans, then deltas take over
-  }
+  void attach_vcd(VcdWriter* vcd) noexcept { vcd_ = vcd; }
 
   [[nodiscard]] Module& top() noexcept { return *top_; }
+  /// Every module of the tree, in pre-order.
   [[nodiscard]] const std::vector<Module*>& modules() const noexcept {
     return modules_;
   }
 
-  /// Modules running on the conservative sensitive-to-everything fallback
-  /// (no declared sensitivity list). Zero on fully ported designs; the
-  /// porting tests pin this for the shipped module trees.
-  [[nodiscard]] std::size_t fallback_modules() const noexcept {
-    return fallback_count_;
-  }
-
   /// Cumulative evaluate() calls across all settles — the work metric the
-  /// sparse kernels minimize (dense mode counts every sweep call too).
+  /// static schedule minimizes (dense mode counts every sweep call too).
   [[nodiscard]] std::uint64_t evaluations() const noexcept {
     return evaluations_;
   }
 
-  /// Cumulative clock_edge() calls skipped by the level kernel's
-  /// edge_sensitivity() contract (always 0 in the other modes).
-  [[nodiscard]] std::uint64_t edge_skips() const noexcept {
-    return edge_skips_;
-  }
-
-  /// Level-kernel re-sweeps: a confirmed change queued a module at or
-  /// below the rank being drained, forcing another ascending sweep. Zero
-  /// on correctly declared acyclic designs — the equivalence tests pin it.
-  [[nodiscard]] std::uint64_t level_backtracks() const noexcept {
-    return level_backtracks_;
-  }
-
-  /// Settle rounds (event) / non-empty rank buckets (level) / passes
-  /// (dense) of the most recent settle — the per-step depth metric behind
-  /// the leo_rtl_settle_rounds histogram.
-  [[nodiscard]] unsigned last_settle_rounds() const noexcept {
-    return last_settle_rounds_;
-  }
-
-  /// Maximum settle passes (dense) / worklist rounds (event) / ascending
-  /// sweeps (level) before declaring a combinational loop.
+  /// Maximum dense settle passes before declaring a combinational loop.
   static constexpr unsigned kMaxSettlePasses = 64;
 
  private:
+  /// One evaluate() input of the static schedule: the net's value word and
+  /// the value the reading module saw at its last evaluate().
+  struct Input {
+    const std::uint64_t* word;
+    std::uint64_t seen;
+  };
+  /// One module of the static schedule; its inputs are inputs_[previous
+  /// slot's end, end).
+  struct Slot {
+    Module* module;
+    std::uint32_t end;
+  };
+
   void collect(Module& m);
-  bool plan_level_schedule();
-  void build_event_graph();
-  void build_level_structures();
-  void detach_hubs() noexcept;
-  void settle();
+  bool plan_static_schedule();
   void settle_dense();
-  void settle_event();
-  void settle_level();
-  void dispatch_touched();
-  void trace_step();
+  void settle_static(bool force);
   [[noreturn]] void report_oscillation();
 
   Module* top_;
@@ -187,62 +150,12 @@ class Simulator final {
   SimMode requested_mode_;
   std::string level_fallback_reason_;
   std::vector<Module*> modules_;   // pre-order
-  std::vector<NetBase*> nets_;     // rank-ordered in level mode
+  std::vector<NetBase*> nets_;     // pre-order
   std::vector<RegBase*> regs_;
-  std::vector<std::uint64_t> snapshot_;  // per-net settle comparison values
-  std::vector<std::uint64_t> mirror_;    // per-net value kept by mark_dirty
-  // Event/level kernel state. fanout_ is a CSR adjacency list: the
-  // dependent modules of net i are fanout_[fanout_offsets_[i] ..
-  // fanout_offsets_[i+1]); undeclared (fallback) modules are appended to
-  // every row. Raw write events only *record* the touched net
-  // (touched_[i] dedupes) and refresh mirror_[i]; fanout dispatches at
-  // round/bucket boundaries, and only for nets whose value differs from
-  // snapshot_ — matching the dense sweep's rule that intra-pass toggles
-  // (write-default-then-override) are not changes. queued_[m] dedupes the
-  // module worklist, so no list exceeds its design-size bound — all
-  // vectors are pre-reserved and event dispatch never allocates.
-  std::vector<std::uint32_t> fanout_offsets_;
-  std::vector<std::uint32_t> fanout_;
-  std::vector<std::uint8_t> touched_;
-  std::vector<std::uint32_t> touched_nets_;
-  NetEventHub net_hub_;  // points into mirror_/touched_/touched_nets_
-  std::vector<std::uint8_t> queued_;
-  std::vector<std::uint32_t> worklist_;
-  std::vector<std::uint32_t> round_;  // scratch: the round being drained
-  // Level kernel state. Rank buckets are one flat block: row r (size
-  // bucket_sizes_[r], capacity bucket_stride_) holds the queued modules
-  // of rank r.
-  bool level_active_ = false;
-  unsigned max_rank_ = 0;
-  std::vector<std::uint32_t> module_rank_;
-  std::vector<std::uint32_t> bucket_storage_;
-  std::vector<std::uint32_t> bucket_sizes_;
-  std::size_t bucket_stride_ = 0;
-  std::size_t level_queued_ = 0;  // modules across all buckets
-  std::vector<std::uint32_t> vcd_index_;  // hub net index -> VCD entry
-  // Sparse sequential phase: edge_csr_* maps net -> kWhenInputsChanged
-  // modules to wake. kAlways modules run from edge_always_ every cycle;
-  // woken conditional modules drain from edge_pending_list_ (deduped by
-  // edge_pending_), so the edge phase touches no idle module.
-  std::vector<std::uint32_t> edge_csr_offsets_;
-  std::vector<std::uint32_t> edge_csr_;
-  std::vector<std::uint8_t> edge_pending_;
-  std::vector<std::uint32_t> edge_always_;
-  std::vector<std::uint32_t> edge_conditional_;
-  std::vector<std::uint32_t> edge_pending_list_;
-  std::size_t edge_pending_count_ = 0;
-  std::vector<std::uint8_t> reg_pending_;
-  std::vector<std::uint32_t> pending_regs_;
-  RegCommitHub reg_hub_;  // points into reg_pending_/pending_regs_
-  // Sparse VCD: confirmed-changed nets (as VCD entry indices) since the
-  // last sample. Only maintained while a sink is attached.
-  std::vector<std::uint32_t> vcd_changed_;
-  bool vcd_resync_ = false;
-  std::size_t fallback_count_ = 0;
+  std::vector<std::uint64_t> snapshot_;  // dense: end-of-pass net values
+  std::vector<Slot> schedule_;           // static: modules in Kahn order
+  std::vector<Input> inputs_;
   std::uint64_t evaluations_ = 0;
-  std::uint64_t edge_skips_ = 0;
-  std::uint64_t level_backtracks_ = 0;
-  unsigned last_settle_rounds_ = 0;
   VcdWriter* vcd_ = nullptr;
   std::uint64_t cycles_ = 0;
 };

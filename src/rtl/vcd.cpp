@@ -69,18 +69,4 @@ void VcdWriter::sample(std::uint64_t cycle) {
   }
 }
 
-void VcdWriter::sample_sparse(std::uint64_t cycle,
-                              const std::vector<std::uint32_t>& entries) {
-  out_ << '#' << cycle << '\n';
-  for (const std::uint32_t i : entries) {
-    Entry& e = entries_[i];
-    const std::uint64_t v = e.net->value_u64();
-    if (!e.valid || v != e.last_value) {
-      emit(e, v);
-      e.last_value = v;
-      e.valid = true;
-    }
-  }
-}
-
 }  // namespace leo::rtl

@@ -23,14 +23,6 @@ class VcdWriter {
   /// first sample dumps everything). Called by Simulator::step().
   void sample(std::uint64_t cycle);
 
-  /// Sparse variant: only the entries named in `entries` (ascending entry
-  /// indices, the simulator's confirmed-change list) are examined instead
-  /// of rescanning every net. Each is still guarded by the last-emitted
-  /// value, so a superset or duplicates in the list cannot change the
-  /// output — dumps from sparse and full sampling are byte-identical.
-  void sample_sparse(std::uint64_t cycle,
-                     const std::vector<std::uint32_t>& entries);
-
   [[nodiscard]] std::size_t traced_nets() const noexcept {
     return entries_.size();
   }

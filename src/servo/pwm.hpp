@@ -42,11 +42,6 @@ class PwmGenerator final : public rtl::Module {
 
   [[nodiscard]] rtl::Drives drives() const override { return {&pwm}; }
 
-  /// The frame counter free-runs, so the edge always acts.
-  [[nodiscard]] rtl::EdgeSpec edge_sensitivity() const override {
-    return rtl::EdgeSpec::always();
-  }
-
   [[nodiscard]] const PwmParams& params() const noexcept { return params_; }
 
   /// Pulse width (cycles) commanded by a position value.

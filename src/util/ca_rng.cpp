@@ -24,15 +24,6 @@ CaRng CaRng::make_hortensius16(std::uint64_t seed) {
   return CaRng(16, kHortensius16Rule, seed);
 }
 
-std::uint64_t CaRng::step() noexcept {
-  // Null boundaries: conceptual cells -1 and `width` are constant zero,
-  // which plain shifts provide for free.
-  const std::uint64_t left = (state_ << 1) & mask_;   // neighbour i-1
-  const std::uint64_t right = state_ >> 1;            // neighbour i+1
-  state_ = (left ^ right ^ (state_ & rule150_)) & mask_;
-  return state_;
-}
-
 std::uint64_t CaRng::next_u64() {
   std::uint64_t out = 0;
   unsigned filled = 0;

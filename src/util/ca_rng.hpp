@@ -43,8 +43,23 @@ class CaRng final : public RandomSource {
   /// (period 2^16 - 1), rule-150 cells per kHortensius16Rule.
   static CaRng make_hortensius16(std::uint64_t seed);
 
+  /// The CA's combinational next-state function over `mask`'s cells, with
+  /// null boundaries: conceptual cells -1 and `width` are constant zero,
+  /// which plain shifts provide for free. step() applies it, and the RTL
+  /// twin clocks it into its cell register.
+  [[nodiscard]] static constexpr std::uint64_t next_state(
+      std::uint64_t state, std::uint64_t mask,
+      std::uint64_t rule150_mask) noexcept {
+    const std::uint64_t left = (state << 1) & mask;  // neighbour i-1
+    const std::uint64_t right = state >> 1;          // neighbour i+1
+    return (left ^ right ^ (state & rule150_mask)) & mask;
+  }
+
   /// Advances the CA by one clock and returns the new state.
-  std::uint64_t step() noexcept;
+  std::uint64_t step() noexcept {
+    state_ = next_state(state_, mask_, rule150_);
+    return state_;
+  }
 
   [[nodiscard]] std::uint64_t state() const noexcept { return state_; }
   [[nodiscard]] unsigned width() const noexcept { return width_; }

@@ -196,20 +196,75 @@ TEST(RtlKernel, ResourceTallyCountsRegisterBits) {
   EXPECT_EQ(t.lut4, 0u);
 }
 
-// ---- event-driven settle kernel ----
+// ---- static schedule vs dense sweep ----
+
+/// A three-stage chain declared for the static schedule: counter register
+/// -> doubler -> +1. The +1 stage lives in the top module, so pre-order
+/// (top first) is not rank order and the schedule has to reorder it.
+class Counter final : public Module {
+ public:
+  explicit Counter(Module* parent)
+      : Module(parent, "counter"), count(this, "count", 8) {}
+  Reg<std::uint8_t> count;
+  void clock_edge() override {
+    count.set_next(static_cast<std::uint8_t>(count.read() + 1));
+  }
+  [[nodiscard]] Sensitivity inputs() const override {
+    return Sensitivity::none();
+  }
+  [[nodiscard]] Drives drives() const override { return Drives::none(); }
+};
+
+class Doubler final : public Module {
+ public:
+  Doubler(Module* parent, const Reg<std::uint8_t>& count)
+      : Module(parent, "doubler"), twice(this, "twice", 8), count_(count) {}
+  Wire<std::uint8_t> twice;
+  void evaluate() override {
+    twice.write(static_cast<std::uint8_t>(count_.read() * 2));
+  }
+  [[nodiscard]] Sensitivity inputs() const override { return {&count_}; }
+  [[nodiscard]] Drives drives() const override { return {&twice}; }
+
+ private:
+  const Reg<std::uint8_t>& count_;
+};
+
+class DeclaredChain final : public Module {
+ public:
+  DeclaredChain()
+      : Module(nullptr, "dchain"), plus1(this, "plus1", 8), counter(this),
+        doubler(this, counter.count) {}
+  Wire<std::uint8_t> plus1;
+  Counter counter;
+  Doubler doubler;
+  void evaluate() override {
+    plus1.write(static_cast<std::uint8_t>(doubler.twice.read() + 1));
+  }
+  [[nodiscard]] Sensitivity inputs() const override {
+    return {&doubler.twice};
+  }
+  [[nodiscard]] Drives drives() const override { return {&plus1}; }
+};
 
 TEST(RtlKernel, EventAndDenseModesAgreeOnCombChain) {
-  CombChain ev_top(nullptr);
-  CombChain de_top(nullptr);
-  Simulator ev(ev_top, SimMode::kEvent);
+  DeclaredChain st_top;
+  DeclaredChain de_top;
+  Simulator st(st_top, SimMode::kLevel);
   Simulator de(de_top, SimMode::kDense);
+  ASSERT_EQ(st.mode(), SimMode::kLevel) << st.level_fallback_reason();
   for (int cycle = 0; cycle < 300; ++cycle) {
-    EXPECT_EQ(ev_top.count.read(), de_top.count.read()) << "cycle " << cycle;
-    EXPECT_EQ(ev_top.twice.read(), de_top.twice.read()) << "cycle " << cycle;
-    EXPECT_EQ(ev_top.plus1.read(), de_top.plus1.read()) << "cycle " << cycle;
-    ev.step();
+    EXPECT_EQ(st_top.counter.count.read(), de_top.counter.count.read())
+        << "cycle " << cycle;
+    EXPECT_EQ(st_top.doubler.twice.read(), de_top.doubler.twice.read())
+        << "cycle " << cycle;
+    EXPECT_EQ(st_top.plus1.read(), de_top.plus1.read()) << "cycle " << cycle;
+    st.step();
     de.step();
   }
+  // One pass in Kahn order: every module once at reset, then the doubler
+  // and the +1 stage once per cycle (the counter reads no nets).
+  EXPECT_EQ(st.evaluations(), 3u + 2u * 300u);
 }
 
 TEST(RtlKernel, DenseModeDetectsCombinationalLoopToo) {
@@ -222,49 +277,67 @@ TEST(RtlKernel, DenseModeDetectsCombinationalLoopToo) {
   }
 }
 
-TEST(RtlKernel, SecondEventSimulatorOnSameDesignThrows) {
-  CombChain top(nullptr);
-  Simulator first(top, SimMode::kEvent);
-  EXPECT_THROW(Simulator(top, SimMode::kEvent), std::logic_error);
-  // A dense simulator takes no ownership of the nets' event hooks...
-  Simulator dense(top, SimMode::kDense);
-  // ...and once the owner is gone the hooks are released for rebinding.
-}
-
 TEST(RtlKernel, EventHooksReleasedOnDestruction) {
-  CombChain top(nullptr);
-  { Simulator sim(top, SimMode::kEvent); }
-  Simulator again(top, SimMode::kEvent);  // must not throw
+  // A simulator keeps no hooks in the design's nets: a tree can be bound
+  // again after its simulator is gone, and by two simulators at once.
+  DeclaredChain top;
+  {
+    Simulator sim(top);
+    sim.run(3);
+  }
+  Simulator again(top);  // resets the tree
+  Simulator dense(top, SimMode::kDense);
   again.step();
-  EXPECT_EQ(top.count.read(), 1);
+  EXPECT_EQ(top.counter.count.read(), 1);
+  EXPECT_EQ(top.plus1.read(), 3);
 }
 
 TEST(RtlKernel, MisdeclaredSensitivityNetIsRejected) {
-  // A module declaring sensitivity to a net outside the simulated tree is
-  // a wiring bug and must fail loudly at elaboration.
+  // A module declaring sensitivity to (or driving) a net outside the
+  // simulated tree is a wiring bug and must fail loudly at elaboration —
+  // even though the undeclared top alone would only cause a fallback.
   class Foreign final : public Module {
    public:
-    explicit Foreign(Module* parent, const NetBase* alien)
-        : Module(parent, "foreign"), alien_(alien) {}
-    [[nodiscard]] Sensitivity inputs() const override { return {alien_}; }
+    Foreign(Module* parent, const NetBase* alien, bool as_output)
+        : Module(parent, "foreign"), alien_(alien), as_output_(as_output) {}
+    [[nodiscard]] Sensitivity inputs() const override {
+      return as_output_ ? Sensitivity::none() : Sensitivity{alien_};
+    }
+    [[nodiscard]] Drives drives() const override {
+      return as_output_ ? Drives{alien_} : Drives::none();
+    }
+
    private:
     const NetBase* alien_;
+    bool as_output_;
   };
   CombChain other(nullptr);  // its nets are not part of `top`'s tree
   class Top final : public Module {
    public:
-    Top(const NetBase* alien) : Module(nullptr, "top"), kid(this, alien) {}
+    Top(const NetBase* alien, bool as_output)
+        : Module(nullptr, "top"), kid(this, alien, as_output) {}
     Foreign kid;
   };
-  Top top(&other.twice);
-  EXPECT_THROW(Simulator(top, SimMode::kEvent), std::logic_error);
-  EXPECT_NO_THROW(Simulator(top, SimMode::kDense));
+  for (const bool as_output : {false, true}) {
+    Top top(&other.twice, as_output);
+    EXPECT_THROW(Simulator(top, SimMode::kLevel), std::logic_error);
+    EXPECT_NO_THROW(Simulator(top, SimMode::kDense));
+  }
 }
 
 TEST(RtlKernel, FallbackModuleCountReported) {
-  CombChain undeclared(nullptr);  // CombChain declares no sensitivity
-  Simulator sim(undeclared, SimMode::kEvent);
-  EXPECT_EQ(sim.fallback_modules(), 1u);
+  // CombChain declares neither inputs() nor drives(): the static schedule
+  // cannot rank it, so the design runs on the dense sweep and says why.
+  CombChain undeclared(nullptr);
+  Simulator sim(undeclared, SimMode::kLevel);
+  EXPECT_EQ(sim.requested_mode(), SimMode::kLevel);
+  EXPECT_EQ(sim.mode(), SimMode::kDense);
+  EXPECT_NE(sim.level_fallback_reason().find("'chain'"), std::string::npos)
+      << sim.level_fallback_reason();
+  EXPECT_NE(sim.level_fallback_reason().find("inputs()"), std::string::npos)
+      << sim.level_fallback_reason();
+  sim.run(3);
+  EXPECT_EQ(undeclared.plus1.read(), 7);
 }
 
 TEST(RtlKernel, EventModeDoesLessWorkOnDeclaredDesigns) {
@@ -280,10 +353,13 @@ TEST(RtlKernel, EventModeDoesLessWorkOnDeclaredDesigns) {
       out.write(static_cast<std::uint8_t>(stuck.read() + 1));
     }
     [[nodiscard]] Sensitivity inputs() const override { return {&stuck}; }
+    [[nodiscard]] Drives drives() const override { return {&out}; }
   };
   Declared top(nullptr);
-  Simulator sim(top, SimMode::kEvent);
+  Simulator sim(top, SimMode::kLevel);
+  ASSERT_EQ(sim.mode(), SimMode::kLevel) << sim.level_fallback_reason();
   const std::uint64_t after_reset = sim.evaluations();
+  EXPECT_EQ(after_reset, 1u);
   sim.run(100);
   EXPECT_EQ(sim.evaluations(), after_reset);  // no input ever changed
   EXPECT_EQ(top.out.read(), 1);
@@ -295,26 +371,46 @@ TEST(RtlKernel, EventModeDoesLessWorkOnDeclaredDesigns) {
   EXPECT_GT(dense.evaluations(), dense_reset);  // sweeps regardless
 }
 
+/// Copies a testbench-driven input wire to its output.
+class Follower final : public Module {
+ public:
+  explicit Follower(Module* parent)
+      : Module(parent, "f"), in(this, "in", 8), out(this, "out", 8) {}
+  Wire<std::uint8_t> in;
+  Wire<std::uint8_t> out;
+  void evaluate() override { out.write(in.read()); }
+  [[nodiscard]] Sensitivity inputs() const override { return {&in}; }
+  [[nodiscard]] Drives drives() const override { return {&out}; }
+};
+
 TEST(RtlKernel, ExternalWirePokeRetriggersDeclaredModule) {
-  // Testbenches drive input wires between steps; the event kernel must
+  // Testbenches drive input wires between steps; the static schedule must
   // pick the change up at the next settle exactly like the dense sweep.
-  class Follower final : public Module {
-   public:
-    explicit Follower(Module* parent)
-        : Module(parent, "f"), in(this, "in", 8), out(this, "out", 8) {}
-    Wire<std::uint8_t> in;
-    Wire<std::uint8_t> out;
-    void evaluate() override { out.write(in.read()); }
-    [[nodiscard]] Sensitivity inputs() const override { return {&in}; }
-  };
   Follower top(nullptr);
-  Simulator sim(top, SimMode::kEvent);
+  Simulator sim(top, SimMode::kLevel);
+  ASSERT_EQ(sim.mode(), SimMode::kLevel) << sim.level_fallback_reason();
   top.in.write(42);
   sim.step();
   EXPECT_EQ(top.out.read(), 42);
   top.in.write(7);
   sim.step();
   EXPECT_EQ(top.out.read(), 7);
+}
+
+TEST(RtlKernel, PokeWrittenBackBeforeTheStepIsNotAChange) {
+  // Activation compares values, not writes: an input poked and restored
+  // between two steps leaves its reader idle.
+  Follower top(nullptr);
+  Simulator sim(top, SimMode::kLevel);
+  const std::uint64_t after_reset = sim.evaluations();
+  top.in.write(42);
+  top.in.write(0);
+  sim.step();
+  EXPECT_EQ(sim.evaluations(), after_reset);
+  top.in.write(5);
+  sim.step();
+  EXPECT_EQ(sim.evaluations(), after_reset + 1);
+  EXPECT_EQ(top.out.read(), 5);
 }
 
 TEST(RtlKernel, SensitivityNoneModuleOnlyEvaluatesAtReset) {
@@ -331,14 +427,17 @@ TEST(RtlKernel, SensitivityNoneModuleOnlyEvaluatesAtReset) {
     [[nodiscard]] Sensitivity inputs() const override {
       return Sensitivity::none();
     }
+    [[nodiscard]] Drives drives() const override { return {&out}; }
   };
   Constant top(nullptr);
-  Simulator sim(top, SimMode::kEvent);
-  const int calls_at_reset = top.calls;
-  EXPECT_GE(calls_at_reset, 1);
+  Simulator sim(top, SimMode::kLevel);
+  ASSERT_EQ(sim.mode(), SimMode::kLevel) << sim.level_fallback_reason();
+  EXPECT_EQ(top.calls, 1);
   sim.run(50);
-  EXPECT_EQ(top.calls, calls_at_reset);
+  EXPECT_EQ(top.calls, 1);
   EXPECT_EQ(top.out.read(), 99);
+  sim.reset();
+  EXPECT_EQ(top.calls, 2);
 }
 
 // ---- SyncRam ----

@@ -409,24 +409,24 @@ TEST(Service, HardwareJobIdenticalUnderBothSimModes) {
   // the second job from the first's cache entry and prove nothing).
   core::EvolutionConfig config = base_config(7);
   config.backend = core::Backend::kHardware;
-  config.sim_mode = rtl::SimMode::kEvent;
+  config.sim_mode = rtl::SimMode::kLevel;
   core::EvolutionConfig dense_config = config;
   dense_config.sim_mode = rtl::SimMode::kDense;
 
-  EvolutionService event_service(1);
+  EvolutionService level_service(1);
   EvolutionService dense_service(1);
-  const core::EvolutionResult ev = event_service.submit(config).wait();
+  const core::EvolutionResult lv = level_service.submit(config).wait();
   const core::EvolutionResult de = dense_service.submit(dense_config).wait();
 
-  EXPECT_EQ(ev.best_genome, de.best_genome);
-  EXPECT_EQ(ev.best_fitness, de.best_fitness);
-  EXPECT_EQ(ev.generations, de.generations);
-  EXPECT_EQ(ev.clock_cycles, de.clock_cycles);
-  EXPECT_EQ(ev.evaluations, de.evaluations);
+  EXPECT_EQ(lv.best_genome, de.best_genome);
+  EXPECT_EQ(lv.best_fitness, de.best_fitness);
+  EXPECT_EQ(lv.generations, de.generations);
+  EXPECT_EQ(lv.clock_cycles, de.clock_cycles);
+  EXPECT_EQ(lv.evaluations, de.evaluations);
   // And because results are identical, the two modes sharing one cache
   // entry is correct: same service, different mode -> cache hit.
-  JobHandle cached = event_service.submit(dense_config);
-  EXPECT_EQ(cached.wait().best_genome, ev.best_genome);
+  JobHandle cached = level_service.submit(dense_config);
+  EXPECT_EQ(cached.wait().best_genome, lv.best_genome);
   EXPECT_TRUE(cached.from_cache());
 }
 
