@@ -22,12 +22,12 @@
 // software GA's throughput, leo_bench_ga_sw_generations_per_sec, times
 // core::evolve() over the software trials' seeds on one thread.
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
+#include "bench_args.hpp"
 #include "bench_harness.hpp"
 #include "core/evolution_engine.hpp"
 #include "core/experiment.hpp"
@@ -39,20 +39,6 @@ namespace leo::bench {
 const char* bench_name() { return "ga"; }
 
 namespace {
-
-/// Strict positive decimal count; false for empty, signed, non-numeric,
-/// trailing-garbage, out-of-range or zero input.
-bool parse_trials(const std::string& text, std::size_t& out) {
-  if (text.empty() ||
-      text.find_first_not_of("0123456789") != std::string::npos) {
-    return false;
-  }
-  errno = 0;
-  const unsigned long long value = std::strtoull(text.c_str(), nullptr, 10);
-  if (errno != 0 || value == 0) return false;
-  out = static_cast<std::size_t>(value);
-  return true;
-}
 
 /// Software generations per wall-clock second: sequential core::evolve()
 /// over seeds 1..trials, repeated until at least 0.25 s have elapsed.
@@ -77,12 +63,12 @@ double sw_generations_per_sec(const core::EvolutionConfig& config,
 
 int bench_run(const Options& options) {
   using namespace leo;
-  std::size_t sw_trials = options.iters ? options.iters : 100;
-  std::size_t hw_trials =
+  std::uint64_t sw_trials = options.iters ? options.iters : 100;
+  std::uint64_t hw_trials =
       options.iters ? std::max<std::uint64_t>(1, options.iters / 4) : 25;
   const auto& argv = options.args;
-  if ((argv.size() > 0 && !parse_trials(argv[0], sw_trials)) ||
-      (argv.size() > 1 && !parse_trials(argv[1], hw_trials)) ||
+  if ((argv.size() > 0 && !parse_count(argv[0], sw_trials)) ||
+      (argv.size() > 1 && !parse_count(argv[1], hw_trials)) ||
       argv.size() > 3) {
     std::fprintf(stderr,
                  "usage: bench_convergence [--iters N] [--out PATH] "

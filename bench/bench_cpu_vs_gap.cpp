@@ -10,9 +10,12 @@
 //   3. the exhaustive 1-genome/cycle pipeline (from E2, for reference).
 //
 //   ./bench_cpu_vs_gap [trials]
+//
+// The trial count is a positive integer; anything else prints usage and
+// exits with status 2.
 #include <cstdio>
-#include <cstdlib>
 
+#include "bench_args.hpp"
 #include "cpu/firmware.hpp"
 #include "cpu/mcu.hpp"
 #include "gap/gap_top.hpp"
@@ -22,8 +25,13 @@
 
 int main(int argc, char** argv) {
   using namespace leo;
-  const std::uint64_t trials =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 0) : 15;
+  std::uint64_t trials = 15;
+  if ((argc > 1 && !bench::parse_count(argv[1], trials)) || argc > 2) {
+    std::fprintf(stderr,
+                 "usage: bench_cpu_vs_gap [trials]\n"
+                 "  the trial count is a positive integer\n");
+    return 2;
+  }
 
   std::printf("E9 — the same GA on evolvable hardware vs on a processor "
               "(both at 1 MHz)\n\n");

@@ -11,10 +11,13 @@
 // against the measured cycle counts of the RTL GAP.
 //
 //   ./bench_ga_vs_exhaustive [hw-trials]
+//
+// The trial count is a positive integer; anything else prints usage and
+// exits with status 2.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 
+#include "bench_args.hpp"
 #include "core/experiment.hpp"
 #include "fitness/landscape.hpp"
 #include "ga/baselines.hpp"
@@ -22,8 +25,13 @@
 
 int main(int argc, char** argv) {
   using namespace leo;
-  const std::size_t hw_trials =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 0) : 15;
+  std::uint64_t hw_trials = 15;
+  if ((argc > 1 && !bench::parse_count(argv[1], hw_trials)) || argc > 2) {
+    std::fprintf(stderr,
+                 "usage: bench_ga_vs_exhaustive [hw-trials]\n"
+                 "  the trial count is a positive integer\n");
+    return 2;
+  }
 
   std::printf("E2 — GA vs exhaustive search at the paper's 1 MHz clock\n\n");
 

@@ -21,13 +21,13 @@
 // (nonzero exit) if the two kernels disagree on any evolved genome,
 // fitness, generation count, or cycle count — the bench doubles as an
 // end-to-end equivalence check.
-#include <cerrno>
 #include <chrono>
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
+#include "bench_args.hpp"
 #include "bench_harness.hpp"
 #include "gap/gap_top.hpp"
 #include "obs/metrics.hpp"
@@ -54,20 +54,6 @@ constexpr rtl::SimMode kModes[] = {rtl::SimMode::kLevel, rtl::SimMode::kDense};
 constexpr const char* kModeNames[] = {"level", "dense"};
 constexpr std::size_t kModeCount = 2;
 
-/// Strict positive decimal count; false for empty, signed, non-numeric,
-/// trailing-garbage, out-of-range or zero input.
-bool parse_seeds(const std::string& text, std::uint64_t& out) {
-  if (text.empty() ||
-      text.find_first_not_of("0123456789") != std::string::npos) {
-    return false;
-  }
-  errno = 0;
-  const unsigned long long value = std::strtoull(text.c_str(), nullptr, 10);
-  if (errno != 0 || value == 0) return false;
-  out = value;
-  return true;
-}
-
 RunResult run_gap(std::uint64_t seed, rtl::SimMode mode) {
   gap::GapParams params;
   gap::GapTop top(nullptr, "gap", params, seed);
@@ -90,7 +76,7 @@ RunResult run_gap(std::uint64_t seed, rtl::SimMode mode) {
 
 int bench_run(const Options& options) {
   std::uint64_t seeds = options.iters ? options.iters : 8;
-  if ((!options.args.empty() && !parse_seeds(options.args[0], seeds)) ||
+  if ((!options.args.empty() && !parse_count(options.args[0], seeds)) ||
       options.args.size() > 1) {
     std::fprintf(stderr,
                  "usage: bench_rtl_sim [--iters N] [--out PATH] [--no-json] "

@@ -124,12 +124,11 @@ void print_job_line(std::uint64_t local_id, const serve::JobHandle& job) {
 
 void print_cache_stats(const serve::EvolutionService& service) {
   const serve::CacheStats s = service.cache_stats();
-  std::printf("cache: %llu hits, %llu misses, %zu entries (cap %zu, "
-              "%zu shards), %llu evictions\n",
+  std::printf("cache: %llu hits, %llu misses, %zu entries (cap %zu), "
+              "%llu evictions\n",
               static_cast<unsigned long long>(s.hits),
               static_cast<unsigned long long>(s.misses), s.entries,
-              s.capacity, s.shards,
-              static_cast<unsigned long long>(s.evictions));
+              s.capacity, static_cast<unsigned long long>(s.evictions));
 }
 
 /// Interactive job service: a tiny line-oriented REPL over an
@@ -137,13 +136,13 @@ void print_cache_stats(const serve::EvolutionService& service) {
 /// With a telemetry path, metric snapshots and structured log events
 /// stream to that file as JSON lines while the service runs.
 int cmd_serve(std::size_t threads, const std::string& telemetry_path) {
-  serve::TelemetryOptions telemetry;
+  serve::ServiceOptions service_options{.threads = threads};
   if (!telemetry_path.empty()) {
-    telemetry.sink = std::make_shared<obs::JsonLinesSink>(telemetry_path);
-    telemetry.capture_logs = true;
+    service_options.telemetry =
+        std::make_shared<obs::JsonLinesSink>(telemetry_path);
     std::printf("streaming telemetry to %s\n", telemetry_path.c_str());
   }
-  serve::EvolutionService service(threads, telemetry);
+  serve::EvolutionService service(service_options);
   std::map<std::uint64_t, serve::JobHandle> jobs;
   std::uint64_t next_id = 1;
 

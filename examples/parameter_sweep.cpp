@@ -42,10 +42,9 @@ int main(int argc, char** argv) {
   base.max_generations = 200'000;
 
   // Explicit fleet sizing: the whole sweep fits the cache (every row is a
-  // distinct (config, seed) point), sharded for concurrent trial batches.
+  // distinct (config, seed) point).
   serve::ServiceOptions options;
   options.cache_capacity = 4096;
-  options.cache_shards = 8;
   serve::EvolutionService service(options);
 
   std::printf("GA parameter sweep (%zu trials per point; paper's operating "
@@ -94,12 +93,12 @@ int main(int argc, char** argv) {
 
   const serve::CacheStats cache = service.cache_stats();
   std::printf("\nresult cache: %llu hits, %llu misses, %zu/%zu entries, "
-              "%zu shards, %llu evictions\n"
+              "%llu evictions\n"
               "(the * rows are one config — evolved once, cached %llu "
               "times)\n",
               static_cast<unsigned long long>(cache.hits),
               static_cast<unsigned long long>(cache.misses), cache.entries,
-              cache.capacity, cache.shards,
+              cache.capacity,
               static_cast<unsigned long long>(cache.evictions),
               static_cast<unsigned long long>(cache.hits));
   std::printf("(The paper's point — pop 32 / 0.8 / 0.7 / 15 — sits in the "

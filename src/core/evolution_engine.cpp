@@ -66,25 +66,21 @@ EvolutionResult evolve_hardware(const EvolutionConfig& config,
       (gen_limit + 2) * params.population_size * 40;
   auto done = [&] { return top.done.read(); };
 
-  if (!control.should_stop && !control.on_progress) {
-    sim.run_until(done, max_cycles);
-  } else {
-    // Run in sub-generation slices so cancellation and progress hooks are
-    // serviced promptly. Slicing does not perturb the simulation: the done
-    // predicate is still checked every cycle, so the stop cycle — and
-    // therefore every reported number — matches the unsliced run.
-    const std::uint64_t slice =
-        std::max<std::uint64_t>(std::uint64_t{params.population_size} * 4, 64);
-    std::uint64_t last_gen = ~std::uint64_t{0};
-    while (sim.cycles() < max_cycles) {
-      const std::uint64_t budget = max_cycles - sim.cycles();
-      if (sim.run_until(done, std::min(slice, budget))) break;
-      if (control.on_progress && top.generation() != last_gen) {
-        last_gen = top.generation();
-        control.on_progress(last_gen, top.best_fitness());
-      }
-      if (control.should_stop && control.should_stop()) break;
+  // Run in sub-generation slices so cancellation and progress hooks are
+  // serviced promptly. Slicing does not perturb the simulation: the done
+  // predicate is still checked every cycle, so the stop cycle — and
+  // therefore every reported number — matches one unsliced run_until().
+  const std::uint64_t slice =
+      std::max<std::uint64_t>(std::uint64_t{params.population_size} * 4, 64);
+  std::uint64_t last_gen = ~std::uint64_t{0};
+  while (sim.cycles() < max_cycles) {
+    const std::uint64_t budget = max_cycles - sim.cycles();
+    if (sim.run_until(done, std::min(slice, budget))) break;
+    if (control.on_progress && top.generation() != last_gen) {
+      last_gen = top.generation();
+      control.on_progress(last_gen, top.best_fitness());
     }
+    if (control.should_stop && control.should_stop()) break;
   }
 
   record_gap_run(top, sim.cycles());
@@ -164,10 +160,6 @@ EvolutionResult evolve(const EvolutionConfig& config,
     return EvolutionSession(config).run(control);
   }
   return evolve_hardware(config, control);
-}
-
-EvolutionResult evolve(const EvolutionConfig& config) {
-  return evolve(config, RunControl{});
 }
 
 }  // namespace leo::core

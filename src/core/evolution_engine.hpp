@@ -66,13 +66,10 @@ struct RunControl {
 };
 
 /// Runs one evolution to the spec's maximum fitness (or the backend
-/// params' target). Deterministic in (config.seed, config contents).
-[[nodiscard]] EvolutionResult evolve(const EvolutionConfig& config);
-
-/// As above, under cooperative control. With a default-constructed control
-/// this is identical to evolve(config).
+/// params' target), or until `control` stops it. Deterministic in
+/// (config.seed, config contents).
 [[nodiscard]] EvolutionResult evolve(const EvolutionConfig& config,
-                                     const RunControl& control);
+                                     const RunControl& control = {});
 
 /// A suspendable software-backend evolution. Unlike the fire-and-forget
 /// evolve(), the engine state (population, best, counters) and the RNG

@@ -1,69 +1,38 @@
 #include "serve/cache.hpp"
 
-#include <algorithm>
-
 #include "obs/metrics.hpp"
 
 namespace leo::serve {
 
-namespace {
-
-std::size_t pow2_shards(std::size_t requested) {
-  std::size_t p = 1;
-  while (p < std::max<std::size_t>(1, requested)) p <<= 1;
-  return p;
-}
-
-}  // namespace
-
-ResultCache::ResultCache(std::size_t capacity, std::size_t shards)
-    : capacity_(capacity),
-      per_shard_capacity_(
-          capacity == 0 ? 0
-                        : std::max<std::size_t>(
-                              1, (capacity + pow2_shards(shards) - 1) /
-                                     pow2_shards(shards))),
-      shards_(pow2_shards(shards)) {}
-
-ResultCache::Shard& ResultCache::shard_for(std::uint64_t key) noexcept {
-  // Keys are FNV-1a hashes already; fold the high half in so either half
-  // alone can't bias shard choice.
-  const std::uint64_t mixed = key ^ (key >> 32);
-  return shards_[mixed & (shards_.size() - 1)];
-}
-
 std::optional<core::EvolutionResult> ResultCache::lookup(std::uint64_t key) {
-  Shard& shard = shard_for(key);
-  const std::scoped_lock lock(shard.mutex);
-  const auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
-    ++shard.misses;
+  const std::scoped_lock lock(mutex_);
+  const auto it = index_.find(key);
+  if (it == index_.end()) {
+    ++misses_;
     return std::nullopt;
   }
-  ++shard.hits;
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);  // refresh
+  ++hits_;
+  lru_.splice(lru_.begin(), lru_, it->second);  // refresh
   return it->second->second;
 }
 
 void ResultCache::insert(std::uint64_t key,
                          const core::EvolutionResult& result) {
-  Shard& shard = shard_for(key);
   std::uint64_t evicted = 0;
   {
-    const std::scoped_lock lock(shard.mutex);
-    const auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
+    const std::scoped_lock lock(mutex_);
+    const auto it = index_.find(key);
+    if (it != index_.end()) {
       it->second->second = result;
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+      lru_.splice(lru_.begin(), lru_, it->second);
       return;
     }
-    shard.lru.emplace_front(key, result);
-    shard.index.emplace(key, shard.lru.begin());
-    while (per_shard_capacity_ != 0 &&
-           shard.index.size() > per_shard_capacity_) {
-      shard.index.erase(shard.lru.back().first);
-      shard.lru.pop_back();
-      ++shard.evictions;
+    lru_.emplace_front(key, result);
+    index_.emplace(key, lru_.begin());
+    while (capacity_ != 0 && index_.size() > capacity_) {
+      index_.erase(lru_.back().first);
+      lru_.pop_back();
+      ++evictions_;
       ++evicted;
     }
   }
@@ -73,34 +42,23 @@ void ResultCache::insert(std::uint64_t key,
 }
 
 CacheStats ResultCache::stats() const {
-  CacheStats stats;
-  stats.capacity = capacity_;
-  stats.shards = shards_.size();
-  for (const Shard& shard : shards_) {
-    const std::scoped_lock lock(shard.mutex);
-    stats.hits += shard.hits;
-    stats.misses += shard.misses;
-    stats.entries += shard.index.size();
-    stats.evictions += shard.evictions;
-  }
-  return stats;
+  const std::scoped_lock lock(mutex_);
+  return CacheStats{.hits = hits_,
+                    .misses = misses_,
+                    .entries = index_.size(),
+                    .evictions = evictions_,
+                    .capacity = capacity_};
 }
 
 std::size_t ResultCache::size() const {
-  std::size_t total = 0;
-  for (const Shard& shard : shards_) {
-    const std::scoped_lock lock(shard.mutex);
-    total += shard.index.size();
-  }
-  return total;
+  const std::scoped_lock lock(mutex_);
+  return index_.size();
 }
 
 void ResultCache::clear() {
-  for (Shard& shard : shards_) {
-    const std::scoped_lock lock(shard.mutex);
-    shard.lru.clear();
-    shard.index.clear();
-  }
+  const std::scoped_lock lock(mutex_);
+  lru_.clear();
+  index_.clear();
 }
 
 }  // namespace leo::serve

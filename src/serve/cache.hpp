@@ -9,12 +9,12 @@
 // config.max_generations exhausted) are inserted; budget-suspended or
 // cancelled partial results never pollute the cache.
 //
-// Capacity and contention (fleet scale): the map is sharded N ways by key
-// hash — concurrent sweeps hit disjoint shard mutexes instead of
-// serializing on one — and each shard keeps an LRU list so the cache is
-// capacity-bounded: at most ~capacity entries total (capacity/shards per
-// shard), least-recently-used evicted first. Evictions are counted in
-// CacheStats and in the `leo_serve_cache_evictions_total` counter.
+// Capacity: one LRU list plus an index under one mutex, so `capacity` is
+// an exact bound on the total entry count; the least-recently-used entry
+// is evicted first. The service already looks the cache up under its own
+// admission mutex, so a finer lock would buy nothing. Evictions are
+// counted in CacheStats and in the `leo_serve_cache_evictions_total`
+// counter.
 #pragma once
 
 #include <cstddef>
@@ -24,7 +24,6 @@
 #include <optional>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "core/evolution_engine.hpp"
 
@@ -36,59 +35,42 @@ struct CacheStats {
   std::size_t entries = 0;
   std::uint64_t evictions = 0;
   std::size_t capacity = 0;  ///< total entry cap (0 = unbounded)
-  std::size_t shards = 1;
 };
 
-/// Thread-safe, sharded, capacity-bounded LRU map from config key to
+/// Thread-safe, capacity-bounded LRU map from config key to
 /// EvolutionResult, with hit/miss/eviction accounting.
 class ResultCache {
  public:
   static constexpr std::size_t kDefaultCapacity = 4096;
-  static constexpr std::size_t kDefaultShards = 8;
 
-  /// `capacity` caps total entries (0 = unbounded; per shard the cap is
-  /// ceil(capacity/shards), so the effective total can round up slightly).
-  /// `shards` is rounded up to a power of two (min 1).
-  explicit ResultCache(std::size_t capacity = kDefaultCapacity,
-                       std::size_t shards = kDefaultShards);
+  /// `capacity` caps the total entry count exactly (0 = unbounded).
+  explicit ResultCache(std::size_t capacity = kDefaultCapacity)
+      : capacity_(capacity) {}
 
   /// Returns the cached result for `key`, counting a hit or miss. A hit
   /// refreshes the entry's LRU position.
   [[nodiscard]] std::optional<core::EvolutionResult> lookup(std::uint64_t key);
 
   /// Inserts (or overwrites — results are deterministic, so any overwrite
-  /// is a no-op in value) the result for `key`, evicting the shard's
-  /// least-recently-used entry if the shard is at capacity.
+  /// is a no-op in value) the result for `key`, evicting the
+  /// least-recently-used entry if the cache is at capacity.
   void insert(std::uint64_t key, const core::EvolutionResult& result);
 
   [[nodiscard]] CacheStats stats() const;
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] std::size_t shard_count() const noexcept {
-    return shards_.size();
-  }
   void clear();
 
  private:
-  /// One lock domain: LRU list (front = most recent) plus an index into
-  /// it. All counters are per shard and summed by stats().
-  struct Shard {
-    mutable std::mutex mutex;
-    std::list<std::pair<std::uint64_t, core::EvolutionResult>> lru;
-    std::unordered_map<
-        std::uint64_t,
-        std::list<std::pair<std::uint64_t, core::EvolutionResult>>::iterator>
-        index;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-  };
+  using Entry = std::pair<std::uint64_t, core::EvolutionResult>;
 
-  [[nodiscard]] Shard& shard_for(std::uint64_t key) noexcept;
-
-  const std::size_t capacity_;
-  const std::size_t per_shard_capacity_;  ///< 0 = unbounded
-  std::vector<Shard> shards_;
+  const std::size_t capacity_;  ///< 0 = unbounded
+  mutable std::mutex mutex_;
+  std::list<Entry> lru_;  ///< front = most recently used
+  std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+  std::uint64_t evictions_ = 0;
 };
 
 }  // namespace leo::serve

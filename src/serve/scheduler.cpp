@@ -1,6 +1,7 @@
 #include "serve/scheduler.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <exception>
 #include <stdexcept>
 #include <string>
@@ -68,27 +69,26 @@ void count_terminal(JobState state) {
   }
 }
 
+/// Period of the metrics flusher a service with a telemetry sink runs.
+constexpr std::chrono::seconds kTelemetryFlushPeriod{1};
+
+constexpr const char* kShedError =
+    "shed by admission control (queue full, policy=shed)";
+
 }  // namespace
 
 EvolutionService::EvolutionService(std::size_t threads)
     : EvolutionService(ServiceOptions{.threads = threads}) {}
 
-EvolutionService::EvolutionService(std::size_t threads,
-                                   TelemetryOptions telemetry)
-    : EvolutionService(
-          ServiceOptions{.threads = threads, .telemetry = std::move(telemetry)}) {}
-
 EvolutionService::EvolutionService(const ServiceOptions& options)
     : max_queue_depth_(options.max_queue_depth),
       admission_(options.admission),
-      cache_(options.cache_capacity, options.cache_shards),
+      cache_(options.cache_capacity),
       pool_(options.threads) {
-  if (options.telemetry.sink) {
-    if (options.telemetry.capture_logs) {
-      log_hook_id_ = obs::attach_log_sink(options.telemetry.sink);
-    }
-    flusher_ = std::make_unique<obs::PeriodicFlusher>(
-        options.telemetry.sink, options.telemetry.flush_period);
+  if (options.telemetry) {
+    log_hook_id_ = obs::attach_log_sink(options.telemetry);
+    flusher_ = std::make_unique<obs::PeriodicFlusher>(options.telemetry,
+                                                      kTelemetryFlushPeriod);
   }
 }
 
@@ -134,9 +134,23 @@ BatchHandle EvolutionService::submit_batch(const std::vector<BatchItem>& items) 
 
 JobHandle EvolutionService::submit_one(
     const core::EvolutionConfig& config, JobOptions options,
-    std::shared_ptr<detail::BatchState> batch) {
+    std::shared_ptr<detail::BatchState> batch,
+    std::optional<Snapshot> resume_from) {
   const std::uint64_t key = config_key(config);
-  if (obs::enabled()) ServeMetrics::get().submitted.inc();
+  // Resumed jobs never coalesce, hit the cache or register in inflight_:
+  // their start state is a snapshot, not the config's generation zero, so
+  // a fresh submission of the same config must not share their outcome.
+  const bool fresh = !resume_from;
+  if (obs::enabled()) {
+    (fresh ? ServeMetrics::get().submitted : ServeMetrics::get().resumed).inc();
+  }
+  // Called once, on whichever path hands the job back; requires mutex_.
+  const auto make_job = [&] {
+    auto job = std::make_shared<detail::Job>(next_id_++, config, options, key);
+    job->batch = std::move(batch);
+    job->resume_from = std::move(resume_from);
+    return job;
+  };
 
   std::unique_lock lock(mutex_);
   bool cache_counted = false;  // obs hit/miss counted once per submission
@@ -145,7 +159,7 @@ JobHandle EvolutionService::submit_one(
       throw std::runtime_error("EvolutionService: submit after shutdown");
     }
 
-    if (options.use_cache) {
+    if (fresh && options.use_cache) {
       // Coalesce with an identical in-flight execution. Same cache key and
       // same generation budget means the same deterministic run, so the
       // follower can simply share the primary's outcome — the in-flight
@@ -154,22 +168,18 @@ JobHandle EvolutionService::submit_one(
       // run concurrent duplicates to completion.
       if (const auto it = inflight_.find(key); it != inflight_.end()) {
         if (const auto primary = it->second.lock()) {
-          bool attached = false;
           std::shared_ptr<detail::Job> follower;
           {
             const std::scoped_lock primary_lock(primary->mutex);
             if (!is_terminal(primary->state) && primary->options.use_cache &&
                 primary->options.generation_budget ==
                     options.generation_budget) {
-              follower = std::make_shared<detail::Job>(next_id_++, config,
-                                                       options, key);
+              follower = make_job();
               follower->coalesced = true;
-              follower->batch = std::move(batch);
               primary->followers.push_back(follower);
-              attached = true;
             }
           }
-          if (attached) {
+          if (follower) {
             if (obs::enabled()) ServeMetrics::get().coalesced.inc();
             return JobHandle(std::move(follower));
           }
@@ -182,21 +192,13 @@ JobHandle EvolutionService::submit_one(
         if (obs::enabled() && !cache_counted) {
           ServeMetrics::get().cache_hits.inc();
         }
-        auto job =
-            std::make_shared<detail::Job>(next_id_++, config, options, key);
-        job->batch = std::move(batch);
-        {
-          const std::scoped_lock job_lock(job->mutex);
-          job->progress.store(
-              detail::pack_progress(cached->generations, cached->best_fitness),
-              std::memory_order_release);
-          job->result = std::move(*cached);
-          job->from_cache = true;
-          job->enter_terminal_locked(
-              JobState::kSucceeded,
-              completions_.fetch_add(1, std::memory_order_relaxed) + 1);
-        }
-        count_terminal(JobState::kSucceeded);
+        auto job = make_job();  // not yet shared: no lock needed to fill it
+        job->progress.store(
+            detail::pack_progress(cached->generations, cached->best_fitness),
+            std::memory_order_release);
+        job->result = std::move(*cached);
+        job->from_cache = true;
+        terminate(*job, JobState::kSucceeded);
         return JobHandle(std::move(job));
       }
       if (obs::enabled() && !cache_counted) ServeMetrics::get().cache_misses.inc();
@@ -207,28 +209,18 @@ JobHandle EvolutionService::submit_one(
     if (admission_ != AdmissionPolicy::kBlock) {
       // kShed decided to shed the incoming job: hand back an already
       // rejected handle instead of growing the queue.
-      auto job =
-          std::make_shared<detail::Job>(next_id_++, config, options, key);
-      job->batch = std::move(batch);
-      {
-        const std::scoped_lock job_lock(job->mutex);
-        job->error = "shed by admission control (queue full, policy=shed)";
-        job->enter_terminal_locked(
-            JobState::kRejected,
-            completions_.fetch_add(1, std::memory_order_relaxed) + 1);
-      }
-      count_terminal(JobState::kRejected);
+      auto job = make_job();
+      terminate(*job, JobState::kRejected, kShedError);
       return JobHandle(std::move(job));
     }
     // kBlock woke up: loop to re-check shutdown, coalescing and the cache
     // (the identical job may have completed while we were waiting).
   }
 
-  auto job = std::make_shared<detail::Job>(next_id_++, config, options, key);
-  job->batch = std::move(batch);
+  auto job = make_job();
   queue_.push_back(job);
   std::push_heap(queue_.begin(), queue_.end(), heap_less);
-  if (options.use_cache) inflight_[key] = job;
+  if (fresh && options.use_cache) inflight_[key] = job;
   live_jobs_.push_back(job);
   if (live_jobs_.size() >= 64 && live_jobs_.size() >= 2 * live_jobs_floor_) {
     compact_live_jobs_locked();
@@ -279,26 +271,8 @@ bool EvolutionService::admit_locked(std::unique_lock<std::mutex>& lock,
         ServeMetrics::get().queue_depth.set(
             static_cast<double>(queue_.size()));
       }
-      if (const auto it = inflight_.find(victim->cache_key);
-          it != inflight_.end()) {
-        if (it->second.lock() == victim) inflight_.erase(it);
-      }
-      std::vector<std::shared_ptr<detail::Job>> followers;
-      bool marked = false;
-      {
-        const std::scoped_lock victim_lock(victim->mutex);
-        if (victim->state == JobState::kQueued) {
-          victim->error = "shed by admission control (queue full, policy=shed)";
-          followers = std::move(victim->followers);
-          victim->followers.clear();
-          victim->enter_terminal_locked(
-              JobState::kRejected,
-              completions_.fetch_add(1, std::memory_order_relaxed) + 1);
-          marked = true;
-        }
-      }
-      if (marked) count_terminal(JobState::kRejected);
-      detail::complete_followers(std::move(followers), *victim, &completions_);
+      forget_inflight_locked(*victim);
+      terminate(*victim, JobState::kRejected, kShedError);
       return true;
     }
   }
@@ -316,53 +290,7 @@ JobHandle EvolutionService::resume(const Snapshot& snapshot,
     throw std::invalid_argument(
         "EvolutionService::resume: snapshot key mismatch");
   }
-  std::shared_ptr<detail::Job> job;
-  {
-    const std::scoped_lock lock(mutex_);
-    if (shutting_down_) {
-      throw std::runtime_error("EvolutionService: resume after shutdown");
-    }
-    job = std::make_shared<detail::Job>(next_id_++, snapshot.config, options,
-                                        snapshot.config_key);
-  }
-  if (obs::enabled()) ServeMetrics::get().resumed.inc();
-  job->resume_from = snapshot;
-  return enqueue(std::move(job));
-}
-
-JobHandle EvolutionService::enqueue(std::shared_ptr<detail::Job> job) {
-  {
-    std::unique_lock lock(mutex_);
-    for (;;) {
-      if (shutting_down_) {
-        throw std::runtime_error("EvolutionService: submit after shutdown");
-      }
-      if (admit_locked(lock, job->options)) break;
-      if (admission_ != AdmissionPolicy::kBlock) {
-        const std::scoped_lock job_lock(job->mutex);
-        job->error = "shed by admission control (queue full, policy=shed)";
-        job->enter_terminal_locked(
-            JobState::kRejected,
-            completions_.fetch_add(1, std::memory_order_relaxed) + 1);
-        count_terminal(JobState::kRejected);
-        return JobHandle(std::move(job));
-      }
-    }
-    // Resumed jobs are deliberately NOT registered in inflight_: their
-    // start state is a snapshot, not the config's generation zero, so a
-    // fresh submission of the same config must not share their outcome.
-    queue_.push_back(job);
-    std::push_heap(queue_.begin(), queue_.end(), heap_less);
-    live_jobs_.push_back(job);
-    if (live_jobs_.size() >= 64 && live_jobs_.size() >= 2 * live_jobs_floor_) {
-      compact_live_jobs_locked();
-    }
-    if (obs::enabled()) {
-      ServeMetrics::get().queue_depth.set(static_cast<double>(queue_.size()));
-    }
-  }
-  pool_.submit([this] { run_next(); });
-  return JobHandle(std::move(job));
+  return submit_one(snapshot.config, options, nullptr, snapshot);
 }
 
 void EvolutionService::compact_live_jobs_locked() {
@@ -419,143 +347,119 @@ void EvolutionService::run_next() {
 
 void EvolutionService::run_job(detail::Job& job) {
   try {
-    if (job.config.backend == core::Backend::kSoftware) {
-      run_software_job(job);
-    } else {
-      run_hardware_job(job);
-    }
-  } catch (const std::exception& e) {
-    {
-      const std::scoped_lock lock(job.mutex);
-      job.error = e.what();
-    }
-    finish(job, JobState::kFailed);
-  }
-}
+    const bool software = job.config.backend == core::Backend::kSoftware;
+    core::RunControl control;
+    control.generation_budget = job.options.generation_budget;
+    // Only a software session stops for a checkpoint request: the RTL
+    // simulator's state cannot be captured, so a hardware run ignores it.
+    control.should_stop = [&job, software] {
+      return job.cancel_requested.load(std::memory_order_relaxed) ||
+             (software &&
+              job.checkpoint_requested.load(std::memory_order_relaxed));
+    };
+    control.on_progress = [&job](std::uint64_t generation, unsigned best) {
+      // Lock-free publication; see detail::pack_progress.
+      job.progress.store(detail::pack_progress(generation, best),
+                         std::memory_order_release);
+    };
 
-void EvolutionService::run_software_job(detail::Job& job) {
-  core::EvolutionSession session =
-      job.resume_from
-          ? core::EvolutionSession(job.config, job.resume_from->state,
-                                   job.resume_from->rng_state)
-          : core::EvolutionSession(job.config);
-
-  core::RunControl control;
-  control.generation_budget = job.options.generation_budget;
-  control.should_stop = [&job] {
-    return job.cancel_requested.load(std::memory_order_relaxed) ||
-           job.checkpoint_requested.load(std::memory_order_relaxed);
-  };
-  control.on_progress = [&job](std::uint64_t generation, unsigned best) {
-    // Lock-free publication; see detail::pack_progress.
-    job.progress.store(detail::pack_progress(generation, best),
-                       std::memory_order_release);
-  };
-
-  core::EvolutionResult result;
-  for (;;) {
-    result = session.run(control);
-    // A checkpoint request stops the run at the next generation boundary;
-    // capture the state, then keep running — checkpoints do not perturb
-    // the evolution (same engine state, same RNG stream).
-    if (job.checkpoint_requested.load(std::memory_order_relaxed)) {
-      const Snapshot snap = make_snapshot(session);
-      if (obs::enabled()) ServeMetrics::get().checkpoints.inc();
-      {
+    core::EvolutionResult result;
+    if (software) {
+      core::EvolutionSession session =
+          job.resume_from
+              ? core::EvolutionSession(job.config, job.resume_from->state,
+                                       job.resume_from->rng_state)
+              : core::EvolutionSession(job.config);
+      // Publishes the session's state and wakes checkpoint() waiters.
+      const auto capture = [&job, &session] {
+        const Snapshot snap = make_snapshot(session);
+        if (obs::enabled()) ServeMetrics::get().checkpoints.inc();
         const std::scoped_lock lock(job.mutex);
         job.snapshot = snap;
         ++job.snapshot_seq;
         job.checkpoint_requested.store(false, std::memory_order_relaxed);
         job.cv.notify_all();
+      };
+      for (;;) {
+        result = session.run(control);
+        // A checkpoint request stops the run at the next generation
+        // boundary; capture the state, then keep running — checkpoints do
+        // not perturb the evolution (same engine state, same RNG stream).
+        if (!job.checkpoint_requested.load(std::memory_order_relaxed)) break;
+        capture();
+        const bool budget_hit = job.options.generation_budget != 0 &&
+                                result.generations >=
+                                    job.options.generation_budget;
+        if (result.reached_target ||
+            job.cancel_requested.load(std::memory_order_relaxed) ||
+            budget_hit || result.generations >= job.config.max_generations) {
+          break;
+        }
       }
-      const bool budget_hit = job.options.generation_budget != 0 &&
-                              result.generations >=
-                                  job.options.generation_budget;
-      if (!result.reached_target &&
-          !job.cancel_requested.load(std::memory_order_relaxed) &&
-          !budget_hit && result.generations < job.config.max_generations) {
-        continue;
-      }
+      // Leave the final state behind so suspended/cancelled jobs can be
+      // resumed and succeeded jobs can seed warm starts.
+      capture();
+    } else {
+      result = core::evolve(job.config, control);
     }
-    break;
-  }
 
-  // Leave the final state behind so suspended/cancelled jobs can be
-  // resumed and succeeded jobs can seed warm starts.
-  {
-    const Snapshot snap = make_snapshot(session);
-    if (obs::enabled()) ServeMetrics::get().checkpoints.inc();
-    const std::scoped_lock lock(job.mutex);
-    job.snapshot = snap;
-    ++job.snapshot_seq;
-    job.result = result;
-    job.progress.store(
-        detail::pack_progress(result.generations, result.best_fitness),
-        std::memory_order_release);
-  }
+    {
+      const std::scoped_lock lock(job.mutex);
+      job.result = result;
+      job.progress.store(
+          detail::pack_progress(result.generations, result.best_fitness),
+          std::memory_order_release);
+    }
 
-  JobState state = JobState::kSucceeded;
-  if (job.cancel_requested.load(std::memory_order_relaxed)) {
-    state = JobState::kCancelled;
-  } else if (!result.reached_target &&
-             result.generations < job.config.max_generations) {
-    state = JobState::kSuspended;  // stopped by the generation budget
-  }
+    JobState state = JobState::kSucceeded;
+    if (job.cancel_requested.load(std::memory_order_relaxed)) {
+      state = JobState::kCancelled;
+    } else if (software) {
+      if (!result.reached_target &&
+          result.generations < job.config.max_generations) {
+        state = JobState::kSuspended;  // stopped by the generation budget
+      }
+    } else if (!result.reached_target && job.options.generation_budget != 0 &&
+               result.generations >= job.options.generation_budget) {
+      // The RTL simulator's state is not serializable, so a budget-stopped
+      // hardware run has no snapshot and cannot resume: an honest terminal
+      // state instead of a kSuspended that resume() would reject.
+      state = JobState::kBudgetExhausted;
+    }
 
-  if (state == JobState::kSucceeded && job.options.use_cache) {
-    // Inserted BEFORE the inflight_ entry is erased in finish(), so a
-    // concurrent identical submit always sees one of the two.
-    cache_.insert(job.cache_key, result);
+    if (state == JobState::kSucceeded && job.options.use_cache) {
+      // Inserted BEFORE the inflight_ entry is erased in finish(), so a
+      // concurrent identical submit always sees one of the two.
+      cache_.insert(job.cache_key, result);
+    }
+    finish(job, state);
+  } catch (const std::exception& e) {
+    finish(job, JobState::kFailed, e.what());
   }
-  finish(job, state);
 }
 
-void EvolutionService::run_hardware_job(detail::Job& job) {
-  core::RunControl control;
-  control.generation_budget = job.options.generation_budget;
-  control.should_stop = [&job] {
-    return job.cancel_requested.load(std::memory_order_relaxed);
-  };
-  control.on_progress = [&job](std::uint64_t generation, unsigned best) {
-    job.progress.store(detail::pack_progress(generation, best),
-                       std::memory_order_release);
-  };
-
-  const core::EvolutionResult result = core::evolve(job.config, control);
-  {
-    const std::scoped_lock lock(job.mutex);
-    job.result = result;
-    job.progress.store(
-        detail::pack_progress(result.generations, result.best_fitness),
-        std::memory_order_release);
+void EvolutionService::forget_inflight_locked(const detail::Job& job) {
+  if (const auto it = inflight_.find(job.cache_key); it != inflight_.end()) {
+    if (it->second.lock().get() == &job) inflight_.erase(it);
   }
-
-  JobState state = JobState::kSucceeded;
-  if (job.cancel_requested.load(std::memory_order_relaxed)) {
-    state = JobState::kCancelled;
-  } else if (!result.reached_target && job.options.generation_budget != 0 &&
-             result.generations >= job.options.generation_budget) {
-    // The RTL simulator's state is not serializable, so a budget-stopped
-    // hardware run has no snapshot and cannot resume: an honest terminal
-    // state instead of a kSuspended that resume() would reject.
-    state = JobState::kBudgetExhausted;
-  }
-  if (state == JobState::kSucceeded && job.options.use_cache) {
-    cache_.insert(job.cache_key, result);
-  }
-  finish(job, state);
 }
 
-void EvolutionService::finish(detail::Job& job, JobState state) {
+void EvolutionService::finish(detail::Job& job, JobState state,
+                              std::string error) {
   {
     const std::scoped_lock lock(mutex_);
-    if (const auto it = inflight_.find(job.cache_key); it != inflight_.end()) {
-      if (it->second.lock().get() == &job) inflight_.erase(it);
-    }
+    forget_inflight_locked(job);
   }
+  terminate(job, state, std::move(error));
+}
+
+void EvolutionService::terminate(detail::Job& job, JobState state,
+                                 std::string error) {
   std::vector<std::shared_ptr<detail::Job>> followers;
   {
     const std::scoped_lock lock(job.mutex);
+    if (is_terminal(job.state)) return;
+    if (!error.empty()) job.error = std::move(error);
     followers = std::move(job.followers);
     job.followers.clear();
     job.enter_terminal_locked(

@@ -25,15 +25,21 @@
 //     generation boundary and resumed — bit-identical to an uninterrupted
 //     run — in this service, another service, or another process
 //     (serve::save_snapshot / load_snapshot);
-//   * a deterministic, capacity-bounded, sharded LRU result cache keyed
-//     by serve::config_key (see serve/cache.hpp).
+//   * a deterministic, capacity-bounded LRU result cache keyed by
+//     serve::config_key (see serve/cache.hpp).
+//
+// Every submission — submit(), submit_batch() and resume() — goes through
+// one admission path (submit_one), and every queued job through one
+// runner (run_job) that differs per backend only in how the run is driven
+// and which state an early stop maps to.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -46,17 +52,6 @@
 #include "util/thread_pool.hpp"
 
 namespace leo::serve {
-
-/// Continuous telemetry export for a service. When `sink` is set the
-/// service owns an obs::PeriodicFlusher that snapshots the global metrics
-/// registry into it every `flush_period`, plus a final flush at shutdown;
-/// `capture_logs` additionally forwards util::log records to the sink as
-/// structured events for the service's lifetime.
-struct TelemetryOptions {
-  std::shared_ptr<obs::TelemetrySink> sink;
-  std::chrono::milliseconds flush_period{1000};
-  bool capture_logs = false;
-};
 
 /// What submit() does when the queue is at max_queue_depth.
 enum class AdmissionPolicy : std::uint8_t {
@@ -85,10 +80,13 @@ struct ServiceOptions {
   /// even at capacity.
   std::size_t max_queue_depth = 0;
   AdmissionPolicy admission = AdmissionPolicy::kBlock;
-  /// Result-cache entry cap (0 = unbounded) and shard count.
+  /// Result-cache entry cap (0 = unbounded).
   std::size_t cache_capacity = ResultCache::kDefaultCapacity;
-  std::size_t cache_shards = ResultCache::kDefaultShards;
-  TelemetryOptions telemetry{};
+  /// Continuous telemetry export. When set, the service snapshots the
+  /// global metrics registry into the sink every second and once more at
+  /// shutdown, and forwards util::log records to it as structured events
+  /// for the service's lifetime.
+  std::shared_ptr<obs::TelemetrySink> telemetry{};
 };
 
 /// Scheduling order: higher priority first, then submission (id) order.
@@ -99,9 +97,6 @@ class EvolutionService {
  public:
   /// `threads == 0` uses all hardware threads.
   explicit EvolutionService(std::size_t threads = 0);
-
-  /// As above, with continuous telemetry export (see TelemetryOptions).
-  EvolutionService(std::size_t threads, TelemetryOptions telemetry);
 
   /// Full control: admission policy, queue bound, cache sizing, telemetry.
   explicit EvolutionService(const ServiceOptions& options);
@@ -143,23 +138,31 @@ class EvolutionService {
   [[nodiscard]] std::size_t live_jobs_size() const;
 
  private:
+  /// The one admission path. A fresh submission (no `resume_from`)
+  /// first coalesces onto an identical in-flight job or hits the cache; a
+  /// resume skips both and is never registered in flight. Then the
+  /// admission policy applies and the job is queued.
   JobHandle submit_one(const core::EvolutionConfig& config, JobOptions options,
-                       std::shared_ptr<detail::BatchState> batch);
+                       std::shared_ptr<detail::BatchState> batch,
+                       std::optional<Snapshot> resume_from = std::nullopt);
   /// Applies the admission policy while holding `lock`. Returns true if
   /// the caller may enqueue; false means "shed the incoming job" (kShed
-  /// only). May block (kBlock) or throw (kReject / shutdown).
+  /// only). May block (kBlock) or throw (kReject).
   bool admit_locked(std::unique_lock<std::mutex>& lock,
                     const JobOptions& options);
-  /// Removes the lowest-scheduled queued job and completes it kRejected.
-  /// Requires `mutex_` held; returns false if the queue was empty.
-  bool shed_lowest_locked();
-  JobHandle enqueue(std::shared_ptr<detail::Job> job);
   void compact_live_jobs_locked();
   void run_next();
   void run_job(detail::Job& job);
-  void run_software_job(detail::Job& job);
-  void run_hardware_job(detail::Job& job);
-  void finish(detail::Job& job, JobState state);
+  /// Erases the in-flight entry for `job`'s key if it maps to `job`.
+  /// Requires `mutex_` held.
+  void forget_inflight_locked(const detail::Job& job);
+  /// Moves `job` into terminal `state` (recording `error` if non-empty),
+  /// stamps its completion index, and completes its coalesced followers
+  /// with the same outcome. A job already terminal — cancelled through its
+  /// handle — is left as it is.
+  void terminate(detail::Job& job, JobState state, std::string error = {});
+  /// Erases the job's in-flight entry, then terminate()s it.
+  void finish(detail::Job& job, JobState state, std::string error = {});
 
   mutable std::mutex mutex_;
   std::condition_variable admission_cv_;

@@ -1,11 +1,12 @@
 // Tests for the evolution service: config keys, checkpoint round trips,
-// the deterministic result cache (sharded LRU), batch submission,
+// the deterministic result cache (one LRU), batch submission,
 // admission backpressure, in-flight coalescing, and job scheduling/
 // cancellation.
 #include "serve/scheduler.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <mutex>
@@ -20,6 +21,7 @@
 #include "serve/checkpoint.hpp"
 #include "serve/config_hash.hpp"
 #include "serve/trials.hpp"
+#include "util/log.hpp"
 
 namespace leo::serve {
 namespace {
@@ -631,6 +633,67 @@ TEST(Service, DestructorCancelsOutstandingJobs) {
   EXPECT_TRUE(is_terminal(job.state()));
 }
 
+/// Records everything a service exports to it.
+class RecordingSink : public obs::TelemetrySink {
+ public:
+  void on_snapshot(const obs::MetricsSnapshot& snapshot) override {
+    const std::scoped_lock lock(mutex_);
+    snapshots_.push_back(snapshot);
+  }
+  void on_log(const obs::LogEvent& event) override {
+    const std::scoped_lock lock(mutex_);
+    logs_.push_back(event.message);
+  }
+  std::vector<obs::MetricsSnapshot> snapshots() const {
+    const std::scoped_lock lock(mutex_);
+    return snapshots_;
+  }
+  std::vector<std::string> logs() const {
+    const std::scoped_lock lock(mutex_);
+    return logs_;
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::vector<obs::MetricsSnapshot> snapshots_;
+  std::vector<std::string> logs_;
+};
+
+bool contains(const std::vector<std::string>& lines, const std::string& text) {
+  return std::find(lines.begin(), lines.end(), text) != lines.end();
+}
+
+TEST(Service, TelemetrySinkGetsLogsWhileAliveAndAFinalSnapshot) {
+  auto sink = std::make_shared<RecordingSink>();
+  std::uint64_t succeeded = 0;
+  {
+    ServiceOptions options;
+    options.threads = 1;
+    options.telemetry = sink;
+    EvolutionService service(options);
+    util::log_warn("serve-test", "probe while alive");
+    EXPECT_TRUE(contains(sink->logs(), "probe while alive"));
+
+    JobOptions no_cache;
+    no_cache.use_cache = false;
+    JobHandle job = service.submit(base_config(7), no_cache);
+    (void)job.wait();
+    EXPECT_EQ(job.state(), JobState::kSucceeded);
+    succeeded = counter_value("leo_serve_jobs_succeeded_total");
+  }
+  // The log hook goes with the service...
+  util::log_warn("serve-test", "probe after shutdown");
+  EXPECT_FALSE(contains(sink->logs(), "probe after shutdown"));
+  // ...and its last act is a final snapshot that saw the job finish.
+  const std::vector<obs::MetricsSnapshot> snapshots = sink->snapshots();
+  ASSERT_FALSE(snapshots.empty());
+  const auto& counters = snapshots.back().counters;
+  const auto it = counters.find("leo_serve_jobs_succeeded_total");
+  ASSERT_NE(it, counters.end());
+  EXPECT_GE(it->second, succeeded);
+  EXPECT_GE(succeeded, 1u);
+}
+
 // ---- progress snapshots ------------------------------------------------
 
 TEST(Progress, PackUnpackRoundTrip) {
@@ -759,6 +822,37 @@ TEST(Service, HardwareBudgetStopIsTerminalWithoutSnapshot) {
   EXPECT_THROW((void)job.checkpoint(), std::runtime_error);
   // The partial result never pollutes the deterministic cache.
   EXPECT_EQ(service.cache_stats().entries, 0u);
+}
+
+/// A checkpoint() on a running hardware job cannot be served — the RTL
+/// state is not serializable — so it throws once the job ends. The request
+/// must not stop the run either: the job still finishes exactly as
+/// core::evolve does. (A software run, by contrast, does stop at the next
+/// generation boundary to take the snapshot.)
+TEST(Service, CheckpointOfRunningHardwareJobThrowsWithoutStoppingIt) {
+  core::EvolutionConfig config = base_config(424242);
+  config.backend = core::Backend::kHardware;
+  // No crossover, no mutation: the run never converges and takes its whole
+  // (bounded) cycle budget, so the checkpoint request lands mid-run.
+  config.gap.mutations_per_generation = 0;
+  config.gap.crossover_threshold = util::Prob8::from_double(0.0);
+  config.max_generations = 500;
+  const core::EvolutionResult direct = core::evolve(config);
+
+  EvolutionService service(1);
+  JobOptions options;
+  options.use_cache = false;
+  JobHandle job = service.submit(config, options);
+  while (job.progress().generation == 0) std::this_thread::yield();
+
+  EXPECT_THROW((void)job.checkpoint(), std::runtime_error);
+  EXPECT_EQ(job.state(), JobState::kSucceeded);
+  EXPECT_FALSE(job.snapshot().has_value());
+  const core::EvolutionResult served = job.wait();
+  EXPECT_EQ(served.generations, direct.generations);
+  EXPECT_EQ(served.best_genome, direct.best_genome);
+  EXPECT_EQ(served.best_fitness, direct.best_fitness);
+  EXPECT_EQ(served.clock_cycles, direct.clock_cycles);
 }
 
 // ---- in-flight coalescing ----------------------------------------------
@@ -1142,6 +1236,91 @@ TEST(Admission, ShedPolicyEvictsLowestPriorityAndBoundsTheQueue) {
   EXPECT_EQ(c.state(), JobState::kSuspended);
 }
 
+/// A resume() goes through the same admission path as submit(): at a full
+/// queue, kReject throws the typed error.
+TEST(Admission, ResumeAtFullQueueFollowsRejectPolicy) {
+  const Snapshot snap = make_snapshot(core::EvolutionSession(stuck_config()));
+  ServiceOptions opts;
+  opts.threads = 1;
+  opts.max_queue_depth = 2;
+  opts.admission = AdmissionPolicy::kReject;
+  EvolutionService service(opts);
+
+  JobOptions blocker_opts;
+  blocker_opts.use_cache = false;
+  blocker_opts.generation_budget = 100'000'000;
+  JobHandle blocker = service.submit(stuck_config(), blocker_opts);
+  while (blocker.state() == JobState::kQueued) std::this_thread::yield();
+
+  JobOptions queued_opts;
+  queued_opts.use_cache = false;
+  queued_opts.generation_budget = 50;
+  JobHandle q1 = service.resume(snap, queued_opts);
+  JobHandle q2 = service.submit(stuck_config(), queued_opts);
+  EXPECT_EQ(service.queue_depth(), 2u);
+
+  const std::uint64_t rejected0 =
+      counter_value("leo_serve_admission_rejected_total");
+  EXPECT_THROW((void)service.resume(snap, queued_opts), QueueFullError);
+  EXPECT_EQ(counter_value("leo_serve_admission_rejected_total") - rejected0,
+            1u);
+  EXPECT_EQ(service.queue_depth(), 2u);
+
+  blocker.cancel();
+  (void)blocker.wait();
+  (void)q1.wait();
+  (void)q2.wait();
+  EXPECT_EQ(q1.state(), JobState::kSuspended);
+  EXPECT_EQ(service.queue_depth(), 0u);
+}
+
+/// Under kShed a resume is ranked like any submission: a lower-priority
+/// resume is shed itself, a higher-priority one sheds the lowest queued job.
+TEST(Admission, ShedPolicyRanksResumesLikeSubmissions) {
+  const Snapshot snap = make_snapshot(core::EvolutionSession(stuck_config()));
+  ServiceOptions opts;
+  opts.threads = 1;
+  opts.max_queue_depth = 2;
+  opts.admission = AdmissionPolicy::kShed;
+  EvolutionService service(opts);
+
+  JobOptions blocker_opts;
+  blocker_opts.use_cache = false;
+  blocker_opts.generation_budget = 100'000'000;
+  blocker_opts.priority = 99;
+  JobHandle blocker = service.submit(stuck_config(), blocker_opts);
+  while (blocker.state() == JobState::kQueued) std::this_thread::yield();
+
+  JobOptions lo, mid, hi;
+  lo.use_cache = mid.use_cache = hi.use_cache = false;
+  lo.generation_budget = mid.generation_budget = hi.generation_budget = 50;
+  lo.priority = 1;
+  mid.priority = 5;
+  hi.priority = 9;
+  JobHandle a = service.submit(stuck_config(), mid);
+  JobHandle b = service.submit(stuck_config(), mid);
+  EXPECT_EQ(service.queue_depth(), 2u);
+
+  JobHandle shed = service.resume(snap, lo);
+  EXPECT_EQ(shed.state(), JobState::kRejected);
+  EXPECT_THROW((void)shed.wait(), std::runtime_error);
+  EXPECT_FALSE(shed.error().empty());
+  EXPECT_EQ(a.state(), JobState::kQueued);
+  EXPECT_EQ(b.state(), JobState::kQueued);
+
+  JobHandle resumed = service.resume(snap, hi);
+  EXPECT_NE(resumed.state(), JobState::kRejected);
+  EXPECT_EQ(b.state(), JobState::kRejected);  // last in schedule order
+  EXPECT_EQ(service.queue_depth(), 2u);
+
+  blocker.cancel();
+  (void)blocker.wait();
+  (void)a.wait();
+  (void)resumed.wait();
+  EXPECT_EQ(a.state(), JobState::kSuspended);
+  EXPECT_EQ(resumed.state(), JobState::kSuspended);
+}
+
 // ---- live-job bookkeeping (the unbounded-growth regression) -------------
 
 /// live_jobs_ used to grow by one weak_ptr per submission for the life of
@@ -1170,7 +1349,7 @@ TEST(Service, LiveJobsBookkeepingStaysBoundedUnderSweepTraffic) {
   EXPECT_EQ(service.queue_depth(), 0u);
 }
 
-// ---- sharded LRU result cache ------------------------------------------
+// ---- LRU result cache --------------------------------------------------
 
 core::EvolutionResult fake_result(std::uint64_t tag) {
   core::EvolutionResult result;
@@ -1180,9 +1359,8 @@ core::EvolutionResult fake_result(std::uint64_t tag) {
 }
 
 TEST(CacheLRU, EvictsLeastRecentlyUsedFirst) {
-  ResultCache cache(2, 1);
+  ResultCache cache(2);
   EXPECT_EQ(cache.capacity(), 2u);
-  EXPECT_EQ(cache.shard_count(), 1u);
 
   cache.insert(1, fake_result(1));
   cache.insert(2, fake_result(2));
@@ -1197,11 +1375,10 @@ TEST(CacheLRU, EvictsLeastRecentlyUsedFirst) {
   EXPECT_EQ(stats.entries, 2u);
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_EQ(stats.capacity, 2u);
-  EXPECT_EQ(stats.shards, 1u);
 }
 
 TEST(CacheLRU, OverwriteRefreshesInsteadOfEvicting) {
-  ResultCache cache(2, 1);
+  ResultCache cache(2);
   cache.insert(1, fake_result(1));
   cache.insert(2, fake_result(2));
   cache.insert(1, fake_result(1));  // overwrite: refresh, no eviction
@@ -1211,17 +1388,37 @@ TEST(CacheLRU, OverwriteRefreshesInsteadOfEvicting) {
   EXPECT_TRUE(cache.lookup(1).has_value());
 }
 
-TEST(CacheLRU, ShardedStatsStayConsistentUnderSweep) {
-  ResultCache cache(64, 8);
-  EXPECT_EQ(cache.shard_count(), 8u);
-  // Spread keys like real config hashes so all shards participate.
+/// `capacity` bounds the whole cache exactly. The keys share their low
+/// bits, so a cache split by key hash would put them all in one partition
+/// and evict long before the total reaches the cap.
+TEST(CacheLRU, CapacityIsAGlobalExactBound) {
+  ResultCache cache(8);
+  const auto key = [](std::uint64_t i) { return i * 8; };
+  for (std::uint64_t i = 0; i < 8; ++i) cache.insert(key(i), fake_result(i));
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  EXPECT_EQ(cache.size(), 8u);
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    EXPECT_TRUE(cache.lookup(key(i)).has_value()) << "key " << key(i);
+  }
+
+  cache.insert(key(8), fake_result(8));  // evicts key(0), looked up first
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.entries, 8u);
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_FALSE(cache.lookup(key(0)).has_value());
+  EXPECT_TRUE(cache.lookup(key(8)).has_value());
+}
+
+TEST(CacheLRU, StatsStayConsistentUnderSweep) {
+  ResultCache cache(64);
+  // Spread keys like real config hashes.
   const auto key = [](std::uint64_t i) { return i * 0x9E3779B97F4A7C15ull; };
 
   constexpr std::uint64_t kKeys = 200;
   for (std::uint64_t i = 0; i < kKeys; ++i) cache.insert(key(i), fake_result(i));
 
   CacheStats stats = cache.stats();
-  EXPECT_LE(stats.entries, 64u);
+  EXPECT_EQ(stats.entries, 64u);
   EXPECT_EQ(stats.entries + stats.evictions, kKeys)
       << "every insert either grew the cache or evicted exactly one entry";
   EXPECT_EQ(cache.size(), stats.entries);
@@ -1241,7 +1438,7 @@ TEST(CacheLRU, ShardedStatsStayConsistentUnderSweep) {
 }
 
 TEST(CacheLRU, ClearRacesLookupAndInsertWithoutCorruption) {
-  ResultCache cache(128, 4);
+  ResultCache cache(128);
   std::atomic<bool> stop{false};
   constexpr std::uint64_t kInserts = 30'000;
 
