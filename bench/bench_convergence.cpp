@@ -30,8 +30,8 @@
 #include "bench_args.hpp"
 #include "bench_harness.hpp"
 #include "core/evolution_engine.hpp"
-#include "core/experiment.hpp"
 #include "obs/metrics.hpp"
+#include "serve/trials.hpp"
 #include "util/csv.hpp"
 
 namespace leo::bench {
@@ -82,18 +82,18 @@ int bench_run(const Options& options) {
 
   core::EvolutionConfig sw;
   sw.backend = core::Backend::kSoftware;
-  const core::TrialSummary sw_sum = core::run_trials(sw, sw_trials, 1);
+  const serve::TrialSummary sw_sum = serve::run_trials(sw, sw_trials, 1);
   std::printf("software GA (%zu trials):\n  %s\n", sw_trials,
-              core::describe(sw_sum).c_str());
+              serve::describe(sw_sum).c_str());
   const double sw_gens_per_sec = sw_generations_per_sec(sw, sw_trials);
   std::printf("  throughput: %.0f generations/s (one thread)\n\n",
               sw_gens_per_sec);
 
   core::EvolutionConfig hw;
   hw.backend = core::Backend::kHardware;
-  const core::TrialSummary hw_sum = core::run_trials(hw, hw_trials, 1);
+  const serve::TrialSummary hw_sum = serve::run_trials(hw, hw_trials, 1);
   std::printf("hardware GAP, cycle-accurate RTL (%zu trials):\n  %s\n\n",
-              hw_trials, core::describe(hw_sum).c_str());
+              hw_trials, serve::describe(hw_sum).c_str());
 
   std::printf("paper-reported        : ~2000 generations (~64,000 "
               "evaluations), ~10 min at 1 MHz\n");

@@ -9,17 +9,27 @@
 // thousands of evaluations.
 //
 //   ./bench_fitness_landscape [samples]
+//
+// The sample count is a positive integer; anything else prints usage and
+// exits with status 2.
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
+#include <string>
 
+#include "bench_args.hpp"
 #include "fitness/landscape.hpp"
 #include "genome/gait_genome.hpp"
 #include "util/rng.hpp"
 
 int main(int argc, char** argv) {
   using namespace leo;
-  const std::uint64_t samples =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 0) : 2'000'000;
+  std::uint64_t samples = 2'000'000;
+  if ((argc > 1 && !bench::parse_count(argv[1], samples)) || argc > 2) {
+    std::fprintf(stderr,
+                 "usage: bench_fitness_landscape [samples]\n"
+                 "  the sample count is a positive integer\n");
+    return 2;
+  }
 
   std::printf("E6 — fitness landscape over 2^36 = %llu genomes\n\n",
               static_cast<unsigned long long>(genome::kSearchSpace));

@@ -18,10 +18,10 @@
 #include <cstdio>
 
 #include "bench_args.hpp"
-#include "core/experiment.hpp"
 #include "fitness/landscape.hpp"
 #include "ga/baselines.hpp"
 #include "genome/gait_genome.hpp"
+#include "serve/trials.hpp"
 
 int main(int argc, char** argv) {
   using namespace leo;
@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
   // --- the GA on the real hardware model ---
   core::EvolutionConfig hw;
   hw.backend = core::Backend::kHardware;
-  const core::TrialSummary sum = core::run_trials(hw, hw_trials, 1);
+  const serve::TrialSummary sum = serve::run_trials(hw, hw_trials, 1);
   const double ga_s = sum.clock_cycles.mean() / 1e6;
 
   std::printf("method                    time @ 1 MHz          vs GA\n");

@@ -10,9 +10,12 @@
 // cycles. Quality = forward distance / ideal, zeroed by falls.
 //
 //   ./bench_gait_quality [evolved-seeds] [csv-path]
+//
+// The seed count is a positive integer; anything else, or a third
+// argument, prints usage and exits with status 2.
 #include <cstdio>
-#include <cstdlib>
 
+#include "bench_args.hpp"
 #include "core/evolution_engine.hpp"
 #include "fitness/rules.hpp"
 #include "genome/gait_analysis.hpp"
@@ -51,7 +54,7 @@ void print_row(const Row& row) {
                   static_cast<double>(row.n));
 }
 
-genome::GaitGenome random_rule_optimum(util::RandomSource& rng) {
+genome::GaitGenome random_rule_optimum(util::Xoshiro256& rng) {
   for (;;) {
     genome::GaitGenome g =
         genome::GaitGenome::from_bits(rng.next_u64() & genome::kGenomeMask);
@@ -67,8 +70,13 @@ genome::GaitGenome random_rule_optimum(util::RandomSource& rng) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t evolved_n =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 0) : 50;
+  std::uint64_t evolved_n = 50;
+  if ((argc > 1 && !bench::parse_count(argv[1], evolved_n)) || argc > 3) {
+    std::fprintf(stderr,
+                 "usage: bench_gait_quality [evolved-seeds] [csv-path]\n"
+                 "  the seed count is a positive integer\n");
+    return 2;
+  }
 
   std::printf("E4 — walk quality on the quasi-static Leonardo model "
               "(10 cycles, ideal %.3f m)\n\n", 19 * 0.04);
@@ -111,7 +119,7 @@ int main(int argc, char** argv) {
   Row evolved_row{"GA-evolved (paper rules)"};
   Row evolved_r4{"GA-evolved (+R4 support)"};
   std::array<std::size_t, 5> class_counts{};
-  for (std::size_t s = 0; s < evolved_n; ++s) {
+  for (std::uint64_t s = 0; s < evolved_n; ++s) {
     core::EvolutionConfig c;
     c.seed = 5000 + s;
     const core::EvolutionResult r = core::evolve(c);

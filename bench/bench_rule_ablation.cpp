@@ -11,9 +11,9 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/experiment.hpp"
 #include "genome/gait_genome.hpp"
 #include "robot/walker.hpp"
+#include "serve/trials.hpp"
 #include "util/stats.hpp"
 
 namespace {
@@ -24,7 +24,7 @@ void run_spec(const char* label, const fitness::FitnessSpec& spec,
               std::size_t trials, std::uint64_t base_seed) {
   core::EvolutionConfig config;
   config.spec = spec;
-  const core::TrialSummary sum = core::run_trials(config, trials, base_seed);
+  const serve::TrialSummary sum = serve::run_trials(config, trials, base_seed);
 
   robot::Walker walker(robot::kLeonardoConfig, robot::flat_terrain());
   util::RunningStats quality;

@@ -16,9 +16,9 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/experiment.hpp"
 #include "genome/gait_genome.hpp"
 #include "robot/walker.hpp"
+#include "serve/trials.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -48,7 +48,7 @@ void run_weighting(const char* label, unsigned w1, unsigned w2, unsigned w3,
   // (b) convergence + quality of evolved optima.
   core::EvolutionConfig config;
   config.spec = spec;
-  const core::TrialSummary sum = core::run_trials(config, trials, 9000);
+  const serve::TrialSummary sum = serve::run_trials(config, trials, 9000);
   util::RunningStats quality;
   for (const auto& run : sum.runs) {
     if (!run.reached_target) continue;

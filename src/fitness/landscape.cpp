@@ -67,7 +67,7 @@ double max_fitness_density() {
 
 double expected_random_draws_to_max() { return 1.0 / max_fitness_density(); }
 
-LandscapeSample sample_landscape(std::uint64_t n, util::RandomSource& rng,
+LandscapeSample sample_landscape(std::uint64_t n, util::Xoshiro256& rng,
                                  const FitnessSpec& spec) {
   LandscapeSample sample(spec);
   const unsigned max = spec.max_score();

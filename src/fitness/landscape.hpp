@@ -47,7 +47,7 @@ struct LandscapeSample {
 
 /// Scores `n` uniform random genomes.
 [[nodiscard]] LandscapeSample sample_landscape(std::uint64_t n,
-                                               util::RandomSource& rng,
+                                               util::Xoshiro256& rng,
                                                const FitnessSpec& spec = kDefaultSpec);
 
 }  // namespace leo::fitness

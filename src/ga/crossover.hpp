@@ -8,7 +8,7 @@
 //
 // The operators form a closed set (the Crossover variant): each is a
 // concrete class whose apply(a, b, width, rng) produces two children from
-// two `width`-bit parents, drawing from the concrete Xoshiro256 so
+// two `width`-bit parents, drawing from util::Xoshiro256 so
 // GaEngine's generation loop inlines it. apply() throws
 // std::invalid_argument unless width is in [2, 64] and both parents fit
 // in it.

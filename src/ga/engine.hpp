@@ -12,7 +12,7 @@
 // GaParams carries the paper's defaults.
 //
 // Like the GAP's fixed datapath, the loop has no dispatch per draw or per
-// pair: the engine draws from the concrete util::Xoshiro256, and its
+// pair: the engine draws from util::Xoshiro256 (inline draws), and its
 // operators are values of the closed Selection/Crossover/Mutation
 // variants, resolved by one std::visit per generation into a single
 // templated loop body in which every operator call inlines.

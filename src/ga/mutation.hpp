@@ -8,7 +8,7 @@
 // The operators form a closed set (the Mutation variant): each is a
 // concrete class whose apply(pop, width, rng) mutates the `width`-bit
 // genomes of the population in place (fitness values become stale),
-// drawing from the concrete Xoshiro256 so GaEngine's generation loop
+// drawing from util::Xoshiro256 so GaEngine's generation loop
 // inlines it. apply() throws std::invalid_argument unless width is in
 // [1, 64].
 #pragma once

@@ -8,7 +8,7 @@
 //
 // The operators form a closed set (the Selection variant): each is a
 // concrete class whose select(pop, rng) returns the index of the selected
-// parent, drawing from the concrete Xoshiro256 so GaEngine's generation
+// parent, drawing from util::Xoshiro256 so GaEngine's generation
 // loop inlines it.
 #pragma once
 

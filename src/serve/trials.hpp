@@ -7,9 +7,6 @@
 // admission/coalescing/caching path as the serve CLI; results are
 // deterministic in (base_seed, n) regardless of scheduling (each trial's
 // RNG depends only on its own seed).
-//
-// core/experiment.hpp aliases these names into leo::core for existing
-// callers.
 #pragma once
 
 #include <cstdint>

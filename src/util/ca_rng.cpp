@@ -24,14 +24,4 @@ CaRng CaRng::make_hortensius16(std::uint64_t seed) {
   return CaRng(16, kHortensius16Rule, seed);
 }
 
-std::uint64_t CaRng::next_u64() {
-  std::uint64_t out = 0;
-  unsigned filled = 0;
-  while (filled < 64) {
-    out |= step() << filled;
-    filled += width_;
-  }
-  return out;
-}
-
 }  // namespace leo::util

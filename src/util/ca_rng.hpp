@@ -13,22 +13,21 @@
 // with null (zero) boundary conditions. For specific rule assignments the
 // CA is a maximal-length sequence generator: its state cycles through all
 // 2^n - 1 nonzero states (Hortensius et al., IEEE Trans. CAD, 1989). We
-// ship an exhaustively verified maximal hybrid for n = 16; wider random
-// words are produced by tapping successive CA states, exactly as the
-// hardware does.
+// ship an exhaustively verified maximal hybrid for n = 16. Each clock
+// yields one fresh word (the whole next state), from which the GAP's
+// operators slice their random fields.
 //
 // This class is the bit-exact software twin of the RTL module
 // gap::CaRngModule; tests assert that the two produce identical streams.
+// A draw is step(), one inline CA clock; the RTL twin clocks the same
+// next_state().
 #pragma once
 
 #include <cstdint>
-#include <vector>
-
-#include "util/rng.hpp"
 
 namespace leo::util {
 
-class CaRng final : public RandomSource {
+class CaRng final {
  public:
   /// Builds a hybrid 90/150 CA. `rule150_mask` bit i set means cell i uses
   /// rule 150, clear means rule 90. Null boundaries. `seed` must leave the
@@ -63,11 +62,6 @@ class CaRng final : public RandomSource {
 
   [[nodiscard]] std::uint64_t state() const noexcept { return state_; }
   [[nodiscard]] unsigned width() const noexcept { return width_; }
-
-  /// RandomSource: concatenates CA steps to fill 64 bits. Each step
-  /// contributes `width` fresh bits (the whole next state), matching how
-  /// the hardware taps the cell array in parallel.
-  std::uint64_t next_u64() override;
 
  private:
   unsigned width_;

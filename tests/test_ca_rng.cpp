@@ -71,19 +71,6 @@ TEST(CaRng, BitBalanceOverPeriod) {
   }
 }
 
-TEST(CaRng, NextU64FillsAllBits) {
-  util::CaRng ca = util::CaRng::make_hortensius16(77);
-  std::uint64_t acc_or = 0;
-  std::uint64_t acc_and = ~std::uint64_t{0};
-  for (int i = 0; i < 64; ++i) {
-    const std::uint64_t v = ca.next_u64();
-    acc_or |= v;
-    acc_and &= v;
-  }
-  EXPECT_EQ(acc_or, ~std::uint64_t{0});
-  EXPECT_EQ(acc_and, 0u);
-}
-
 TEST(CaRngModule, BitExactWithSoftwareModel) {
   // The RTL module must replay the software stream cycle for cycle.
   gap::CaRngModule hw(nullptr, "rng", 0xBEEF);

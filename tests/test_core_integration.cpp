@@ -4,10 +4,10 @@
 
 #include <gtest/gtest.h>
 
-#include "core/experiment.hpp"
 #include "fitness/rules.hpp"
 #include "genome/gait_genome.hpp"
 #include "robot/walker.hpp"
+#include "serve/trials.hpp"
 
 namespace leo::core {
 namespace {
@@ -133,7 +133,7 @@ TEST(EndToEnd, SupportRuleExtensionImprovesWalkQuality) {
 
 TEST(Experiment, RunTrialsAggregates) {
   EvolutionConfig config;
-  const TrialSummary s = run_trials(config, 8, 500, 2);
+  const serve::TrialSummary s = serve::run_trials(config, 8, 500, 2);
   EXPECT_EQ(s.trials, 8u);
   EXPECT_EQ(s.runs.size(), 8u);
   EXPECT_EQ(s.reached_target, 8u);
@@ -143,8 +143,8 @@ TEST(Experiment, RunTrialsAggregates) {
 
 TEST(Experiment, TrialsAreSeedDeterministicAcrossThreadCounts) {
   EvolutionConfig config;
-  const TrialSummary a = run_trials(config, 6, 900, 1);
-  const TrialSummary b = run_trials(config, 6, 900, 4);
+  const serve::TrialSummary a = serve::run_trials(config, 6, 900, 1);
+  const serve::TrialSummary b = serve::run_trials(config, 6, 900, 4);
   for (std::size_t i = 0; i < 6; ++i) {
     EXPECT_EQ(a.runs[i].best_genome, b.runs[i].best_genome);
     EXPECT_EQ(a.runs[i].generations, b.runs[i].generations);
@@ -153,8 +153,8 @@ TEST(Experiment, TrialsAreSeedDeterministicAcrossThreadCounts) {
 
 TEST(Experiment, DescribeMentionsKeyNumbers) {
   EvolutionConfig config;
-  const TrialSummary s = run_trials(config, 4, 42, 2);
-  const std::string text = describe(s);
+  const serve::TrialSummary s = serve::run_trials(config, 4, 42, 2);
+  const std::string text = serve::describe(s);
   EXPECT_NE(text.find("4/4"), std::string::npos);
   EXPECT_NE(text.find("generations mean="), std::string::npos);
 }

@@ -309,7 +309,7 @@ TEST(ConfigLoader, ResetRestreamsAndReprogramTakesEffect) {
 TEST(ConfigLoader, ArbitraryPayloadWidths) {
   util::Xoshiro256 rng(9);
   for (const std::size_t width : {1u, 7u, 16u, 17u, 33u, 48u}) {
-    const util::BitVec payload = rng.next_bits(width);
+    const util::BitVec payload(width, rng.next_u64());
     ConfigLoader loader(nullptr, "boot", pack_frame(payload));
     rtl::Simulator sim(loader);
     sim.run(32 + width + 16 + 2);

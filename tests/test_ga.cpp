@@ -22,7 +22,7 @@ constexpr std::uint64_t kMask36 = genome_mask(36);
 bool bit(std::uint64_t genome, std::size_t i) { return (genome >> i) & 1; }
 
 /// A uniform random 36-bit genome (one next_u64() draw).
-std::uint64_t random_genome(util::RandomSource& rng) {
+std::uint64_t random_genome(util::Xoshiro256& rng) {
   return rng.next_u64() & kMask36;
 }
 

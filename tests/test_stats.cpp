@@ -12,6 +12,11 @@
 namespace leo::util {
 namespace {
 
+/// Uniform double in [0, 1) with 53 bits of precision.
+double unit_double(Xoshiro256& rng) {
+  return static_cast<double>(rng.next_u64() >> 11) * 0x1.0p-53;
+}
+
 TEST(RunningStats, EmptyIsZero) {
   const RunningStats s;
   EXPECT_EQ(s.count(), 0u);
@@ -44,7 +49,7 @@ TEST(RunningStats, MergeMatchesSequential) {
   RunningStats left;
   RunningStats right;
   for (int i = 0; i < 1000; ++i) {
-    const double x = rng.next_double() * 100.0 - 20.0;
+    const double x = unit_double(rng) * 100.0 - 20.0;
     whole.add(x);
     (i % 2 == 0 ? left : right).add(x);
   }
@@ -134,7 +139,7 @@ TEST(Correlation, IndependentSamplesNearZero) {
   Xoshiro256 rng(42);
   Correlation c;
   for (int i = 0; i < 20'000; ++i) {
-    c.add(rng.next_double(), rng.next_double());
+    c.add(unit_double(rng), unit_double(rng));
   }
   EXPECT_NEAR(c.r(), 0.0, 0.03);
 }
@@ -154,8 +159,8 @@ TEST(Confidence95, ShrinksWithSampleSize) {
   Xoshiro256 rng(5);
   RunningStats small;
   RunningStats large;
-  for (int i = 0; i < 10; ++i) small.add(rng.next_double());
-  for (int i = 0; i < 1000; ++i) large.add(rng.next_double());
+  for (int i = 0; i < 10; ++i) small.add(unit_double(rng));
+  for (int i = 0; i < 1000; ++i) large.add(unit_double(rng));
   EXPECT_GT(confidence95(small), confidence95(large));
   EXPECT_EQ(confidence95(RunningStats{}), 0.0);
 }
