@@ -4,7 +4,8 @@
 // functions below and links leo_bench_harness, whose main():
 //
 //   1. parses the common flags
-//        --iters N    scale knob (bench-defined meaning; 0 = default)
+//        --iters N    scale knob (bench-defined meaning); N is a positive
+//                     integer, anything else prints usage and exits 2
 //        --out PATH   where to write the JSON report
 //                     (default: BENCH_<bench_name()>.json)
 //        --no-json    stdout report only
@@ -28,7 +29,8 @@
 namespace leo::bench {
 
 struct Options {
-  /// Scale knob from --iters; 0 means "use the bench's default".
+  /// Scale knob from --iters; 0 (flag absent) means "use the bench's
+  /// default".
   std::uint64_t iters = 0;
   /// Positional arguments after flag extraction (argv order).
   std::vector<std::string> args;

@@ -3,32 +3,40 @@
 #include "bench_harness.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
 
+#include "bench_args.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 
 int main(int argc, char** argv) {
   using namespace leo;
 
+  const auto usage = [&](std::FILE* to) {
+    std::fprintf(to,
+                 "usage: %s [--iters N] [--out PATH] [--no-json] "
+                 "[bench-specific args]\n",
+                 argv[0]);
+  };
   bench::Options options;
   std::string out_path;
   bool emit_json = true;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--iters") == 0 && i + 1 < argc) {
-      options.iters = std::strtoull(argv[++i], nullptr, 0);
+      if (!bench::parse_count(argv[++i], options.iters)) {
+        usage(stderr);
+        std::fprintf(stderr, "  the --iters count is a positive integer\n");
+        return 2;
+      }
     } else if (std::strcmp(arg, "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
     } else if (std::strcmp(arg, "--no-json") == 0) {
       emit_json = false;
     } else if (std::strcmp(arg, "--help") == 0) {
-      std::printf("usage: %s [--iters N] [--out PATH] [--no-json] "
-                  "[bench-specific args]\n",
-                  argv[0]);
+      usage(stdout);
       return 0;
     } else {
       options.args.emplace_back(arg);

@@ -14,12 +14,15 @@
 //   ./bench_pipeline_speedup [seeds]
 //   ./bench_pipeline_speedup --iters N     # N seeds
 //
+// The seed count is a positive integer; anything else prints usage and
+// exits with status 2.
+//
 // Emits BENCH_pipeline.json (shared runner; see bench_harness.hpp) with
 // the measured speedup and per-phase cycle costs as leo_bench_pipeline_*
 // gauges.
 #include <cstdio>
-#include <cstdlib>
 
+#include "bench_args.hpp"
 #include "bench_harness.hpp"
 #include "gap/gap_top.hpp"
 #include "obs/metrics.hpp"
@@ -33,8 +36,13 @@ const char* bench_name() { return "pipeline"; }
 int bench_run(const Options& options) {
   using namespace leo;
   std::uint64_t seeds = options.iters ? options.iters : 12;
-  if (!options.args.empty()) {
-    seeds = std::strtoull(options.args[0].c_str(), nullptr, 0);
+  if ((!options.args.empty() && !parse_count(options.args[0], seeds)) ||
+      options.args.size() > 1) {
+    std::fprintf(stderr,
+                 "usage: bench_pipeline_speedup [--iters N] [--out PATH] "
+                 "[--no-json] [seeds]\n"
+                 "  the seed count is a positive integer\n");
+    return 2;
   }
 
   std::printf("E7 — selection+crossover pipelining (paper: \"a factor of "

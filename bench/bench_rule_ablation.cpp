@@ -8,9 +8,12 @@
 // the robot.
 //
 //   ./bench_rule_ablation [trials]
+//
+// The trial count is a positive integer; anything else prints usage and
+// exits with status 2.
 #include <cstdio>
-#include <cstdlib>
 
+#include "bench_args.hpp"
 #include "genome/gait_genome.hpp"
 #include "robot/walker.hpp"
 #include "serve/trials.hpp"
@@ -50,8 +53,13 @@ void run_spec(const char* label, const fitness::FitnessSpec& spec,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t trials =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 0) : 30;
+  std::uint64_t trials = 30;
+  if ((argc > 1 && !bench::parse_count(argv[1], trials)) || argc > 2) {
+    std::fprintf(stderr,
+                 "usage: bench_rule_ablation [trials]\n"
+                 "  the trial count is a positive integer\n");
+    return 2;
+  }
 
   std::printf("E5 — fitness-rule ablation (%zu GA trials per spec, walk "
               "quality of the evolved optima)\n\n", trials);

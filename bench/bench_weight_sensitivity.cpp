@@ -13,9 +13,12 @@
 // numbers confirm the reproduction does not hinge on the chosen weights.
 //
 //   ./bench_weight_sensitivity [trials]
+//
+// The trial count is a positive integer; anything else prints usage and
+// exits with status 2.
 #include <cstdio>
-#include <cstdlib>
 
+#include "bench_args.hpp"
 #include "genome/gait_genome.hpp"
 #include "robot/walker.hpp"
 #include "serve/trials.hpp"
@@ -66,8 +69,13 @@ void run_weighting(const char* label, unsigned w1, unsigned w2, unsigned w3,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t trials =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 0) : 25;
+  std::uint64_t trials = 25;
+  if ((argc > 1 && !bench::parse_count(argv[1], trials)) || argc > 2) {
+    std::fprintf(stderr,
+                 "usage: bench_weight_sensitivity [trials]\n"
+                 "  the trial count is a positive integer\n");
+    return 2;
+  }
 
   std::printf("E5b — sensitivity to the rule-weight substitution "
               "(%zu GA trials per row)\n\n", trials);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <variant>
 
 #include "ga/diversity.hpp"
 #include "obs/metrics.hpp"
@@ -70,9 +69,8 @@ GenerationStats observe(EngineState& state, std::uint64_t generation,
 GaEngine::GaEngine(GaParams params, FitnessFn fitness)
     : params_(params),
       fitness_(std::move(fitness)),
-      selection_(TournamentSelection(params.selection_threshold)),
-      crossover_(SinglePointCrossover()),
-      mutation_(ExactCountMutation(params.mutations_per_generation)) {
+      selection_(params.selection_threshold),
+      mutation_(params.mutations_per_generation) {
   if (params_.population_size < 2 || params_.population_size % 2 != 0) {
     throw std::invalid_argument("GaEngine: population size must be even, >= 2");
   }
@@ -100,33 +98,22 @@ void GaEngine::step_generation(Population& pop, util::Xoshiro256& rng) {
   if (pop.size() != params_.population_size) {
     throw std::invalid_argument("step_generation: population size mismatch");
   }
-  std::visit(
-      [&](const auto& selection, const auto& crossover, const auto& mutation) {
-        breed(pop, rng, selection, crossover, mutation);
-      },
-      selection_, crossover_, mutation_);
-}
-
-template <class Select, class Cross, class Mutate>
-void GaEngine::breed(Population& pop, util::Xoshiro256& rng,
-                     const Select& selection, const Cross& crossover,
-                     const Mutate& mutation) {
   const std::size_t width = params_.genome_bits;
   // Selection + crossover into the intermediate population (paper's
   // pipelined pair of operators writing the second RAM).
   intermediate_.resize(pop.size());
   for (std::size_t i = 0; i < pop.size(); i += 2) {
-    const std::size_t pa = selection.select(pop, rng);
-    const std::size_t pb = selection.select(pop, rng);
+    const std::size_t pa = selection_.select(pop, rng);
+    const std::size_t pb = selection_.select(pop, rng);
     GenomePair children{pop[pa].genome.bits, pop[pb].genome.bits};
     if (rng.next_bool_p8(params_.crossover_threshold.raw())) {
-      children = crossover.apply(children.first, children.second, width, rng);
+      children = crossover_.apply(children.first, children.second, width, rng);
     }
     intermediate_[i].genome.bits = children.first;
     intermediate_[i + 1].genome.bits = children.second;
   }
 
-  mutation.apply(intermediate_, width, rng);
+  mutation_.apply(intermediate_, width, rng);
 
   if (params_.elitism) {
     // Preserve the best of the outgoing generation in slot 0.

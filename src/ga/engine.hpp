@@ -12,10 +12,9 @@
 // GaParams carries the paper's defaults.
 //
 // Like the GAP's fixed datapath, the loop has no dispatch per draw or per
-// pair: the engine draws from util::Xoshiro256 (inline draws), and its
-// operators are values of the closed Selection/Crossover/Mutation
-// variants, resolved by one std::visit per generation into a single
-// templated loop body in which every operator call inlines.
+// pair: the engine draws from util::Xoshiro256 (inline draws) and holds
+// the paper's three operators — TournamentSelection, SinglePointCrossover,
+// ExactCountMutation — as plain members, so every operator call inlines.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +39,8 @@ struct GaParams {
   util::Prob8 crossover_threshold = util::Prob8::from_double(0.7);
   unsigned mutations_per_generation = 15;
   /// If true, the best individual of each generation is copied unchanged
-  /// into the next (not in the paper's GAP; used in ablations).
+  /// into the next. Not in the paper's GAP; kept because the config hash
+  /// and `LEOS` snapshots persist it.
   bool elitism = false;
 };
 
@@ -85,16 +85,11 @@ using StepCallback = std::function<bool(const GenerationStats&)>;
 
 class GaEngine {
  public:
-  /// Operators default to the paper's: tournament(selection_threshold),
-  /// single-point crossover, exact-count mutation. Throws
-  /// std::invalid_argument for an odd or < 2 population, genome_bits
-  /// outside [2, 64], or an empty fitness function.
+  /// Runs the paper's operators: tournament(selection_threshold),
+  /// single-point crossover, exact-count(mutations_per_generation)
+  /// mutation. Throws std::invalid_argument for an odd or < 2 population,
+  /// genome_bits outside [2, 64], or an empty fitness function.
   GaEngine(GaParams params, FitnessFn fitness);
-
-  /// Operator injection for ablation studies.
-  void set_selection(Selection op) { selection_ = op; }
-  void set_crossover(Crossover op) { crossover_ = op; }
-  void set_mutation(Mutation op) { mutation_ = op; }
 
   /// Runs until `target_fitness` is reached (if set) or `max_generations`
   /// elapse. `track_history` stores one GenerationStats per generation.
@@ -134,16 +129,12 @@ class GaEngine {
 
  private:
   void evaluate(Population& pop) const;
-  /// step_generation()'s loop body for one operator combination.
-  template <class Select, class Cross, class Mutate>
-  void breed(Population& pop, util::Xoshiro256& rng, const Select& selection,
-             const Cross& crossover, const Mutate& mutation);
 
   GaParams params_;
   FitnessFn fitness_;
-  Selection selection_;
-  Crossover crossover_;
-  Mutation mutation_;
+  TournamentSelection selection_;
+  SinglePointCrossover crossover_;
+  ExactCountMutation mutation_;
   std::uint64_t mask_ = 0;  ///< genome_mask(params_.genome_bits)
   Population intermediate_;  ///< next generation, swapped into the basis
 };

@@ -1,24 +1,20 @@
-// mutation.hpp — mutation operators.
+// mutation.hpp — the mutation operator.
 //
 // The GAP's mutation is "single-bit mutation: randomly flips a bit in an
 // individual's genome", applied 15 times per generation across the whole
-// 1152-bit population (§3.3). ExactCountMutation reproduces that exactly;
-// PerBitMutation is the textbook alternative for ablations.
+// 1152-bit population (§3.3). ExactCountMutation reproduces that exactly.
 //
-// The operators form a closed set (the Mutation variant): each is a
-// concrete class whose apply(pop, width, rng) mutates the `width`-bit
+// ExactCountMutation::apply(pop, width, rng) mutates the `width`-bit
 // genomes of the population in place (fitness values become stale),
-// drawing from util::Xoshiro256 so GaEngine's generation loop
-// inlines it. apply() throws std::invalid_argument unless width is in
-// [1, 64].
+// drawing from util::Xoshiro256 inline so GaEngine's generation loop
+// inlines it. It throws std::invalid_argument unless width is in [1, 64].
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <stdexcept>
-#include <variant>
 
 #include "ga/individual.hpp"
-#include "util/fixed.hpp"
 #include "util/rng.hpp"
 
 namespace leo::ga {
@@ -54,27 +50,5 @@ class ExactCountMutation {
  private:
   unsigned count_;
 };
-
-/// Each bit of each genome flips independently with probability p8/256.
-class PerBitMutation {
- public:
-  explicit PerBitMutation(util::Prob8 rate) : rate_(rate) {}
-  void apply(Population& pop, std::size_t width, util::Xoshiro256& rng) const {
-    detail::check_width(width);
-    for (auto& ind : pop) {
-      for (std::size_t bit = 0; bit < width; ++bit) {
-        if (rng.next_bool_p8(rate_.raw())) {
-          ind.genome.bits ^= std::uint64_t{1} << bit;
-        }
-      }
-    }
-  }
-
- private:
-  util::Prob8 rate_;
-};
-
-/// The mutation operators GaEngine can run.
-using Mutation = std::variant<ExactCountMutation, PerBitMutation>;
 
 }  // namespace leo::ga

@@ -44,15 +44,6 @@ std::string json_number(double v) {
   return os.str();
 }
 
-/// Prometheus numbers allow +Inf (bucket labels use it for overflow).
-std::string prom_number(double v) {
-  if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
-  if (std::isnan(v)) return "NaN";
-  std::ostringstream os;
-  os << std::setprecision(17) << v;
-  return os.str();
-}
-
 const char* level_string(util::LogLevel level) {
   switch (level) {
     case util::LogLevel::kDebug: return "debug";
@@ -100,31 +91,6 @@ std::string to_json_line(const MetricsSnapshot& snapshot) {
        << "}";
   }
   os << "}}";
-  return os.str();
-}
-
-std::string to_prometheus_text(const MetricsSnapshot& snapshot) {
-  std::ostringstream os;
-  for (const auto& [name, value] : snapshot.counters) {
-    os << "# TYPE " << name << " counter\n" << name << " " << value << "\n";
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    os << "# TYPE " << name << " gauge\n"
-       << name << " " << prom_number(value) << "\n";
-  }
-  for (const auto& [name, hist] : snapshot.histograms) {
-    os << "# TYPE " << name << " histogram\n";
-    std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < hist.bounds.size(); ++i) {
-      cumulative += hist.counts[i];
-      os << name << "_bucket{le=\"" << prom_number(hist.bounds[i]) << "\"} "
-         << cumulative << "\n";
-    }
-    cumulative += hist.counts.empty() ? 0 : hist.counts.back();
-    os << name << "_bucket{le=\"+Inf\"} " << cumulative << "\n";
-    os << name << "_sum " << prom_number(hist.sum) << "\n";
-    os << name << "_count " << hist.count << "\n";
-  }
   return os.str();
 }
 
@@ -189,16 +155,6 @@ void JsonLinesSink::on_log(const LogEvent& event) {
   const std::scoped_lock lock(mutex_);
   out_ << os.str() << "\n";
   out_.flush();
-}
-
-void PrometheusTextSink::on_snapshot(const MetricsSnapshot& snapshot) {
-  const std::string text = to_prometheus_text(snapshot);
-  const std::scoped_lock lock(mutex_);
-  std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    throw std::runtime_error("PrometheusTextSink: cannot open " + path_);
-  }
-  out << text;
 }
 
 PeriodicFlusher::PeriodicFlusher(std::shared_ptr<TelemetrySink> sink,

@@ -2,16 +2,12 @@
 //
 // A TelemetrySink receives metric snapshots (periodically, via
 // PeriodicFlusher) and structured log events (via attach_log_sink, which
-// bridges util::log_message's hook). Two exporters ship in-tree:
+// bridges util::log_message's hook). One exporter ships in-tree:
+// JsonLinesSink writes one JSON object per line ({"type":"metrics",...} /
+// {"type":"log",...}) — grep/jq-friendly trajectories.
 //
-//   JsonLinesSink      one JSON object per line ({"type":"metrics",...} /
-//                      {"type":"log",...}) — grep/jq-friendly trajectories;
-//   PrometheusTextSink rewrites a text-exposition-format file on every
-//                      snapshot, ready for a node_exporter textfile
-//                      collector to scrape.
-//
-// Formatting is split out (to_json_line / to_prometheus_text /
-// pretty_print) so the CLI and tests can render snapshots without a sink.
+// Formatting is split out (to_json_line / pretty_print) so the CLI, the
+// bench harness and tests can render snapshots without a sink.
 #pragma once
 
 #include <chrono>
@@ -49,9 +45,6 @@ class TelemetrySink {
 
 /// {"type":"metrics","counters":{...},"gauges":{...},"histograms":{...}}
 [[nodiscard]] std::string to_json_line(const MetricsSnapshot& snapshot);
-/// Prometheus text exposition format (# TYPE comments, _bucket/_sum/_count
-/// series with le labels for histograms).
-[[nodiscard]] std::string to_prometheus_text(const MetricsSnapshot& snapshot);
 /// Human-readable aligned listing for `discipulus_cli stats`.
 [[nodiscard]] std::string pretty_print(const MetricsSnapshot& snapshot);
 
@@ -66,18 +59,6 @@ class JsonLinesSink : public TelemetrySink {
  private:
   std::mutex mutex_;
   std::ofstream out_;
-};
-
-/// Rewrites `path` with the full exposition on every snapshot (the
-/// textfile-collector contract: readers always see a complete scrape).
-class PrometheusTextSink : public TelemetrySink {
- public:
-  explicit PrometheusTextSink(std::string path) : path_(std::move(path)) {}
-  void on_snapshot(const MetricsSnapshot& snapshot) override;
-
- private:
-  std::mutex mutex_;
-  std::string path_;
 };
 
 /// Background thread that snapshots a registry into a sink at a fixed

@@ -15,21 +15,6 @@ void set_enabled(bool on) noexcept {
 
 bool enabled() noexcept { return g_enabled.load(std::memory_order_relaxed); }
 
-void HistogramSnapshot::merge(const HistogramSnapshot& other) {
-  if (bounds.empty()) {
-    *this = other;
-    return;
-  }
-  if (other.bounds.empty()) return;
-  if (bounds != other.bounds) {
-    throw std::invalid_argument(
-        "HistogramSnapshot::merge: bucket layouts differ");
-  }
-  for (std::size_t i = 0; i < counts.size(); ++i) counts[i] += other.counts[i];
-  count += other.count;
-  sum += other.sum;
-}
-
 Histogram::Histogram(std::vector<double> bounds)
     : bounds_(std::move(bounds)), counts_(bounds_.size() + 1) {
   if (bounds_.empty()) {
@@ -49,16 +34,6 @@ void Histogram::observe(double x) noexcept {
   counts_[index].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(x, std::memory_order_relaxed);
-}
-
-void Histogram::observe_n(double x, std::uint64_t n) noexcept {
-  if (n == 0) return;
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), x);
-  const auto index =
-      static_cast<std::size_t>(std::distance(bounds_.begin(), it));
-  counts_[index].fetch_add(n, std::memory_order_relaxed);
-  count_.fetch_add(n, std::memory_order_relaxed);
-  sum_.fetch_add(x * static_cast<double>(n), std::memory_order_relaxed);
 }
 
 HistogramSnapshot Histogram::snapshot() const {
@@ -83,14 +58,6 @@ std::vector<double> duration_buckets() {
   std::vector<double> bounds;
   for (double b = 1e-6; b < 20.0; b *= 4.0) bounds.push_back(b);
   return bounds;
-}
-
-void MetricsSnapshot::merge(const MetricsSnapshot& other) {
-  for (const auto& [name, value] : other.counters) counters[name] += value;
-  for (const auto& [name, value] : other.gauges) gauges[name] = value;
-  for (const auto& [name, hist] : other.histograms) {
-    histograms[name].merge(hist);
-  }
 }
 
 Counter& MetricsRegistry::counter(std::string_view name) {

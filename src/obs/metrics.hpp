@@ -78,9 +78,6 @@ struct HistogramSnapshot {
   [[nodiscard]] double mean() const noexcept {
     return count ? sum / static_cast<double>(count) : 0.0;
   }
-  /// Bucket-wise sum. Throws std::invalid_argument if the bucket layouts
-  /// differ — merging only makes sense for snapshots of like histograms.
-  void merge(const HistogramSnapshot& other);
 };
 
 /// Fixed-bucket histogram. Bucket i counts samples x with
@@ -95,10 +92,6 @@ class Histogram {
   explicit Histogram(std::vector<double> bounds);
 
   void observe(double x) noexcept;
-  /// Records `n` identical samples of `x` with one bucket search and one
-  /// set of atomic adds — for callers that tally locally in a hot loop and
-  /// flush per batch. Equivalent to calling observe(x) n times.
-  void observe_n(double x, std::uint64_t n) noexcept;
   [[nodiscard]] HistogramSnapshot snapshot() const;
   [[nodiscard]] const std::vector<double>& bounds() const noexcept {
     return bounds_;
@@ -124,9 +117,6 @@ struct MetricsSnapshot {
   [[nodiscard]] bool empty() const noexcept {
     return counters.empty() && gauges.empty() && histograms.empty();
   }
-  /// Element-wise merge: counters add, gauges last-write-wins (other
-  /// overwrites), histograms bucket-merge (layouts must match).
-  void merge(const MetricsSnapshot& other);
 };
 
 /// Name → instrument map. Registration (first call per name) takes a

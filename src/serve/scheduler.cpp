@@ -464,8 +464,10 @@ void EvolutionService::terminate(detail::Job& job, JobState state,
     job.followers.clear();
     job.enter_terminal_locked(
         state, completions_.fetch_add(1, std::memory_order_relaxed) + 1);
+    // Counted before the mutex is released, as complete_followers() does:
+    // a waiter woken by the state change sees the counter already moved.
+    count_terminal(state);
   }
-  count_terminal(state);
   detail::complete_followers(std::move(followers), job, &completions_);
 }
 

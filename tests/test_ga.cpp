@@ -7,7 +7,6 @@
 #include <bit>
 #include <iterator>
 #include <string>
-#include <variant>
 
 #include "fitness/rules.hpp"
 #include "ga/diversity.hpp"
@@ -80,43 +79,6 @@ TEST(TournamentSelection, EmptyPopulationThrows) {
   EXPECT_THROW((void)sel.select(empty, rng), std::invalid_argument);
 }
 
-TEST(RouletteSelection, ProportionalToFitness) {
-  const RouletteSelection sel;
-  const Population pop = make_pop({10, 30, 60});
-  util::Xoshiro256 rng(4);
-  std::array<int, 3> counts{};
-  for (int i = 0; i < 100'000; ++i) ++counts[sel.select(pop, rng)];
-  EXPECT_NEAR(counts[0] / 100'000.0, 0.1, 0.01);
-  EXPECT_NEAR(counts[1] / 100'000.0, 0.3, 0.01);
-  EXPECT_NEAR(counts[2] / 100'000.0, 0.6, 0.01);
-}
-
-TEST(RouletteSelection, AllZeroFitnessFallsBackToUniform) {
-  const RouletteSelection sel;
-  const Population pop = make_pop({0, 0, 0, 0});
-  util::Xoshiro256 rng(5);
-  std::array<int, 4> counts{};
-  for (int i = 0; i < 40'000; ++i) ++counts[sel.select(pop, rng)];
-  for (int c : counts) EXPECT_NEAR(c, 10'000, 1'000);
-}
-
-TEST(TruncationSelection, OnlyTopFractionSelected) {
-  const TruncationSelection sel(0.25);
-  const Population pop = make_pop({5, 40, 10, 20, 60, 1, 2, 3});
-  util::Xoshiro256 rng(6);
-  std::array<int, 8> counts{};
-  for (int i = 0; i < 10'000; ++i) ++counts[sel.select(pop, rng)];
-  // Top 25% of 8 = the 2 best individuals: indices 4 (60) and 1 (40).
-  EXPECT_GT(counts[4], 0);
-  EXPECT_GT(counts[1], 0);
-  for (std::size_t i : {0u, 2u, 3u, 5u, 6u, 7u}) EXPECT_EQ(counts[i], 0);
-}
-
-TEST(TruncationSelection, RejectsBadFraction) {
-  EXPECT_THROW(TruncationSelection(0.0), std::invalid_argument);
-  EXPECT_THROW(TruncationSelection(1.5), std::invalid_argument);
-}
-
 // ---- crossover ----
 
 TEST(SinglePointCrossover, ChildrenAreValidSplices) {
@@ -154,50 +116,11 @@ TEST(SinglePointCrossover, PreservesPerPositionMultiset) {
   }
 }
 
-TEST(TwoPointCrossover, SwapsOnlyMiddleSegment) {
-  const TwoPointCrossover op;
-  util::Xoshiro256 rng(9);
-  for (int trial = 0; trial < 200; ++trial) {
-    const std::uint64_t a = random_genome(rng);
-    const std::uint64_t b = random_genome(rng);
-    auto [c0, c1] = op.apply(a, b, 36, rng);
-    // Each child position comes from one parent, consistently paired.
-    for (std::size_t i = 0; i < 36; ++i) {
-      const bool from_a = bit(c0, i) == bit(a, i) && bit(c1, i) == bit(b, i);
-      const bool from_b = bit(c0, i) == bit(b, i) && bit(c1, i) == bit(a, i);
-      EXPECT_TRUE(from_a || from_b);
-    }
-  }
-}
-
-TEST(UniformCrossover, MixesRoughlyHalf) {
-  const UniformCrossover op;
-  util::Xoshiro256 rng(10);
-  const std::uint64_t a = 0;
-  const std::uint64_t b = ~std::uint64_t{0};
-  std::size_t swapped = 0;
-  constexpr int kTrials = 200;
-  for (int t = 0; t < kTrials; ++t) {
-    auto [c0, c1] = op.apply(a, b, 64, rng);
-    swapped += static_cast<std::size_t>(std::popcount(c0));
-    // Complementarity: c1 = ~c0 for these parents.
-    EXPECT_EQ(std::popcount(c0) + std::popcount(c1), 64);
-  }
-  EXPECT_NEAR(static_cast<double>(swapped) / (64.0 * kTrials), 0.5, 0.05);
-}
-
 TEST(Crossover, WidthOutsideRangeThrows) {
+  const SinglePointCrossover op;
   util::Xoshiro256 rng(12);
-  for (const Crossover& op : {Crossover(SinglePointCrossover()),
-                              Crossover(TwoPointCrossover()),
-                              Crossover(UniformCrossover())}) {
-    std::visit(
-        [&](const auto& xo) {
-          EXPECT_THROW((void)xo.apply(0, 1, 1, rng), std::invalid_argument);
-          EXPECT_THROW((void)xo.apply(0, 0, 65, rng), std::invalid_argument);
-        },
-        op);
-  }
+  EXPECT_THROW((void)op.apply(0, 1, 1, rng), std::invalid_argument);
+  EXPECT_THROW((void)op.apply(0, 0, 65, rng), std::invalid_argument);
 }
 
 TEST(Crossover, MismatchedWidthsThrow) {
@@ -237,19 +160,6 @@ TEST(ExactCountMutation, ZeroCountIsIdentity) {
   const Population before = pop;
   op.apply(pop, 36, rng);
   EXPECT_EQ(pop[0].genome, before[0].genome);
-}
-
-TEST(PerBitMutation, RateIsRespected) {
-  util::Xoshiro256 rng(14);
-  const PerBitMutation op(util::Prob8::from_double(0.25));
-  std::size_t flipped = 0;
-  constexpr int kTrials = 500;
-  for (int t = 0; t < kTrials; ++t) {
-    Population pop = {Individual{Genome{}, 0}};
-    op.apply(pop, 36, rng);
-    flipped += static_cast<std::size_t>(std::popcount(pop[0].genome.to_u64()));
-  }
-  EXPECT_NEAR(static_cast<double>(flipped) / (36.0 * kTrials), 0.25, 0.02);
 }
 
 // ---- engine ----
@@ -422,19 +332,6 @@ TEST(GaTelemetry, CountersMatchRunTotalsAndObsIsInert) {
   EXPECT_EQ(off.evaluations, on.evaluations);
 }
 
-TEST(GaEngine, AlternativeOperatorsStillConverge) {
-  GaEngine engine(GaParams{}, [](std::uint64_t g) {
-    return fitness::score(g);
-  });
-  engine.set_selection(TruncationSelection(0.5));
-  engine.set_crossover(UniformCrossover());
-  engine.set_mutation(PerBitMutation(
-      util::Prob8::from_double(0.02)));
-  util::Xoshiro256 rng(20);
-  const RunResult r = engine.run(rng, 50'000, 60u);
-  EXPECT_TRUE(r.reached_target);
-}
-
 // ---- golden trajectories ----
 
 struct GoldenRun {
@@ -464,83 +361,27 @@ TEST(GaGolden, PaperConfigSeeds1To1000) {
   }
 }
 
-// Every operator combination (crossover x mutation x selection x elitism)
-// keeps its exact trajectory: the same draws in the same order.
-TEST(GaGolden, OperatorCombinations) {
+// The paper's operators keep their exact trajectory with and without
+// elitism: the same draws in the same order.
+TEST(GaGolden, PaperOperatorsWithAndWithoutElitism) {
   struct Case {
-    unsigned crossover;  // 0 single-point, 1 two-point, 2 uniform
-    unsigned mutation;   // 0 exact-count(15), 1 per-bit(0.02)
-    unsigned selection;  // 0 tournament(0.8), 1 roulette, 2 truncation(0.5)
+    std::uint64_t seed;
     bool elitism;
     std::uint64_t genome;
     std::uint64_t generations;
     std::uint64_t evaluations;
   };
   constexpr Case kCases[] = {
-    {0, 0, 0, false, 0x01f8ff018, 16, 544},
-    {0, 0, 0, true, 0x8dfe38803, 30, 992},
-    {0, 0, 1, false, 0xe006c77c0, 1452, 46496},
-    {0, 0, 1, true, 0x7c0f006c7, 62, 2016},
-    {0, 0, 2, false, 0x1fb8d8018, 14, 480},
-    {0, 0, 2, true, 0x0c0e1cee3, 12, 416},
-    {0, 1, 0, false, 0x0c3038e3f, 48, 1568},
-    {0, 1, 0, true, 0x8dc0fc0d8, 76, 2464},
-    {0, 1, 1, false, 0x8c7e38623, 877, 28096},
-    {0, 1, 1, true, 0x603723607, 27, 896},
-    {0, 1, 2, false, 0x8ff8d8138, 27, 896},
-    {0, 1, 2, true, 0x600e236e7, 18, 608},
-    {1, 0, 0, false, 0x1dc7f88e0, 56, 1824},
-    {1, 0, 0, true, 0x13c6ff1c0, 19, 640},
-    {1, 0, 1, false, 0xf03723e27, 332, 10656},
-    {1, 0, 1, true, 0x0c46d86e0, 47, 1536},
-    {1, 0, 2, false, 0x9189fb1dc, 17, 576},
-    {1, 0, 2, true, 0xec3020e1f, 574, 18400},
-    {1, 1, 0, false, 0x0d87dc0e0, 127, 4096},
-    {1, 1, 0, true, 0xe1c6e38e4, 16, 544},
-    {1, 1, 1, false, 0x723823e3b, 411, 13184},
-    {1, 1, 1, true, 0x0c4e3c6e7, 39, 1280},
-    {1, 1, 2, false, 0xf1f00391b, 172, 5536},
-    {1, 1, 2, true, 0x1f87380e7, 24, 800},
-    {2, 0, 0, false, 0x1df0dc83c, 144, 4640},
-    {2, 0, 0, true, 0x63fe03903, 11, 384},
-    {2, 0, 1, false, 0x1db13811b, 1190, 38112},
-    {2, 0, 1, true, 0x61b12391b, 1190, 38112},
-    {2, 0, 2, false, 0x7187e30c4, 16, 544},
-    {2, 0, 2, true, 0xe1bf27103, 90, 2912},
-    {2, 1, 0, false, 0x6206036e7, 292, 9376},
-    {2, 1, 0, true, 0xe0700361b, 30, 992},
-    {2, 1, 1, false, 0x7e700471f, 159, 5120},
-    {2, 1, 1, true, 0xf186e30c0, 37, 1216},
-    {2, 1, 2, false, 0x7008c77dc, 15, 512},
-    {2, 1, 2, true, 0xf03823f3b, 10, 352},
+    {100, false, 0x01f8ff018, 16, 544},
+    {101, true, 0x8dfe38803, 30, 992},
   };
   for (const Case& c : kCases) {
     GaParams params;
     params.elitism = c.elitism;
     GaEngine engine(params, [](std::uint64_t g) { return fitness::score(g); });
-    if (c.crossover == 1) {
-      engine.set_crossover(TwoPointCrossover());
-    }
-    if (c.crossover == 2) {
-      engine.set_crossover(UniformCrossover());
-    }
-    if (c.mutation == 1) {
-      engine.set_mutation(
-          PerBitMutation(util::Prob8::from_double(0.02)));
-    }
-    if (c.selection == 1) {
-      engine.set_selection(RouletteSelection());
-    }
-    if (c.selection == 2) {
-      engine.set_selection(TruncationSelection(0.5));
-    }
-    util::Xoshiro256 rng(100 + c.crossover * 12 + c.mutation * 6 +
-                         c.selection * 2 + (c.elitism ? 1u : 0u));
+    util::Xoshiro256 rng(c.seed);
     const RunResult r = engine.run(rng, 3000, 60u);
-    const std::string where = "case " + std::to_string(c.crossover) + "/" +
-                              std::to_string(c.mutation) + "/" +
-                              std::to_string(c.selection) + "/" +
-                              std::to_string(c.elitism);
+    const std::string where = "seed " + std::to_string(c.seed);
     EXPECT_EQ(r.best.genome.to_u64(), c.genome) << where;
     EXPECT_EQ(r.generations, c.generations) << where;
     EXPECT_EQ(r.evaluations, c.evaluations) << where;

@@ -1,5 +1,5 @@
 // Tests for the observability subsystem: histogram bucket semantics,
-// snapshot/merge, exporters, trace spans, the periodic flusher, and the
+// snapshots, the JSON exporter, trace spans, the periodic flusher, and the
 // util::log hook bridge (including the concurrent-registration race).
 #include "obs/metrics.hpp"
 
@@ -130,26 +130,6 @@ TEST(Histogram, RejectsBadBounds) {
   EXPECT_THROW(Histogram({1.0, 1.0}), std::invalid_argument);
 }
 
-TEST(Histogram, SnapshotMergeAddsBucketwise) {
-  Histogram a({1.0, 2.0});
-  Histogram b({1.0, 2.0});
-  a.observe(0.5);
-  a.observe(3.0);
-  b.observe(1.5);
-  b.observe(0.25);
-
-  HistogramSnapshot merged = a.snapshot();
-  merged.merge(b.snapshot());
-  EXPECT_EQ(merged.counts[0], 2u);
-  EXPECT_EQ(merged.counts[1], 1u);
-  EXPECT_EQ(merged.counts[2], 1u);
-  EXPECT_EQ(merged.count, 4u);
-  EXPECT_DOUBLE_EQ(merged.sum, 0.5 + 3.0 + 1.5 + 0.25);
-
-  Histogram other({9.0});
-  EXPECT_THROW(merged.merge(other.snapshot()), std::invalid_argument);
-}
-
 TEST(Histogram, AgreesWithUtilRunningStats) {
   // Same stream through obs::Histogram and util::RunningStats: count,
   // sum and mean must agree exactly (both accumulate plain doubles).
@@ -220,22 +200,6 @@ TEST(Registry, HistogramLookupReturnsTheRegisteredInstance) {
             (std::vector<double>{1.0, 2.0}));
 }
 
-TEST(Registry, SnapshotMergeCombines) {
-  MetricsRegistry a;
-  MetricsRegistry b;
-  a.counter("shared_total").inc(1);
-  b.counter("shared_total").inc(2);
-  b.gauge("depth").set(7.0);
-  a.histogram("lat", {1.0}).observe(0.5);
-  b.histogram("lat", {1.0}).observe(2.0);
-
-  MetricsSnapshot merged = a.snapshot();
-  merged.merge(b.snapshot());
-  EXPECT_EQ(merged.counters.at("shared_total"), 3u);
-  EXPECT_DOUBLE_EQ(merged.gauges.at("depth"), 7.0);
-  EXPECT_EQ(merged.histograms.at("lat").count, 2u);
-}
-
 TEST(Registry, DisabledGateStopsNewSamplesOnly) {
   set_enabled(false);
   EXPECT_FALSE(enabled());
@@ -264,28 +228,6 @@ TEST(Export, JsonEscapesControlCharactersInNames) {
   reg.counter("weird\"name\n").inc();
   const std::string line = to_json_line(reg.snapshot());
   EXPECT_NE(line.find("weird\\\"name\\n"), std::string::npos);
-}
-
-TEST(Export, PrometheusTextHasCumulativeBucketsAndInf) {
-  MetricsRegistry reg;
-  reg.counter("leo_events_total").inc(2);
-  Histogram& h = reg.histogram("leo_lat_seconds", {1.0, 2.0});
-  h.observe(0.5);
-  h.observe(1.5);
-  h.observe(9.0);
-
-  const std::string text = to_prometheus_text(reg.snapshot());
-  EXPECT_NE(text.find("# TYPE leo_events_total counter"), std::string::npos);
-  EXPECT_NE(text.find("leo_events_total 2"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE leo_lat_seconds histogram"), std::string::npos);
-  // Buckets are cumulative: le="1" sees 1, le="2" sees 2, +Inf sees all 3.
-  EXPECT_NE(text.find("leo_lat_seconds_bucket{le=\"1\"} 1"),
-            std::string::npos);
-  EXPECT_NE(text.find("leo_lat_seconds_bucket{le=\"2\"} 2"),
-            std::string::npos);
-  EXPECT_NE(text.find("leo_lat_seconds_bucket{le=\"+Inf\"} 3"),
-            std::string::npos);
-  EXPECT_NE(text.find("leo_lat_seconds_count 3"), std::string::npos);
 }
 
 TEST(Export, PrettyPrintListsEverySection) {
@@ -320,20 +262,6 @@ TEST(Export, JsonLinesSinkAppendsOneObjectPerLine) {
   EXPECT_NE(lines[1].find("\"leo_n_total\":2"), std::string::npos);
   EXPECT_NE(lines[2].find("\"type\":\"log\""), std::string::npos);
   EXPECT_NE(lines[2].find("\"level\":\"warn\""), std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST(Export, PrometheusSinkRewritesWholeFile) {
-  const std::string path = ::testing::TempDir() + "obs_prom.txt";
-  PrometheusTextSink sink(path);
-  MetricsRegistry reg;
-  reg.counter("leo_n_total").inc(7);
-  sink.on_snapshot(reg.snapshot());
-  sink.on_snapshot(reg.snapshot());  // rewrite, not append
-  const std::string text = read_file(path);
-  EXPECT_NE(text.find("leo_n_total 7"), std::string::npos);
-  EXPECT_EQ(text.find("leo_n_total 7"),
-            text.rfind("leo_n_total 7"));
   std::remove(path.c_str());
 }
 
