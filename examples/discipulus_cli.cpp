@@ -11,6 +11,8 @@
 //   discipulus_cli submit <seeds...>      batch-evolve seeds via the service
 //   discipulus_cli status <snapshot>      describe a checkpoint file
 //   discipulus_cli stats [seed]           evolve once, dump the telemetry
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -56,6 +58,19 @@ int usage() {
                "  stats [seed]        evolve once, dump the telemetry "
                "registry\n");
   return 2;
+}
+
+/// Reads a whole argument as strtoull(..., 0) does (decimal, 0x hex,
+/// leading-0 octal); false for empty, signed, trailing-garbage or
+/// out-of-range input.
+bool parse_number(const char* text, std::uint64_t& out) {
+  if (!std::isdigit(static_cast<unsigned char>(text[0]))) return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text, &end, 0);
+  if (errno != 0 || *end != '\0') return false;
+  out = value;
+  return true;
 }
 
 void show_genome(std::uint64_t bits) {
@@ -133,8 +148,8 @@ void print_cache_stats(const serve::EvolutionService& service) {
 
 /// Interactive job service: a tiny line-oriented REPL over an
 /// EvolutionService, mirroring what a robot-side daemon would expose.
-/// With a telemetry path, metric snapshots and structured log events
-/// stream to that file as JSON lines while the service runs.
+/// With a telemetry path, metric snapshots stream to that file as JSON
+/// lines while the service runs, plus a final one at shutdown.
 int cmd_serve(std::size_t threads, const std::string& telemetry_path) {
   serve::ServiceOptions service_options{.threads = threads};
   if (!telemetry_path.empty()) {
@@ -330,14 +345,15 @@ int main(int argc, char** argv) {
   const std::string cmd = argv[1];
 
   if (cmd == "evolve" || cmd == "evolve-hw") {
-    const std::uint64_t seed =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 0) : 1;
+    std::uint64_t seed = 1;
+    if (argc > 2 && !parse_number(argv[2], seed)) return usage();
     return cmd_evolve(cmd == "evolve" ? core::Backend::kSoftware
                                       : core::Backend::kHardware,
                       seed);
   }
   if ((cmd == "play" || cmd == "analyze") && argc > 2) {
-    const std::uint64_t bits = std::strtoull(argv[2], nullptr, 0);
+    std::uint64_t bits = 0;
+    if (!parse_number(argv[2], bits)) return usage();
     if (bits >= genome::kSearchSpace) {
       std::fprintf(stderr, "genome must fit in 36 bits\n");
       return 1;
@@ -357,17 +373,21 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (cmd == "serve") {
-    const std::size_t threads =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 0) : 0;
+    std::uint64_t threads = 0;
+    if (argc > 2 && !parse_number(argv[2], threads)) return usage();
     return cmd_serve(threads, argc > 3 ? argv[3] : "");
   }
   if (cmd == "stats") {
-    return cmd_stats(argc > 2 ? std::strtoull(argv[2], nullptr, 0) : 1);
+    std::uint64_t seed = 1;
+    if (argc > 2 && !parse_number(argv[2], seed)) return usage();
+    return cmd_stats(seed);
   }
   if (cmd == "submit" && argc > 2) {
     std::vector<std::uint64_t> seeds;
     for (int i = 2; i < argc; ++i) {
-      seeds.push_back(std::strtoull(argv[i], nullptr, 0));
+      std::uint64_t seed = 0;
+      if (!parse_number(argv[i], seed)) return usage();
+      seeds.push_back(seed);
     }
     return cmd_submit_batch(seeds);
   }

@@ -10,8 +10,8 @@ namespace leo::obs {
 
 namespace {
 
-/// JSON string escaping for the characters our metric names and log
-/// messages can realistically contain.
+/// JSON string escaping for the characters metric names can
+/// realistically contain.
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 2);
@@ -42,16 +42,6 @@ std::string json_number(double v) {
   std::ostringstream os;
   os << std::setprecision(17) << v;
   return os.str();
-}
-
-const char* level_string(util::LogLevel level) {
-  switch (level) {
-    case util::LogLevel::kDebug: return "debug";
-    case util::LogLevel::kInfo: return "info";
-    case util::LogLevel::kWarn: return "warn";
-    case util::LogLevel::kError: return "error";
-  }
-  return "?";
 }
 
 }  // namespace
@@ -146,17 +136,6 @@ void JsonLinesSink::on_snapshot(const MetricsSnapshot& snapshot) {
   out_.flush();
 }
 
-void JsonLinesSink::on_log(const LogEvent& event) {
-  std::ostringstream os;
-  os << "{\"type\":\"log\",\"level\":\"" << level_string(event.level)
-     << "\",\"tag\":\"" << json_escape(event.tag) << "\",\"message\":\""
-     << json_escape(event.message) << "\",\"unix_micros\":"
-     << event.unix_micros << "}";
-  const std::scoped_lock lock(mutex_);
-  out_ << os.str() << "\n";
-  out_.flush();
-}
-
 PeriodicFlusher::PeriodicFlusher(std::shared_ptr<TelemetrySink> sink,
                                  std::chrono::milliseconds period,
                                  MetricsRegistry& source)
@@ -197,18 +176,6 @@ void PeriodicFlusher::loop() {
     flush_now();
     lock.lock();
   }
-}
-
-std::uint64_t attach_log_sink(std::shared_ptr<TelemetrySink> sink) {
-  if (!sink) throw std::invalid_argument("attach_log_sink: null sink");
-  return util::add_log_hook([sink](const util::LogRecord& record) {
-    LogEvent event;
-    event.level = record.level;
-    event.tag = record.tag;
-    event.message = record.message;
-    event.unix_micros = record.unix_micros;
-    sink->on_log(event);
-  });
 }
 
 }  // namespace leo::obs

@@ -1,10 +1,9 @@
 // export.hpp — getting telemetry out of the process.
 //
-// A TelemetrySink receives metric snapshots (periodically, via
-// PeriodicFlusher) and structured log events (via attach_log_sink, which
-// bridges util::log_message's hook). One exporter ships in-tree:
-// JsonLinesSink writes one JSON object per line ({"type":"metrics",...} /
-// {"type":"log",...}) — grep/jq-friendly trajectories.
+// A TelemetrySink receives metric snapshots, periodically via
+// PeriodicFlusher. One exporter ships in-tree: JsonLinesSink writes one
+// JSON object per snapshot per line ({"type":"metrics",...}) —
+// grep/jq-friendly trajectories.
 //
 // Formatting is split out (to_json_line / pretty_print) so the CLI, the
 // bench harness and tests can render snapshots without a sink.
@@ -20,27 +19,16 @@
 #include <thread>
 
 #include "obs/metrics.hpp"
-#include "util/log.hpp"
 
 namespace leo::obs {
 
-/// A structured log record as seen by sinks.
-struct LogEvent {
-  util::LogLevel level = util::LogLevel::kInfo;
-  std::string tag;
-  std::string message;
-  /// Wall-clock microseconds since the Unix epoch, stamped at emit time.
-  std::int64_t unix_micros = 0;
-};
-
-/// Receiver of exported telemetry. Implementations must be thread-safe:
-/// on_snapshot and on_log can arrive concurrently from the flusher thread
-/// and any logging thread.
+/// Receiver of exported metrics. Implementations must be thread-safe:
+/// on_snapshot can arrive from the flusher thread and from flush_now()
+/// callers concurrently.
 class TelemetrySink {
  public:
   virtual ~TelemetrySink() = default;
   virtual void on_snapshot(const MetricsSnapshot& snapshot) = 0;
-  virtual void on_log(const LogEvent& event) { (void)event; }
 };
 
 /// {"type":"metrics","counters":{...},"gauges":{...},"histograms":{...}}
@@ -54,7 +42,6 @@ class JsonLinesSink : public TelemetrySink {
  public:
   explicit JsonLinesSink(const std::string& path);
   void on_snapshot(const MetricsSnapshot& snapshot) override;
-  void on_log(const LogEvent& event) override;
 
  private:
   std::mutex mutex_;
@@ -96,10 +83,5 @@ class PeriodicFlusher {
   bool stop_ = false;
   std::thread thread_;  // last member: started last, joined via stop()
 };
-
-/// Bridges util::log hooks to `sink->on_log`. Returns the hook id;
-/// detach with util::remove_log_hook(id). The sink is kept alive by the
-/// hook's shared_ptr for as long as it stays registered.
-std::uint64_t attach_log_sink(std::shared_ptr<TelemetrySink> sink);
 
 }  // namespace leo::obs

@@ -9,7 +9,6 @@
 
 #include "obs/metrics.hpp"
 #include "serve/config_hash.hpp"
-#include "util/log.hpp"
 
 namespace leo::serve {
 
@@ -83,37 +82,43 @@ EvolutionService::EvolutionService(std::size_t threads)
 EvolutionService::EvolutionService(const ServiceOptions& options)
     : max_queue_depth_(options.max_queue_depth),
       admission_(options.admission),
-      cache_(options.cache_capacity),
-      pool_(options.threads) {
+      running_(options.threads != 0
+                   ? options.threads
+                   : std::max<std::size_t>(
+                         1, std::thread::hardware_concurrency())),
+      cache_(options.cache_capacity) {
   if (options.telemetry) {
-    log_hook_id_ = obs::attach_log_sink(options.telemetry);
     flusher_ = std::make_unique<obs::PeriodicFlusher>(options.telemetry,
                                                       kTelemetryFlushPeriod);
   }
+  workers_.reserve(running_.size());
+  try {
+    for (std::size_t slot = 0; slot < running_.size(); ++slot) {
+      workers_.emplace_back([this, slot] { work(slot); });
+    }
+  } catch (...) {
+    shutdown();  // join the workers already started
+    throw;
+  }
 }
 
-EvolutionService::~EvolutionService() {
-  if (log_hook_id_ != 0) util::remove_log_hook(log_hook_id_);
-  std::vector<std::weak_ptr<detail::Job>> live;
+EvolutionService::~EvolutionService() { shutdown(); }
+
+void EvolutionService::shutdown() {
   {
     const std::scoped_lock lock(mutex_);
     shutting_down_ = true;
-    live = std::move(live_jobs_);
-  }
-  admission_cv_.notify_all();  // wake blocked submitters; they throw
-  for (const auto& weak : live) {
-    if (const auto job = weak.lock()) {
-      job->cancel_requested.store(true, std::memory_order_relaxed);
-      const std::scoped_lock lock(job->mutex);
-      if (job->state == JobState::kQueued) {
-        // The worker task will still pop it and mark completion order.
-        job->cv.notify_all();
+    for (const auto* jobs : {&queue_, &running_}) {
+      for (const auto& job : *jobs) {
+        if (job) job->cancel_requested.store(true, std::memory_order_relaxed);
       }
     }
   }
-  // pool_ is the last member, so its destructor runs first: it drains the
-  // queued run_next() tasks (which observe the cancel flags, complete the
-  // jobs, and release any coalesced followers) and joins.
+  admission_cv_.notify_all();  // wake blocked submitters; they throw
+  // Workers drain the queue (each cancelled job still completes, releasing
+  // its coalesced followers), then return.
+  work_cv_.notify_all();
+  for (std::thread& worker : workers_) worker.join();
 }
 
 JobHandle EvolutionService::submit(const core::EvolutionConfig& config,
@@ -221,15 +226,11 @@ JobHandle EvolutionService::submit_one(
   queue_.push_back(job);
   std::push_heap(queue_.begin(), queue_.end(), heap_less);
   if (fresh && options.use_cache) inflight_[key] = job;
-  live_jobs_.push_back(job);
-  if (live_jobs_.size() >= 64 && live_jobs_.size() >= 2 * live_jobs_floor_) {
-    compact_live_jobs_locked();
-  }
   if (obs::enabled()) {
     ServeMetrics::get().queue_depth.set(static_cast<double>(queue_.size()));
   }
   lock.unlock();
-  pool_.submit([this] { run_next(); });
+  work_cv_.notify_one();
   return JobHandle(std::move(job));
 }
 
@@ -293,56 +294,46 @@ JobHandle EvolutionService::resume(const Snapshot& snapshot,
   return submit_one(snapshot.config, options, nullptr, snapshot);
 }
 
-void EvolutionService::compact_live_jobs_locked() {
-  std::erase_if(live_jobs_, [](const std::weak_ptr<detail::Job>& weak) {
-    const auto job = weak.lock();
-    if (!job) return true;
-    const std::scoped_lock lock(job->mutex);
-    return is_terminal(job->state);
-  });
-  live_jobs_floor_ = std::max<std::size_t>(32, live_jobs_.size());
-}
-
 std::size_t EvolutionService::queue_depth() const {
   const std::scoped_lock lock(mutex_);
   return queue_.size();
 }
 
-std::size_t EvolutionService::live_jobs_size() const {
-  const std::scoped_lock lock(mutex_);
-  return live_jobs_.size();
-}
-
-void EvolutionService::run_next() {
-  std::shared_ptr<detail::Job> job;
-  {
-    const std::scoped_lock lock(mutex_);
-    if (queue_.empty()) return;
-    std::pop_heap(queue_.begin(), queue_.end(), heap_less);
-    job = std::move(queue_.back());
-    queue_.pop_back();
-    if (obs::enabled()) {
-      ServeMetrics::get().queue_depth.set(static_cast<double>(queue_.size()));
+void EvolutionService::work(std::size_t slot) {
+  for (;;) {
+    std::shared_ptr<detail::Job> job;
+    {
+      std::unique_lock lock(mutex_);
+      running_[slot].reset();
+      work_cv_.wait(lock, [this] { return shutting_down_ || !queue_.empty(); });
+      if (queue_.empty()) return;  // shutting down and drained
+      std::pop_heap(queue_.begin(), queue_.end(), heap_less);
+      job = std::move(queue_.back());
+      queue_.pop_back();
+      running_[slot] = job;
+      if (obs::enabled()) {
+        ServeMetrics::get().queue_depth.set(static_cast<double>(queue_.size()));
+      }
     }
+    if (max_queue_depth_ != 0) admission_cv_.notify_one();
+    bool cancelled = false;
+    {
+      const std::scoped_lock job_lock(job->mutex);
+      if (job->state != JobState::kQueued) continue;  // cancelled while queued
+      // Claim the job before releasing the lock so a concurrent handle-side
+      // cancel cannot terminalize it twice; the cancelled branch below goes
+      // through finish(), which also releases coalesced followers.
+      job->state = JobState::kRunning;
+      cancelled = job->cancel_requested.load(std::memory_order_relaxed);
+    }
+    if (cancelled) {
+      finish(*job, JobState::kCancelled);
+      continue;
+    }
+    if (obs::enabled()) ServeMetrics::get().jobs_running.add(1.0);
+    run_job(*job);
+    if (obs::enabled()) ServeMetrics::get().jobs_running.add(-1.0);
   }
-  if (max_queue_depth_ != 0) admission_cv_.notify_one();
-  bool cancelled = false;
-  {
-    const std::scoped_lock job_lock(job->mutex);
-    if (job->state != JobState::kQueued) return;  // cancelled while queued
-    // Claim the job before releasing the lock so a concurrent handle-side
-    // cancel cannot terminalize it twice; the cancelled branch below goes
-    // through finish(), which also releases coalesced followers.
-    job->state = JobState::kRunning;
-    cancelled = job->cancel_requested.load(std::memory_order_relaxed);
-  }
-  if (cancelled) {
-    finish(*job, JobState::kCancelled);
-    return;
-  }
-  if (obs::enabled()) ServeMetrics::get().jobs_running.add(1.0);
-  run_job(*job);
-  if (obs::enabled()) ServeMetrics::get().jobs_running.add(-1.0);
 }
 
 void EvolutionService::run_job(detail::Job& job) {

@@ -6,8 +6,8 @@
 // thousands of (config, seed) points. The service turns the blocking
 // core::evolve() call into a job system:
 //
-//   * a priority queue scheduled onto util::ThreadPool (higher priority
-//     first, FIFO within a priority);
+//   * one priority queue drained by the service's own worker threads
+//     (higher priority first, FIFO within a priority);
 //   * job handles with status/progress polling and blocking wait(), and
 //     batch handles (submit_batch) over whole sweeps;
 //   * bounded admission with backpressure: a configurable max queue depth
@@ -34,12 +34,15 @@
 // and which state an early stop maps to.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -49,7 +52,6 @@
 #include "serve/cache.hpp"
 #include "serve/checkpoint.hpp"
 #include "serve/job.hpp"
-#include "util/thread_pool.hpp"
 
 namespace leo::serve {
 
@@ -82,10 +84,9 @@ struct ServiceOptions {
   AdmissionPolicy admission = AdmissionPolicy::kBlock;
   /// Result-cache entry cap (0 = unbounded).
   std::size_t cache_capacity = ResultCache::kDefaultCapacity;
-  /// Continuous telemetry export. When set, the service snapshots the
+  /// Continuous metrics export. When set, the service snapshots the
   /// global metrics registry into the sink every second and once more at
-  /// shutdown, and forwards util::log records to it as structured events
-  /// for the service's lifetime.
+  /// shutdown, after its workers have joined.
   std::shared_ptr<obs::TelemetrySink> telemetry{};
 };
 
@@ -101,8 +102,9 @@ class EvolutionService {
   /// Full control: admission policy, queue bound, cache sizing, telemetry.
   explicit EvolutionService(const ServiceOptions& options);
 
-  /// Cancels every live job cooperatively, waits for workers to drain,
-  /// then returns. Outstanding handles stay valid (terminal).
+  /// Cancels every queued and running job cooperatively, lets the workers
+  /// drain the queue, joins them, then returns. Outstanding handles stay
+  /// valid (terminal).
   ~EvolutionService();
 
   EvolutionService(const EvolutionService&) = delete;
@@ -126,16 +128,12 @@ class EvolutionService {
   /// Resumed jobs never coalesce (their start state is not the config's).
   JobHandle resume(const Snapshot& snapshot, JobOptions options = {});
 
-  [[nodiscard]] std::size_t threads() const noexcept { return pool_.size(); }
+  [[nodiscard]] std::size_t threads() const noexcept { return workers_.size(); }
   [[nodiscard]] CacheStats cache_stats() const { return cache_.stats(); }
   void clear_cache() { cache_.clear(); }
 
   /// Jobs currently queued (excluding running, cache hits, followers).
   [[nodiscard]] std::size_t queue_depth() const;
-  /// Size of the live-job bookkeeping vector, including not-yet-reaped
-  /// terminal entries. Stays O(live jobs) under sustained traffic thanks
-  /// to opportunistic compaction; exposed so tests can assert the bound.
-  [[nodiscard]] std::size_t live_jobs_size() const;
 
  private:
   /// The one admission path. A fresh submission (no `resume_from`)
@@ -150,8 +148,11 @@ class EvolutionService {
   /// only). May block (kBlock) or throw (kReject).
   bool admit_locked(std::unique_lock<std::mutex>& lock,
                     const JobOptions& options);
-  void compact_live_jobs_locked();
-  void run_next();
+  /// Cancels every queued and running job, wakes blocked submitters and
+  /// the workers, and joins the workers once they have drained the queue.
+  void shutdown();
+  /// Worker `slot`'s loop: pops the queue until shutdown drains it.
+  void work(std::size_t slot);
   void run_job(detail::Job& job);
   /// Erases the in-flight entry for `job`'s key if it maps to `job`.
   /// Requires `mutex_` held.
@@ -166,6 +167,8 @@ class EvolutionService {
 
   mutable std::mutex mutex_;
   std::condition_variable admission_cv_;
+  /// Wakes a worker when a job is queued, and all of them at shutdown.
+  std::condition_variable work_cv_;
   bool shutting_down_ = false;
   std::uint64_t next_id_ = 1;
   std::size_t max_queue_depth_ = 0;
@@ -177,20 +180,15 @@ class EvolutionService {
   /// identical submissions coalesce onto the mapped job. Entries are
   /// erased on completion, or lazily when found dead.
   std::unordered_map<std::uint64_t, std::weak_ptr<detail::Job>> inflight_;
-  /// Every job enqueued and not yet reaped; used to cancel live jobs on
-  /// shutdown. Compacted opportunistically (compact_live_jobs_locked)
-  /// whenever it doubles past the last sweep's floor, so a long-lived
-  /// service stays O(live) instead of O(ever submitted).
-  std::vector<std::weak_ptr<detail::Job>> live_jobs_;
-  std::size_t live_jobs_floor_ = 32;
+  /// The job each worker is running, by worker slot (null while it
+  /// waits); set in the critical section that pops the job, so shutdown
+  /// finds every running job here.
+  std::vector<std::shared_ptr<detail::Job>> running_;
   ResultCache cache_;
-  /// Log-hook id from obs::attach_log_sink (0 = none); removed on
-  /// destruction before the flusher's final flush.
-  std::uint64_t log_hook_id_ = 0;
-  /// Declared before pool_ so it is destroyed after the pool joins — the
-  /// final flush sees every job's terminal state.
+  /// Destroyed after the destructor body joins the workers, so the final
+  /// flush sees every job's terminal state.
   std::unique_ptr<obs::PeriodicFlusher> flusher_;
-  util::ThreadPool pool_;  // last member: destroyed (joined) first
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace leo::serve

@@ -1,11 +1,9 @@
 // Tests for the observability subsystem: histogram bucket semantics,
-// snapshots, the JSON exporter, trace spans, the periodic flusher, and the
-// util::log hook bridge (including the concurrent-registration race).
+// snapshots, the JSON exporter, trace spans and the periodic flusher.
 #include "obs/metrics.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -17,7 +15,6 @@
 
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
-#include "util/log.hpp"
 #include "util/stats.hpp"
 
 namespace leo::obs {
@@ -30,30 +27,21 @@ std::string read_file(const std::string& path) {
   return os.str();
 }
 
-/// A sink that records everything it receives, for flusher/log tests.
+/// A sink that records every snapshot it receives, for flusher tests.
 class CapturingSink : public TelemetrySink {
  public:
   void on_snapshot(const MetricsSnapshot& snapshot) override {
     const std::scoped_lock lock(mutex_);
     snapshots_.push_back(snapshot);
   }
-  void on_log(const LogEvent& event) override {
-    const std::scoped_lock lock(mutex_);
-    logs_.push_back(event);
-  }
   [[nodiscard]] std::vector<MetricsSnapshot> snapshots() {
     const std::scoped_lock lock(mutex_);
     return snapshots_;
-  }
-  [[nodiscard]] std::vector<LogEvent> logs() {
-    const std::scoped_lock lock(mutex_);
-    return logs_;
   }
 
  private:
   std::mutex mutex_;
   std::vector<MetricsSnapshot> snapshots_;
-  std::vector<LogEvent> logs_;
 };
 
 // ---- counters and gauges -----------------------------------------------
@@ -251,17 +239,14 @@ TEST(Export, JsonLinesSinkAppendsOneObjectPerLine) {
     sink.on_snapshot(reg.snapshot());
     reg.counter("leo_n_total").inc(1);
     sink.on_snapshot(reg.snapshot());
-    sink.on_log({util::LogLevel::kWarn, "tag", "msg", 123});
   }
   std::ifstream in(path);
   std::string line;
   std::vector<std::string> lines;
   while (std::getline(in, line)) lines.push_back(line);
-  ASSERT_EQ(lines.size(), 3u);
+  ASSERT_EQ(lines.size(), 2u);
   EXPECT_NE(lines[0].find("\"leo_n_total\":1"), std::string::npos);
   EXPECT_NE(lines[1].find("\"leo_n_total\":2"), std::string::npos);
-  EXPECT_NE(lines[2].find("\"type\":\"log\""), std::string::npos);
-  EXPECT_NE(lines[2].find("\"level\":\"warn\""), std::string::npos);
   std::remove(path.c_str());
 }
 
@@ -366,72 +351,6 @@ TEST(Trace, WriteChromeTraceProducesLoadableFile) {
   const std::string text = read_file(path);
   EXPECT_NE(text.find("\"traceEvents\""), std::string::npos);
   std::remove(path.c_str());
-}
-
-// ---- util::log hook bridge ---------------------------------------------
-
-TEST(LogHook, SinkReceivesStructuredEventsAndDetachStops) {
-  auto sink = std::make_shared<CapturingSink>();
-  const std::uint64_t id = attach_log_sink(sink);
-  util::log_warn("obs_test", "hello ", 42);
-  util::remove_log_hook(id);
-  util::log_warn("obs_test", "after detach");
-
-  const auto logs = sink->logs();
-  ASSERT_EQ(logs.size(), 1u);
-  EXPECT_EQ(logs[0].level, util::LogLevel::kWarn);
-  EXPECT_EQ(logs[0].tag, "obs_test");
-  EXPECT_EQ(logs[0].message, "hello 42");
-  EXPECT_GT(logs[0].unix_micros, 0);
-}
-
-TEST(LogHook, HooksMayLogReentrantly) {
-  std::atomic<int> nested{0};
-  const std::uint64_t id = util::add_log_hook([&nested](
-      const util::LogRecord& record) {
-    if (record.tag == "outer") {
-      nested.fetch_add(1);
-      util::log_warn("inner", "from hook");  // must not deadlock
-    }
-  });
-  util::log_warn("outer", "trigger");
-  util::remove_log_hook(id);
-  EXPECT_EQ(nested.load(), 1);
-}
-
-/// The race-free requirement: hooks registering, firing and unregistering
-/// from many threads concurrently with logging must neither crash, lose
-/// events delivered while attached, nor deliver to detached hooks "long"
-/// after removal (one in-flight record is allowed by contract — we only
-/// assert memory safety and per-thread event visibility here; TSan covers
-/// the rest in the sanitizer CI job).
-TEST(LogHook, ConcurrentRegisterLogRemoveIsSafe) {
-  constexpr int kThreads = 4;
-  constexpr int kRounds = 50;
-  std::atomic<std::uint64_t> delivered{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads * 2);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&delivered] {
-      for (int i = 0; i < kRounds; ++i) {
-        const std::uint64_t id = util::add_log_hook(
-            [&delivered](const util::LogRecord&) {
-              delivered.fetch_add(1, std::memory_order_relaxed);
-            });
-        util::log_error("obs_race", "round ", i);
-        util::remove_log_hook(id);
-      }
-    });
-    threads.emplace_back([] {
-      for (int i = 0; i < kRounds; ++i) {
-        util::log_error("obs_race_other", "noise ", i);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  // Every thread's own hook was attached across its own log_error call,
-  // so it saw at least that one event per round.
-  EXPECT_GE(delivered.load(), std::uint64_t{kThreads} * kRounds);
 }
 
 }  // namespace
