@@ -10,10 +10,10 @@
 //
 //   ./boot_from_rom [genome]
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 
 #include "core/discipulus.hpp"
+#include "example_args.hpp"
 #include "fpga/bitstream.hpp"
 #include "fpga/config_loader.hpp"
 #include "genome/gait_analysis.hpp"
@@ -72,9 +72,10 @@ void boot(const char* label, const util::BitVec& rom) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint64_t genome_bits =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 0)
-               : leo::genome::tripod_gait().to_bits();
+  std::uint64_t genome_bits = leo::genome::tripod_gait().to_bits();
+  if (argc > 1 && !leo::examples::parse_number(argv[1], genome_bits)) {
+    return leo::examples::usage("boot_from_rom [genome]");
+  }
   if (genome_bits >= leo::genome::kSearchSpace) {
     std::fprintf(stderr, "genome must fit in 36 bits\n");
     return 1;

@@ -11,10 +11,7 @@
 //   discipulus_cli submit <seeds...>      batch-evolve seeds via the service
 //   discipulus_cli status <snapshot>      describe a checkpoint file
 //   discipulus_cli stats [seed]           evolve once, dump the telemetry
-#include <cctype>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <map>
@@ -27,6 +24,7 @@
 #include "cpu/assembler.hpp"
 #include "cpu/disassembler.hpp"
 #include "cpu/firmware.hpp"
+#include "example_args.hpp"
 #include "fitness/rules.hpp"
 #include "fpga/xc4000.hpp"
 #include "genome/gait_analysis.hpp"
@@ -41,6 +39,7 @@
 namespace {
 
 using namespace leo;
+using examples::parse_number;
 
 int usage() {
   std::fprintf(stderr,
@@ -58,19 +57,6 @@ int usage() {
                "  stats [seed]        evolve once, dump the telemetry "
                "registry\n");
   return 2;
-}
-
-/// Reads a whole argument as strtoull(..., 0) does (decimal, 0x hex,
-/// leading-0 octal); false for empty, signed, trailing-garbage or
-/// out-of-range input.
-bool parse_number(const char* text, std::uint64_t& out) {
-  if (!std::isdigit(static_cast<unsigned char>(text[0]))) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(text, &end, 0);
-  if (errno != 0 || *end != '\0') return false;
-  out = value;
-  return true;
 }
 
 void show_genome(std::uint64_t bits) {

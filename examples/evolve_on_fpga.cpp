@@ -8,10 +8,10 @@
 //
 //   ./evolve_on_fpga [seed] [vcd-path]
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 
 #include "core/discipulus.hpp"
+#include "example_args.hpp"
 #include "fpga/xc4000.hpp"
 #include "genome/gait_genome.hpp"
 #include "rtl/simulator.hpp"
@@ -20,8 +20,10 @@
 int main(int argc, char** argv) {
   using namespace leo;
 
-  const std::uint64_t seed =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 0) : 42;
+  std::uint64_t seed = 42;
+  if (argc > 1 && !examples::parse_number(argv[1], seed)) {
+    return examples::usage("evolve_on_fpga [seed] [vcd-path]");
+  }
   const char* vcd_path = argc > 2 ? argv[2] : "discipulus.vcd";
 
   core::DiscipulusParams params;

@@ -15,15 +15,17 @@
 //   ./future_work [seed]
 #include <bit>
 #include <cstdio>
-#include <cstdlib>
 
+#include "example_args.hpp"
 #include "gap/gap_top.hpp"
 #include "rtl/simulator.hpp"
 
 int main(int argc, char** argv) {
   using namespace leo;
-  const std::uint64_t seed =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 0) : 1;
+  std::uint64_t seed = 1;
+  if (argc > 1 && !examples::parse_number(argv[1], seed)) {
+    return examples::usage("future_work [seed]");
+  }
 
   // Royal road: score = 8 * (number of complete 6-bit blocks of ones).
   // In hardware: eight AND6 gates and a weighted popcount — comparable in

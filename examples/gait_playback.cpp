@@ -4,25 +4,18 @@
 //   ./gait_playback              # plays the canonical tripod
 //   ./gait_playback 0xf22f22     # plays an arbitrary genome (hex)
 //   ./gait_playback --list       # shows the library of reference gaits
-//   ./gait_playback --trace [file]   # also write a Chrome trace (default
-//                                    # gait_trace.json; open in
-//                                    # chrome://tracing or Perfetto)
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <string>
-#include <vector>
 
+#include "example_args.hpp"
 #include "fitness/rules.hpp"
 #include "genome/known_gaits.hpp"
-#include "obs/trace.hpp"
 #include "robot/walker.hpp"
 
 namespace {
 
 void play(const char* name, const leo::genome::GaitGenome& g) {
   using namespace leo;
-  obs::TraceSpan play_span("leo_example_play");
   const fitness::RuleViolations v = fitness::count_violations(g);
   std::printf("=== %s ===\ngenome  : %s\nfitness : %u/%u  (R1 equilibrium %u, "
               "R2 symmetry %u, R3 coherence %u)\n\n%s\n",
@@ -32,7 +25,6 @@ void play(const char* name, const leo::genome::GaitGenome& g) {
 
   robot::Walker walker(robot::kLeonardoConfig, robot::flat_terrain());
   std::printf("cycle phase    x[mm] margin[mm]  legs (^=air, _=ground)\n");
-  obs::TraceSpan walk_span("leo_example_walk");
   const robot::WalkMetrics m = walker.walk(
       g, 3, [](const robot::PhaseSnapshot& s) {
         std::printf("  %2zu    %zu    %7.1f   %7.1f   ", s.cycle, s.phase,
@@ -44,7 +36,6 @@ void play(const char* name, const leo::genome::GaitGenome& g) {
         else if (s.stumbled) std::printf(" stumble");
         std::printf("\n");
       });
-  walk_span.close();
   std::printf("\n3 cycles: %+.3f m forward, %u falls, %u stumbles, "
               "min margin %+.1f mm, quality %.2f\n\n",
               m.distance_forward_m, m.falls, m.stumbles,
@@ -57,42 +48,25 @@ void play(const char* name, const leo::genome::GaitGenome& g) {
 int main(int argc, char** argv) {
   using namespace leo::genome;
 
-  // Pull --trace [file] out first; remaining args keep their old meaning.
-  std::string trace_path;
-  std::vector<const char*> args;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0) {
-      trace_path = "gait_trace.json";
-      if (i + 1 < argc && argv[i + 1][0] != '-') trace_path = argv[++i];
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  if (!trace_path.empty()) leo::obs::tracer().arm();
-
-  int rc = 0;
-  if (!args.empty() && std::strcmp(args[0], "--list") == 0) {
+  if (argc > 1 && std::strcmp(argv[1], "--list") == 0) {
     play("tripod", tripod_gait());
     play("tripod (mirrored)", tripod_gait_mirrored());
     play("all-zero (shuffles in place)", all_zero_gait());
     play("pronking (falls)", pronking_gait());
     play("one side lifted (the paper's R1 example)", one_side_lifted_gait());
     play("reverse tripod (walks backwards)", reverse_tripod_gait());
-  } else if (!args.empty()) {
-    const std::uint64_t bits = std::strtoull(args[0], nullptr, 0);
+  } else if (argc > 1) {
+    std::uint64_t bits = 0;
+    if (!leo::examples::parse_number(argv[1], bits)) {
+      return leo::examples::usage("gait_playback [genome | --list]");
+    }
     if (bits >= kSearchSpace) {
       std::fprintf(stderr, "genome must fit in 36 bits\n");
       return 1;
     }
-    play(args[0], GaitGenome::from_bits(bits));
+    play(argv[1], GaitGenome::from_bits(bits));
   } else {
     play("tripod", tripod_gait());
   }
-
-  if (!trace_path.empty()) {
-    leo::obs::write_chrome_trace(trace_path, leo::obs::tracer().events());
-    std::printf("wrote %s (%zu spans; open in chrome://tracing)\n",
-                trace_path.c_str(), leo::obs::tracer().events().size());
-  }
-  return rc;
+  return 0;
 }

@@ -10,15 +10,18 @@
 //   ./obstacle_course [wall-distance-m]
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
+#include "example_args.hpp"
 #include "genome/known_gaits.hpp"
 #include "robot/walker.hpp"
 
 int main(int argc, char** argv) {
   using namespace leo;
 
-  const double wall = argc > 1 ? std::strtod(argv[1], nullptr) : 0.5;
+  double wall = 0.5;
+  if (argc > 1 && !examples::parse_finite(argv[1], wall)) {
+    return examples::usage("obstacle_course [wall-distance-m]");
+  }
   robot::Walker walker(robot::kLeonardoConfig,
                        robot::wall_ahead_terrain(wall));
   const genome::GaitGenome gait = genome::tripod_gait();

@@ -13,8 +13,8 @@
 //
 //   ./parameter_sweep [trials-per-point]
 #include <cstdio>
-#include <cstdlib>
 
+#include "example_args.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/trials.hpp"
 
@@ -35,8 +35,10 @@ void report_row(leo::serve::EvolutionService& service, const char* label,
 
 int main(int argc, char** argv) {
   using namespace leo;
-  const std::size_t trials =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 0) : 12;
+  std::uint64_t trials = 12;
+  if (argc > 1 && (!examples::parse_number(argv[1], trials) || trials == 0)) {
+    return examples::usage("parameter_sweep [trials-per-point >= 1]");
+  }
 
   core::EvolutionConfig base;
   base.max_generations = 200'000;

@@ -8,9 +8,9 @@
 //
 //   ./quickstart [seed]
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/evolution_engine.hpp"
+#include "example_args.hpp"
 #include "genome/gait_genome.hpp"
 #include "robot/walker.hpp"
 
@@ -19,7 +19,10 @@ int main(int argc, char** argv) {
 
   core::EvolutionConfig config;
   config.backend = core::Backend::kSoftware;
-  config.seed = argc > 1 ? std::strtoull(argv[1], nullptr, 0) : 2026;
+  config.seed = 2026;
+  if (argc > 1 && !examples::parse_number(argv[1], config.seed)) {
+    return examples::usage("quickstart [seed]");
+  }
   config.track_history = true;
 
   std::printf("Evolving a gait (population %zu, genome %zu bits, "

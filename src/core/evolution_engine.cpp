@@ -5,7 +5,6 @@
 
 #include "gap/gap_top.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "rtl/simulator.hpp"
 #include "util/rng.hpp"
 
@@ -13,27 +12,14 @@ namespace leo::core {
 
 namespace {
 
-/// Publishes a finished hardware run's pipeline breakdown. The GAP's own
-/// per-phase cycle registers are the source of truth; occupancy is the
-/// share of total cycles each phase kept the datapath busy.
-void record_gap_run(const gap::GapTop& top, std::uint64_t total_cycles) {
+/// Counts a finished hardware run. Its cycle counts belong to the job, not
+/// the process: EvolutionResult::clock_cycles, and GapTop::cycles_in_*()
+/// per GA phase.
+void record_gap_run(const gap::GapTop& top) {
   if (!obs::enabled()) return;
   auto& reg = obs::registry();
   reg.counter("leo_gap_runs_total").inc();
   reg.counter("leo_gap_generations_total").inc(top.generation());
-  reg.gauge("leo_gap_eval_cycles").set(static_cast<double>(top.cycles_in_eval()));
-  reg.gauge("leo_gap_selxover_cycles")
-      .set(static_cast<double>(top.cycles_in_selxover()));
-  reg.gauge("leo_gap_mutate_cycles")
-      .set(static_cast<double>(top.cycles_in_mutate()));
-  if (total_cycles > 0) {
-    const double total = static_cast<double>(total_cycles);
-    reg.gauge("leo_gap_pipeline_occupancy")
-        .set(static_cast<double>(top.cycles_in_eval() +
-                                 top.cycles_in_selxover() +
-                                 top.cycles_in_mutate()) /
-             total);
-  }
 }
 
 ga::GaEngine make_engine(const EvolutionConfig& config) {
@@ -83,7 +69,7 @@ EvolutionResult evolve_hardware(const EvolutionConfig& config,
     if (control.should_stop && control.should_stop()) break;
   }
 
-  record_gap_run(top, sim.cycles());
+  record_gap_run(top);
 
   EvolutionResult result;
   result.reached_target = top.done.read();
@@ -126,7 +112,6 @@ EvolutionSession::EvolutionSession(const EvolutionConfig& config,
 }
 
 EvolutionResult EvolutionSession::run(const RunControl& control) {
-  obs::TraceSpan span("leo_core_session_run");
   if (obs::enabled()) {
     obs::registry().counter("leo_core_session_runs_total").inc();
   }

@@ -18,12 +18,6 @@ struct GaMetrics {
   obs::Counter& generations = obs::registry().counter("leo_ga_generations_total");
   obs::Counter& evaluations = obs::registry().counter("leo_ga_evaluations_total");
   obs::Counter& runs = obs::registry().counter("leo_ga_runs_total");
-  obs::Gauge& generation = obs::registry().gauge("leo_ga_generation");
-  obs::Gauge& best = obs::registry().gauge("leo_ga_best_fitness");
-  obs::Gauge& mean = obs::registry().gauge("leo_ga_mean_fitness");
-  obs::Gauge& worst = obs::registry().gauge("leo_ga_worst_fitness");
-  obs::Gauge& best_ever = obs::registry().gauge("leo_ga_best_ever_fitness");
-  obs::Gauge& diversity = obs::registry().gauge("leo_ga_diversity");
 
   static GaMetrics& get() {
     static GaMetrics instance;
@@ -168,16 +162,6 @@ RunResult GaEngine::run_from(EngineState& state, util::Xoshiro256& rng,
     m.runs.inc();
     m.generations.inc(state.generation - first_generation);
     m.evaluations.inc(state.evaluations - first_evaluations);
-    const GenerationStats last =
-        population_stats(state.population, state.generation);
-    m.generation.set(static_cast<double>(state.generation));
-    m.best.set(static_cast<double>(last.best_fitness));
-    m.worst.set(static_cast<double>(last.worst_fitness));
-    m.mean.set(last.mean_fitness);
-    m.best_ever.set(static_cast<double>(state.best.fitness));
-    if (track_history && !state.history.empty()) {
-      m.diversity.set(state.history.back().diversity);
-    }
   }
 
   result.generations = state.generation;

@@ -107,8 +107,7 @@ class GaEngine {
   /// `state`), or `on_generation` returns false. Resuming a stopped state
   /// with the same rng stream continues the identical run. Telemetry is
   /// flushed once on return: the ga counters grow by this call's
-  /// generations and evaluations (start() counts generation 0's), and each
-  /// gauge is set once from the final state.
+  /// generations and evaluations (start() counts generation 0's).
   RunResult run_from(EngineState& state, util::Xoshiro256& rng,
                      std::uint64_t max_generations,
                      std::optional<unsigned> target_fitness,

@@ -1,5 +1,6 @@
 #include "obs/export.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <iomanip>
@@ -62,24 +63,6 @@ std::string to_json_line(const MetricsSnapshot& snapshot) {
     first = false;
     os << "\"" << json_escape(name) << "\":" << json_number(value);
   }
-  os << "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, hist] : snapshot.histograms) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << json_escape(name) << "\":{\"bounds\":[";
-    for (std::size_t i = 0; i < hist.bounds.size(); ++i) {
-      if (i) os << ",";
-      os << json_number(hist.bounds[i]);
-    }
-    os << "],\"counts\":[";
-    for (std::size_t i = 0; i < hist.counts.size(); ++i) {
-      if (i) os << ",";
-      os << hist.counts[i];
-    }
-    os << "],\"count\":" << hist.count << ",\"sum\":" << json_number(hist.sum)
-       << "}";
-  }
   os << "}}";
   return os.str();
 }
@@ -91,9 +74,6 @@ std::string pretty_print(const MetricsSnapshot& snapshot) {
     width = std::max(width, name.size());
   }
   for (const auto& [name, value] : snapshot.gauges) {
-    width = std::max(width, name.size());
-  }
-  for (const auto& [name, hist] : snapshot.histograms) {
     width = std::max(width, name.size());
   }
   if (!snapshot.counters.empty()) {
@@ -108,14 +88,6 @@ std::string pretty_print(const MetricsSnapshot& snapshot) {
     for (const auto& [name, value] : snapshot.gauges) {
       os << "  " << std::left << std::setw(static_cast<int>(width)) << name
          << "  " << std::setprecision(6) << value << "\n";
-    }
-  }
-  if (!snapshot.histograms.empty()) {
-    os << "histograms:\n";
-    for (const auto& [name, hist] : snapshot.histograms) {
-      os << "  " << std::left << std::setw(static_cast<int>(width)) << name
-         << "  n=" << hist.count << " mean=" << std::setprecision(6)
-         << hist.mean() << " sum=" << hist.sum << "\n";
     }
   }
   if (snapshot.empty()) os << "(no metrics recorded)\n";

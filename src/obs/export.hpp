@@ -31,7 +31,7 @@ class TelemetrySink {
   virtual void on_snapshot(const MetricsSnapshot& snapshot) = 0;
 };
 
-/// {"type":"metrics","counters":{...},"gauges":{...},"histograms":{...}}
+/// {"type":"metrics","counters":{...},"gauges":{...}}
 [[nodiscard]] std::string to_json_line(const MetricsSnapshot& snapshot);
 /// Human-readable aligned listing for `discipulus_cli stats`.
 [[nodiscard]] std::string pretty_print(const MetricsSnapshot& snapshot);

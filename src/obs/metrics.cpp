@@ -1,8 +1,5 @@
 #include "obs/metrics.hpp"
 
-#include <algorithm>
-#include <stdexcept>
-
 namespace leo::obs {
 
 namespace {
@@ -14,51 +11,6 @@ void set_enabled(bool on) noexcept {
 }
 
 bool enabled() noexcept { return g_enabled.load(std::memory_order_relaxed); }
-
-Histogram::Histogram(std::vector<double> bounds)
-    : bounds_(std::move(bounds)), counts_(bounds_.size() + 1) {
-  if (bounds_.empty()) {
-    throw std::invalid_argument("Histogram: at least one bucket bound");
-  }
-  if (!std::is_sorted(bounds_.begin(), bounds_.end()) ||
-      std::adjacent_find(bounds_.begin(), bounds_.end()) != bounds_.end()) {
-    throw std::invalid_argument("Histogram: bounds must strictly ascend");
-  }
-}
-
-void Histogram::observe(double x) noexcept {
-  // First bound >= x; everything past the last bound overflows.
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), x);
-  const auto index =
-      static_cast<std::size_t>(std::distance(bounds_.begin(), it));
-  counts_[index].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(x, std::memory_order_relaxed);
-}
-
-HistogramSnapshot Histogram::snapshot() const {
-  HistogramSnapshot snap;
-  snap.bounds = bounds_;
-  snap.counts.reserve(counts_.size());
-  for (const auto& c : counts_) {
-    snap.counts.push_back(c.load(std::memory_order_relaxed));
-  }
-  snap.count = count_.load(std::memory_order_relaxed);
-  snap.sum = sum_.load(std::memory_order_relaxed);
-  return snap;
-}
-
-void Histogram::reset() noexcept {
-  for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-}
-
-std::vector<double> duration_buckets() {
-  std::vector<double> bounds;
-  for (double b = 1e-6; b < 20.0; b *= 4.0) bounds.push_back(b);
-  return bounds;
-}
 
 Counter& MetricsRegistry::counter(std::string_view name) {
   const std::scoped_lock lock(mutex_);
@@ -79,41 +31,11 @@ Gauge& MetricsRegistry::gauge(std::string_view name) {
   return *it->second;
 }
 
-Histogram& MetricsRegistry::histogram(std::string_view name,
-                                      std::vector<double> bounds) {
-  const std::scoped_lock lock(mutex_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_
-             .emplace(std::string(name),
-                      std::make_unique<Histogram>(std::move(bounds)))
-             .first;
-  }
-  return *it->second;
-}
-
-Histogram& MetricsRegistry::histogram(std::string_view name) {
-  // Look up first: the bucket layout is built only when a new histogram is
-  // registered, so a repeated lookup allocates nothing.
-  const std::scoped_lock lock(mutex_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_
-             .emplace(std::string(name),
-                      std::make_unique<Histogram>(duration_buckets()))
-             .first;
-  }
-  return *it->second;
-}
-
 MetricsSnapshot MetricsRegistry::snapshot() const {
   const std::scoped_lock lock(mutex_);
   MetricsSnapshot snap;
   for (const auto& [name, c] : counters_) snap.counters[name] = c->value();
   for (const auto& [name, g] : gauges_) snap.gauges[name] = g->value();
-  for (const auto& [name, h] : histograms_) {
-    snap.histograms[name] = h->snapshot();
-  }
   return snap;
 }
 
@@ -121,7 +43,6 @@ void MetricsRegistry::reset() {
   const std::scoped_lock lock(mutex_);
   for (auto& [name, c] : counters_) c->reset();
   for (auto& [name, g] : gauges_) g->reset();
-  for (auto& [name, h] : histograms_) h->reset();
 }
 
 MetricsRegistry& registry() {

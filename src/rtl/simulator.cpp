@@ -1,7 +1,6 @@
 #include "rtl/simulator.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
@@ -13,29 +12,14 @@ namespace leo::rtl {
 
 namespace {
 
-/// The simulator's registry instruments, resolved once per process (the
-/// registry keeps references stable), so a burst flush takes no lock.
-struct RtlMetrics {
-  obs::Counter& cycles = obs::registry().counter("leo_rtl_cycles_total");
-  obs::Gauge& cycles_per_second =
-      obs::registry().gauge("leo_rtl_cycles_per_second");
-  obs::Gauge& evaluations_per_cycle =
-      obs::registry().gauge("leo_rtl_evaluations_per_cycle");
-};
-
-/// Bulk-records a finished run() / run_until() burst. Instrumentation sits
-/// at burst granularity — never per cycle — so the simulator hot loop
-/// stays untouched and a disabled registry costs one relaxed load.
-void record_burst(std::uint64_t cycles, double wall_seconds,
-                  std::uint64_t evaluations) {
-  if (cycles == 0) return;
-  static const RtlMetrics metrics;
-  metrics.cycles.inc(cycles);
-  if (wall_seconds > 0.0) {
-    metrics.cycles_per_second.set(static_cast<double>(cycles) / wall_seconds);
-  }
-  metrics.evaluations_per_cycle.set(static_cast<double>(evaluations) /
-                                    static_cast<double>(cycles));
+/// Adds a finished run() / run_until() burst to leo_rtl_cycles_total.
+/// Instrumentation sits at burst granularity — never per cycle — so the
+/// step loop stays untouched and a disabled registry costs one relaxed
+/// load.
+void count_cycles(std::uint64_t cycles) {
+  if (cycles == 0 || !obs::enabled()) return;
+  static obs::Counter& total = obs::registry().counter("leo_rtl_cycles_total");
+  total.inc(cycles);
 }
 
 }  // namespace
@@ -239,44 +223,20 @@ void Simulator::step() {
 }
 
 void Simulator::run(std::uint64_t n) {
-  if (!obs::enabled()) {
-    for (std::uint64_t i = 0; i < n; ++i) step();
-    return;
-  }
-  const std::uint64_t evals0 = evaluations_;
-  const auto start = std::chrono::steady_clock::now();
   for (std::uint64_t i = 0; i < n; ++i) step();
-  const double wall = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-  record_burst(n, wall, evaluations_ - evals0);
+  count_cycles(n);
 }
 
 bool Simulator::run_until(const std::function<bool()>& done,
                           std::uint64_t max_cycles) {
-  if (!obs::enabled()) {
-    for (std::uint64_t i = 0; i < max_cycles; ++i) {
-      step();
-      if (done()) return true;
-    }
-    return done();
-  }
-  const std::uint64_t evals0 = evaluations_;
-  const auto start = std::chrono::steady_clock::now();
   const std::uint64_t first = cycles_;
   bool reached = false;
-  for (std::uint64_t i = 0; i < max_cycles; ++i) {
+  for (std::uint64_t i = 0; i < max_cycles && !reached; ++i) {
     step();
-    if (done()) {
-      reached = true;
-      break;
-    }
+    reached = done();
   }
   if (!reached) reached = done();
-  const double wall = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-  record_burst(cycles_ - first, wall, evaluations_ - evals0);
+  count_cycles(cycles_ - first);
   return reached;
 }
 

@@ -294,8 +294,8 @@ TEST(GaEngine, InitialGenomesFitTheWidth) {
 }
 
 // The ga counters advance by exactly the run's totals (flushed once per
-// run_from, including a suspended-and-resumed run), the gauges describe
-// the final state, and telemetry never changes the evolved genome.
+// run_from, including a suspended-and-resumed run), and telemetry never
+// changes the evolved genome.
 TEST(GaTelemetry, CountersMatchRunTotalsAndObsIsInert) {
   auto& reg = obs::registry();
   auto counter = [&](const char* name) { return reg.counter(name).value(); };
@@ -314,11 +314,6 @@ TEST(GaTelemetry, CountersMatchRunTotalsAndObsIsInert) {
   EXPECT_EQ(counter("leo_ga_generations_total") - gens0, on.generations);
   EXPECT_EQ(counter("leo_ga_evaluations_total") - evals0, on.evaluations);
   EXPECT_EQ(counter("leo_ga_runs_total") - runs0, 2u);
-  EXPECT_EQ(reg.gauge("leo_ga_generation").value(),
-            static_cast<double>(on.generations));
-  EXPECT_EQ(reg.gauge("leo_ga_best_ever_fitness").value(),
-            static_cast<double>(on.best.fitness));
-  EXPECT_EQ(reg.gauge("leo_ga_best_fitness").value(), 60.0);
 
   obs::set_enabled(false);
   GaEngine quiet(GaParams{}, fitness);

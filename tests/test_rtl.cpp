@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "obs/metrics.hpp"
 #include "rtl/module.hpp"
 #include "rtl/net.hpp"
 #include "rtl/ram.hpp"
@@ -166,6 +167,38 @@ TEST(RtlKernel, RunUntilStopsEarly) {
   const bool miss = sim.run_until([&] { return false; }, 10);
   EXPECT_FALSE(miss);
   EXPECT_EQ(sim.cycles(), 14u);
+}
+
+// leo_rtl_cycles_total grows by exactly the cycles each run()/run_until()
+// burst advanced, and not at all while obs is disabled.
+TEST(RtlKernel, CyclesCounterGrowsByTheCyclesEachBurstAdvanced) {
+  CombChain top(nullptr);
+  Simulator sim(top);
+  const obs::Counter& total = obs::registry().counter("leo_rtl_cycles_total");
+
+  std::uint64_t before = total.value();
+  sim.run(5);
+  EXPECT_EQ(total.value() - before, 5u);
+
+  before = total.value();
+  EXPECT_TRUE(sim.run_until([&] { return top.count.read() == 8; }, 100));
+  EXPECT_EQ(sim.cycles(), 8u) << "stops early, 3 cycles into a 100 budget";
+  EXPECT_EQ(total.value() - before, 3u);
+
+  before = total.value();
+  EXPECT_FALSE(sim.run_until([] { return false; }, 10));
+  EXPECT_EQ(sim.cycles(), 18u);
+  EXPECT_EQ(total.value() - before, 10u);
+
+  obs::set_enabled(false);
+  before = total.value();
+  sim.run(7);
+  EXPECT_TRUE(sim.run_until([&] { return top.count.read() == 27; }, 100));
+  EXPECT_FALSE(sim.run_until([] { return false; }, 4));
+  const std::uint64_t after_disabled = total.value();
+  obs::set_enabled(true);
+  EXPECT_EQ(sim.cycles(), 31u);
+  EXPECT_EQ(after_disabled, before);
 }
 
 TEST(RtlKernel, HierarchyAndNames) {

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <mutex>
 #include <optional>
@@ -946,10 +947,19 @@ TEST(Coalescing, BatchOf64IdenticalConfigsRunsEngineOnce) {
 
 TEST(Coalescing, FollowerInheritsSuspendedOutcomeAndSnapshot) {
   EvolutionService service(1);
+  // Hold the single worker so the primary is still queued when the
+  // follower arrives: a 10k-generation primary could otherwise finish
+  // before the second submit.
+  JobOptions blocker_opts;
+  blocker_opts.use_cache = false;
+  blocker_opts.generation_budget = 100'000'000;
+  JobHandle blocker = service.submit(stuck_config(), blocker_opts);
   JobOptions options;
   options.generation_budget = 10'000;
   JobHandle primary = service.submit(stuck_config(), options);
   JobHandle follower = service.submit(stuck_config(), options);
+  blocker.cancel();
+  (void)blocker.wait();
   ASSERT_TRUE(follower.coalesced());
   EXPECT_FALSE(primary.coalesced());
 
@@ -1169,6 +1179,8 @@ TEST(Admission, BlockPolicyBoundsTheQueueUnderTenXBurst) {
 
   // 10x the admission cap, from four submitter threads. Every submit
   // either enqueues under the bound or blocks until a worker frees a slot.
+  const std::uint64_t blocked0 =
+      counter_value("leo_serve_admission_blocked_total");
   constexpr std::size_t kSubmitters = 4;
   constexpr std::size_t kPerThread = 10;
   std::mutex handles_mutex;
@@ -1188,14 +1200,20 @@ TEST(Admission, BlockPolicyBoundsTheQueueUnderTenXBurst) {
     });
   }
 
-  // The queue fills to the cap and the submitters block. Unblock the
+  // The queue fills to the cap and the next submit blocks. Unblock the
   // workers and watch the bound hold while the burst drains.
   while (service.queue_depth() < opts.max_queue_depth) {
     std::this_thread::yield();
   }
-  const std::uint64_t blocked =
-      counter_value("leo_serve_admission_blocked_total");
-  EXPECT_GT(blocked, 0u);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  bool blocked = false;
+  while (!(blocked = counter_value("leo_serve_admission_blocked_total") >
+                     blocked0) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_TRUE(blocked) << "no submit blocked on the full queue within 10 s";
   blocker_a.cancel();
   blocker_b.cancel();
   std::size_t max_seen = 0;
