@@ -6,20 +6,6 @@
 
 namespace leo::fpga {
 
-namespace {
-constexpr std::size_t kHeaderBits = 16 + 8 + 8;
-
-std::uint16_t crc16_update(std::uint16_t crc, std::uint8_t byte) {
-  crc = static_cast<std::uint16_t>(crc ^ (static_cast<std::uint16_t>(byte) << 8));
-  for (int i = 0; i < 8; ++i) {
-    crc = (crc & 0x8000)
-              ? static_cast<std::uint16_t>((crc << 1) ^ 0x1021)
-              : static_cast<std::uint16_t>(crc << 1);
-  }
-  return crc;
-}
-}  // namespace
-
 std::uint16_t crc16_ccitt(const util::BitVec& bits) {
   std::uint16_t crc = 0xFFFF;
   const std::size_t bytes = (bits.width() + 7) / 8;
@@ -35,12 +21,12 @@ util::BitVec pack_frame(const util::BitVec& payload) {
   if (payload.width() == 0 || payload.width() > 255) {
     throw std::invalid_argument("pack_frame: payload width in [1, 255]");
   }
-  util::BitVec body(kHeaderBits + payload.width());
+  util::BitVec body(kFrameHeaderBits + payload.width());
   body.set_slice_u64(0, 16, kFrameMagic);
   body.set_slice_u64(16, 8, kFrameVersion);
   body.set_slice_u64(24, 8, payload.width());
   for (std::size_t i = 0; i < payload.width(); ++i) {
-    body.set(kHeaderBits + i, payload.get(i));
+    body.set(kFrameHeaderBits + i, payload.get(i));
   }
   const std::uint16_t crc = crc16_ccitt(body);
 
@@ -51,7 +37,7 @@ util::BitVec pack_frame(const util::BitVec& payload) {
 }
 
 util::BitVec unpack_frame(const util::BitVec& frame) {
-  if (frame.width() < kHeaderBits + 16 + 1) {
+  if (frame.width() < kFrameHeaderBits + 16 + 1) {
     throw std::runtime_error("unpack_frame: truncated frame");
   }
   if (frame.slice_u64(0, 16) != kFrameMagic) {
@@ -61,16 +47,16 @@ util::BitVec unpack_frame(const util::BitVec& frame) {
     throw std::runtime_error("unpack_frame: unsupported version");
   }
   const auto width = static_cast<std::size_t>(frame.slice_u64(24, 8));
-  if (frame.width() != kHeaderBits + width + 16) {
+  if (frame.width() != kFrameHeaderBits + width + 16) {
     throw std::runtime_error("unpack_frame: width field mismatch");
   }
-  const util::BitVec body = frame.slice(0, kHeaderBits + width);
+  const util::BitVec body = frame.slice(0, kFrameHeaderBits + width);
   const auto crc = static_cast<std::uint16_t>(
-      frame.slice_u64(kHeaderBits + width, 16));
+      frame.slice_u64(kFrameHeaderBits + width, 16));
   if (crc != crc16_ccitt(body)) {
     throw std::runtime_error("unpack_frame: CRC mismatch (corrupt stream)");
   }
-  return body.slice(kHeaderBits, width);
+  return body.slice(kFrameHeaderBits, width);
 }
 
 util::BitVec pack_genome(std::uint64_t genome_bits) {

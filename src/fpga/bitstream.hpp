@@ -24,6 +24,21 @@ namespace leo::fpga {
 
 inline constexpr std::uint16_t kFrameMagic = 0x4C44;
 inline constexpr std::uint8_t kFrameVersion = 1;
+/// Bits before the payload: magic, version and width.
+inline constexpr std::uint32_t kFrameHeaderBits = 16 + 8 + 8;
+
+/// Advances a CRC-16/CCITT-FALSE by one byte, MSB first: the polynomial
+/// LFSR that both the software packer and the RTL config loader step.
+[[nodiscard]] constexpr std::uint16_t crc16_update(std::uint16_t crc,
+                                                   std::uint8_t byte) noexcept {
+  crc = static_cast<std::uint16_t>(crc ^ (static_cast<std::uint16_t>(byte) << 8));
+  for (int i = 0; i < 8; ++i) {
+    crc = (crc & 0x8000)
+              ? static_cast<std::uint16_t>((crc << 1) ^ 0x1021)
+              : static_cast<std::uint16_t>(crc << 1);
+  }
+  return crc;
+}
 
 /// CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF, no reflection).
 [[nodiscard]] std::uint16_t crc16_ccitt(const util::BitVec& bits);

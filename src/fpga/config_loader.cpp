@@ -4,10 +4,6 @@
 
 namespace leo::fpga {
 
-namespace {
-constexpr std::uint32_t kHeaderBits = 32;  // magic(16) version(8) width(8)
-}  // namespace
-
 ConfigLoader::ConfigLoader(rtl::Module* parent, std::string name,
                            util::BitVec rom)
     : rtl::Module(parent, std::move(name)),
@@ -18,7 +14,7 @@ ConfigLoader::ConfigLoader(rtl::Module* parent, std::string name,
       rom_(std::move(rom)),
       cursor_(this, "cursor", 10),
       state_(this, "state", 2),
-      header_(this, "header", 32),
+      header_(this, "header", kFrameHeaderBits),
       payload_reg_(this, "payload_reg", 48),
       crc_reg_(this, "crc_reg", 16, 0xFFFF),
       crc_field_(this, "crc_field", 16),
@@ -26,20 +22,6 @@ ConfigLoader::ConfigLoader(rtl::Module* parent, std::string name,
       byte_bits_(this, "byte_bits", 4) {}
 
 void ConfigLoader::reprogram(util::BitVec rom) { rom_ = std::move(rom); }
-
-std::uint16_t ConfigLoader::crc_step_byte(std::uint16_t crc,
-                                          std::uint8_t byte) {
-  // CRC-16/CCITT-FALSE, one byte MSB-first — the same polynomial LFSR
-  // the software packer uses (8 XOR/shift stages of combinational logic
-  // in hardware).
-  crc = static_cast<std::uint16_t>(crc ^ (static_cast<std::uint16_t>(byte) << 8));
-  for (int i = 0; i < 8; ++i) {
-    crc = (crc & 0x8000)
-              ? static_cast<std::uint16_t>((crc << 1) ^ 0x1021)
-              : static_cast<std::uint16_t>(crc << 1);
-  }
-  return crc;
-}
 
 void ConfigLoader::evaluate() {
   const auto state = static_cast<State>(state_.read());
@@ -62,8 +44,8 @@ void ConfigLoader::clock_edge() {
   // Header / payload width bookkeeping. The width field is only known
   // once the header has fully arrived.
   const auto width = static_cast<std::uint32_t>((header_.read() >> 24) & 0xFF);
-  const bool header_done = cursor >= kHeaderBits;
-  const std::uint32_t body_bits = header_done ? kHeaderBits + width : 0;
+  const bool header_done = cursor >= kFrameHeaderBits;
+  const std::uint32_t body_bits = header_done ? kFrameHeaderBits + width : 0;
 
   if (!header_done) {
     header_.set_next(header_.read() |
@@ -71,7 +53,7 @@ void ConfigLoader::clock_edge() {
   } else if (cursor < body_bits) {
     payload_reg_.set_next(
         payload_reg_.read() |
-        (static_cast<std::uint64_t>(bit) << (cursor - kHeaderBits)));
+        (static_cast<std::uint64_t>(bit) << (cursor - kFrameHeaderBits)));
   } else {
     crc_field_.set_next(static_cast<std::uint16_t>(
         crc_field_.read() |
@@ -90,7 +72,7 @@ void ConfigLoader::clock_edge() {
     ++nbits;
     const bool body_ends_here = header_done && cursor + 1 == body_bits;
     if (nbits == 8 || body_ends_here) {
-      crc = crc_step_byte(crc, buf);
+      crc = crc16_update(crc, buf);
       buf = 0;
       nbits = 0;
     }
@@ -100,14 +82,14 @@ void ConfigLoader::clock_edge() {
   }
 
   // Header validation the moment it is complete.
-  if (cursor + 1 == kHeaderBits) {
+  if (cursor + 1 == kFrameHeaderBits) {
     const std::uint64_t header =
         header_.read() | (static_cast<std::uint64_t>(bit) << cursor);
     const auto magic = static_cast<std::uint16_t>(header & 0xFFFF);
     const auto version = static_cast<std::uint8_t>((header >> 16) & 0xFF);
     const auto w = static_cast<std::uint32_t>((header >> 24) & 0xFF);
     if (magic != kFrameMagic || version != kFrameVersion || w == 0 ||
-        w > 48 || rom_.width() != kHeaderBits + w + 16) {
+        w > 48 || rom_.width() != kFrameHeaderBits + w + 16) {
       state_.set_next(static_cast<std::uint8_t>(State::kError));
       return;
     }

@@ -65,9 +65,6 @@ class ConfigLoader final : public rtl::Module {
     kError,
   };
 
-  [[nodiscard]] static std::uint16_t crc_step_byte(std::uint16_t crc,
-                                                   std::uint8_t byte);
-
   util::BitVec rom_;
   rtl::Reg<std::uint32_t> cursor_;      ///< next ROM bit index
   rtl::Reg<std::uint8_t> state_;

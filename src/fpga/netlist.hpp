@@ -48,9 +48,6 @@ class Netlist {
 
   void mark_output(NodeId node, std::string name);
 
-  [[nodiscard]] std::size_t node_count() const noexcept {
-    return gates_.size();
-  }
   [[nodiscard]] std::size_t input_count() const noexcept {
     return inputs_.size();
   }

@@ -35,9 +35,6 @@ class TournamentSelection {
     const std::size_t worse = a_better ? b : a;
     return rng.next_bool_p8(win_probability_.raw()) ? better : worse;
   }
-  [[nodiscard]] util::Prob8 win_probability() const noexcept {
-    return win_probability_;
-  }
 
  private:
   util::Prob8 win_probability_;

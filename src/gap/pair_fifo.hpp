@@ -36,10 +36,6 @@ class PairFifo final : public rtl::Module {
     return {&full, &empty, &out_pair};
   }
 
-  [[nodiscard]] unsigned occupancy() const noexcept {
-    return static_cast<unsigned>(count_.read());
-  }
-
   static constexpr unsigned kDepth = 2;
 
  private:

@@ -59,10 +59,6 @@ class PhaseTable {
   [[nodiscard]] const LegPose& pose(std::size_t phase, std::size_t leg) const {
     return poses_.at(phase).at(leg);
   }
-  [[nodiscard]] const std::array<LegPose, kNumLegs>& phase_poses(
-      std::size_t phase) const {
-    return poses_.at(phase);
-  }
 
   /// Number of legs raised on the given body side after `phase`.
   [[nodiscard]] unsigned raised_on_side(std::size_t phase, bool left) const;

@@ -44,7 +44,6 @@ class SyncRam final : public Module {
   void poke(std::size_t index, std::uint64_t value);
 
   [[nodiscard]] std::size_t depth() const noexcept { return mem_.size(); }
-  [[nodiscard]] unsigned word_width() const noexcept { return width_; }
 
   /// depth*width bits of select-RAM plus the registered output.
   [[nodiscard]] ResourceTally own_resources() const override;

@@ -55,10 +55,4 @@ std::size_t ResultCache::size() const {
   return index_.size();
 }
 
-void ResultCache::clear() {
-  const std::scoped_lock lock(mutex_);
-  lru_.clear();
-  index_.clear();
-}
-
 }  // namespace leo::serve

@@ -59,7 +59,6 @@ class ResultCache {
   [[nodiscard]] CacheStats stats() const;
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  void clear();
 
  private:
   using Entry = std::pair<std::uint64_t, core::EvolutionResult>;

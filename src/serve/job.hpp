@@ -3,10 +3,11 @@
 //
 // Lifecycle:
 //
-//   kQueued ──────────────► kCancelled        (cancelled before starting)
-//      │  └───────────────► kRejected         (shed by admission control;
-//      │                                       wait() throws)
-//      │ popped by a worker
+//   (queue full, kShed) ──► kRejected         (refused at admission, never
+//                                              queued; wait() throws)
+//   kQueued ──────────────► kCancelled        (cancelled before starting;
+//      │                                       its queue slot is freed)
+//      │ popped by a worker, oldest first
 //      ▼
 //   kRunning ─► kSucceeded                    (target reached, or
 //      │                                       config.max_generations done)
@@ -62,8 +63,6 @@ enum class JobState : std::uint8_t {
 }
 
 struct JobOptions {
-  /// Higher runs first; ties run in submission order.
-  int priority = 0;
   /// Absolute generation ceiling (0 = none). A software job stopped by its
   /// budget ends kSuspended with a snapshot; a hardware job, which cannot
   /// snapshot, ends kBudgetExhausted.

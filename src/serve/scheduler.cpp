@@ -12,29 +12,7 @@
 
 namespace leo::serve {
 
-bool schedule_before(const detail::Job& a, const detail::Job& b) {
-  if (a.options.priority != b.options.priority) {
-    return a.options.priority > b.options.priority;
-  }
-  return a.id < b.id;
-}
-
-const char* to_string(AdmissionPolicy policy) noexcept {
-  switch (policy) {
-    case AdmissionPolicy::kBlock: return "block";
-    case AdmissionPolicy::kReject: return "reject";
-    case AdmissionPolicy::kShed: return "shed";
-  }
-  return "unknown";
-}
-
 namespace {
-
-/// std heap comparator: "less" means scheduled later.
-bool heap_less(const std::shared_ptr<detail::Job>& a,
-               const std::shared_ptr<detail::Job>& b) {
-  return schedule_before(*b, *a);
-}
 
 /// Registry instruments resolved once; all updates are relaxed atomics.
 struct ServeMetrics {
@@ -47,8 +25,6 @@ struct ServeMetrics {
   obs::Counter& checkpoints = obs::registry().counter("leo_serve_checkpoints_total");
   obs::Counter& admission_blocked =
       obs::registry().counter("leo_serve_admission_blocked_total");
-  obs::Counter& admission_rejected =
-      obs::registry().counter("leo_serve_admission_rejected_total");
   obs::Gauge& queue_depth = obs::registry().gauge("leo_serve_queue_depth");
   obs::Gauge& jobs_running = obs::registry().gauge("leo_serve_jobs_running");
 
@@ -66,6 +42,15 @@ void count_terminal(JobState state) {
   if (const char* name = detail::terminal_counter_name(state)) {
     obs::registry().counter(name).inc();
   }
+}
+
+/// True for a queued job cancelled through its handle: it is terminal but
+/// stays in the queue until a worker pops it or admission drops it. Takes
+/// the job's mutex; callers hold the service mutex (lock order service ->
+/// job, as in coalescing).
+bool cancelled_while_queued(const std::shared_ptr<detail::Job>& job) {
+  const std::scoped_lock lock(job->mutex);
+  return is_terminal(job->state);
 }
 
 /// Period of the metrics flusher a service with a telemetry sink runs.
@@ -108,11 +93,11 @@ void EvolutionService::shutdown() {
   {
     const std::scoped_lock lock(mutex_);
     shutting_down_ = true;
-    for (const auto* jobs : {&queue_, &running_}) {
-      for (const auto& job : *jobs) {
-        if (job) job->cancel_requested.store(true, std::memory_order_relaxed);
-      }
-    }
+    const auto cancel = [](const std::shared_ptr<detail::Job>& job) {
+      if (job) job->cancel_requested.store(true, std::memory_order_relaxed);
+    };
+    std::ranges::for_each(queue_, cancel);
+    std::ranges::for_each(running_, cancel);
   }
   admission_cv_.notify_all();  // wake blocked submitters; they throw
   // Workers drain the queue (each cancelled job still completes, releasing
@@ -210,10 +195,10 @@ JobHandle EvolutionService::submit_one(
       cache_counted = true;
     }
 
-    if (admit_locked(lock, options)) break;
-    if (admission_ != AdmissionPolicy::kBlock) {
-      // kShed decided to shed the incoming job: hand back an already
-      // rejected handle instead of growing the queue.
+    if (admit_locked(lock)) break;
+    if (admission_ == AdmissionPolicy::kShed) {
+      // The queue is full: hand back an already rejected handle instead of
+      // growing the queue.
       auto job = make_job();
       terminate(*job, JobState::kRejected, kShedError);
       return JobHandle(std::move(job));
@@ -224,7 +209,6 @@ JobHandle EvolutionService::submit_one(
 
   auto job = make_job();
   queue_.push_back(job);
-  std::push_heap(queue_.begin(), queue_.end(), heap_less);
   if (fresh && options.use_cache) inflight_[key] = job;
   if (obs::enabled()) {
     ServeMetrics::get().queue_depth.set(static_cast<double>(queue_.size()));
@@ -234,50 +218,23 @@ JobHandle EvolutionService::submit_one(
   return JobHandle(std::move(job));
 }
 
-bool EvolutionService::admit_locked(std::unique_lock<std::mutex>& lock,
-                                    const JobOptions& options) {
-  if (max_queue_depth_ == 0 || queue_.size() < max_queue_depth_) return true;
-  switch (admission_) {
-    case AdmissionPolicy::kBlock:
-      if (obs::enabled()) ServeMetrics::get().admission_blocked.inc();
-      admission_cv_.wait(lock, [this] {
-        return shutting_down_ || queue_.size() < max_queue_depth_;
-      });
-      // Caller loops: re-checks shutdown/coalescing/cache, then re-admits.
-      return false;
-    case AdmissionPolicy::kReject:
-      if (obs::enabled()) ServeMetrics::get().admission_rejected.inc();
-      throw QueueFullError(
-          "EvolutionService: queue full (depth " +
-          std::to_string(queue_.size()) + ", cap " +
-          std::to_string(max_queue_depth_) + ", policy=reject)");
-    case AdmissionPolicy::kShed: {
-      // Shed the lowest-scheduled queued job if the incoming one outranks
-      // it; ties shed the newcomer (it would be scheduled last anyway).
-      const auto victim_it =
-          std::min_element(queue_.begin(), queue_.end(), heap_less);
-      if (victim_it == queue_.end()) return true;  // cap 0-sized queue
-      const std::shared_ptr<detail::Job> victim = *victim_it;
-      bool victim_live = false;
-      {
-        const std::scoped_lock victim_lock(victim->mutex);
-        victim_live = victim->state == JobState::kQueued;
-      }
-      if (victim_live && victim->options.priority >= options.priority) {
-        return false;  // incoming job is (tied-)lowest: shed it instead
-      }
-      queue_.erase(victim_it);
-      std::make_heap(queue_.begin(), queue_.end(), heap_less);
-      if (obs::enabled()) {
-        ServeMetrics::get().queue_depth.set(
-            static_cast<double>(queue_.size()));
-      }
-      forget_inflight_locked(*victim);
-      terminate(*victim, JobState::kRejected, kShedError);
-      return true;
-    }
+bool EvolutionService::admit_locked(std::unique_lock<std::mutex>& lock) {
+  if (has_room_locked()) return true;
+  if (admission_ == AdmissionPolicy::kBlock) {
+    if (obs::enabled()) ServeMetrics::get().admission_blocked.inc();
+    admission_cv_.wait(lock,
+                       [this] { return shutting_down_ || has_room_locked(); });
   }
-  return true;
+  return false;
+}
+
+bool EvolutionService::has_room_locked() {
+  if (max_queue_depth_ == 0 || queue_.size() < max_queue_depth_) return true;
+  if (std::erase_if(queue_, cancelled_while_queued) == 0) return false;
+  if (obs::enabled()) {
+    ServeMetrics::get().queue_depth.set(static_cast<double>(queue_.size()));
+  }
+  return queue_.size() < max_queue_depth_;
 }
 
 JobHandle EvolutionService::resume(const Snapshot& snapshot,
@@ -296,7 +253,8 @@ JobHandle EvolutionService::resume(const Snapshot& snapshot,
 
 std::size_t EvolutionService::queue_depth() const {
   const std::scoped_lock lock(mutex_);
-  return queue_.size();
+  return queue_.size() - static_cast<std::size_t>(std::ranges::count_if(
+                             queue_, cancelled_while_queued));
 }
 
 void EvolutionService::work(std::size_t slot) {
@@ -307,9 +265,8 @@ void EvolutionService::work(std::size_t slot) {
       running_[slot].reset();
       work_cv_.wait(lock, [this] { return shutting_down_ || !queue_.empty(); });
       if (queue_.empty()) return;  // shutting down and drained
-      std::pop_heap(queue_.begin(), queue_.end(), heap_less);
-      job = std::move(queue_.back());
-      queue_.pop_back();
+      job = std::move(queue_.front());
+      queue_.pop_front();
       running_[slot] = job;
       if (obs::enabled()) {
         ServeMetrics::get().queue_depth.set(static_cast<double>(queue_.size()));

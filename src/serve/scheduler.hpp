@@ -6,14 +6,13 @@
 // thousands of (config, seed) points. The service turns the blocking
 // core::evolve() call into a job system:
 //
-//   * one priority queue drained by the service's own worker threads
-//     (higher priority first, FIFO within a priority);
+//   * one FIFO queue drained by the service's own worker threads, so jobs
+//     start in the order they were admitted;
 //   * job handles with status/progress polling and blocking wait(), and
 //     batch handles (submit_batch) over whole sweeps;
 //   * bounded admission with backpressure: a configurable max queue depth
-//     past which submit() blocks, rejects with QueueFullError, or sheds
-//     the lowest-priority queued work (AdmissionPolicy), so a misbehaving
-//     client cannot grow the queue without bound;
+//     past which submit() blocks or refuses the newcomer (AdmissionPolicy),
+//     so a misbehaving client cannot grow the queue without bound;
 //   * in-flight coalescing: a submission whose identical job (same
 //     canonical config key, same generation budget, cache enabled) is
 //     already queued or running attaches to that execution as a follower
@@ -37,10 +36,10 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -57,21 +56,8 @@ namespace leo::serve {
 
 /// What submit() does when the queue is at max_queue_depth.
 enum class AdmissionPolicy : std::uint8_t {
-  kBlock,   ///< block the submitter until a worker drains a slot
-  kReject,  ///< throw QueueFullError
-  /// Keep the queue bound by shedding the lowest-priority queued job
-  /// (which turns kRejected); if the incoming job itself is lowest
-  /// (ties shed the newcomer), it is returned already kRejected.
-  kShed,
-};
-
-[[nodiscard]] const char* to_string(AdmissionPolicy policy) noexcept;
-
-/// Thrown by submit()/submit_batch() under AdmissionPolicy::kReject when
-/// the queue is at capacity.
-class QueueFullError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
+  kBlock,  ///< block the submitter until a worker drains a slot
+  kShed,   ///< return the incoming job already kRejected
 };
 
 struct ServiceOptions {
@@ -89,10 +75,6 @@ struct ServiceOptions {
   /// shutdown, after its workers have joined.
   std::shared_ptr<obs::TelemetrySink> telemetry{};
 };
-
-/// Scheduling order: higher priority first, then submission (id) order.
-/// Exposed for testing.
-[[nodiscard]] bool schedule_before(const detail::Job& a, const detail::Job& b);
 
 class EvolutionService {
  public:
@@ -113,12 +95,11 @@ class EvolutionService {
   /// Enqueues one evolution. Cache hits complete immediately without
   /// occupying a worker; a submission identical to an in-flight job
   /// coalesces onto it. At max_queue_depth the admission policy applies:
-  /// kBlock waits, kReject throws QueueFullError, kShed evicts the
-  /// lowest-priority queued job (possibly this one — check state()).
+  /// kBlock waits for a free slot, kShed returns this job already
+  /// kRejected (check state()).
   JobHandle submit(const core::EvolutionConfig& config, JobOptions options = {});
 
-  /// Submits every item (in order, under the same admission policy —
-  /// under kReject a mid-batch throw leaves earlier jobs running) and
+  /// Submits every item (in order, under the same admission policy) and
   /// returns one handle over the whole fleet. Identical items coalesce
   /// into a single execution.
   BatchHandle submit_batch(const std::vector<BatchItem>& items);
@@ -130,9 +111,9 @@ class EvolutionService {
 
   [[nodiscard]] std::size_t threads() const noexcept { return workers_.size(); }
   [[nodiscard]] CacheStats cache_stats() const { return cache_.stats(); }
-  void clear_cache() { cache_.clear(); }
 
-  /// Jobs currently queued (excluding running, cache hits, followers).
+  /// Jobs waiting to run (excluding running, cache hits, followers and
+  /// queued jobs already cancelled through their handles).
   [[nodiscard]] std::size_t queue_depth() const;
 
  private:
@@ -144,10 +125,14 @@ class EvolutionService {
                        std::shared_ptr<detail::BatchState> batch,
                        std::optional<Snapshot> resume_from = std::nullopt);
   /// Applies the admission policy while holding `lock`. Returns true if
-  /// the caller may enqueue; false means "shed the incoming job" (kShed
-  /// only). May block (kBlock) or throw (kReject).
-  bool admit_locked(std::unique_lock<std::mutex>& lock,
-                    const JobOptions& options);
+  /// the caller may enqueue. Otherwise the queue is full: under kShed the
+  /// caller refuses the incoming job; under kBlock this has waited for a
+  /// free slot (or shutdown) and the caller re-checks everything.
+  bool admit_locked(std::unique_lock<std::mutex>& lock);
+  /// True if the queue has a free slot. A full queue first drops the jobs
+  /// cancelled through their handles while queued, which would otherwise
+  /// hold their slots until a worker popped them. Requires `mutex_` held.
+  bool has_room_locked();
   /// Cancels every queued and running job, wakes blocked submitters and
   /// the workers, and joins the workers once they have drained the queue.
   void shutdown();
@@ -174,8 +159,8 @@ class EvolutionService {
   std::size_t max_queue_depth_ = 0;
   AdmissionPolicy admission_ = AdmissionPolicy::kBlock;
   std::atomic<std::uint64_t> completions_{0};
-  /// Max-heap by schedule_before (std::push_heap/pop_heap).
-  std::vector<std::shared_ptr<detail::Job>> queue_;
+  /// Admitted jobs waiting for a worker, oldest first.
+  std::deque<std::shared_ptr<detail::Job>> queue_;
   /// Primary (non-follower) jobs by cache key while queued or running;
   /// identical submissions coalesce onto the mapped job. Entries are
   /// erased on completion, or lazily when found dead.

@@ -1,9 +1,10 @@
 // bitvec.hpp — fixed-width dynamic bit vector.
 //
 // BitVec is the common currency between the genome layer (36-bit gait
-// genomes), the RTL kernel (bus values wider than 64 bits), and the FPGA
-// configuration-bitstream packing. It stores bits little-endian in 64-bit
-// words: bit 0 is the LSB of word 0.
+// genomes) and the FPGA configuration path (bitstream frames and the
+// config-ROM contents the RTL loader streams). RTL nets are plain integers
+// of at most 64 bits and do not use it. It stores bits little-endian in
+// 64-bit words: bit 0 is the LSB of word 0.
 #pragma once
 
 #include <cstdint>
