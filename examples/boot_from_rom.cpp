@@ -38,6 +38,12 @@ class Board final : public rtl::Module {
     discipulus.use_external_genome.write(loader.valid.read());
     discipulus.external_genome.write(loader.payload.read());
   }
+  [[nodiscard]] rtl::Nets inputs() const override {
+    return {&loader.valid, &loader.payload};
+  }
+  [[nodiscard]] rtl::Nets drives() const override {
+    return {&discipulus.use_external_genome, &discipulus.external_genome};
+  }
 
   fpga::ConfigLoader loader;
   core::DiscipulusTop discipulus;

@@ -53,12 +53,12 @@ class DiscipulusTop final : public rtl::Module {
 
   void evaluate() override;
 
-  [[nodiscard]] rtl::Sensitivity inputs() const override {
+  [[nodiscard]] rtl::Nets inputs() const override {
     return {&gap_.done,        &gap_.best_genome_bus, &use_external_genome,
             &external_genome,  &ground_sensors,       &obstacle_sensors};
   }
 
-  [[nodiscard]] rtl::Drives drives() const override {
+  [[nodiscard]] rtl::Nets drives() const override {
     return {&evolution_done, &controller_.genome, &controller_.run,
             &controller_.ground_sensors, &controller_.obstacle_sensors};
   }

@@ -1,6 +1,7 @@
 #include "core/evolution_engine.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "gap/gap_top.hpp"
@@ -47,9 +48,15 @@ EvolutionResult evolve_hardware(const EvolutionConfig& config,
 
   const std::uint64_t gen_limit = generation_limit(config, control);
   // Generous per-generation bound: init + eval + sel/xover + mutation with
-  // stalls never exceeds ~40 cycles per individual.
-  const std::uint64_t max_cycles =
-      (gen_limit + 2) * params.population_size * 40;
+  // stalls never exceeds ~40 cycles per individual. It saturates, so a
+  // huge generation limit means "no cycle bound" instead of wrapping to a
+  // small one. GapTop has already rejected a population below 4.
+  constexpr std::uint64_t kNoBound = std::numeric_limits<std::uint64_t>::max();
+  const std::uint64_t cycles_per_gen =
+      std::uint64_t{params.population_size} * 40;
+  const std::uint64_t max_cycles = gen_limit < kNoBound / cycles_per_gen - 2
+                                       ? (gen_limit + 2) * cycles_per_gen
+                                       : kNoBound;
   auto done = [&] { return top.done.read(); };
 
   // Run in sub-generation slices so cancellation and progress hooks are

@@ -82,10 +82,9 @@ bool WalkingController::propulsion_target(std::size_t leg) const {
   return decode_propulsion(leg);
 }
 
-rtl::Drives WalkingController::drives() const {
-  rtl::Drives d = rtl::Drives::none();
-  d.nets.push_back(&phase);
-  for (const auto& p : pwm_) d.nets.push_back(&p->position);
+rtl::Nets WalkingController::drives() const {
+  rtl::Nets d{&phase};
+  for (const auto& p : pwm_) d.push_back(&p->position);
   return d;
 }
 

@@ -62,12 +62,12 @@ class WalkingController final : public rtl::Module {
 
   /// The decode path is genome x phase x held positions; `run` and the
   /// sensors are read only in clock_edge() (or not at all).
-  [[nodiscard]] rtl::Sensitivity inputs() const override {
+  [[nodiscard]] rtl::Nets inputs() const override {
     return {&genome, &phase_, &elevation_state_, &propulsion_state_};
   }
 
   /// The phase observer wire plus the 12 servo position commands.
-  [[nodiscard]] rtl::Drives drives() const override;
+  [[nodiscard]] rtl::Nets drives() const override;
 
   /// Servo target for a leg in the *current* phase, decoded from the
   /// genome bus (exposed so the robot-coupling layer can bypass the PWM

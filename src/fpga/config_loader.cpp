@@ -21,8 +21,6 @@ ConfigLoader::ConfigLoader(rtl::Module* parent, std::string name,
       byte_buf_(this, "byte_buf", 8),
       byte_bits_(this, "byte_bits", 4) {}
 
-void ConfigLoader::reprogram(util::BitVec rom) { rom_ = std::move(rom); }
-
 void ConfigLoader::evaluate() {
   const auto state = static_cast<State>(state_.read());
   valid.write(state == State::kValid);

@@ -44,16 +44,13 @@ class ConfigLoader final : public rtl::Module {
 
   /// The status decode and payload forwarding read only these two
   /// registers; the whole shift pipeline lives in clock_edge().
-  [[nodiscard]] rtl::Sensitivity inputs() const override {
+  [[nodiscard]] rtl::Nets inputs() const override {
     return {&state_, &payload_reg_};
   }
 
-  [[nodiscard]] rtl::Drives drives() const override {
+  [[nodiscard]] rtl::Nets drives() const override {
     return {&payload, &valid, &error, &busy};
   }
-
-  /// Replaces the ROM contents (takes effect at the next reset).
-  void reprogram(util::BitVec rom);
 
   /// Shift registers, byte buffer, CRC LFSR and the FSM.
   [[nodiscard]] rtl::ResourceTally own_resources() const override;

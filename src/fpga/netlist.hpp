@@ -48,9 +48,6 @@ class Netlist {
 
   void mark_output(NodeId node, std::string name);
 
-  [[nodiscard]] std::size_t input_count() const noexcept {
-    return inputs_.size();
-  }
   /// Logic gates only (excludes inputs and constants).
   [[nodiscard]] std::size_t gate_count() const noexcept;
   [[nodiscard]] const std::vector<Gate>& gates() const noexcept {

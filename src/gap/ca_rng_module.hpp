@@ -31,11 +31,11 @@ class CaRngModule final : public rtl::Module {
   void clock_edge() override;
   void reset() override;
 
-  [[nodiscard]] rtl::Sensitivity inputs() const override {
+  [[nodiscard]] rtl::Nets inputs() const override {
     return {&cells_};
   }
 
-  [[nodiscard]] rtl::Drives drives() const override { return {&word}; }
+  [[nodiscard]] rtl::Nets drives() const override { return {&word}; }
 
   /// 16 FFs plus one LUT4 (XOR3 max) per cell.
   [[nodiscard]] rtl::ResourceTally own_resources() const override;

@@ -48,13 +48,13 @@ class CrossoverEngine final : public rtl::Module {
 
   /// rand_word and basis_rdata are read only in clock_edge() and need no
   /// declaration; the FIFO's `empty` gates the pop request and does.
-  [[nodiscard]] rtl::Sensitivity inputs() const override {
+  [[nodiscard]] rtl::Nets inputs() const override {
     return {&state_,       &enable,    &pairs_done_, &parent_a_idx_,
             &parent_b_idx_, &parent_a_, &parent_b_,   &do_cross_,
             &cut_,          &out_index_, &fifo_->empty};
   }
 
-  [[nodiscard]] rtl::Drives drives() const override {
+  [[nodiscard]] rtl::Nets drives() const override {
     return {&busy, &done, &fifo_->pop, &basis_addr,
             &inter_addr, &inter_we, &inter_wdata};
   }

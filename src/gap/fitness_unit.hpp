@@ -53,11 +53,11 @@ class FitnessUnit final : public rtl::Module {
 
   void evaluate() override;
 
-  [[nodiscard]] rtl::Sensitivity inputs() const override {
+  [[nodiscard]] rtl::Nets inputs() const override {
     return {&genome};
   }
 
-  [[nodiscard]] rtl::Drives drives() const override { return {&score}; }
+  [[nodiscard]] rtl::Nets drives() const override { return {&score}; }
 
   [[nodiscard]] const CombinationalFitness& fitness() const noexcept {
     return fitness_;

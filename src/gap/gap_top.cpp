@@ -132,7 +132,7 @@ void GapTop::evaluate() {
 GapTop::PortMux::PortMux(GapTop* top)
     : rtl::Module(top, "port_mux"), top_(top) {}
 
-rtl::Sensitivity GapTop::PortMux::inputs() const {
+rtl::Nets GapTop::PortMux::inputs() const {
   return {&top_->phase_,
           &top_->bank_,
           &top_->idx_,
@@ -150,7 +150,7 @@ rtl::Sensitivity GapTop::PortMux::inputs() const {
           &top_->crossover_.inter_wdata};
 }
 
-rtl::Drives GapTop::PortMux::drives() const {
+rtl::Nets GapTop::PortMux::drives() const {
   return {&top_->ram_a_.addr,        &top_->ram_a_.we,
           &top_->ram_a_.wdata,       &top_->ram_b_.addr,
           &top_->ram_b_.we,          &top_->ram_b_.wdata,

@@ -65,7 +65,7 @@ class GapTop final : public rtl::Module {
   /// sequential-mode gating reads the crossover *state register* (via
   /// busy_now()) rather than its busy wire for the same acyclicity reason
   /// — bit-identical, busy is a pure function of that register.
-  [[nodiscard]] rtl::Sensitivity inputs() const override {
+  [[nodiscard]] rtl::Nets inputs() const override {
     return {&phase_,
             &bank_,
             &idx_,
@@ -79,7 +79,7 @@ class GapTop final : public rtl::Module {
             &fifo_.empty};
   }
 
-  [[nodiscard]] rtl::Drives drives() const override {
+  [[nodiscard]] rtl::Nets drives() const override {
     return {&busy,
             &done,
             &best_genome_bus,
@@ -145,8 +145,8 @@ class GapTop final : public rtl::Module {
    public:
     explicit PortMux(GapTop* top);
     void evaluate() override;
-    [[nodiscard]] rtl::Sensitivity inputs() const override;
-    [[nodiscard]] rtl::Drives drives() const override;
+    [[nodiscard]] rtl::Nets inputs() const override;
+    [[nodiscard]] rtl::Nets drives() const override;
 
    private:
     GapTop* top_;

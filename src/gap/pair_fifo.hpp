@@ -28,11 +28,11 @@ class PairFifo final : public rtl::Module {
   void evaluate() override;
   void clock_edge() override;
 
-  [[nodiscard]] rtl::Sensitivity inputs() const override {
+  [[nodiscard]] rtl::Nets inputs() const override {
     return {&count_, &slot0_};
   }
 
-  [[nodiscard]] rtl::Drives drives() const override {
+  [[nodiscard]] rtl::Nets drives() const override {
     return {&full, &empty, &out_pair};
   }
 

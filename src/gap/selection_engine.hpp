@@ -49,11 +49,11 @@ class SelectionEngine final : public rtl::Module {
 
   /// rand_word and fitness_rdata are read only in clock_edge(), which runs
   /// every cycle, so they are deliberately not declared here.
-  [[nodiscard]] rtl::Sensitivity inputs() const override {
+  [[nodiscard]] rtl::Nets inputs() const override {
     return {&state_, &enable, &cand_a_, &cand_b_, &winner_a_};
   }
 
-  [[nodiscard]] rtl::Drives drives() const override {
+  [[nodiscard]] rtl::Nets drives() const override {
     return {&busy, &done, &fitness_addr, &fifo_->push, &fifo_->in_pair};
   }
 

@@ -33,13 +33,6 @@ GaitGenome GaitGenome::from_bits(std::uint64_t bits) {
   return g;
 }
 
-GaitGenome GaitGenome::from_bitvec(const util::BitVec& bits) {
-  if (bits.width() != kGenomeBits) {
-    throw std::invalid_argument("GaitGenome: BitVec must be 36 bits");
-  }
-  return from_bits(bits.to_u64());
-}
-
 std::uint64_t GaitGenome::to_bits() const noexcept {
   std::uint64_t bits = 0;
   for (std::size_t s = 0; s < kNumSteps; ++s) {

@@ -70,7 +70,6 @@ class GaitGenome {
 
   /// Decodes the low 36 bits; higher bits must be zero.
   static GaitGenome from_bits(std::uint64_t bits);
-  static GaitGenome from_bitvec(const util::BitVec& bits);
 
   [[nodiscard]] std::uint64_t to_bits() const noexcept;
   [[nodiscard]] util::BitVec to_bitvec() const;

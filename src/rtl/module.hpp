@@ -17,10 +17,10 @@
 //   drives()     — output list: the wires evaluate() writes (own or
 //                  foreign). Together with inputs() it lets the simulator
 //                  rank the combinational dependency graph at
-//                  elaboration; see Drives.
+//                  elaboration.
 //
-// A design in which any module leaves inputs() or drives() undeclared is
-// simulated by the dense sweep instead (see simulator.hpp).
+// Both lists are pure virtual: every module says what its evaluate()
+// reads and writes, and an empty list means "none" (see Nets).
 //
 // Modules also self-report FPGA resource usage (see ResourceTally): the
 // counts are per-module formulas documented at each override, and feed the
@@ -28,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -53,69 +52,23 @@ struct ResourceTally {
   }
 };
 
-/// Result of Module::inputs(): the sensitivity list of evaluate().
-///
-///   * default-constructed (`declared == false`) — the module has not
-///     been ported; the whole design runs on the dense sweep (correct,
-///     never fast);
-///   * `Sensitivity{&a, &b, ...}` — evaluate() reads exactly these nets
-///     (wires or registers, own or foreign) and nothing else;
-///   * `Sensitivity::none()` — evaluate() reads no nets at all (pure
-///     sequential modules, constant drivers); it runs only at reset.
+/// A module's inputs() or drives() list. Empty means none: evaluate()
+/// reads no nets (pure sequential modules, constant drivers — it then
+/// runs only at reset) or writes no wires (pure sequential modules,
+/// observers).
 ///
 /// The contract is on *evaluate()* only: clock_edge() runs every cycle,
-/// so nets read exclusively there never need declaring. An undeclared
-/// net that evaluate() does read makes static-kernel results diverge
-/// from the dense sweep — the mode-equivalence tests exist to catch
-/// exactly that.
-struct Sensitivity {
-  Sensitivity() = default;
-  Sensitivity(std::initializer_list<const NetBase*> ns)
-      : declared(true), nets(ns) {}
-
-  /// Declared-empty: evaluate() is net-independent (or absent).
-  [[nodiscard]] static Sensitivity none() {
-    Sensitivity s;
-    s.declared = true;
-    return s;
-  }
-
-  bool declared = false;
-  std::vector<const NetBase*> nets;
-};
-
-/// Result of Module::drives(): the set of wires evaluate() writes — the
-/// dual of the Sensitivity contract. Ownership is *not* the driver
-/// relation in this codebase (control modules legally write wires owned
-/// by their children, e.g. RAM port requests), so the static kernel
-/// needs the drive sets declared explicitly:
-///
-///   * default-constructed (`declared == false`) — not ported; the
-///     simulator cannot rank the design and falls back to the dense
-///     sweep;
-///   * `Drives{&a, &b, ...}` — evaluate() writes exactly these wires
-///     (a superset is safe, a missing wire is a correctness bug the
-///     mode-equivalence tests catch);
-///   * `Drives::none()` — evaluate() writes no wires (pure sequential
-///     modules, observers).
-///
-/// Registers never appear here: they change only at commit, so they never
-/// form combinational edges.
-struct Drives {
-  Drives() = default;
-  Drives(std::initializer_list<const NetBase*> ns)
-      : declared(true), nets(ns) {}
-
-  /// Declared-empty: evaluate() writes nothing (or is absent).
-  [[nodiscard]] static Drives none() {
-    Drives d;
-    d.declared = true;
-    return d;
-  }
-
-  bool declared = false;
-  std::vector<const NetBase*> nets;
-};
+/// so nets read exclusively there never need listing. inputs() lists
+/// exactly the nets (wires or registers, own or foreign) evaluate()
+/// reads; an unlisted net it does read makes static-kernel results
+/// diverge from the dense sweep, which the mode-equivalence tests catch.
+/// drives() lists the wires evaluate() writes. Ownership is *not* the
+/// driver relation (control modules legally write wires owned by their
+/// children, e.g. RAM port requests), so each wire has exactly one
+/// module listing it, and registers never appear here: they change only
+/// at commit, so they never form combinational edges. The simulator
+/// rejects a design that breaks either rule.
+using Nets = std::vector<const NetBase*>;
 
 class Module {
  public:
@@ -143,13 +96,13 @@ class Module {
   virtual void clock_edge() {}
   virtual void reset() {}
 
-  /// Sensitivity list of evaluate() (see Sensitivity). Called once, at
-  /// simulator elaboration; the returned nets must outlive the module
-  /// (they are members of this design's module tree).
-  [[nodiscard]] virtual Sensitivity inputs() const { return {}; }
+  /// Nets evaluate() reads (see Nets). Called once, at simulator
+  /// elaboration; the returned nets must outlive the module (they are
+  /// members of this design's module tree).
+  [[nodiscard]] virtual Nets inputs() const = 0;
 
-  /// Output list of evaluate() (see Drives). Called once, at elaboration.
-  [[nodiscard]] virtual Drives drives() const { return {}; }
+  /// Wires evaluate() writes (see Nets). Called once, at elaboration.
+  [[nodiscard]] virtual Nets drives() const = 0;
 
   /// Resources used by this module alone (excluding children). The default
   /// counts one FF per declared register bit; combinational overrides add

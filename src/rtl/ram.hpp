@@ -31,12 +31,10 @@ class SyncRam final : public Module {
 
   /// Pure sequential: the ports are sampled in clock_edge(), no
   /// combinational path exists through the RAM.
-  [[nodiscard]] Sensitivity inputs() const override {
-    return Sensitivity::none();
-  }
+  [[nodiscard]] Nets inputs() const override { return {}; }
 
   /// evaluate() is absent; the port wires here are written by the client.
-  [[nodiscard]] Drives drives() const override { return Drives::none(); }
+  [[nodiscard]] Nets drives() const override { return {}; }
 
   /// Debug/testbench backdoor (does not consume simulated cycles; the real
   /// hardware equivalent is the configuration readback path).

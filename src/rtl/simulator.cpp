@@ -24,13 +24,10 @@ void count_cycles(std::uint64_t cycles) {
 
 }  // namespace
 
-Simulator::Simulator(Module& top, SimMode mode)
-    : top_(&top), mode_(mode), requested_mode_(mode) {
+Simulator::Simulator(Module& top, SimMode mode) : top_(&top), mode_(mode) {
   collect(top);
   snapshot_.assign(nets_.size(), 0);
-  if (mode_ == SimMode::kLevel && !plan_static_schedule()) {
-    mode_ = SimMode::kDense;  // requested_mode_ keeps the ask
-  }
+  if (mode_ == SimMode::kLevel) plan_static_schedule();
   reset();
 }
 
@@ -41,56 +38,57 @@ void Simulator::collect(Module& m) {
   for (auto* child : m.children()) collect(*child);
 }
 
-bool Simulator::plan_static_schedule() {
-  // Every declaration is checked against the design first, so a net from
-  // another tree fails loudly even when some other module is undeclared.
+void Simulator::plan_static_schedule() {
+  // Every list is checked against the design and against the drives()
+  // rules of module.hpp before anything is ranked.
   const std::unordered_set<const NetBase*> net_set(nets_.begin(), nets_.end());
+  const std::unordered_set<const NetBase*> reg_set(regs_.begin(), regs_.end());
+  const auto reject = [](const Module& m, const std::string& why) {
+    throw std::logic_error("Simulator: module '" + m.full_name() + "' " +
+                           why);
+  };
   const auto check = [&](const Module& m, const NetBase* n, const char* what) {
     if (net_set.count(n) == 0) {
-      throw std::logic_error("Simulator: module '" + m.full_name() +
-                             "' declares " + what + " net '" + n->full_name() +
-                             "' which is not part of this design");
+      reject(m, std::string("declares ") + what + " net '" + n->full_name() +
+                    "' which is not part of this design");
     }
   };
-  std::vector<Sensitivity> sens(modules_.size());
-  std::vector<Drives> outs(modules_.size());
-  std::string undeclared;
-  for (std::size_t m = 0; m < modules_.size(); ++m) {
-    sens[m] = modules_[m]->inputs();
-    outs[m] = modules_[m]->drives();
-    for (const NetBase* n : sens[m].nets) {
-      check(*modules_[m], n, "sensitivity to");
+  std::vector<Nets> sens(modules_.size());
+  std::vector<Nets> outs(modules_.size());
+  std::unordered_map<const NetBase*, std::vector<std::uint32_t>> readers;
+  std::unordered_map<const NetBase*, std::uint32_t> driver;
+  for (std::uint32_t m = 0; m < modules_.size(); ++m) {
+    const Module& mod = *modules_[m];
+    sens[m] = mod.inputs();
+    outs[m] = mod.drives();
+    for (const NetBase* n : sens[m]) {
+      check(mod, n, "sensitivity to");
+      readers[n].push_back(m);
     }
-    for (const NetBase* n : outs[m].nets) check(*modules_[m], n, "it drives");
-    if (!undeclared.empty()) continue;
-    if (!sens[m].declared) {
-      undeclared = "module '" + modules_[m]->full_name() +
-                   "' declares no inputs() sensitivity";
-    } else if (!outs[m].declared) {
-      undeclared = "module '" + modules_[m]->full_name() +
-                   "' declares no drives() output set";
+    for (const NetBase* n : outs[m]) {
+      check(mod, n, "it drives");
+      if (reg_set.count(n) != 0) {
+        reject(mod, "lists register '" + n->full_name() +
+                        "' in drives(); registers change only at commit");
+      }
+      const auto [it, first] = driver.emplace(n, m);
+      if (!first && it->second != m) {
+        reject(mod, "drives wire '" + n->full_name() + "' which module '" +
+                        modules_[it->second]->full_name() +
+                        "' drives too; a wire has exactly one driver");
+      }
     }
-  }
-  if (!undeclared.empty()) {
-    level_fallback_reason_ = std::move(undeclared);
-    return false;
   }
 
   // Module-level combinational dependency graph: edge u -> v iff some
   // wire in drives(u) appears in inputs(v). Kahn's algorithm visits it in
   // a topological order — every module after all of its drivers — which
   // is the schedule; a module it never reaches sits on a cycle.
-  std::unordered_map<const NetBase*, std::vector<std::uint32_t>> readers;
-  for (std::size_t m = 0; m < modules_.size(); ++m) {
-    for (const NetBase* n : sens[m].nets) {
-      readers[n].push_back(static_cast<std::uint32_t>(m));
-    }
-  }
   std::vector<std::vector<std::uint32_t>> adj(modules_.size());
   std::vector<std::uint32_t> indegree(modules_.size(), 0);
   for (std::size_t u = 0; u < modules_.size(); ++u) {
     auto& edges = adj[u];
-    for (const NetBase* n : outs[u].nets) {
+    for (const NetBase* n : outs[u]) {
       const auto it = readers.find(n);
       if (it == readers.end()) continue;
       edges.insert(edges.end(), it->second.begin(), it->second.end());
@@ -111,25 +109,42 @@ bool Simulator::plan_static_schedule() {
     }
   }
   if (order.size() != modules_.size()) {
+    // Kahn's algorithm left the modules on a cycle and those downstream
+    // of one. Peeling off every module with no edge back into the rest
+    // leaves only those on a cycle (or between two).
+    std::vector<bool> left(modules_.size());
+    for (std::size_t m = 0; m < modules_.size(); ++m) {
+      left[m] = indegree[m] > 0;
+    }
+    for (bool peeled = true; peeled;) {
+      peeled = false;
+      for (std::size_t u = 0; u < modules_.size(); ++u) {
+        if (left[u] && std::none_of(adj[u].begin(), adj[u].end(),
+                                    [&](std::uint32_t v) { return left[v]; })) {
+          left[u] = false;
+          peeled = true;
+        }
+      }
+    }
     std::string cyclic;
     for (std::size_t m = 0; m < modules_.size(); ++m) {
-      if (indegree[m] > 0 && cyclic.size() < 256) {
+      if (left[m] && cyclic.size() < 256) {
         cyclic += ' ';
         cyclic += modules_[m]->full_name();
       }
     }
-    level_fallback_reason_ =
-        "combinational cycle in the module dependency graph through:" +
-        cyclic;
-    return false;
+    throw std::logic_error(
+        "Simulator: combinational cycle in the module dependency graph "
+        "through:" + cyclic +
+        "; the static schedule cannot rank it, simulate it with "
+        "SimMode::kDense");
   }
 
   for (const std::uint32_t m : order) {
-    for (const NetBase* n : sens[m].nets) inputs_.push_back({&n->value_, 0});
+    for (const NetBase* n : sens[m]) inputs_.push_back({&n->value_, 0});
     schedule_.push_back(
         {modules_[m], static_cast<std::uint32_t>(inputs_.size())});
   }
-  return true;
 }
 
 void Simulator::reset() {

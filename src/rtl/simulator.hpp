@@ -21,11 +21,12 @@
 //     calls evaluate() only at reset or when an input word differs from
 //     the value last seen. Every reader comes after its drivers, so each
 //     module sees its inputs' final values and runs at most once.
-//     Designs the ranking cannot handle (an undeclared inputs() or
-//     drives(), or a combinational cycle in the module graph) run on the
-//     dense sweep instead; level_fallback_reason() says why, and the
-//     oscillation diagnostic is intact because the dense sweep bounds its
-//     passes.
+//     kLevel never falls back: a design it cannot rank (a combinational
+//     cycle in the module graph) or one whose lists break the contract
+//     of module.hpp (a net outside the tree, a wire with two drivers, a
+//     register in drives()) throws std::logic_error at construction,
+//     naming the modules. A cyclic design that still settles runs on
+//     kDense, whose bounded passes keep the oscillation diagnostic.
 //
 //   kDense — the reference sweep: evaluate *all* modules and rescan *all*
 //     nets each pass until a pass changes nothing. The ground truth the
@@ -45,7 +46,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "rtl/module.hpp"
@@ -65,8 +65,10 @@ class Simulator final {
  public:
   /// Binds to a fully-constructed design. The module tree must not change
   /// afterwards (hardware does not grow new blocks at runtime either).
-  /// A kLevel request throws std::logic_error if a module declares a net
-  /// outside the tree in its inputs() or drives().
+  /// A kLevel request throws std::logic_error if the module graph has a
+  /// combinational cycle, or if a module's inputs() or drives() names a
+  /// net outside the tree, a register in drives(), or a wire another
+  /// module also drives.
   explicit Simulator(Module& top, SimMode mode = SimMode::kLevel);
 
   Simulator(const Simulator&) = delete;
@@ -88,19 +90,8 @@ class Simulator final {
 
   [[nodiscard]] std::uint64_t cycles() const noexcept { return cycles_; }
 
-  /// The kernel actually running — kDense if a requested kLevel fell back.
+  /// The settle kernel chosen at construction.
   [[nodiscard]] SimMode mode() const noexcept { return mode_; }
-  /// The kernel asked for at construction.
-  [[nodiscard]] SimMode requested_mode() const noexcept {
-    return requested_mode_;
-  }
-  /// Non-empty iff kLevel was requested but the design could not be
-  /// ranked (undeclared inputs()/drives(), or a combinational cycle in
-  /// the module graph); explains why. The porting tests pin this empty
-  /// for the shipped trees.
-  [[nodiscard]] const std::string& level_fallback_reason() const noexcept {
-    return level_fallback_reason_;
-  }
 
   /// Seconds of simulated time at the given clock frequency.
   [[nodiscard]] double seconds_at(double hz) const {
@@ -140,15 +131,13 @@ class Simulator final {
   };
 
   void collect(Module& m);
-  bool plan_static_schedule();
+  void plan_static_schedule();
   void settle_dense();
   void settle_static(bool force);
   [[noreturn]] void report_oscillation();
 
   Module* top_;
   SimMode mode_;
-  SimMode requested_mode_;
-  std::string level_fallback_reason_;
   std::vector<Module*> modules_;   // pre-order
   std::vector<NetBase*> nets_;     // pre-order
   std::vector<RegBase*> regs_;

@@ -36,11 +36,11 @@ class PwmGenerator final : public rtl::Module {
   void clock_edge() override;
 
   /// `position` is sampled only at frame boundaries in clock_edge().
-  [[nodiscard]] rtl::Sensitivity inputs() const override {
+  [[nodiscard]] rtl::Nets inputs() const override {
     return {&counter_, &latched_pulse_};
   }
 
-  [[nodiscard]] rtl::Drives drives() const override { return {&pwm}; }
+  [[nodiscard]] rtl::Nets drives() const override { return {&pwm}; }
 
   [[nodiscard]] const PwmParams& params() const noexcept { return params_; }
 

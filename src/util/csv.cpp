@@ -21,7 +21,6 @@ void CsvWriter::row(const std::vector<std::string>& cells) {
     throw std::invalid_argument("CsvWriter: row width mismatch");
   }
   write_row(cells);
-  ++rows_;
 }
 
 void CsvWriter::write_row(const std::vector<std::string>& cells) {

@@ -24,15 +24,12 @@ class CsvWriter {
   static std::string cell(std::uint64_t v);
   static std::string cell(std::int64_t v);
 
-  [[nodiscard]] std::size_t rows_written() const noexcept { return rows_; }
-
  private:
   void write_row(const std::vector<std::string>& cells);
   static std::string escape(const std::string& s);
 
   std::ofstream out_;
   std::size_t columns_;
-  std::size_t rows_ = 0;
 };
 
 }  // namespace leo::util

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 namespace leo::util {
@@ -87,18 +86,6 @@ double Histogram::quantile(double q) const {
     }
   }
   return hi_;
-}
-
-std::string Histogram::to_ascii(std::size_t width) const {
-  std::size_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::ostringstream out;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const std::size_t bar = counts_[i] * width / peak;
-    out << "[" << bin_lo(i) << ", " << bin_hi(i) << ") "
-        << std::string(bar, '#') << " " << counts_[i] << "\n";
-  }
-  return out.str();
 }
 
 void Correlation::add(double x, double y) noexcept {

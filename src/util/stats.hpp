@@ -47,9 +47,6 @@ class Histogram {
   /// Approximate q-quantile (q in [0,1]) from bin midpoints.
   [[nodiscard]] double quantile(double q) const;
 
-  /// Renders a horizontal ASCII bar chart, `width` characters at the mode.
-  [[nodiscard]] std::string to_ascii(std::size_t width = 50) const;
-
  private:
   double lo_;
   double hi_;

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "fitness/rules.hpp"
 #include "genome/gait_genome.hpp"
 #include "robot/walker.hpp"
@@ -35,6 +37,24 @@ TEST(Evolve, HardwareBackendReachesMaximumAndReportsCycles) {
   EXPECT_GT(r.clock_cycles, 0u);
   EXPECT_DOUBLE_EQ(r.seconds_at_1mhz,
                    static_cast<double>(r.clock_cycles) / 1.0e6);
+}
+
+TEST(Evolve, HardwareHugeGenerationLimitDoesNotWrapCycleBound) {
+  // The hardware run's cycle bound scales with max_generations; a limit
+  // near 2^64 must mean "unbounded", not wrap to a bound of a few
+  // generations that stops the run early.
+  EvolutionConfig config;
+  config.backend = Backend::kHardware;
+  config.seed = 3;
+  const EvolutionResult expected = evolve(config);
+  ASSERT_TRUE(expected.reached_target);
+  config.max_generations = std::numeric_limits<std::uint64_t>::max();
+  const EvolutionResult r = evolve(config);
+  EXPECT_TRUE(r.reached_target);
+  EXPECT_EQ(r.generations, expected.generations);
+  EXPECT_EQ(r.best_genome, expected.best_genome);
+  EXPECT_EQ(r.clock_cycles, expected.clock_cycles);
+  EXPECT_EQ(r.evaluations, expected.evaluations);
 }
 
 TEST(Evolve, DeterministicPerSeedAndBackend) {

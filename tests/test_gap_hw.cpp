@@ -20,6 +20,8 @@ class FifoHarness final : public rtl::Module {
  public:
   FifoHarness() : rtl::Module(nullptr, "tb"), fifo(this, "fifo", 10) {}
   PairFifo fifo;
+  [[nodiscard]] rtl::Nets inputs() const override { return {}; }
+  [[nodiscard]] rtl::Nets drives() const override { return {}; }
 };
 
 TEST(PairFifo, PushPopOrdering) {

@@ -57,16 +57,13 @@ TEST(GaitGenome, RoundTripRandom) {
 
 TEST(GaitGenome, BitVecRoundTrip) {
   const GaitGenome g = tripod_gait();
-  EXPECT_EQ(GaitGenome::from_bitvec(g.to_bitvec()), g);
+  const util::BitVec bits = g.to_bitvec();
+  EXPECT_EQ(bits.width(), kGenomeBits);
+  EXPECT_EQ(GaitGenome::from_bits(bits.to_u64()), g);
 }
 
 TEST(GaitGenome, FromBitsRejectsHighBits) {
   EXPECT_THROW(GaitGenome::from_bits(std::uint64_t{1} << 36),
-               std::invalid_argument);
-}
-
-TEST(GaitGenome, FromBitVecRejectsWrongWidth) {
-  EXPECT_THROW(GaitGenome::from_bitvec(util::BitVec(35)),
                std::invalid_argument);
 }
 

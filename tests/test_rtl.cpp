@@ -27,6 +27,8 @@ class Swapper final : public Module {
     a.set_next(b.read());
     b.set_next(a.read());
   }
+  [[nodiscard]] Nets inputs() const override { return {}; }
+  [[nodiscard]] Nets drives() const override { return {}; }
 };
 
 TEST(RtlKernel, TwoPhaseRegisterSwap) {
@@ -58,6 +60,9 @@ class CombChain final : public Module {
   void clock_edge() override {
     count.set_next(static_cast<std::uint8_t>(count.read() + 1));
   }
+  /// evaluate() reads its own `twice` only after writing it.
+  [[nodiscard]] Nets inputs() const override { return {&count}; }
+  [[nodiscard]] Nets drives() const override { return {&twice, &plus1}; }
 };
 
 TEST(RtlKernel, CombinationalChainSettles) {
@@ -79,15 +84,22 @@ class Oscillator final : public Module {
       : Module(parent, "osc"), x(this, "x", 1) {}
   Wire<bool> x;
   void evaluate() override { x.write(!x.read()); }
+  [[nodiscard]] Nets inputs() const override { return {&x}; }
+  [[nodiscard]] Nets drives() const override { return {&x}; }
 };
 
 TEST(RtlKernel, CombinationalLoopDetected) {
+  // The static schedule cannot rank a module that reads what it drives:
+  // elaboration names the module and points at the dense sweep.
   Oscillator top(nullptr);
   try {
     Simulator sim(top);
     FAIL() << "loop not detected";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("osc.x"), std::string::npos);
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("combinational cycle"), std::string::npos) << what;
+    EXPECT_NE(what.find(" osc;"), std::string::npos) << what;
+    EXPECT_NE(what.find("SimMode::kDense"), std::string::npos) << what;
   }
 }
 
@@ -103,6 +115,8 @@ TEST(RtlKernel, IntraPassDefaultThenOverrideIsNotALoop) {
       w.write(false);
       w.write(true);
     }
+    [[nodiscard]] Nets inputs() const override { return {}; }
+    [[nodiscard]] Nets drives() const override { return {&w}; }
   };
   DefaultOverride top(nullptr);
   Simulator sim(top);  // must not throw
@@ -126,6 +140,8 @@ TEST(RtlKernel, RegHoldsWithoutSetNext) {
     explicit Holder(Module* parent)
         : Module(parent, "h"), r(this, "r", 8, 7) {}
     Reg<std::uint8_t> r;
+    [[nodiscard]] Nets inputs() const override { return {}; }
+    [[nodiscard]] Nets drives() const override { return {}; }
   };
   Holder top(nullptr);
   Simulator sim(top);
@@ -140,6 +156,8 @@ TEST(RtlKernel, RegMasksToWidth) {
         : Module(parent, "n"), r(this, "r", 3) {}
     Reg<std::uint8_t> r;
     void clock_edge() override { r.set_next(0xFF); }
+    [[nodiscard]] Nets inputs() const override { return {}; }
+    [[nodiscard]] Nets drives() const override { return {}; }
   };
   Narrow top(nullptr);
   Simulator sim(top);
@@ -153,6 +171,8 @@ TEST(RtlKernel, WireWidthValidation) {
     explicit Bad(Module* parent) : Module(parent, "bad") {
       new Wire<std::uint64_t>(this, "w", 65);  // must throw before leaking
     }
+    [[nodiscard]] Nets inputs() const override { return {}; }
+    [[nodiscard]] Nets drives() const override { return {}; }
   };
   EXPECT_THROW(Bad(nullptr), std::invalid_argument);
 }
@@ -207,11 +227,15 @@ TEST(RtlKernel, HierarchyAndNames) {
     explicit Child(Module* parent)
         : Module(parent, "child"), w(this, "w", 1) {}
     Wire<bool> w;
+    [[nodiscard]] Nets inputs() const override { return {}; }
+    [[nodiscard]] Nets drives() const override { return {}; }
   };
   class Parent final : public Module {
    public:
     explicit Parent() : Module(nullptr, "parent"), kid(this) {}
     Child kid;
+    [[nodiscard]] Nets inputs() const override { return {}; }
+    [[nodiscard]] Nets drives() const override { return {}; }
   };
   Parent top;
   EXPECT_EQ(top.kid.full_name(), "parent.child");
@@ -242,10 +266,8 @@ class Counter final : public Module {
   void clock_edge() override {
     count.set_next(static_cast<std::uint8_t>(count.read() + 1));
   }
-  [[nodiscard]] Sensitivity inputs() const override {
-    return Sensitivity::none();
-  }
-  [[nodiscard]] Drives drives() const override { return Drives::none(); }
+  [[nodiscard]] Nets inputs() const override { return {}; }
+  [[nodiscard]] Nets drives() const override { return {}; }
 };
 
 class Doubler final : public Module {
@@ -256,8 +278,8 @@ class Doubler final : public Module {
   void evaluate() override {
     twice.write(static_cast<std::uint8_t>(count_.read() * 2));
   }
-  [[nodiscard]] Sensitivity inputs() const override { return {&count_}; }
-  [[nodiscard]] Drives drives() const override { return {&twice}; }
+  [[nodiscard]] Nets inputs() const override { return {&count_}; }
+  [[nodiscard]] Nets drives() const override { return {&twice}; }
 
  private:
   const Reg<std::uint8_t>& count_;
@@ -274,10 +296,8 @@ class DeclaredChain final : public Module {
   void evaluate() override {
     plus1.write(static_cast<std::uint8_t>(doubler.twice.read() + 1));
   }
-  [[nodiscard]] Sensitivity inputs() const override {
-    return {&doubler.twice};
-  }
-  [[nodiscard]] Drives drives() const override { return {&plus1}; }
+  [[nodiscard]] Nets inputs() const override { return {&doubler.twice}; }
+  [[nodiscard]] Nets drives() const override { return {&plus1}; }
 };
 
 TEST(RtlKernel, EventAndDenseModesAgreeOnCombChain) {
@@ -285,7 +305,6 @@ TEST(RtlKernel, EventAndDenseModesAgreeOnCombChain) {
   DeclaredChain de_top;
   Simulator st(st_top, SimMode::kLevel);
   Simulator de(de_top, SimMode::kDense);
-  ASSERT_EQ(st.mode(), SimMode::kLevel) << st.level_fallback_reason();
   for (int cycle = 0; cycle < 300; ++cycle) {
     EXPECT_EQ(st_top.counter.count.read(), de_top.counter.count.read())
         << "cycle " << cycle;
@@ -327,17 +346,16 @@ TEST(RtlKernel, EventHooksReleasedOnDestruction) {
 
 TEST(RtlKernel, MisdeclaredSensitivityNetIsRejected) {
   // A module declaring sensitivity to (or driving) a net outside the
-  // simulated tree is a wiring bug and must fail loudly at elaboration —
-  // even though the undeclared top alone would only cause a fallback.
+  // simulated tree is a wiring bug and must fail loudly at elaboration.
   class Foreign final : public Module {
    public:
     Foreign(Module* parent, const NetBase* alien, bool as_output)
         : Module(parent, "foreign"), alien_(alien), as_output_(as_output) {}
-    [[nodiscard]] Sensitivity inputs() const override {
-      return as_output_ ? Sensitivity::none() : Sensitivity{alien_};
+    [[nodiscard]] Nets inputs() const override {
+      return as_output_ ? Nets{} : Nets{alien_};
     }
-    [[nodiscard]] Drives drives() const override {
-      return as_output_ ? Drives{alien_} : Drives::none();
+    [[nodiscard]] Nets drives() const override {
+      return as_output_ ? Nets{alien_} : Nets{};
     }
 
    private:
@@ -350,27 +368,14 @@ TEST(RtlKernel, MisdeclaredSensitivityNetIsRejected) {
     Top(const NetBase* alien, bool as_output)
         : Module(nullptr, "top"), kid(this, alien, as_output) {}
     Foreign kid;
+    [[nodiscard]] Nets inputs() const override { return {}; }
+    [[nodiscard]] Nets drives() const override { return {}; }
   };
   for (const bool as_output : {false, true}) {
     Top top(&other.twice, as_output);
     EXPECT_THROW(Simulator(top, SimMode::kLevel), std::logic_error);
     EXPECT_NO_THROW(Simulator(top, SimMode::kDense));
   }
-}
-
-TEST(RtlKernel, FallbackModuleCountReported) {
-  // CombChain declares neither inputs() nor drives(): the static schedule
-  // cannot rank it, so the design runs on the dense sweep and says why.
-  CombChain undeclared(nullptr);
-  Simulator sim(undeclared, SimMode::kLevel);
-  EXPECT_EQ(sim.requested_mode(), SimMode::kLevel);
-  EXPECT_EQ(sim.mode(), SimMode::kDense);
-  EXPECT_NE(sim.level_fallback_reason().find("'chain'"), std::string::npos)
-      << sim.level_fallback_reason();
-  EXPECT_NE(sim.level_fallback_reason().find("inputs()"), std::string::npos)
-      << sim.level_fallback_reason();
-  sim.run(3);
-  EXPECT_EQ(undeclared.plus1.read(), 7);
 }
 
 TEST(RtlKernel, EventModeDoesLessWorkOnDeclaredDesigns) {
@@ -385,12 +390,11 @@ TEST(RtlKernel, EventModeDoesLessWorkOnDeclaredDesigns) {
     void evaluate() override {
       out.write(static_cast<std::uint8_t>(stuck.read() + 1));
     }
-    [[nodiscard]] Sensitivity inputs() const override { return {&stuck}; }
-    [[nodiscard]] Drives drives() const override { return {&out}; }
+    [[nodiscard]] Nets inputs() const override { return {&stuck}; }
+    [[nodiscard]] Nets drives() const override { return {&out}; }
   };
   Declared top(nullptr);
   Simulator sim(top, SimMode::kLevel);
-  ASSERT_EQ(sim.mode(), SimMode::kLevel) << sim.level_fallback_reason();
   const std::uint64_t after_reset = sim.evaluations();
   EXPECT_EQ(after_reset, 1u);
   sim.run(100);
@@ -412,8 +416,8 @@ class Follower final : public Module {
   Wire<std::uint8_t> in;
   Wire<std::uint8_t> out;
   void evaluate() override { out.write(in.read()); }
-  [[nodiscard]] Sensitivity inputs() const override { return {&in}; }
-  [[nodiscard]] Drives drives() const override { return {&out}; }
+  [[nodiscard]] Nets inputs() const override { return {&in}; }
+  [[nodiscard]] Nets drives() const override { return {&out}; }
 };
 
 TEST(RtlKernel, ExternalWirePokeRetriggersDeclaredModule) {
@@ -421,7 +425,6 @@ TEST(RtlKernel, ExternalWirePokeRetriggersDeclaredModule) {
   // pick the change up at the next settle exactly like the dense sweep.
   Follower top(nullptr);
   Simulator sim(top, SimMode::kLevel);
-  ASSERT_EQ(sim.mode(), SimMode::kLevel) << sim.level_fallback_reason();
   top.in.write(42);
   sim.step();
   EXPECT_EQ(top.out.read(), 42);
@@ -446,6 +449,51 @@ TEST(RtlKernel, PokeWrittenBackBeforeTheStepIsNotAChange) {
   EXPECT_EQ(top.out.read(), 5);
 }
 
+TEST(RtlKernel, WireWithTwoDriversIsRejected) {
+  // net.hpp: a wire is written by exactly one driver module.
+  class Top final : public Module {
+   public:
+    Top() : Module(nullptr, "top"), f(this) {}
+    Follower f;
+    void evaluate() override { f.out.write(1); }
+    [[nodiscard]] Nets inputs() const override { return {}; }
+    [[nodiscard]] Nets drives() const override { return {&f.out}; }
+  };
+  Top top;
+  try {
+    Simulator sim(top, SimMode::kLevel);
+    FAIL() << "a wire with two drivers was ranked";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("module 'top.f'"), std::string::npos) << what;
+    EXPECT_NE(what.find("wire 'top.f.out'"), std::string::npos) << what;
+    EXPECT_NE(what.find("module 'top' drives too"), std::string::npos)
+        << what;
+  }
+}
+
+TEST(RtlKernel, RegisterInDrivesIsRejected) {
+  // module.hpp: registers change only at commit and never appear in
+  // drives().
+  class RegDriver final : public Module {
+   public:
+    explicit RegDriver(Module* parent)
+        : Module(parent, "rd"), r(this, "r", 8) {}
+    Reg<std::uint8_t> r;
+    [[nodiscard]] Nets inputs() const override { return {}; }
+    [[nodiscard]] Nets drives() const override { return {&r}; }
+  };
+  RegDriver top(nullptr);
+  try {
+    Simulator sim(top, SimMode::kLevel);
+    FAIL() << "a register in drives() was ranked";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("module 'rd'"), std::string::npos) << what;
+    EXPECT_NE(what.find("register 'rd.r'"), std::string::npos) << what;
+  }
+}
+
 TEST(RtlKernel, SensitivityNoneModuleOnlyEvaluatesAtReset) {
   class Constant final : public Module {
    public:
@@ -457,14 +505,11 @@ TEST(RtlKernel, SensitivityNoneModuleOnlyEvaluatesAtReset) {
       ++calls;
       out.write(99);
     }
-    [[nodiscard]] Sensitivity inputs() const override {
-      return Sensitivity::none();
-    }
-    [[nodiscard]] Drives drives() const override { return {&out}; }
+    [[nodiscard]] Nets inputs() const override { return {}; }
+    [[nodiscard]] Nets drives() const override { return {&out}; }
   };
   Constant top(nullptr);
   Simulator sim(top, SimMode::kLevel);
-  ASSERT_EQ(sim.mode(), SimMode::kLevel) << sim.level_fallback_reason();
   EXPECT_EQ(top.calls, 1);
   sim.run(50);
   EXPECT_EQ(top.calls, 1);
@@ -479,6 +524,8 @@ class RamHarness final : public Module {
  public:
   explicit RamHarness() : Module(nullptr, "tb"), ram(this, "ram", 32, 36) {}
   SyncRam ram;
+  [[nodiscard]] Nets inputs() const override { return {}; }
+  [[nodiscard]] Nets drives() const override { return {}; }
 };
 
 TEST(SyncRam, WriteThenReadBack) {

@@ -14,6 +14,8 @@ class PwmHarness final : public rtl::Module {
   explicit PwmHarness(PwmParams params = {})
       : rtl::Module(nullptr, "tb"), pwm(this, "pwm", params) {}
   PwmGenerator pwm;
+  [[nodiscard]] rtl::Nets inputs() const override { return {}; }
+  [[nodiscard]] rtl::Nets drives() const override { return {}; }
 };
 
 /// Measures the high time and period of the pin over `frames` PWM frames.

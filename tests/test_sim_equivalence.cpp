@@ -8,9 +8,8 @@
 // set missing a written wire, shows up here as a lockstep divergence
 // naming the first differing net.
 //
-// The static schedule additionally pins its structural health: the
-// shipped module trees rank (no fallback, empty reason), and its
-// evaluate() counts on the GAP match a golden table.
+// The static schedule additionally pins its evaluate() counts on the GAP
+// against a golden table.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -42,17 +41,6 @@ const char* mode_name(rtl::SimMode mode) {
     case rtl::SimMode::kLevel: return "level";
   }
   return "?";
-}
-
-/// Pins the structural expectation for a shipped (fully ported) design:
-/// a kLevel request must actually get the static schedule.
-void expect_fully_ported(const rtl::Simulator& sim) {
-  if (sim.requested_mode() == rtl::SimMode::kLevel) {
-    EXPECT_EQ(sim.mode(), rtl::SimMode::kLevel)
-        << "level fell back: " << sim.level_fallback_reason();
-    EXPECT_TRUE(sim.level_fallback_reason().empty())
-        << sim.level_fallback_reason();
-  }
 }
 
 /// Asserts every net of every tree identical to sims[0] (the dense
@@ -105,7 +93,6 @@ TEST(SimEquivalence, GapTopLockstepAcrossSeeds) {
       tops.push_back(std::make_unique<gap::GapTop>(nullptr, "gap", params,
                                                    seed));
       sims.push_back(std::make_unique<rtl::Simulator>(*tops.back(), mode));
-      expect_fully_ported(*sims.back());
       raw.push_back(sims.back().get());
     }
     if (!lockstep_compare(raw, 20'000)) {
@@ -153,7 +140,6 @@ TEST(SimEquivalence, DiscipulusTopLockstepWithExternalStimulus) {
     tops.push_back(std::make_unique<core::DiscipulusTop>(nullptr, "dx",
                                                          params, 5));
     sims.push_back(std::make_unique<rtl::Simulator>(*tops.back(), mode));
-    expect_fully_ported(*sims.back());
     raw.push_back(sims.back().get());
   }
   // External pokes between steps (genome override, sensors) must reach
@@ -291,7 +277,6 @@ TEST(SimEquivalence, ConfigLoaderLockstep) {
     loaders.push_back(
         std::make_unique<fpga::ConfigLoader>(nullptr, "loader", frame));
     sims.push_back(std::make_unique<rtl::Simulator>(*loaders.back(), mode));
-    expect_fully_ported(*sims.back());
     raw.push_back(sims.back().get());
   }
   ASSERT_TRUE(lockstep_compare(raw, frame.width() + 8));
@@ -371,7 +356,7 @@ TEST(SimEquivalence, EvolveHardwareIdenticalResultsUnderAllModes) {
   EXPECT_EQ(de.evaluations, lv.evaluations);
 }
 
-// --- fallback behaviour on designs the static schedule cannot rank ---
+// --- designs the static schedule cannot rank ---
 
 /// One stage of a (stable) combinational module cycle: copies its foreign
 /// input wire to its own output wire.
@@ -384,64 +369,42 @@ class CopyStage final : public rtl::Module {
       : Module(parent, std::move(name)), out(this, "out", 8) {}
 
   void evaluate() override { out.write(in->read()); }
-  [[nodiscard]] rtl::Sensitivity inputs() const override { return {in}; }
-  [[nodiscard]] rtl::Drives drives() const override { return {&out}; }
+  [[nodiscard]] rtl::Nets inputs() const override { return {in}; }
+  [[nodiscard]] rtl::Nets drives() const override { return {&out}; }
 };
 
 class QuietTop : public rtl::Module {
  public:
   using rtl::Module::Module;
-  [[nodiscard]] rtl::Sensitivity inputs() const override {
-    return rtl::Sensitivity::none();
-  }
-  [[nodiscard]] rtl::Drives drives() const override {
-    return rtl::Drives::none();
-  }
+  [[nodiscard]] rtl::Nets inputs() const override { return {}; }
+  [[nodiscard]] rtl::Nets drives() const override { return {}; }
 };
 
-TEST(SimEquivalence, DeclaredCombinationalCycleFallsBackToDense) {
+TEST(SimEquivalence, DeclaredCombinationalCycleThrowsUnderLevel) {
   QuietTop top(nullptr, "looptop");
   CopyStage a(&top, "a");
   CopyStage b(&top, "b");
+  CopyStage c(&top, "c");  // downstream of the loop, not on it
   a.in = &b.out;
   b.in = &a.out;
-  rtl::Simulator sim(top, rtl::SimMode::kLevel);
-  EXPECT_EQ(sim.requested_mode(), rtl::SimMode::kLevel);
-  EXPECT_EQ(sim.mode(), rtl::SimMode::kDense);
-  EXPECT_NE(sim.level_fallback_reason().find("combinational cycle"),
-            std::string::npos)
-      << sim.level_fallback_reason();
+  c.in = &a.out;
+  try {
+    rtl::Simulator sim(top, rtl::SimMode::kLevel);
+    FAIL() << "kLevel ranked a cyclic design";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("combinational cycle"), std::string::npos) << what;
+    EXPECT_NE(what.find("looptop.a"), std::string::npos) << what;
+    EXPECT_NE(what.find("looptop.b"), std::string::npos) << what;
+    EXPECT_EQ(what.find("looptop.c"), std::string::npos) << what;
+    EXPECT_NE(what.find("SimMode::kDense"), std::string::npos) << what;
+  }
   // The dense sweep still simulates the (stable) loop fine, and does the
   // dense amount of work: every module on every pass.
+  rtl::Simulator sim(top, rtl::SimMode::kDense);
   sim.run(10);
   EXPECT_EQ(sim.cycles(), 10u);
   EXPECT_EQ(sim.evaluations() % sim.modules().size(), 0u);
-}
-
-/// Declares inputs() but not drives(), so the static schedule cannot rank
-/// the design.
-class NoDrivesModule final : public rtl::Module {
- public:
-  rtl::Wire<std::uint8_t> out;
-
-  NoDrivesModule(Module* parent, std::string name)
-      : Module(parent, std::move(name)), out(this, "out", 8) {}
-
-  void evaluate() override { out.write(1); }
-  [[nodiscard]] rtl::Sensitivity inputs() const override {
-    return rtl::Sensitivity::none();
-  }
-};
-
-TEST(SimEquivalence, UndeclaredDrivesFallsBackToDense) {
-  QuietTop top(nullptr, "top");
-  NoDrivesModule m(&top, "m");
-  rtl::Simulator sim(top, rtl::SimMode::kLevel);
-  EXPECT_EQ(sim.mode(), rtl::SimMode::kDense);
-  EXPECT_NE(sim.level_fallback_reason().find("drives()"), std::string::npos)
-      << sim.level_fallback_reason();
-  sim.run(5);
-  EXPECT_EQ(m.out.read(), 1);
 }
 
 // --- golden evaluate() counts ---

@@ -103,15 +103,6 @@ TEST(Histogram, QuantileApproximation) {
   EXPECT_NEAR(h.quantile(0.9), 90.0, 1.5);
 }
 
-TEST(Histogram, AsciiRenderingContainsBars) {
-  Histogram h(0.0, 2.0, 2);
-  for (int i = 0; i < 5; ++i) h.add(0.5);
-  h.add(1.5);
-  const std::string art = h.to_ascii(10);
-  EXPECT_NE(art.find("##########"), std::string::npos);
-  EXPECT_NE(art.find(" 5"), std::string::npos);
-}
-
 TEST(Percentile, ExactValues) {
   std::vector<double> v = {1.0, 2.0, 3.0, 4.0, 5.0};
   EXPECT_DOUBLE_EQ(percentile(v, 0.0), 1.0);
@@ -171,7 +162,6 @@ TEST(CsvWriter, WritesHeaderAndRows) {
     CsvWriter csv(path, {"a", "b"});
     csv.row({"1", "x"});
     csv.row({CsvWriter::cell(2.5), "needs,quoting"});
-    EXPECT_EQ(csv.rows_written(), 2u);
   }
   std::ifstream in(path);
   std::string line;

@@ -23,6 +23,8 @@ class ControllerHarness final : public rtl::Module {
   explicit ControllerHarness(WalkingControllerParams p)
       : rtl::Module(nullptr, "tb"), ctrl(this, "ctrl", p) {}
   WalkingController ctrl;
+  [[nodiscard]] rtl::Nets inputs() const override { return {}; }
+  [[nodiscard]] rtl::Nets drives() const override { return {}; }
 };
 
 TEST(WalkingController, PhaseSequencerAdvancesAndWraps) {
