@@ -11,6 +11,7 @@
 //   ./boot_from_rom [genome]
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "core/discipulus.hpp"
 #include "example_args.hpp"
@@ -27,7 +28,7 @@ using namespace leo;
 /// Board-level top: the configuration ROM path feeding Discipulus.
 class Board final : public rtl::Module {
  public:
-  Board(util::BitVec rom, core::DiscipulusParams params)
+  Board(std::vector<bool> rom, core::DiscipulusParams params)
       : rtl::Module(nullptr, "board"),
         loader(this, "config_rom", std::move(rom)),
         discipulus(this, "discipulus", params, /*rng_seed=*/1) {}
@@ -49,20 +50,20 @@ class Board final : public rtl::Module {
   core::DiscipulusTop discipulus;
 };
 
-void boot(const char* label, const util::BitVec& rom) {
+void boot(const char* label, const std::vector<bool>& rom) {
   core::DiscipulusParams params;
   params.controller.cycles_per_phase = 50;
   Board board(rom, params);
   rtl::Simulator sim(board);
-  sim.run(rom.width() + 4);  // one bit per clock plus settling
+  sim.run(rom.size() + 4);  // one bit per clock plus settling
 
   std::printf("%s: after %zu boot cycles: valid=%d error=%d",
-              label, rom.width() + 4, board.loader.valid.read() ? 1 : 0,
+              label, rom.size() + 4, board.loader.valid.read() ? 1 : 0,
               board.loader.error.read() ? 1 : 0);
   if (board.loader.valid.read()) {
     const auto g = genome::GaitGenome::from_bits(board.loader.payload.read());
     std::printf(" -> controller configured with %s (%s)",
-                g.to_bitvec().to_hex().c_str(),
+                g.to_hex().c_str(),
                 genome::analyze(g).describe().c_str());
     sim.run(130);  // 2.6 phase periods: the sequencer is visibly running
     std::printf("; sequencer at phase %u",
@@ -87,11 +88,11 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const leo::util::BitVec good = leo::fpga::pack_genome(genome_bits);
+  const std::vector<bool> good = leo::fpga::pack_genome(genome_bits);
   boot("clean ROM", good);
 
-  leo::util::BitVec corrupt = good;
-  corrupt.flip(40);  // one flipped payload bit
+  std::vector<bool> corrupt = good;
+  corrupt[40].flip();  // one flipped payload bit
   boot("ROM with one flipped bit", corrupt);
   return 0;
 }

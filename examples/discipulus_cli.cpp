@@ -62,7 +62,7 @@ int usage() {
 void show_genome(std::uint64_t bits) {
   const genome::GaitGenome g = genome::GaitGenome::from_bits(bits);
   const fitness::RuleViolations v = fitness::count_violations(g);
-  std::printf("genome  : %s\n", g.to_bitvec().to_hex().c_str());
+  std::printf("genome  : %s\n", g.to_hex().c_str());
   std::printf("fitness : %u/%u (R1 %u, R2 %u, R3 %u violations)\n",
               fitness::score(g), fitness::kDefaultSpec.max_score(),
               v.equilibrium, v.symmetry, v.coherence);

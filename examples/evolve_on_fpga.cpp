@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
   const genome::GaitGenome best =
       genome::GaitGenome::from_bits(gap.best_genome());
   std::printf("\nbest individual (fitness %u): %s\n%s\n", gap.best_fitness(),
-              best.to_bitvec().to_hex().c_str(), best.diagram().c_str());
+              best.to_hex().c_str(), best.diagram().c_str());
 
   // After convergence the controller is live; step a little and show the
   // sequencer walking the evolved gait.

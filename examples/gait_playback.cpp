@@ -19,7 +19,7 @@ void play(const char* name, const leo::genome::GaitGenome& g) {
   const fitness::RuleViolations v = fitness::count_violations(g);
   std::printf("=== %s ===\ngenome  : %s\nfitness : %u/%u  (R1 equilibrium %u, "
               "R2 symmetry %u, R3 coherence %u)\n\n%s\n",
-              name, g.to_bitvec().to_hex().c_str(), fitness::score(g),
+              name, g.to_hex().c_str(), fitness::score(g),
               fitness::kDefaultSpec.max_score(), v.equilibrium, v.symmetry,
               v.coherence, g.diagram().c_str());
 

@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
   const genome::GaitGenome best =
       genome::GaitGenome::from_bits(result.best_genome);
   std::printf("\nevolved genome: %s\n",
-              best.to_bitvec().to_hex().c_str());
+              best.to_hex().c_str());
   std::printf("\n%s\n", best.diagram().c_str());
 
   robot::Walker walker(robot::kLeonardoConfig, robot::flat_terrain());

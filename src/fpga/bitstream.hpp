@@ -7,7 +7,8 @@
 // (the format a config ROM would hold) and unpacked on load, with
 // corruption detected — the property a robot in the field depends on.
 //
-// Frame layout (bits, LSB-first within each field):
+// A frame is a std::vector<bool>, one element per ROM bit, in the order
+// the ConfigLoader streams them. Layout (LSB-first within each field):
 //   magic   : 16  = 0x4C44 ("LD")
 //   version : 8   = 1
 //   width   : 8   = payload bit count (36 for a gait genome)
@@ -17,8 +18,7 @@
 #pragma once
 
 #include <cstdint>
-
-#include "util/bitvec.hpp"
+#include <vector>
 
 namespace leo::fpga {
 
@@ -40,18 +40,15 @@ inline constexpr std::uint32_t kFrameHeaderBits = 16 + 8 + 8;
   return crc;
 }
 
-/// CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF, no reflection).
-[[nodiscard]] std::uint16_t crc16_ccitt(const util::BitVec& bits);
+/// Packs a payload of 1..255 bits into a configuration frame.
+[[nodiscard]] std::vector<bool> pack_frame(const std::vector<bool>& payload);
 
-/// Packs a payload into a configuration frame.
-[[nodiscard]] util::BitVec pack_frame(const util::BitVec& payload);
-
-/// Unpacks and validates a frame. Throws std::runtime_error on bad magic,
-/// version, width, or CRC.
-[[nodiscard]] util::BitVec unpack_frame(const util::BitVec& frame);
+/// Unpacks and validates a frame. Throws std::runtime_error on a bad
+/// length, magic, version, width, or CRC.
+[[nodiscard]] std::vector<bool> unpack_frame(const std::vector<bool>& frame);
 
 /// Convenience for the 36-bit gait genome.
-[[nodiscard]] util::BitVec pack_genome(std::uint64_t genome_bits);
-[[nodiscard]] std::uint64_t unpack_genome(const util::BitVec& frame);
+[[nodiscard]] std::vector<bool> pack_genome(std::uint64_t genome_bits);
+[[nodiscard]] std::uint64_t unpack_genome(const std::vector<bool>& frame);
 
 }  // namespace leo::fpga

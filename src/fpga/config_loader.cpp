@@ -5,7 +5,7 @@
 namespace leo::fpga {
 
 ConfigLoader::ConfigLoader(rtl::Module* parent, std::string name,
-                           util::BitVec rom)
+                           std::vector<bool> rom)
     : rtl::Module(parent, std::move(name)),
       payload(this, "payload", 48),
       valid(this, "valid", 1),
@@ -33,11 +33,11 @@ void ConfigLoader::clock_edge() {
   if (static_cast<State>(state_.read()) != State::kStreaming) return;
 
   const std::uint32_t cursor = cursor_.read();
-  if (cursor >= rom_.width()) {
+  if (cursor >= rom_.size()) {
     state_.set_next(static_cast<std::uint8_t>(State::kError));  // truncated
     return;
   }
-  const bool bit = rom_.get(cursor);
+  const bool bit = rom_[cursor];
 
   // Header / payload width bookkeeping. The width field is only known
   // once the header has fully arrived.
@@ -87,7 +87,7 @@ void ConfigLoader::clock_edge() {
     const auto version = static_cast<std::uint8_t>((header >> 16) & 0xFF);
     const auto w = static_cast<std::uint32_t>((header >> 24) & 0xFF);
     if (magic != kFrameMagic || version != kFrameVersion || w == 0 ||
-        w > 48 || rom_.width() != kFrameHeaderBits + w + 16) {
+        w > 48 || rom_.size() != kFrameHeaderBits + w + 16) {
       state_.set_next(static_cast<std::uint8_t>(State::kError));
       return;
     }

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "rtl/module.hpp"
-#include "util/bitvec.hpp"
 
 namespace leo::fpga {
 
@@ -27,7 +26,7 @@ class ConfigLoader final : public rtl::Module {
  public:
   /// `rom` is the frame the serial PROM holds (from pack_frame /
   /// pack_genome). Streaming starts immediately after reset.
-  ConfigLoader(rtl::Module* parent, std::string name, util::BitVec rom);
+  ConfigLoader(rtl::Module* parent, std::string name, std::vector<bool> rom);
 
   /// Loaded payload (low bits; up to 48 significant).
   rtl::Wire<std::uint64_t> payload;
@@ -62,7 +61,7 @@ class ConfigLoader final : public rtl::Module {
     kError,
   };
 
-  util::BitVec rom_;
+  std::vector<bool> rom_;
   rtl::Reg<std::uint32_t> cursor_;      ///< next ROM bit index
   rtl::Reg<std::uint8_t> state_;
   rtl::Reg<std::uint64_t> header_;      ///< magic | version | width

@@ -1,5 +1,6 @@
 #include "genome/gait_genome.hpp"
 
+#include <cstdio>
 #include <sstream>
 #include <stdexcept>
 
@@ -44,8 +45,11 @@ std::uint64_t GaitGenome::to_bits() const noexcept {
   return bits;
 }
 
-util::BitVec GaitGenome::to_bitvec() const {
-  return util::BitVec(kGenomeBits, to_bits());
+std::string GaitGenome::to_hex() const {
+  char text[sizeof "0x000000000"];
+  std::snprintf(text, sizeof text, "0x%09llx",
+                static_cast<unsigned long long>(to_bits()));
+  return text;
 }
 
 std::string GaitGenome::describe() const {

@@ -20,8 +20,6 @@
 #include <cstdint>
 #include <string>
 
-#include "util/bitvec.hpp"
-
 namespace leo::genome {
 
 inline constexpr std::size_t kNumLegs = 6;
@@ -72,7 +70,8 @@ class GaitGenome {
   static GaitGenome from_bits(std::uint64_t bits);
 
   [[nodiscard]] std::uint64_t to_bits() const noexcept;
-  [[nodiscard]] util::BitVec to_bitvec() const;
+  /// "0x" and nine lowercase hex digits, e.g. "0x6186030c3".
+  [[nodiscard]] std::string to_hex() const;
 
   [[nodiscard]] const StepPlan& step(std::size_t s) const {
     return steps_.at(s);

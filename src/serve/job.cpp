@@ -1,5 +1,7 @@
 #include "serve/job.hpp"
 
+#include <array>
+#include <cstddef>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -22,24 +24,30 @@ const char* to_string(JobState state) noexcept {
 
 namespace detail {
 
-const char* terminal_counter_name(JobState state) noexcept {
-  switch (state) {
-    case JobState::kSucceeded: return "leo_serve_jobs_succeeded_total";
-    case JobState::kSuspended: return "leo_serve_jobs_suspended_total";
-    case JobState::kBudgetExhausted:
-      return "leo_serve_jobs_budget_exhausted_total";
-    case JobState::kCancelled: return "leo_serve_jobs_cancelled_total";
-    case JobState::kRejected: return "leo_serve_jobs_rejected_total";
-    case JobState::kFailed: return "leo_serve_jobs_failed_total";
-    case JobState::kQueued:
-    case JobState::kRunning: break;
-  }
-  return nullptr;
+namespace {
+
+/// The counter of terminal state `s`, resolved once for all six (listed
+/// in JobState order, from kSucceeded).
+obs::Counter& terminal_counter(JobState s) {
+  static_assert(static_cast<int>(JobState::kFailed) -
+                    static_cast<int>(JobState::kSucceeded) == 5);
+  static const std::array<obs::Counter*, 6> counters{
+      &obs::registry().counter("leo_serve_jobs_succeeded_total"),
+      &obs::registry().counter("leo_serve_jobs_suspended_total"),
+      &obs::registry().counter("leo_serve_jobs_budget_exhausted_total"),
+      &obs::registry().counter("leo_serve_jobs_cancelled_total"),
+      &obs::registry().counter("leo_serve_jobs_rejected_total"),
+      &obs::registry().counter("leo_serve_jobs_failed_total")};
+  return *counters[static_cast<std::size_t>(s) -
+                   static_cast<std::size_t>(JobState::kSucceeded)];
 }
+
+}  // namespace
 
 void Job::enter_terminal_locked(JobState s, std::uint64_t index) {
   state = s;
   completion_index = index;
+  if (obs::enabled()) terminal_counter(s).inc();
   cv.notify_all();
   if (batch) {
     const std::scoped_lock lock(batch->mutex);
@@ -54,7 +62,6 @@ void complete_followers(std::vector<std::shared_ptr<Job>>&& followers,
   if (followers.empty()) return;
   // The primary is terminal, so its outcome fields are immutable; read
   // them without its mutex.
-  const char* counter = terminal_counter_name(primary.state);
   for (const auto& follower : followers) {
     const std::scoped_lock lock(follower->mutex);
     if (follower->state != JobState::kQueued) continue;  // cancelled solo
@@ -67,7 +74,6 @@ void complete_followers(std::vector<std::shared_ptr<Job>>&& followers,
         completions ? completions->fetch_add(1, std::memory_order_relaxed) + 1
                     : 0;
     follower->enter_terminal_locked(primary.state, index);
-    if (counter && obs::enabled()) obs::registry().counter(counter).inc();
   }
 }
 
@@ -148,9 +154,6 @@ void JobHandle::cancel() {
       followers = std::move(job.followers);
       job.followers.clear();
       job.enter_terminal_locked(JobState::kCancelled, 0);
-      if (obs::enabled()) {
-        obs::registry().counter("leo_serve_jobs_cancelled_total").inc();
-      }
     }
   }
   // A queued primary cancelled through its handle takes its coalesced

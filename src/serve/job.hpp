@@ -156,17 +156,15 @@ struct Job {
   /// with this job's outcome when it turns terminal. Guarded by `mutex`.
   std::vector<std::shared_ptr<Job>> followers;
 
-  /// Moves the job into terminal state `s` and wakes every waiter — the
+  /// Moves the job into terminal state `s`, bumps its
+  /// `leo_serve_jobs_<state>_total` counter and wakes every waiter — the
   /// job's own cv and, for batch members, the batch cv. `mutex` must be
   /// held. Must be called exactly once per job (callers guard on the
-  /// current state being non-terminal).
+  /// current state being non-terminal); every path that terminalizes a
+  /// job — scheduler, handle-side cancel, follower propagation — goes
+  /// through here, so each terminal transition counts once.
   void enter_terminal_locked(JobState s, std::uint64_t index);
 };
-
-/// `leo_serve_jobs_*_total` counter name for a terminal state (nullptr for
-/// non-terminal states). Every path that terminalizes a job — scheduler,
-/// handle-side cancel, follower propagation — counts through this map.
-[[nodiscard]] const char* terminal_counter_name(JobState state) noexcept;
 
 /// Completes `followers` with `primary`'s terminal outcome (state, result,
 /// error, snapshot, progress). Call after the primary is terminal, without

@@ -34,16 +34,6 @@ struct ServeMetrics {
   }
 };
 
-/// Terminal-state counters (leo_serve_jobs_<state>_total) resolve through
-/// detail::terminal_counter_name so the handle-side cancel path and the
-/// follower propagation count identically to the scheduler paths.
-void count_terminal(JobState state) {
-  if (!obs::enabled()) return;
-  if (const char* name = detail::terminal_counter_name(state)) {
-    obs::registry().counter(name).inc();
-  }
-}
-
 /// True for a queued job cancelled through its handle: it is terminal but
 /// stays in the queue until a worker pops it or admission drops it. Takes
 /// the job's mutex; callers hold the service mutex (lock order service ->
@@ -412,9 +402,6 @@ void EvolutionService::terminate(detail::Job& job, JobState state,
     job.followers.clear();
     job.enter_terminal_locked(
         state, completions_.fetch_add(1, std::memory_order_relaxed) + 1);
-    // Counted before the mutex is released, as complete_followers() does:
-    // a waiter woken by the state change sees the counter already moved.
-    count_terminal(state);
   }
   detail::complete_followers(std::move(followers), job, &completions_);
 }

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "core/discipulus.hpp"
 #include "fitness/rules.hpp"
 #include "fpga/bitstream.hpp"
@@ -202,6 +206,60 @@ TEST(Device, FullDiscipulusFitsTheDevice) {
 
 // ---- bitstream ----
 
+/// A frame's bits in stream order, as '0'/'1' characters, so a golden
+/// mismatch shows which bit moved.
+std::string stream_bits(const std::vector<bool>& frame) {
+  std::string out;
+  for (const bool bit : frame) out.push_back(bit ? '1' : '0');
+  return out;
+}
+
+/// The low `n` bits of `value` (zero beyond bit 63), LSB first.
+std::vector<bool> payload_bits(std::uint64_t value, std::size_t n) {
+  std::vector<bool> bits(n);
+  for (std::size_t i = 0; i < n && i < 64; ++i) {
+    bits[i] = ((value >> i) & 1) != 0;
+  }
+  return bits;
+}
+
+/// The low `n` bits of `value`, LSB first, as '0'/'1' characters.
+std::string stream_bits(std::uint64_t value, std::size_t n) {
+  return stream_bits(payload_bits(value, n));
+}
+
+TEST(Bitstream, GoldenFrames) {
+  // pack_genome's exact 84 bits as the low 64 and the high 20: magic
+  // 0x4C44, version 1, width 36, the genome, then the CRC.
+  struct Golden {
+    std::uint64_t genome, low64, high20;
+  };
+  for (const Golden& g :
+       {Golden{0, 0x0000000024014c44, 0xb7eb0},
+        Golden{genome::tripod_gait().to_bits(), 0x186030c324014c44, 0x371f6},
+        Golden{0xFFFFFFFFF, 0xffffffff24014c44, 0x9b94f}}) {
+    EXPECT_EQ(stream_bits(pack_genome(g.genome)),
+              stream_bits(g.low64, 64) + stream_bits(g.high20, 20))
+        << "genome 0x" << std::hex << g.genome;
+  }
+  // The catalogue check value of CRC-16/CCITT-FALSE.
+  std::uint16_t crc = 0xFFFF;
+  for (const char c : std::string_view("123456789")) {
+    crc = crc16_update(crc, static_cast<std::uint8_t>(c));
+  }
+  EXPECT_EQ(crc, 0x29B1);
+}
+
+/// Bits [lo, lo+n) of a frame as a little-endian number.
+std::uint64_t field(const std::vector<bool>& frame, std::size_t lo,
+                    std::size_t n) {
+  std::uint64_t value = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    value |= static_cast<std::uint64_t>(frame.at(lo + i)) << i;
+  }
+  return value;
+}
+
 TEST(Bitstream, GenomeRoundTrip) {
   util::Xoshiro256 rng(81);
   for (int i = 0; i < 500; ++i) {
@@ -211,40 +269,41 @@ TEST(Bitstream, GenomeRoundTrip) {
 }
 
 TEST(Bitstream, FrameLayout) {
-  const util::BitVec frame = pack_genome(0);
-  EXPECT_EQ(frame.width(), 16u + 8 + 8 + 36 + 16);
-  EXPECT_EQ(frame.slice_u64(0, 16), kFrameMagic);
-  EXPECT_EQ(frame.slice_u64(16, 8), kFrameVersion);
-  EXPECT_EQ(frame.slice_u64(24, 8), 36u);
+  const std::vector<bool> frame = pack_genome(0);
+  EXPECT_EQ(frame.size(), 16u + 8 + 8 + 36 + 16);
+  EXPECT_EQ(field(frame, 0, 16), kFrameMagic);
+  EXPECT_EQ(field(frame, 16, 8), kFrameVersion);
+  EXPECT_EQ(field(frame, 24, 8), 36u);
 }
 
 TEST(Bitstream, EverySingleBitFlipIsDetected) {
   // CRC-16 detects all single-bit errors; a corrupted gait must never be
   // silently loaded into the controller.
-  const util::BitVec frame = pack_genome(genome::tripod_gait().to_bits());
-  for (std::size_t bit = 0; bit < frame.width(); ++bit) {
-    util::BitVec corrupt = frame;
-    corrupt.flip(bit);
+  const std::vector<bool> frame = pack_genome(genome::tripod_gait().to_bits());
+  for (std::size_t bit = 0; bit < frame.size(); ++bit) {
+    std::vector<bool> corrupt = frame;
+    corrupt[bit].flip();
     EXPECT_THROW((void)unpack_frame(corrupt), std::runtime_error)
         << "flip at bit " << bit;
   }
 }
 
 TEST(Bitstream, TruncationDetected) {
-  const util::BitVec frame = pack_genome(7);
-  EXPECT_THROW((void)unpack_frame(frame.slice(0, frame.width() - 8)),
-               std::runtime_error);
+  const std::vector<bool> frame = pack_genome(7);
+  EXPECT_THROW(
+      (void)unpack_frame(std::vector<bool>(frame.begin(), frame.end() - 8)),
+      std::runtime_error);
 }
 
 TEST(Bitstream, WrongWidthPayloadRejectedAsGenome) {
-  const util::BitVec frame = pack_frame(util::BitVec(20, 5));
-  EXPECT_EQ(unpack_frame(frame).width(), 20u);
+  const std::vector<bool> frame = pack_frame(payload_bits(5, 20));
+  EXPECT_EQ(unpack_frame(frame).size(), 20u);
   EXPECT_THROW((void)unpack_genome(frame), std::runtime_error);
 }
 
 TEST(Bitstream, PayloadLimits) {
-  EXPECT_THROW((void)pack_frame(util::BitVec(0)), std::invalid_argument);
-  EXPECT_NO_THROW((void)pack_frame(util::BitVec(255, 1)));
+  EXPECT_THROW((void)pack_frame({}), std::invalid_argument);
+  EXPECT_NO_THROW((void)pack_frame(payload_bits(1, 255)));
 }
 
 // ---- config-ROM boot loader (RTL) ----
@@ -263,29 +322,30 @@ TEST(ConfigLoader, LoadsAValidFrameBitSerially) {
 }
 
 TEST(ConfigLoader, EveryBitFlipIsRejectedInHardware) {
-  const util::BitVec frame = pack_genome(genome::tripod_gait().to_bits());
-  for (std::size_t bit = 0; bit < frame.width(); bit += 7) {  // sample
-    util::BitVec corrupt = frame;
-    corrupt.flip(bit);
+  const std::vector<bool> frame = pack_genome(genome::tripod_gait().to_bits());
+  for (std::size_t bit = 0; bit < frame.size(); bit += 7) {  // sample
+    std::vector<bool> corrupt = frame;
+    corrupt[bit].flip();
     ConfigLoader loader(nullptr, "boot", corrupt);
     rtl::Simulator sim(loader);
-    sim.run(frame.width() + 4);
+    sim.run(frame.size() + 4);
     EXPECT_FALSE(loader.valid.read()) << "flip at " << bit;
     EXPECT_TRUE(loader.error.read()) << "flip at " << bit;
   }
 }
 
 TEST(ConfigLoader, TruncatedRomErrors) {
-  const util::BitVec frame = pack_genome(7);
-  ConfigLoader loader(nullptr, "boot", frame.slice(0, frame.width() - 10));
+  const std::vector<bool> frame = pack_genome(7);
+  ConfigLoader loader(nullptr, "boot",
+                      std::vector<bool>(frame.begin(), frame.end() - 10));
   rtl::Simulator sim(loader);
   sim.run(100);
   EXPECT_TRUE(loader.error.read());
 }
 
 TEST(ConfigLoader, BadMagicRejectedAtHeader) {
-  util::BitVec frame = pack_genome(7);
-  frame.set_slice_u64(0, 16, 0xDEAD);
+  std::vector<bool> frame = pack_genome(7);
+  for (std::size_t i = 0; i < 16; ++i) frame[i] = ((0xDEAD >> i) & 1) != 0;
   ConfigLoader loader(nullptr, "boot", frame);
   rtl::Simulator sim(loader);
   sim.run(33);  // one cycle past the header
@@ -308,12 +368,12 @@ TEST(ConfigLoader, ResetRestreamsTheRom) {
 TEST(ConfigLoader, ArbitraryPayloadWidths) {
   util::Xoshiro256 rng(9);
   for (const std::size_t width : {1u, 7u, 16u, 17u, 33u, 48u}) {
-    const util::BitVec payload(width, rng.next_u64());
+    const std::vector<bool> payload = payload_bits(rng.next_u64(), width);
     ConfigLoader loader(nullptr, "boot", pack_frame(payload));
     rtl::Simulator sim(loader);
     sim.run(32 + width + 16 + 2);
     ASSERT_TRUE(loader.valid.read()) << "width " << width;
-    ASSERT_EQ(loader.payload.read(), payload.slice_u64(0, width))
+    ASSERT_EQ(loader.payload.read(), field(payload, 0, width))
         << "width " << width;
   }
 }
@@ -321,9 +381,9 @@ TEST(ConfigLoader, ArbitraryPayloadWidths) {
 TEST(Bitstream, Crc16KnownProperty) {
   // Appending the frame's own CRC makes any further flip detectable; also
   // two different payloads must virtually never share a CRC here.
-  const util::BitVec f1 = pack_genome(1);
-  const util::BitVec f2 = pack_genome(2);
-  EXPECT_NE(f1.slice_u64(68, 16), f2.slice_u64(68, 16));
+  const std::vector<bool> f1 = pack_genome(1);
+  const std::vector<bool> f2 = pack_genome(2);
+  EXPECT_NE(field(f1, 68, 16), field(f2, 68, 16));
 }
 
 }  // namespace

@@ -5,12 +5,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <vector>
 
 #include "cpu/assembler.hpp"
 #include "cpu/disassembler.hpp"
 #include "cpu/isa.hpp"
 #include "fitness/rules.hpp"
 #include "fpga/bitstream.hpp"
+#include "fpga/config_loader.hpp"
 #include "fpga/fitness_netlist.hpp"
 #include "gap/gap_top.hpp"
 #include "genome/gait_analysis.hpp"
@@ -90,12 +93,13 @@ TEST(Fuzz, BitstreamRoundTripArbitraryPayloads) {
   util::Xoshiro256 rng(104);
   for (int i = 0; i < 500; ++i) {
     const std::size_t width = 1 + rng.next_below(255);
-    util::BitVec payload(width);
-    for (std::size_t lo = 0; lo < width; lo += 64) {
-      payload.set_slice_u64(lo, std::min<std::size_t>(64, width - lo),
-                            rng.next_u64());
+    std::vector<bool> payload(width);
+    std::uint64_t word = 0;
+    for (std::size_t bit = 0; bit < width; ++bit) {
+      if (bit % 64 == 0) word = rng.next_u64();
+      payload[bit] = ((word >> (bit % 64)) & 1) != 0;
     }
-    const util::BitVec frame = fpga::pack_frame(payload);
+    const std::vector<bool> frame = fpga::pack_frame(payload);
     ASSERT_EQ(fpga::unpack_frame(frame), payload) << "width " << width;
   }
 }
@@ -105,16 +109,50 @@ TEST(Fuzz, BitstreamRoundTripArbitraryPayloads) {
 /// all double-bit errors within its window).
 TEST(Fuzz, BitstreamDetectsRandomDoubleFlips) {
   util::Xoshiro256 rng(105);
-  const util::BitVec frame = fpga::pack_genome(0x123456789ULL);
+  const std::vector<bool> frame = fpga::pack_genome(0x123456789ULL);
   for (int i = 0; i < 300; ++i) {
-    util::BitVec corrupt = frame;
-    const std::size_t a = rng.next_below(frame.width());
-    std::size_t b = rng.next_below(frame.width());
-    while (b == a) b = rng.next_below(frame.width());
-    corrupt.flip(a);
-    corrupt.flip(b);
+    std::vector<bool> corrupt = frame;
+    const std::size_t a = rng.next_below(frame.size());
+    std::size_t b = rng.next_below(frame.size());
+    while (b == a) b = rng.next_below(frame.size());
+    corrupt[a].flip();
+    corrupt[b].flip();
     ASSERT_THROW((void)fpga::unpack_frame(corrupt), std::runtime_error)
         << "flips " << a << ", " << b;
+  }
+}
+
+/// A ROM holding any strict prefix of a genome frame, or the frame with
+/// one more bit appended, is rejected: unpack_frame throws, and the RTL
+/// loader streaming it never raises `valid` and ends in `error`.
+TEST(Fuzz, BitstreamRejectsEveryPrefixAndOneBitExtension) {
+  util::Xoshiro256 rng(107);
+  for (int trial = 0; trial < 4; ++trial) {
+    const std::vector<bool> frame =
+        fpga::pack_genome(rng.next_u64() & genome::kGenomeMask);
+    std::vector<std::vector<bool>> roms;
+    for (std::size_t n = 0; n < frame.size(); ++n) {
+      roms.emplace_back(frame.begin(),
+                        frame.begin() + static_cast<std::ptrdiff_t>(n));
+    }
+    for (const bool extra : {false, true}) {
+      roms.push_back(frame);
+      roms.back().push_back(extra);
+    }
+    for (const std::vector<bool>& rom : roms) {
+      ASSERT_THROW((void)fpga::unpack_frame(rom), std::runtime_error)
+          << "trial " << trial << ", " << rom.size() << " bits";
+      fpga::ConfigLoader loader(nullptr, "boot", rom);
+      rtl::Simulator sim(loader);
+      for (std::size_t cycle = 0; cycle < frame.size() + 4; ++cycle) {
+        sim.run(1);
+        ASSERT_FALSE(loader.valid.read())
+            << "trial " << trial << ", " << rom.size() << " bits, cycle "
+            << cycle;
+      }
+      ASSERT_TRUE(loader.error.read())
+          << "trial " << trial << ", " << rom.size() << " bits";
+    }
   }
 }
 

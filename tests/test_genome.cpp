@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "genome/known_gaits.hpp"
 #include "genome/phases.hpp"
 #include "util/rng.hpp"
@@ -55,11 +57,13 @@ TEST(GaitGenome, RoundTripRandom) {
   }
 }
 
-TEST(GaitGenome, BitVecRoundTrip) {
+TEST(GaitGenome, HexRoundTrip) {
   const GaitGenome g = tripod_gait();
-  const util::BitVec bits = g.to_bitvec();
-  EXPECT_EQ(bits.width(), kGenomeBits);
-  EXPECT_EQ(GaitGenome::from_bits(bits.to_u64()), g);
+  const std::string hex = g.to_hex();
+  EXPECT_EQ(hex, "0x6186030c3");
+  EXPECT_EQ(GaitGenome::from_bits(std::stoull(hex, nullptr, 16)), g);
+  EXPECT_EQ(GaitGenome::from_bits(0).to_hex(), "0x000000000");
+  EXPECT_EQ(GaitGenome::from_bits(kGenomeMask).to_hex(), "0xfffffffff");
 }
 
 TEST(GaitGenome, FromBitsRejectsHighBits) {

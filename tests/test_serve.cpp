@@ -147,7 +147,7 @@ TEST(Checkpoint, SerializeDeserializeRoundTrip) {
 }
 
 // Byte-exact LEOS layout guard: digests of snapshots of budget-suspended
-// runs, captured before the GA moved from BitVec to u64 genomes. Covers
+// runs, captured before the GA moved from bit-vector to u64 genomes. Covers
 // history (diversity doubles), elitism, and widths 36/40/64.
 TEST(Checkpoint, GoldenSnapshotDigests) {
   struct Case {
@@ -729,6 +729,57 @@ TEST(Service, TelemetrySinkGetsAFinalSnapshot) {
   ASSERT_NE(it, counters.end());
   EXPECT_GE(it->second, succeeded);
   EXPECT_GE(succeeded, 1u);
+}
+
+/// Sum of the six `leo_serve_jobs_<state>_total` counters.
+std::uint64_t terminal_total() {
+  std::uint64_t total = 0;
+  for (const char* state : {"succeeded", "suspended", "budget_exhausted",
+                            "cancelled", "rejected", "failed"}) {
+    total += counter_value(
+        ("leo_serve_jobs_" + std::string(state) + "_total").c_str());
+  }
+  return total;
+}
+
+/// Each of the three paths that makes a job terminal — the scheduler, a
+/// handle cancelling a queued job, and a coalesced follower completing
+/// with its primary — bumps the state's counter exactly once.
+TEST(Service, TerminalCountersCountEachTransitionOnce) {
+  constexpr const char* kSucceeded = "leo_serve_jobs_succeeded_total";
+  constexpr const char* kCancelled = "leo_serve_jobs_cancelled_total";
+  EvolutionService service(1);
+
+  std::uint64_t succeeded = counter_value(kSucceeded);
+  std::uint64_t total = terminal_total();
+  (void)service.submit(base_config(3)).wait();
+  EXPECT_EQ(counter_value(kSucceeded) - succeeded, 1u) << "scheduler finish";
+  EXPECT_EQ(terminal_total() - total, 1u) << "scheduler finish";
+
+  // A blocker on the one worker keeps the next submissions queued.
+  JobHandle blocker = service.submit(endless_config());
+  while (blocker.state() == JobState::kQueued) std::this_thread::yield();
+  JobHandle queued = service.submit(base_config(50));
+  const std::uint64_t cancelled = counter_value(kCancelled);
+  total = terminal_total();
+  queued.cancel();
+  EXPECT_EQ(counter_value(kCancelled) - cancelled, 1u) << "handle cancel";
+  EXPECT_EQ(terminal_total() - total, 1u) << "handle cancel";
+
+  JobHandle primary = service.submit(base_config(7));
+  JobHandle follower = service.submit(base_config(7));
+  ASSERT_TRUE(follower.coalesced());
+  succeeded = counter_value(kSucceeded);
+  total = terminal_total();
+  blocker.cancel();
+  (void)primary.wait();
+  (void)follower.wait();
+  EXPECT_EQ(primary.state(), JobState::kSucceeded);
+  EXPECT_EQ(follower.state(), JobState::kSucceeded);
+  // The primary and its follower once each, plus the cancelled blocker;
+  // the worker popping the already-cancelled `queued` job adds nothing.
+  EXPECT_EQ(counter_value(kSucceeded) - succeeded, 2u) << "follower";
+  EXPECT_EQ(terminal_total() - total, 3u) << "follower";
 }
 
 // ---- progress snapshots ------------------------------------------------

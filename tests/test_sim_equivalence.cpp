@@ -248,7 +248,7 @@ TEST(SimEquivalence, GapAndLoaderRandomizedBurstFuzzLockstep) {
     }
   }
 
-  const util::BitVec frame = fpga::pack_genome(0x5A5A5A5A5ULL);
+  const std::vector<bool> frame = fpga::pack_genome(0x5A5A5A5A5ULL);
   std::vector<std::unique_ptr<fpga::ConfigLoader>> loaders;
   std::vector<std::unique_ptr<rtl::Simulator>> sims;
   std::vector<rtl::Simulator*> raw;
@@ -258,7 +258,7 @@ TEST(SimEquivalence, GapAndLoaderRandomizedBurstFuzzLockstep) {
     sims.push_back(std::make_unique<rtl::Simulator>(*loaders.back(), mode));
     raw.push_back(sims.back().get());
   }
-  std::uint64_t remaining = frame.width() + 8;
+  std::uint64_t remaining = frame.size() + 8;
   while (remaining > 0) {
     const std::uint64_t burst = std::min<std::uint64_t>(1 + rng() % 32,
                                                         remaining);
@@ -269,7 +269,7 @@ TEST(SimEquivalence, GapAndLoaderRandomizedBurstFuzzLockstep) {
 }
 
 TEST(SimEquivalence, ConfigLoaderLockstep) {
-  const util::BitVec frame = fpga::pack_genome(0xABCDEF123ULL);
+  const std::vector<bool> frame = fpga::pack_genome(0xABCDEF123ULL);
   std::vector<std::unique_ptr<fpga::ConfigLoader>> loaders;
   std::vector<std::unique_ptr<rtl::Simulator>> sims;
   std::vector<rtl::Simulator*> raw;
@@ -279,7 +279,7 @@ TEST(SimEquivalence, ConfigLoaderLockstep) {
     sims.push_back(std::make_unique<rtl::Simulator>(*loaders.back(), mode));
     raw.push_back(sims.back().get());
   }
-  ASSERT_TRUE(lockstep_compare(raw, frame.width() + 8));
+  ASSERT_TRUE(lockstep_compare(raw, frame.size() + 8));
   EXPECT_TRUE(loaders[0]->valid.read());
 }
 
