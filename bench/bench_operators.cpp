@@ -60,7 +60,7 @@ void BM_SinglePointCrossover(benchmark::State& state) {
   const std::uint64_t b = rng.next_u64() & genome::kGenomeMask;
   const ga::SinglePointCrossover op;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(op.apply(a, b, 36, rng));
+    benchmark::DoNotOptimize(op.apply(a, b, rng));
   }
 }
 BENCHMARK(BM_SinglePointCrossover);
@@ -74,7 +74,7 @@ void BM_ExactCountMutation(benchmark::State& state) {
   }
   const ga::ExactCountMutation op(15);
   for (auto _ : state) {
-    op.apply(pop, 36, rng);
+    op.apply(pop, rng);
     benchmark::DoNotOptimize(pop);
   }
 }

@@ -15,6 +15,7 @@
 #include <cstdio>
 
 #include "example_args.hpp"
+#include "genome/gait_genome.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/trials.hpp"
 
@@ -83,7 +84,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\nmutations per generation (over %zu population bits):\n",
-              base.ga.population_size * base.ga.genome_bits);
+              base.ga.population_size * genome::kGenomeBits);
   for (unsigned m : {0u, 5u, 15u, 40u, 100u}) {
     core::EvolutionConfig c = base;
     c.ga.mutations_per_generation = m;

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
 
   std::printf("Evolving a gait (population %zu, genome %zu bits, "
               "selection %.2f, crossover %.2f, %u mutations/gen)...\n",
-              config.ga.population_size, config.ga.genome_bits,
+              config.ga.population_size, genome::kGenomeBits,
               config.ga.selection_threshold.value(),
               config.ga.crossover_threshold.value(),
               config.ga.mutations_per_generation);

@@ -8,15 +8,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 
+#include "ga/individual.hpp"
 #include "util/rng.hpp"
 
 namespace leo::ga {
-
-/// Fitness over packed genome words (hot path for the scans).
-using FitnessU64Fn = std::function<unsigned(std::uint64_t)>;
 
 struct ScanResult {
   std::uint64_t evaluated = 0;       ///< genomes scored
@@ -30,14 +27,13 @@ struct ScanResult {
 /// `target_fitness` is reached (if set). Each evaluation models one clock
 /// cycle of the hardware's exhaustive pipeline.
 [[nodiscard]] ScanResult exhaustive_scan(std::uint64_t begin, std::uint64_t end,
-                                         const FitnessU64Fn& fitness,
+                                         const FitnessFn& fitness,
                                          std::optional<unsigned> target_fitness);
 
-/// Draws uniform random `genome_bits`-wide genomes until the target is hit
-/// or `max_draws` exhausted.
-[[nodiscard]] ScanResult random_search(std::size_t genome_bits,
-                                       std::uint64_t max_draws,
-                                       const FitnessU64Fn& fitness,
+/// Draws uniform random 36-bit genomes until the target is hit or
+/// `max_draws` exhausted.
+[[nodiscard]] ScanResult random_search(std::uint64_t max_draws,
+                                       const FitnessFn& fitness,
                                        unsigned target_fitness,
                                        util::Xoshiro256& rng);
 

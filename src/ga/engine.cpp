@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "ga/diversity.hpp"
+#include "genome/gait_genome.hpp"
 #include "obs/metrics.hpp"
 
 namespace leo::ga {
@@ -68,13 +69,9 @@ GaEngine::GaEngine(GaParams params, FitnessFn fitness)
   if (params_.population_size < 2 || params_.population_size % 2 != 0) {
     throw std::invalid_argument("GaEngine: population size must be even, >= 2");
   }
-  if (params_.genome_bits < 2 || params_.genome_bits > kMaxGenomeBits) {
-    throw std::invalid_argument("GaEngine: genome_bits must be in [2, 64]");
-  }
   if (!fitness_) {
     throw std::invalid_argument("GaEngine: fitness function required");
   }
-  mask_ = genome_mask(params_.genome_bits);
 }
 
 void GaEngine::evaluate(Population& pop) const {
@@ -83,7 +80,9 @@ void GaEngine::evaluate(Population& pop) const {
 
 Population GaEngine::make_initial_population(util::Xoshiro256& rng) const {
   Population pop(params_.population_size);
-  for (auto& ind : pop) ind.genome.bits = rng.next_u64() & mask_;
+  for (auto& ind : pop) {
+    ind.genome.bits = rng.next_u64() & genome::kGenomeMask;
+  }
   evaluate(pop);
   return pop;
 }
@@ -92,7 +91,6 @@ void GaEngine::step_generation(Population& pop, util::Xoshiro256& rng) {
   if (pop.size() != params_.population_size) {
     throw std::invalid_argument("step_generation: population size mismatch");
   }
-  const std::size_t width = params_.genome_bits;
   // Selection + crossover into the intermediate population (paper's
   // pipelined pair of operators writing the second RAM).
   intermediate_.resize(pop.size());
@@ -101,22 +99,13 @@ void GaEngine::step_generation(Population& pop, util::Xoshiro256& rng) {
     const std::size_t pb = selection_.select(pop, rng);
     GenomePair children{pop[pa].genome.bits, pop[pb].genome.bits};
     if (rng.next_bool_p8(params_.crossover_threshold.raw())) {
-      children = crossover_.apply(children.first, children.second, width, rng);
+      children = crossover_.apply(children.first, children.second, rng);
     }
     intermediate_[i].genome.bits = children.first;
     intermediate_[i + 1].genome.bits = children.second;
   }
 
-  mutation_.apply(intermediate_, width, rng);
-
-  if (params_.elitism) {
-    // Preserve the best of the outgoing generation in slot 0.
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < pop.size(); ++i) {
-      if (pop[i].fitness > pop[best].fitness) best = i;
-    }
-    intermediate_[0] = pop[best];
-  }
+  mutation_.apply(intermediate_, rng);
 
   // The intermediate population becomes the basis population; the old
   // basis buffer is reused as the next generation's intermediate.

@@ -8,8 +8,10 @@
 // Like the GAP's two RAMs, the two populations are fixed buffers swapped
 // each generation: a running engine allocates nothing per generation.
 //
-// Genomes are packed u64 words of GaParams::genome_bits (2..64) bits;
-// GaParams carries the paper's defaults.
+// Genomes are the paper's 36-bit gait genomes packed in u64 words (see
+// ga/individual.hpp); GaParams carries the paper's defaults. Like the
+// GAP, the engine has no elitism: the best individual survives only
+// through selection.
 //
 // Like the GAP's fixed datapath, the loop has no dispatch per draw or per
 // pair: the engine draws from util::Xoshiro256 (inline draws) and holds
@@ -34,14 +36,9 @@ namespace leo::ga {
 /// Parameters of §3.3 ("The different parameters used for the GAP").
 struct GaParams {
   std::size_t population_size = 32;
-  std::size_t genome_bits = 36;  ///< 2..64; GaEngine rejects other widths
   util::Prob8 selection_threshold = util::Prob8::from_double(0.8);
   util::Prob8 crossover_threshold = util::Prob8::from_double(0.7);
   unsigned mutations_per_generation = 15;
-  /// If true, the best individual of each generation is copied unchanged
-  /// into the next. Not in the paper's GAP; kept because the config hash
-  /// and `LEOS` snapshots persist it.
-  bool elitism = false;
 };
 
 /// Per-generation progress snapshot.
@@ -87,8 +84,8 @@ class GaEngine {
  public:
   /// Runs the paper's operators: tournament(selection_threshold),
   /// single-point crossover, exact-count(mutations_per_generation)
-  /// mutation. Throws std::invalid_argument for an odd or < 2 population,
-  /// genome_bits outside [2, 64], or an empty fitness function.
+  /// mutation. Throws std::invalid_argument for an odd or < 2 population
+  /// or an empty fitness function.
   GaEngine(GaParams params, FitnessFn fitness);
 
   /// Runs until `target_fitness` is reached (if set) or `max_generations`
@@ -121,7 +118,7 @@ class GaEngine {
   void step_generation(Population& pop, util::Xoshiro256& rng);
 
   /// Random initial population, evaluated: one next_u64() per individual,
-  /// masked to genome_bits.
+  /// masked to the 36-bit genome.
   Population make_initial_population(util::Xoshiro256& rng) const;
 
   [[nodiscard]] const GaParams& params() const noexcept { return params_; }
@@ -134,7 +131,6 @@ class GaEngine {
   TournamentSelection selection_;
   SinglePointCrossover crossover_;
   ExactCountMutation mutation_;
-  std::uint64_t mask_ = 0;  ///< genome_mask(params_.genome_bits)
   Population intermediate_;  ///< next generation, swapped into the basis
 };
 

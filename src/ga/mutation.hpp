@@ -4,30 +4,19 @@
 // individual's genome", applied 15 times per generation across the whole
 // 1152-bit population (§3.3). ExactCountMutation reproduces that exactly.
 //
-// ExactCountMutation::apply(pop, width, rng) mutates the `width`-bit
-// genomes of the population in place (fitness values become stale),
-// drawing from util::Xoshiro256 inline so GaEngine's generation loop
-// inlines it. It throws std::invalid_argument unless width is in [1, 64].
+// ExactCountMutation::apply(pop, rng) mutates the 36-bit genomes of the
+// population in place (fitness values become stale), drawing from
+// util::Xoshiro256 inline so GaEngine's generation loop inlines it.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <stdexcept>
 
 #include "ga/individual.hpp"
+#include "genome/gait_genome.hpp"
 #include "util/rng.hpp"
 
 namespace leo::ga {
-
-namespace detail {
-
-inline void check_width(std::size_t width) {
-  if (width == 0 || width > kMaxGenomeBits) {
-    throw std::invalid_argument("mutation: width must be in [1, 64]");
-  }
-}
-
-}  // namespace detail
 
 /// Flips exactly `count` uniformly chosen (individual, bit) positions per
 /// generation. Positions are drawn independently, so the same bit can be
@@ -36,8 +25,8 @@ inline void check_width(std::size_t width) {
 class ExactCountMutation {
  public:
   explicit ExactCountMutation(unsigned count) : count_(count) {}
-  void apply(Population& pop, std::size_t width, util::Xoshiro256& rng) const {
-    detail::check_width(width);
+  void apply(Population& pop, util::Xoshiro256& rng) const {
+    constexpr std::size_t width = genome::kGenomeBits;
     if (pop.empty()) return;
     const std::size_t total_bits = pop.size() * width;
     for (unsigned i = 0; i < count_; ++i) {

@@ -1,11 +1,11 @@
 #include "serve/checkpoint.hpp"
 
-#include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
+#include "fitness/rules.hpp"
+#include "genome/gait_genome.hpp"
 #include "obs/metrics.hpp"
 #include "serve/config_hash.hpp"
 
@@ -16,42 +16,32 @@ namespace {
 using detail::ByteReader;
 using detail::ByteWriter;
 
-/// An individual is its genome width (u32), the packed genome word (u64)
-/// and its fitness (u32).
-void write_individual(ByteWriter& w, const ga::Individual& ind,
-                      std::size_t genome_bits) {
-  w.u32(static_cast<std::uint32_t>(genome_bits));
+/// An individual is its genome width (u32, always 36), the packed genome
+/// word (u64) and its fitness (u32).
+void write_individual(ByteWriter& w, const ga::Individual& ind) {
+  w.u32(static_cast<std::uint32_t>(genome::kGenomeBits));
   w.u64(ind.genome.bits);
   w.u32(ind.fitness);
 }
 
-/// Strict inverse of write_individual for a `genome_bits`-wide config:
-/// anything write_individual could not have produced is rejected.
-ga::Individual read_individual(ByteReader& r, std::size_t genome_bits) {
-  const std::uint32_t width = r.u32();
-  if (width == 0 || width > ga::kMaxGenomeBits) {
-    throw std::runtime_error("snapshot: genome width outside [1, 64]");
-  }
-  if (width != genome_bits) {
-    throw std::runtime_error("snapshot: genome width does not match config");
+/// Strict inverse of write_individual: anything write_individual could not
+/// have produced from a run scored by `spec` is rejected, including a
+/// stored fitness that is not the genome's score.
+ga::Individual read_individual(ByteReader& r,
+                               const fitness::FitnessSpec& spec) {
+  if (r.u32() != genome::kGenomeBits) {
+    throw std::runtime_error("snapshot: genome width is not 36");
   }
   ga::Individual ind;
   ind.genome.bits = r.u64();
-  if (ind.genome.bits & ~ga::genome_mask(width)) {
-    throw std::runtime_error("snapshot: genome bits set above its width");
+  if (ind.genome.bits & ~genome::kGenomeMask) {
+    throw std::runtime_error("snapshot: genome bits set above bit 35");
   }
   ind.fitness = r.u32();
+  if (ind.fitness != fitness::score(ind.genome.bits, spec)) {
+    throw std::runtime_error("snapshot: fitness does not match its genome");
+  }
   return ind;
-}
-
-/// "0x" + one hex digit per started nibble of `genome_bits`.
-std::string genome_hex(std::uint64_t genome, std::size_t genome_bits) {
-  const int digits =
-      static_cast<int>((std::min(genome_bits, ga::kMaxGenomeBits) + 3) / 4);
-  char buf[19];
-  std::snprintf(buf, sizeof buf, "0x%0*llx", digits,
-                static_cast<unsigned long long>(genome));
-  return buf;
 }
 
 }  // namespace
@@ -80,14 +70,11 @@ std::vector<std::uint8_t> serialize_snapshot(const Snapshot& snapshot) {
   for (const std::uint64_t word : snapshot.rng_state) w.u64(word);
 
   const ga::EngineState& st = snapshot.state;
-  const std::size_t bits = snapshot.config.ga.genome_bits;
   w.u64(st.generation);
   w.u64(st.evaluations);
-  write_individual(w, st.best, bits);
+  write_individual(w, st.best);
   w.u32(static_cast<std::uint32_t>(st.population.size()));
-  for (const ga::Individual& ind : st.population) {
-    write_individual(w, ind, bits);
-  }
+  for (const ga::Individual& ind : st.population) write_individual(w, ind);
   w.u32(static_cast<std::uint32_t>(st.history.size()));
   for (const ga::GenerationStats& gs : st.history) {
     w.u64(gs.generation);
@@ -136,17 +123,17 @@ Snapshot deserialize_snapshot(const std::vector<std::uint8_t>& bytes) {
   for (std::uint64_t& word : snap.rng_state) word = r.u64();
 
   ga::EngineState& st = snap.state;
-  const std::size_t bits = snap.config.ga.genome_bits;
+  const fitness::FitnessSpec& spec = snap.config.spec;
   st.generation = r.u64();
   st.evaluations = r.u64();
-  st.best = read_individual(r, bits);
+  st.best = read_individual(r, spec);
   const std::uint32_t pop_size = r.u32();
   if (std::size_t{pop_size} * 16 > r.remaining()) {
     throw std::runtime_error("snapshot: truncated population");
   }
   st.population.reserve(pop_size);
   for (std::uint32_t i = 0; i < pop_size; ++i) {
-    st.population.push_back(read_individual(r, bits));
+    st.population.push_back(read_individual(r, spec));
   }
   const std::uint32_t history_size = r.u32();
   if (std::size_t{history_size} * 32 > r.remaining()) {
@@ -198,11 +185,11 @@ std::string describe_snapshot(const Snapshot& snapshot) {
       << snapshot.state.evaluations << "\n"
       << "  best fitness " << snapshot.state.best.fitness << "/"
       << snapshot.config.spec.max_score() << "  best genome "
-      << genome_hex(snapshot.state.best.genome.bits,
-                    snapshot.config.ga.genome_bits)
+      << genome::GaitGenome::from_bits(snapshot.state.best.genome.bits)
+             .to_hex()
       << "\n"
       << "  population " << snapshot.state.population.size() << " x "
-      << snapshot.config.ga.genome_bits << " bits, history "
+      << genome::kGenomeBits << " bits, history "
       << snapshot.state.history.size() << " entries";
   return out.str();
 }

@@ -36,7 +36,8 @@ struct Snapshot {
 
 /// Binary round trip. deserialize_snapshot throws std::runtime_error on
 /// malformed input (bad magic/version, truncation, trailing bytes, key
-/// mismatch).
+/// mismatch, a genome width other than 36, genome bits above bit 35, or a
+/// stored fitness other than fitness::score(genome, config.spec)).
 [[nodiscard]] std::vector<std::uint8_t> serialize_snapshot(
     const Snapshot& snapshot);
 [[nodiscard]] Snapshot deserialize_snapshot(

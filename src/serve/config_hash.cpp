@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "genome/gait_genome.hpp"
+
 namespace leo::serve {
 
 namespace detail {
@@ -77,13 +79,16 @@ std::vector<std::uint8_t> encode_config(const core::EvolutionConfig& config) {
   w.u8(bool_byte(spec.use_coherence));
   w.u8(bool_byte(spec.use_support));
 
+  // The software GA's genome width and elitism flag are fixed (36 bits,
+  // no elitism) but keep their slots, so keys and snapshots stay
+  // byte-identical to codec v1 as first released.
   const ga::GaParams& ga = config.ga;
   w.u64(ga.population_size);
-  w.u64(ga.genome_bits);
+  w.u64(genome::kGenomeBits);
   w.u8(ga.selection_threshold.raw());
   w.u8(ga.crossover_threshold.raw());
   w.u32(ga.mutations_per_generation);
-  w.u8(bool_byte(ga.elitism));
+  w.u8(0);
 
   const gap::GapParams& gap = config.gap;
   w.u32(gap.population_size);
@@ -117,11 +122,15 @@ core::EvolutionConfig decode_config(detail::ByteReader& r) {
 
   ga::GaParams& ga = config.ga;
   ga.population_size = r.u64();
-  ga.genome_bits = r.u64();
+  if (r.u64() != genome::kGenomeBits) {
+    throw std::runtime_error("decode: software GA genome width is not 36");
+  }
   ga.selection_threshold = util::Prob8(r.u8());
   ga.crossover_threshold = util::Prob8(r.u8());
   ga.mutations_per_generation = r.u32();
-  ga.elitism = read_bool(r);
+  if (r.u8() != 0) {
+    throw std::runtime_error("decode: software GA elitism byte is not 0");
+  }
 
   gap::GapParams& gap = config.gap;
   gap.population_size = r.u32();

@@ -57,7 +57,7 @@ TEST(ExhaustiveScan, BackwardRangeThrows) {
 TEST(RandomSearch, EventuallyHitsMaxFitness) {
   // Expected draws to a max-fitness genome ~ 8e5; give it plenty.
   util::Xoshiro256 rng(42);
-  const ScanResult r = random_search(36, 20'000'000, gait_fitness, 60u, rng);
+  const ScanResult r = random_search(20'000'000, gait_fitness, 60u, rng);
   EXPECT_TRUE(r.reached_target);
   EXPECT_TRUE(fitness::is_max_fitness(r.best_genome));
   EXPECT_GT(r.evaluated, 1000u);  // sanity: it is genuinely rare
@@ -65,17 +65,9 @@ TEST(RandomSearch, EventuallyHitsMaxFitness) {
 
 TEST(RandomSearch, RespectsDrawBudget) {
   util::Xoshiro256 rng(43);
-  const ScanResult r = random_search(36, 100, gait_fitness, 61u, rng);
+  const ScanResult r = random_search(100, gait_fitness, 61u, rng);
   EXPECT_FALSE(r.reached_target);
   EXPECT_EQ(r.evaluated, 100u);
-}
-
-TEST(RandomSearch, RejectsBadWidth) {
-  util::Xoshiro256 rng(44);
-  EXPECT_THROW((void)random_search(0, 10, gait_fitness, 60u, rng),
-               std::invalid_argument);
-  EXPECT_THROW((void)random_search(65, 10, gait_fitness, 60u, rng),
-               std::invalid_argument);
 }
 
 TEST(Baselines, GaBeatsRandomSearchOnEvaluations) {
@@ -93,8 +85,7 @@ TEST(Baselines, GaBeatsRandomSearchOnEvaluations) {
     ga_evals.add(static_cast<double>(ga.evaluations));
 
     util::Xoshiro256 rng_rs(200 + seed);
-    const ScanResult rs =
-        random_search(36, 50'000'000, gait_fitness, 60u, rng_rs);
+    const ScanResult rs = random_search(50'000'000, gait_fitness, 60u, rng_rs);
     ASSERT_TRUE(rs.reached_target);
     rs_evals.add(static_cast<double>(rs.evaluated));
   }

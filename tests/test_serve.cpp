@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "fitness/rules.hpp"
 #include "obs/metrics.hpp"
 #include "serve/batch.hpp"
 #include "serve/checkpoint.hpp"
@@ -85,11 +86,9 @@ TEST(ConfigKey, EveryFieldChangesTheKey) {
   vary([](auto& c) { c.spec.use_coherence = false; });
   vary([](auto& c) { c.spec.use_support = true; });
   vary([](auto& c) { c.ga.population_size = 64; });
-  vary([](auto& c) { c.ga.genome_bits = 40; });
   vary([](auto& c) { c.ga.selection_threshold = util::Prob8::from_double(0.5); });
   vary([](auto& c) { c.ga.crossover_threshold = util::Prob8::from_double(0.5); });
   vary([](auto& c) { c.ga.mutations_per_generation = 16; });
-  vary([](auto& c) { c.ga.elitism = true; });
   vary([](auto& c) { c.gap.population_size = 64; });
   vary([](auto& c) { c.gap.genome_bits = 40; });
   vary([](auto& c) { c.gap.selection_threshold = util::Prob8::from_double(0.5); });
@@ -105,7 +104,6 @@ TEST(ConfigKey, EveryFieldChangesTheKey) {
 
 TEST(ConfigKey, EncodeDecodeRoundTrip) {
   core::EvolutionConfig config = base_config(123);
-  config.ga.elitism = true;
   config.spec.use_support = true;
   config.max_generations = 777;
 
@@ -115,7 +113,6 @@ TEST(ConfigKey, EncodeDecodeRoundTrip) {
   EXPECT_EQ(reader.remaining(), 0u);
   EXPECT_EQ(config_key(back), config_key(config));
   EXPECT_EQ(back.seed, config.seed);
-  EXPECT_EQ(back.ga.elitism, true);
   EXPECT_EQ(back.spec.use_support, true);
   EXPECT_EQ(back.max_generations, 777u);
 }
@@ -148,24 +145,19 @@ TEST(Checkpoint, SerializeDeserializeRoundTrip) {
 
 // Byte-exact LEOS layout guard: digests of snapshots of budget-suspended
 // runs, captured before the GA moved from bit-vector to u64 genomes. Covers
-// history (diversity doubles), elitism, and widths 36/40/64.
+// history (diversity doubles) and the fixed 36-bit width and elitism slots.
 TEST(Checkpoint, GoldenSnapshotDigests) {
   struct Case {
     std::uint64_t seed;
     std::uint64_t budget;
-    std::size_t genome_bits;
     bool track_history;
-    bool elitism;
     std::size_t bytes;
     std::uint64_t digest;
   };
   constexpr Case kCases[] = {
-    {21, 5, 36, false, false, 688, 0xdac980a1d549ec8cULL},
-    {7, 20, 36, true, false, 1444, 0xd1014e09f8c9ee31ULL},
-    {3, 1, 36, false, false, 688, 0x7c8f2f7c66d9ee05ULL},
-    {1000, 40, 36, false, true, 688, 0x7ac3205b33ec5164ULL},
-    {11, 12, 40, false, false, 688, 0x06ad9d72707ecb61ULL},
-    {12, 9, 64, true, false, 1048, 0x0cfbc629e9d48f3aULL},
+    {21, 5, false, 688, 0xdac980a1d549ec8cULL},
+    {7, 20, true, 1444, 0xd1014e09f8c9ee31ULL},
+    {3, 1, false, 688, 0x7c8f2f7c66d9ee05ULL},
   };
   auto fnv1a = [](const std::vector<std::uint8_t>& bytes) {
     std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -177,8 +169,6 @@ TEST(Checkpoint, GoldenSnapshotDigests) {
   };
   for (const Case& c : kCases) {
     core::EvolutionConfig config = base_config(c.seed);
-    config.ga.genome_bits = c.genome_bits;
-    config.ga.elitism = c.elitism;
     config.track_history = c.track_history;
     core::EvolutionSession session(config);
     core::RunControl control;
@@ -256,6 +246,92 @@ TEST(Checkpoint, RejectsInvalidGenomeFields) {
   EXPECT_THROW((void)deserialize_snapshot(bool_byte), std::runtime_error);
 }
 
+std::uint32_t get_u32(const std::vector<std::uint8_t>& bytes,
+                      std::size_t at) {
+  std::uint32_t v = 0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    v |= std::uint32_t{bytes[at + i]} << (8 * i);
+  }
+  return v;
+}
+
+std::uint64_t get_u64(const std::vector<std::uint8_t>& bytes,
+                      std::size_t at) {
+  return get_u32(bytes, at) | std::uint64_t{get_u32(bytes, at + 4)} << 32;
+}
+
+// A stored fitness is the score of its genome under the config's spec;
+// otherwise a resumed run could report a target it never reached.
+TEST(Checkpoint, RejectsFitnessThatDisagreesWithGenome) {
+  const core::EvolutionConfig config = base_config(21);
+  core::EvolutionSession session(config);
+  core::RunControl control;
+  control.generation_budget = 5;
+  (void)session.run(control);
+  const std::vector<std::uint8_t> bytes =
+      serialize_snapshot(make_snapshot(session));
+  ASSERT_NO_THROW((void)deserialize_snapshot(bytes));
+
+  // Each individual: width u32, genome u64, fitness u32. The population
+  // follows the best individual and its u32 size.
+  const std::size_t best = best_individual_offset(config);
+  const std::size_t member = best + 16 + 4;
+  const std::uint32_t best_fitness = get_u32(bytes, best + 12);
+  ASSERT_EQ(best_fitness, session.state().best.fitness);
+  ASSERT_LT(best_fitness, 60u);
+
+  std::vector<std::uint8_t> best_rewritten = bytes;
+  put_u32(best_rewritten, best + 12, 60);
+  EXPECT_THROW((void)deserialize_snapshot(best_rewritten), std::runtime_error);
+
+  std::vector<std::uint8_t> member_rewritten = bytes;
+  put_u32(member_rewritten, member + 12, get_u32(bytes, member + 12) + 1);
+  EXPECT_THROW((void)deserialize_snapshot(member_rewritten),
+               std::runtime_error);
+
+  // Flip the first member genome bit that changes its score, leaving the
+  // stored fitness stale.
+  const std::uint64_t genome = get_u64(bytes, member + 4);
+  std::size_t bit = 0;
+  while (bit < 36 && fitness::score(genome ^ (std::uint64_t{1} << bit),
+                                    config.spec) ==
+                         fitness::score(genome, config.spec)) {
+    ++bit;
+  }
+  ASSERT_LT(bit, 36u);
+  std::vector<std::uint8_t> genome_flipped = bytes;
+  genome_flipped[member + 4 + bit / 8] ^=
+      static_cast<std::uint8_t>(1u << (bit % 8));
+  EXPECT_THROW((void)deserialize_snapshot(genome_flipped), std::runtime_error);
+}
+
+// The software GA's width and elitism slots of the config block hold the
+// paper's fixed values (36, 0); any other value is corruption.
+TEST(Checkpoint, RejectsNonPaperSoftwareGaSlots) {
+  const std::vector<std::uint8_t> bytes = encode_config(base_config());
+  // backend u8, seed u64, max_generations u64, track_history u8, four
+  // weights u32, four switches u8, then ga: population u64, width u64,
+  // two thresholds u8, mutation count u32, elitism u8.
+  const std::size_t width_at = 1 + 8 + 8 + 1 + 16 + 4 + 8;
+  const std::size_t elitism_at = width_at + 8 + 1 + 1 + 4;
+  ASSERT_EQ(get_u64(bytes, width_at), 36u);
+  ASSERT_EQ(bytes[elitism_at], 0u);
+  auto decode = [](const std::vector<std::uint8_t>& block) {
+    detail::ByteReader reader(block);
+    return decode_config(reader);
+  };
+  ASSERT_NO_THROW((void)decode(bytes));
+
+  for (const std::uint32_t width : {40u, 64u}) {
+    std::vector<std::uint8_t> bad = bytes;
+    put_u32(bad, width_at, width);
+    EXPECT_THROW((void)decode(bad), std::runtime_error) << "width " << width;
+  }
+  std::vector<std::uint8_t> elitism = bytes;
+  elitism[elitism_at] = 1;
+  EXPECT_THROW((void)decode(elitism), std::runtime_error);
+}
+
 /// Every truncation and random single/double bit flip of a snapshot either
 /// is rejected with std::runtime_error or decodes to a snapshot that
 /// re-serializes to exactly the corrupted bytes: the decoder accepts only
@@ -308,8 +384,10 @@ TEST(SnapshotFuzz, TruncationAndBitFlipsThrowOrRoundTrip) {
     flip(corrupt, b);
     check(corrupt, "flips " + std::to_string(a) + ", " + std::to_string(b));
   }
-  // Flips in free-valued fields (RNG state, counters, fitness, genome bits
-  // below the width, history) are legitimately accepted.
+  // Flips in free-valued fields (RNG state, counters, history) are
+  // legitimately accepted. Fitness and genome bits are not free-valued: a
+  // stored fitness must be its genome's score, so only a genome flip that
+  // keeps that score is accepted.
   EXPECT_GT(accepted, 0u);
 }
 
@@ -602,16 +680,6 @@ TEST(Service, FailedJobThrowsOnWait) {
   EXPECT_THROW((void)job.wait(), std::runtime_error);
   EXPECT_EQ(job.state(), JobState::kFailed);
   EXPECT_FALSE(job.error().empty());
-}
-
-TEST(Service, GenomeWiderThan64BitsFailsCleanly) {
-  EvolutionService service(1);
-  core::EvolutionConfig wide = base_config(1);
-  wide.ga.genome_bits = 65;  // the software GA packs genomes into a u64
-  JobHandle job = service.submit(wide);
-  EXPECT_THROW((void)job.wait(), std::runtime_error);
-  EXPECT_EQ(job.state(), JobState::kFailed);
-  EXPECT_NE(job.error().find("genome_bits"), std::string::npos) << job.error();
 }
 
 TEST(Service, ResumeRejectsHardwareSnapshots) {
