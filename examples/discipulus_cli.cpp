@@ -6,13 +6,14 @@
 //   discipulus_cli analyze <genome>       classification + rule breakdown
 //   discipulus_cli resources              FPGA utilization report
 //   discipulus_cli disasm-firmware        list the MCU16 GA firmware
-//   discipulus_cli serve [threads] [telemetry.jsonl]
+//   discipulus_cli serve [threads] [metrics.jsonl]
 //                                         interactive evolution job service
 //   discipulus_cli submit <seeds...>      batch-evolve seeds via the service
 //   discipulus_cli status <snapshot>      describe a checkpoint file
 //   discipulus_cli stats [seed]           evolve once, dump the telemetry
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <iostream>
 #include <map>
 #include <sstream>
@@ -50,7 +51,7 @@ int usage() {
                "  analyze <genome>    classification and rule breakdown\n"
                "  resources           FPGA utilization of the full design\n"
                "  disasm-firmware     disassemble the MCU16 GA firmware\n"
-               "  serve [threads] [telemetry.jsonl]\n"
+               "  serve [threads] [metrics.jsonl]\n"
                "                      interactive evolution job service\n"
                "  submit <seeds...>   batch-evolve seeds via the service\n"
                "  status <snapshot>   describe a checkpoint file\n"
@@ -134,16 +135,8 @@ void print_cache_stats(const serve::EvolutionService& service) {
 
 /// Interactive job service: a tiny line-oriented REPL over an
 /// EvolutionService, mirroring what a robot-side daemon would expose.
-/// With a telemetry path, metric snapshots stream to that file as JSON
-/// lines while the service runs, plus a final one at shutdown.
-int cmd_serve(std::size_t threads, const std::string& telemetry_path) {
-  serve::ServiceOptions service_options{.threads = threads};
-  if (!telemetry_path.empty()) {
-    service_options.telemetry =
-        std::make_shared<obs::JsonLinesSink>(telemetry_path);
-    std::printf("streaming telemetry to %s\n", telemetry_path.c_str());
-  }
-  serve::EvolutionService service(service_options);
+/// Calls `after_command` once each command has been handled.
+void serve_repl(serve::EvolutionService& service, const auto& after_command) {
   std::map<std::uint64_t, serve::JobHandle> jobs;
   std::uint64_t next_id = 1;
 
@@ -154,7 +147,9 @@ int cmd_serve(std::size_t threads, const std::string& telemetry_path) {
               "                               queue a fleet of software jobs\n"
               "  status [id]                  job state and progress\n"
               "  cancel <id>                  cooperatively cancel a job\n"
-              "  checkpoint <id> <file>       snapshot a job to disk\n"
+              "  save <id> <file>             wait for a job to end, write its\n"
+              "                               snapshot (cancel first to stop "
+              "it)\n"
               "  resume <file>                resume a snapshot file\n"
               "  cache                        result-cache statistics\n"
               "  stats                        dump the metrics registry\n"
@@ -162,14 +157,16 @@ int cmd_serve(std::size_t threads, const std::string& telemetry_path) {
               service.threads());
 
   std::string line;
-  while (std::printf("> ") && std::fflush(stdout) == 0 &&
+  bool quit = false;
+  while (!quit && std::printf("> ") && std::fflush(stdout) == 0 &&
          std::getline(std::cin, line)) {
     std::istringstream in(line);
     std::string cmd;
     if (!(in >> cmd)) continue;
     try {
-      if (cmd == "quit" || cmd == "exit") break;
-      if (cmd == "submit" || cmd == "submit-hw") {
+      if (cmd == "quit" || cmd == "exit") {
+        quit = true;
+      } else if (cmd == "submit" || cmd == "submit-hw") {
         std::uint64_t seed = 1;
         in >> seed;
         serve::JobOptions options;
@@ -220,16 +217,22 @@ int cmd_serve(std::size_t threads, const std::string& telemetry_path) {
         const auto it = jobs.find(id);
         if (it == jobs.end()) std::printf("no such job\n");
         else it->second.cancel();
-      } else if (cmd == "checkpoint") {
+      } else if (cmd == "save") {
         std::uint64_t id = 0;
         std::string path;
         in >> id >> path;
         const auto it = jobs.find(id);
         if (it == jobs.end() || path.empty()) {
-          std::printf("usage: checkpoint <id> <file>\n");
+          std::printf("usage: save <id> <file>\n");
         } else {
-          serve::save_snapshot(path, it->second.checkpoint());
-          std::printf("wrote %s\n", path.c_str());
+          (void)it->second.wait();  // throws for a failed job
+          if (const auto snapshot = it->second.snapshot()) {
+            serve::save_snapshot(path, *snapshot);
+            std::printf("wrote %s\n", path.c_str());
+          } else {
+            std::printf("no snapshot (hardware job, cache hit, or "
+                        "cancelled before it ran)\n");
+          }
         }
       } else if (cmd == "resume") {
         std::string path;
@@ -248,7 +251,34 @@ int cmd_serve(std::size_t threads, const std::string& telemetry_path) {
     } catch (const std::exception& e) {
       std::printf("error: %s\n", e.what());
     }
+    after_command();
   }
+}
+
+/// Runs the REPL. With a metrics path, one JSON line of the metrics
+/// registry is appended to that file after every command, plus a final one
+/// once the service has shut down and every job is terminal.
+int cmd_serve(std::size_t threads, const std::string& metrics_path) {
+  std::ofstream metrics;
+  if (!metrics_path.empty()) {
+    metrics.open(metrics_path, std::ios::app);
+    if (!metrics) {
+      std::fprintf(stderr, "error: cannot open %s\n", metrics_path.c_str());
+      return 1;
+    }
+    std::printf("appending metrics to %s\n", metrics_path.c_str());
+  }
+  const auto write_metrics = [&metrics] {
+    if (metrics.is_open()) {
+      metrics << obs::to_json_line(obs::registry().snapshot()) << '\n'
+              << std::flush;
+    }
+  };
+  {
+    serve::EvolutionService service(threads);
+    serve_repl(service, write_metrics);
+  }  // joins the workers
+  write_metrics();
   return 0;
 }
 

@@ -14,8 +14,7 @@ std::array<servo::ServoModel, 12> make_servos(const servo::ServoParams& p) {
 HardwareInTheLoop::HardwareInTheLoop(const CosimParams& params,
                                      robot::Terrain terrain,
                                      std::uint64_t rng_seed)
-    : params_(params),
-      top_(nullptr, "discipulus", params.discipulus, rng_seed),
+    : top_(nullptr, "discipulus", params.discipulus, rng_seed),
       sim_(top_),
       servos_(make_servos(params.servo)),
       walker_(robot::kLeonardoConfig, std::move(terrain)) {}
@@ -33,11 +32,11 @@ void HardwareInTheLoop::load_genome(std::uint64_t genome_bits) {
 std::array<genome::LegPose, robot::kNumLegs>
 HardwareInTheLoop::quantized_pose() const {
   std::array<genome::LegPose, robot::kNumLegs> pose{};
+  // A joint reads as raised / fore when its normalized angle ([-1, 1])
+  // is above the midpoint.
   for (std::size_t leg = 0; leg < robot::kNumLegs; ++leg) {
-    pose[leg].raised =
-        servos_[leg * 2].normalized() > params_.quantize_threshold;
-    pose[leg].fore =
-        servos_[leg * 2 + 1].normalized() > params_.quantize_threshold;
+    pose[leg].raised = servos_[leg * 2].normalized() > 0.0;
+    pose[leg].fore = servos_[leg * 2 + 1].normalized() > 0.0;
   }
   return pose;
 }

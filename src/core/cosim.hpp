@@ -26,10 +26,6 @@ namespace leo::core {
 struct CosimParams {
   DiscipulusParams discipulus{};
   servo::ServoParams servo{};
-  /// Servo angle (normalized, [-1, 1]) above which a joint reads as
-  /// raised / fore when the continuous pose is quantized for the
-  /// quasi-static walker.
-  double quantize_threshold = 0.0;
 };
 
 struct CosimWalkMetrics {
@@ -68,7 +64,6 @@ class HardwareInTheLoop {
   quantized_pose() const;
   void drive_sensors(const robot::SensorFrame& sensors);
 
-  CosimParams params_;
   DiscipulusTop top_;
   rtl::Simulator sim_;
   std::array<servo::ServoModel, 12> servos_;

@@ -12,7 +12,6 @@ DiscipulusTop::DiscipulusTop(rtl::Module* parent, std::string name,
       external_genome(this, "external_genome",
                       static_cast<unsigned>(genome::kGenomeBits)),
       evolution_done(this, "evolution_done", 1),
-      params_(params),
       gap_(this, "gap", params.gap, rng_seed, spec),
       controller_(this, "walking_controller", params.controller) {}
 
@@ -24,7 +23,7 @@ void DiscipulusTop::evaluate() {
     controller_.run.write(true);
   } else {
     controller_.genome.write(gap_.best_genome_bus.read());
-    controller_.run.write(gap_.done.read() || params_.walk_during_evolution);
+    controller_.run.write(gap_.done.read());
   }
   controller_.ground_sensors.write(ground_sensors.read());
   controller_.obstacle_sensors.write(obstacle_sensors.read());

@@ -28,10 +28,6 @@ namespace leo::core {
 struct DiscipulusParams {
   gap::GapParams gap{};
   WalkingControllerParams controller{};
-  /// Let the controller walk the best-so-far individual while evolution
-  /// is still running (the paper freezes the robot; flipping this shows
-  /// intermediate gaits in the examples).
-  bool walk_during_evolution = false;
 };
 
 class DiscipulusTop final : public rtl::Module {
@@ -68,15 +64,11 @@ class DiscipulusTop final : public rtl::Module {
   [[nodiscard]] WalkingController& controller() noexcept {
     return controller_;
   }
-  [[nodiscard]] const DiscipulusParams& params() const noexcept {
-    return params_;
-  }
 
   /// Top-level glue: the genome mux and the sensor fan-in.
   [[nodiscard]] rtl::ResourceTally own_resources() const override;
 
  private:
-  DiscipulusParams params_;
   gap::GapTop gap_;
   WalkingController controller_;
 };

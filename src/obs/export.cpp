@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <iomanip>
 #include <sstream>
-#include <stdexcept>
 
 namespace leo::obs {
 
@@ -92,62 +91,6 @@ std::string pretty_print(const MetricsSnapshot& snapshot) {
   }
   if (snapshot.empty()) os << "(no metrics recorded)\n";
   return os.str();
-}
-
-JsonLinesSink::JsonLinesSink(const std::string& path)
-    : out_(path, std::ios::binary | std::ios::app) {
-  if (!out_) {
-    throw std::runtime_error("JsonLinesSink: cannot open " + path);
-  }
-}
-
-void JsonLinesSink::on_snapshot(const MetricsSnapshot& snapshot) {
-  const std::string line = to_json_line(snapshot);
-  const std::scoped_lock lock(mutex_);
-  out_ << line << "\n";
-  out_.flush();
-}
-
-PeriodicFlusher::PeriodicFlusher(std::shared_ptr<TelemetrySink> sink,
-                                 std::chrono::milliseconds period,
-                                 MetricsRegistry& source)
-    : sink_(std::move(sink)), period_(period), source_(source) {
-  if (!sink_) throw std::invalid_argument("PeriodicFlusher: null sink");
-  thread_ = std::thread([this] { loop(); });
-}
-
-PeriodicFlusher::~PeriodicFlusher() { stop(); }
-
-void PeriodicFlusher::flush_now() {
-  sink_->on_snapshot(source_.snapshot());
-  flushes_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void PeriodicFlusher::stop() {
-  {
-    const std::scoped_lock lock(mutex_);
-    if (stop_ && !thread_.joinable()) return;
-    stop_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) {
-    thread_.join();
-    try {
-      flush_now();  // final interval is never lost
-    } catch (...) {
-      // stop() runs from destructors; a failing sink must not terminate.
-    }
-  }
-}
-
-void PeriodicFlusher::loop() {
-  std::unique_lock lock(mutex_);
-  while (!stop_) {
-    if (cv_.wait_for(lock, period_, [this] { return stop_; })) break;
-    lock.unlock();
-    flush_now();
-    lock.lock();
-  }
 }
 
 }  // namespace leo::obs

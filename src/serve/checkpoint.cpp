@@ -128,6 +128,20 @@ Snapshot deserialize_snapshot(const std::vector<std::uint8_t>& bytes) {
   st.evaluations = r.u64();
   st.best = read_individual(r, spec);
   const std::uint32_t pop_size = r.u32();
+  // GaEngine needs at least 2 individuals, and a zero must not reach the
+  // division below.
+  if (pop_size < 2 || pop_size != snap.config.ga.population_size) {
+    throw std::runtime_error("snapshot: population size does not match config");
+  }
+  // A GA state counts its initial population and one population per
+  // generation, so evaluations == (generation + 1) * population. Checked
+  // by division, which cannot overflow.
+  if (st.evaluations % pop_size != 0 ||
+      st.evaluations / pop_size == 0 ||
+      st.evaluations / pop_size - 1 != st.generation) {
+    throw std::runtime_error(
+        "snapshot: evaluation count does not match generation count");
+  }
   if (std::size_t{pop_size} * 16 > r.remaining()) {
     throw std::runtime_error("snapshot: truncated population");
   }

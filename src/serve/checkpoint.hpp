@@ -36,8 +36,10 @@ struct Snapshot {
 
 /// Binary round trip. deserialize_snapshot throws std::runtime_error on
 /// malformed input (bad magic/version, truncation, trailing bytes, key
-/// mismatch, a genome width other than 36, genome bits above bit 35, or a
-/// stored fitness other than fitness::score(genome, config.spec)).
+/// mismatch, a genome width other than 36, genome bits above bit 35, a
+/// stored fitness other than fitness::score(genome, config.spec), a
+/// population count other than config.ga.population_size, or an
+/// evaluation count other than (generation + 1) * population).
 [[nodiscard]] std::vector<std::uint8_t> serialize_snapshot(
     const Snapshot& snapshot);
 [[nodiscard]] Snapshot deserialize_snapshot(

@@ -162,24 +162,6 @@ void JobHandle::cancel() {
   detail::complete_followers(std::move(followers), job, nullptr);
 }
 
-Snapshot JobHandle::checkpoint() {
-  detail::Job& job = deref(job_);
-  std::unique_lock lock(job.mutex);
-  if (!is_terminal(job.state)) {
-    const std::uint64_t seq = job.snapshot_seq;
-    job.checkpoint_requested.store(true, std::memory_order_relaxed);
-    job.cv.wait(lock, [&job, seq] {
-      return job.snapshot_seq != seq || is_terminal(job.state);
-    });
-  }
-  if (!job.snapshot) {
-    throw std::runtime_error("job " + std::to_string(job.id) +
-                             ": no snapshot available (" +
-                             to_string(job.state) + ")");
-  }
-  return *job.snapshot;
-}
-
 std::optional<Snapshot> JobHandle::snapshot() const {
   detail::Job& job = deref(job_);
   const std::scoped_lock lock(job.mutex);

@@ -23,6 +23,11 @@
 //      │                                       jobs carry a snapshot)
 //      └──────► kFailed                       (exception; error() set)
 //
+// A software job that runs takes exactly one snapshot: the state its run
+// stopped in, on its way to kSucceeded, kSuspended or kCancelled. There is
+// no mid-run capture; to snapshot a running job, cancel() it and resume()
+// its snapshot, which continues bit-identically to an uninterrupted run.
+//
 // Jobs that hit the result cache go straight to kSucceeded without ever
 // occupying a worker (from_cache() == true). Coalesced followers — a
 // submit() whose identical job was already queued/running — likewise never
@@ -116,8 +121,8 @@ struct BatchState {
 };
 
 /// Shared state between EvolutionService (writer) and JobHandle (reader).
-/// Mutable fields are guarded by `mutex`; the two request flags are
-/// lock-free atomics because the runner polls them every generation.
+/// Mutable fields are guarded by `mutex`; the cancel flag is a lock-free
+/// atomic because the runner polls it every generation.
 struct Job {
   Job(std::uint64_t id_in, core::EvolutionConfig config_in,
       JobOptions options_in, std::uint64_t cache_key_in)
@@ -136,7 +141,6 @@ struct Job {
   std::shared_ptr<BatchState> batch;
 
   std::atomic<bool> cancel_requested{false};
-  std::atomic<bool> checkpoint_requested{false};
   /// See pack_progress() for the layout and ordering contract.
   std::atomic<std::uint64_t> progress{0};
 
@@ -151,7 +155,6 @@ struct Job {
   bool coalesced = false;
   std::uint64_t completion_index = 0;
   std::optional<Snapshot> snapshot;
-  std::uint64_t snapshot_seq = 0;  ///< bumped on every capture
   /// Coalesced submissions attached to THIS job's execution; completed
   /// with this job's outcome when it turns terminal. Guarded by `mutex`.
   std::vector<std::shared_ptr<Job>> followers;
@@ -208,16 +211,10 @@ class JobHandle {
   /// jobs at the next generation boundary.
   void cancel();
 
-  /// Captures a snapshot at the next generation boundary and blocks until
-  /// it is available (or the job became terminal). The run continues
-  /// unaffected. Throws for jobs that cannot snapshot (hardware backend,
-  /// cache hits, failed jobs). For coalesced followers this blocks until
-  /// the primary execution finishes and returns its final snapshot.
-  Snapshot checkpoint();
-
-  /// Latest captured snapshot, if any: an explicit checkpoint(), or the
-  /// final state a software job leaves behind on suspend/cancel/success
-  /// (propagated to coalesced followers as well).
+  /// The state a software job's run stopped in — suspended, cancelled or
+  /// succeeded (propagated to coalesced followers as well). Empty until the
+  /// run stops, and for hardware jobs, cache hits, failed jobs and jobs
+  /// cancelled before they ran.
   [[nodiscard]] std::optional<Snapshot> snapshot() const;
 
  private:

@@ -1,7 +1,6 @@
 #include "serve/scheduler.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <exception>
 #include <stdexcept>
 #include <string>
@@ -22,7 +21,6 @@ struct ServeMetrics {
   obs::Counter& batches = obs::registry().counter("leo_serve_batches_submitted_total");
   obs::Counter& cache_hits = obs::registry().counter("leo_serve_cache_hits_total");
   obs::Counter& cache_misses = obs::registry().counter("leo_serve_cache_misses_total");
-  obs::Counter& checkpoints = obs::registry().counter("leo_serve_checkpoints_total");
   obs::Counter& admission_blocked =
       obs::registry().counter("leo_serve_admission_blocked_total");
   obs::Gauge& queue_depth = obs::registry().gauge("leo_serve_queue_depth");
@@ -43,9 +41,6 @@ bool cancelled_while_queued(const std::shared_ptr<detail::Job>& job) {
   return is_terminal(job->state);
 }
 
-/// Period of the metrics flusher a service with a telemetry sink runs.
-constexpr std::chrono::seconds kTelemetryFlushPeriod{1};
-
 constexpr const char* kShedError =
     "shed by admission control (queue full, policy=shed)";
 
@@ -62,10 +57,6 @@ EvolutionService::EvolutionService(const ServiceOptions& options)
                    : std::max<std::size_t>(
                          1, std::thread::hardware_concurrency())),
       cache_(options.cache_capacity) {
-  if (options.telemetry) {
-    flusher_ = std::make_unique<obs::PeriodicFlusher>(options.telemetry,
-                                                      kTelemetryFlushPeriod);
-  }
   workers_.reserve(running_.size());
   try {
     for (std::size_t slot = 0; slot < running_.size(); ++slot) {
@@ -288,12 +279,8 @@ void EvolutionService::run_job(detail::Job& job) {
     const bool software = job.config.backend == core::Backend::kSoftware;
     core::RunControl control;
     control.generation_budget = job.options.generation_budget;
-    // Only a software session stops for a checkpoint request: the RTL
-    // simulator's state cannot be captured, so a hardware run ignores it.
-    control.should_stop = [&job, software] {
-      return job.cancel_requested.load(std::memory_order_relaxed) ||
-             (software &&
-              job.checkpoint_requested.load(std::memory_order_relaxed));
+    control.should_stop = [&job] {
+      return job.cancel_requested.load(std::memory_order_relaxed);
     };
     control.on_progress = [&job](std::uint64_t generation, unsigned best) {
       // Lock-free publication; see detail::pack_progress.
@@ -302,41 +289,18 @@ void EvolutionService::run_job(detail::Job& job) {
     };
 
     core::EvolutionResult result;
+    std::optional<Snapshot> snapshot;
     if (software) {
       core::EvolutionSession session =
           job.resume_from
               ? core::EvolutionSession(job.config, job.resume_from->state,
                                        job.resume_from->rng_state)
               : core::EvolutionSession(job.config);
-      // Publishes the session's state and wakes checkpoint() waiters.
-      const auto capture = [&job, &session] {
-        const Snapshot snap = make_snapshot(session);
-        if (obs::enabled()) ServeMetrics::get().checkpoints.inc();
-        const std::scoped_lock lock(job.mutex);
-        job.snapshot = snap;
-        ++job.snapshot_seq;
-        job.checkpoint_requested.store(false, std::memory_order_relaxed);
-        job.cv.notify_all();
-      };
-      for (;;) {
-        result = session.run(control);
-        // A checkpoint request stops the run at the next generation
-        // boundary; capture the state, then keep running — checkpoints do
-        // not perturb the evolution (same engine state, same RNG stream).
-        if (!job.checkpoint_requested.load(std::memory_order_relaxed)) break;
-        capture();
-        const bool budget_hit = job.options.generation_budget != 0 &&
-                                result.generations >=
-                                    job.options.generation_budget;
-        if (result.reached_target ||
-            job.cancel_requested.load(std::memory_order_relaxed) ||
-            budget_hit || result.generations >= job.config.max_generations) {
-          break;
-        }
-      }
-      // Leave the final state behind so suspended/cancelled jobs can be
-      // resumed and succeeded jobs can seed warm starts.
-      capture();
+      result = session.run(control);
+      // The job's one snapshot is the state the run stopped in, so
+      // suspended and cancelled jobs can be resumed and succeeded jobs can
+      // seed warm starts.
+      snapshot = make_snapshot(session);
     } else {
       result = core::evolve(job.config, control);
     }
@@ -344,6 +308,7 @@ void EvolutionService::run_job(detail::Job& job) {
     {
       const std::scoped_lock lock(job.mutex);
       job.result = result;
+      job.snapshot = std::move(snapshot);
       job.progress.store(
           detail::pack_progress(result.generations, result.best_fitness),
           std::memory_order_release);

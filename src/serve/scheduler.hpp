@@ -20,17 +20,18 @@
 //     result cache is: evolve() is deterministic in (seed, config);
 //   * cooperative cancellation and per-job generation budgets (deadlines),
 //     threaded into ga::GaEngine and the RTL GAP loop via core::RunControl;
-//   * checkpoint/resume: software jobs can be snapshotted at any
-//     generation boundary and resumed — bit-identical to an uninterrupted
-//     run — in this service, another service, or another process
-//     (serve::save_snapshot / load_snapshot);
+//   * snapshot/resume: a software job leaves one snapshot, the state it
+//     stopped in (budget suspend, cancel or success), which resumes —
+//     bit-identical to an uninterrupted run — in this service, another
+//     service, or another process (serve::save_snapshot / load_snapshot);
 //   * a deterministic, capacity-bounded LRU result cache keyed by
 //     serve::config_key (see serve/cache.hpp).
 //
 // Every submission — submit(), submit_batch() and resume() — goes through
 // one admission path (submit_one), and every queued job through one
 // runner (run_job) that differs per backend only in how the run is driven
-// and which state an early stop maps to.
+// and which state an early stop maps to. The workers are the service's
+// only threads.
 #pragma once
 
 #include <atomic>
@@ -46,7 +47,6 @@
 #include <vector>
 
 #include "core/evolution_engine.hpp"
-#include "obs/export.hpp"
 #include "serve/batch.hpp"
 #include "serve/cache.hpp"
 #include "serve/checkpoint.hpp"
@@ -70,10 +70,6 @@ struct ServiceOptions {
   AdmissionPolicy admission = AdmissionPolicy::kBlock;
   /// Result-cache entry cap (0 = unbounded).
   std::size_t cache_capacity = ResultCache::kDefaultCapacity;
-  /// Continuous metrics export. When set, the service snapshots the
-  /// global metrics registry into the sink every second and once more at
-  /// shutdown, after its workers have joined.
-  std::shared_ptr<obs::TelemetrySink> telemetry{};
 };
 
 class EvolutionService {
@@ -81,7 +77,7 @@ class EvolutionService {
   /// `threads == 0` uses all hardware threads.
   explicit EvolutionService(std::size_t threads = 0);
 
-  /// Full control: admission policy, queue bound, cache sizing, telemetry.
+  /// Full control: admission policy, queue bound, cache sizing.
   explicit EvolutionService(const ServiceOptions& options);
 
   /// Cancels every queued and running job cooperatively, lets the workers
@@ -170,9 +166,6 @@ class EvolutionService {
   /// finds every running job here.
   std::vector<std::shared_ptr<detail::Job>> running_;
   ResultCache cache_;
-  /// Destroyed after the destructor body joins the workers, so the final
-  /// flush sees every job's terminal state.
-  std::unique_ptr<obs::PeriodicFlusher> flusher_;
   std::vector<std::thread> workers_;
 };
 

@@ -19,29 +19,8 @@ void RunningStats::add(double x) noexcept {
   m2_ += delta * (x - mean_);
 }
 
-void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double n = na + nb;
-  mean_ += delta * nb / n;
-  m2_ += other.m2_ + delta * delta * na * nb / n;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double RunningStats::variance() const noexcept {
   return n_ ? m2_ / static_cast<double>(n_) : 0.0;
-}
-
-double RunningStats::sample_variance() const noexcept {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
 }
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
@@ -64,30 +43,6 @@ void Histogram::add(double x) noexcept {
 
 std::size_t Histogram::bin_count(std::size_t i) const { return counts_.at(i); }
 
-double Histogram::bin_lo(std::size_t i) const {
-  if (i >= counts_.size()) throw std::out_of_range("Histogram::bin_lo");
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_hi(std::size_t i) const {
-  return bin_lo(i) + (hi_ - lo_) / static_cast<double>(counts_.size());
-}
-
-double Histogram::quantile(double q) const {
-  if (total_ == 0) return lo_;
-  q = std::clamp(q, 0.0, 1.0);
-  const auto target = static_cast<double>(total_) * q;
-  double cum = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    cum += static_cast<double>(counts_[i]);
-    if (cum >= target) {
-      return 0.5 * (bin_lo(i) + bin_hi(i));
-    }
-  }
-  return hi_;
-}
-
 void Correlation::add(double x, double y) noexcept {
   ++n_;
   const double dx = x - mean_x_;
@@ -106,19 +61,10 @@ double Correlation::r() const noexcept {
 
 double confidence95(const RunningStats& stats) {
   if (stats.count() < 2) return 0.0;
-  return 1.96 * std::sqrt(stats.sample_variance() /
-                          static_cast<double>(stats.count()));
-}
-
-double percentile(std::vector<double> samples, double q) {
-  if (samples.empty()) throw std::invalid_argument("percentile: empty sample");
-  std::sort(samples.begin(), samples.end());
-  q = std::clamp(q, 0.0, 1.0);
-  const double pos = q * static_cast<double>(samples.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const double frac = pos - static_cast<double>(lo);
-  if (lo + 1 >= samples.size()) return samples.back();
-  return samples[lo] * (1.0 - frac) + samples[lo + 1] * frac;
+  // 1.96 * sqrt(sample variance / n), with sample variance
+  // = variance * n / (n - 1).
+  return 1.96 * stats.stddev() /
+         std::sqrt(static_cast<double>(stats.count() - 1));
 }
 
 }  // namespace leo::util

@@ -8,17 +8,14 @@
 
 namespace leo::util {
 
-/// Welford's online mean/variance plus min/max. Numerically stable; safe
-/// to merge across threads with `merge` (Chan's parallel formula).
+/// Welford's online mean/variance plus min/max. Numerically stable.
 class RunningStats {
  public:
   void add(double x) noexcept;
-  void merge(const RunningStats& other) noexcept;
 
   [[nodiscard]] std::size_t count() const noexcept { return n_; }
   [[nodiscard]] double mean() const noexcept { return n_ ? mean_ : 0.0; }
   [[nodiscard]] double variance() const noexcept;  // population variance
-  [[nodiscard]] double sample_variance() const noexcept;
   [[nodiscard]] double stddev() const noexcept;
   [[nodiscard]] double min() const noexcept { return min_; }
   [[nodiscard]] double max() const noexcept { return max_; }
@@ -41,11 +38,6 @@ class Histogram {
   [[nodiscard]] std::size_t bin_count(std::size_t i) const;
   [[nodiscard]] std::size_t bins() const noexcept { return counts_.size(); }
   [[nodiscard]] std::size_t total() const noexcept { return total_; }
-  [[nodiscard]] double bin_lo(std::size_t i) const;
-  [[nodiscard]] double bin_hi(std::size_t i) const;
-
-  /// Approximate q-quantile (q in [0,1]) from bin midpoints.
-  [[nodiscard]] double quantile(double q) const;
 
  private:
   double lo_;
@@ -53,9 +45,6 @@ class Histogram {
   std::vector<std::size_t> counts_;
   std::size_t total_ = 0;
 };
-
-/// Exact percentile of a sample vector (sorts a copy; linear interpolation).
-[[nodiscard]] double percentile(std::vector<double> samples, double q);
 
 /// Half-width of the ~95% confidence interval on the mean (1.96 standard
 /// errors; adequate for the n >= 10 trial counts the benches use).

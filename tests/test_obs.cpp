@@ -1,13 +1,9 @@
 // Tests for the observability subsystem: counters and gauges, snapshots,
-// the JSON exporter and the periodic flusher.
+// and the JSON and pretty-print renderings.
 #include "obs/metrics.hpp"
 
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <cstdio>
-#include <fstream>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,23 +12,6 @@
 
 namespace leo::obs {
 namespace {
-
-/// A sink that records every snapshot it receives, for flusher tests.
-class CapturingSink : public TelemetrySink {
- public:
-  void on_snapshot(const MetricsSnapshot& snapshot) override {
-    const std::scoped_lock lock(mutex_);
-    snapshots_.push_back(snapshot);
-  }
-  [[nodiscard]] std::vector<MetricsSnapshot> snapshots() {
-    const std::scoped_lock lock(mutex_);
-    return snapshots_;
-  }
-
- private:
-  std::mutex mutex_;
-  std::vector<MetricsSnapshot> snapshots_;
-};
 
 // ---- counters and gauges -----------------------------------------------
 
@@ -124,48 +103,6 @@ TEST(Export, PrettyPrintListsEverySection) {
   const std::string text = pretty_print(reg.snapshot());
   EXPECT_NE(text.find("leo_a_total"), std::string::npos);
   EXPECT_NE(text.find("leo_b"), std::string::npos);
-}
-
-TEST(Export, JsonLinesSinkAppendsOneObjectPerLine) {
-  const std::string path = ::testing::TempDir() + "obs_lines.jsonl";
-  std::remove(path.c_str());
-  {
-    JsonLinesSink sink(path);
-    MetricsRegistry reg;
-    reg.counter("leo_n_total").inc(1);
-    sink.on_snapshot(reg.snapshot());
-    reg.counter("leo_n_total").inc(1);
-    sink.on_snapshot(reg.snapshot());
-  }
-  std::ifstream in(path);
-  std::string line;
-  std::vector<std::string> lines;
-  while (std::getline(in, line)) lines.push_back(line);
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_NE(lines[0].find("\"leo_n_total\":1"), std::string::npos);
-  EXPECT_NE(lines[1].find("\"leo_n_total\":2"), std::string::npos);
-  std::remove(path.c_str());
-}
-
-// ---- periodic flusher --------------------------------------------------
-
-TEST(Flusher, DeliversSnapshotsAndFinalFlushOnStop) {
-  auto sink = std::make_shared<CapturingSink>();
-  MetricsRegistry reg;
-  reg.counter("leo_n_total").inc(9);
-  {
-    PeriodicFlusher flusher(sink, std::chrono::milliseconds(5), reg);
-    flusher.flush_now();
-    EXPECT_GE(flusher.flushes(), 1u);
-  }  // destructor: stop + final flush
-  const auto snapshots = sink->snapshots();
-  ASSERT_GE(snapshots.size(), 2u);
-  EXPECT_EQ(snapshots.back().counters.at("leo_n_total"), 9u);
-}
-
-TEST(Flusher, RejectsNullSink) {
-  EXPECT_THROW(PeriodicFlusher(nullptr, std::chrono::milliseconds(10)),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -332,6 +332,69 @@ TEST(Checkpoint, RejectsNonPaperSoftwareGaSlots) {
   EXPECT_THROW((void)decode(elitism), std::runtime_error);
 }
 
+// The engine counters agree with each other and with the config: a GA
+// state holds config.ga.population_size individuals and has evaluated
+// (generation + 1) populations. Otherwise a resumed run reports counts it
+// never ran.
+TEST(Checkpoint, RejectsInconsistentCounters) {
+  const core::EvolutionConfig config = base_config(21);
+  core::EvolutionSession session(config);
+  core::RunControl control;
+  control.generation_budget = 5;
+  (void)session.run(control);
+  const Snapshot snap = make_snapshot(session);
+  const std::vector<std::uint8_t> bytes = serialize_snapshot(snap);
+  ASSERT_NO_THROW((void)deserialize_snapshot(bytes));
+
+  // The generation and evaluation counters (u64 each) precede the best
+  // individual.
+  const std::size_t evaluations = best_individual_offset(config) - 8;
+  const std::size_t generation = evaluations - 8;
+  ASSERT_EQ(get_u64(bytes, generation), 5u);
+  ASSERT_EQ(get_u64(bytes, evaluations), 6u * 32u);
+
+  // (generation, evaluations) pairs that break the rule: bit 24 and bit 0
+  // of the evaluations flipped, the generation off by one either way, and
+  // a generation whose successor wraps to zero.
+  const std::uint64_t kPairs[][2] = {
+      {5, 192 + (std::uint64_t{1} << 24)},
+      {5, 193},
+      {4, 192},
+      {6, 192},
+      {~std::uint64_t{0}, 0},
+  };
+  for (const auto& [g, e] : kPairs) {
+    std::vector<std::uint8_t> bad = bytes;
+    put_u32(bad, generation, static_cast<std::uint32_t>(g));
+    put_u32(bad, generation + 4, static_cast<std::uint32_t>(g >> 32));
+    put_u32(bad, evaluations, static_cast<std::uint32_t>(e));
+    put_u32(bad, evaluations + 4, static_cast<std::uint32_t>(e >> 32));
+    EXPECT_THROW((void)deserialize_snapshot(bad), std::runtime_error)
+        << "generation " << g << ", evaluations " << e;
+  }
+
+  // One individual short of the config, with counters consistent with the
+  // shorter population.
+  Snapshot short_population = snap;
+  short_population.state.population.pop_back();
+  short_population.state.evaluations =
+      (short_population.state.generation + 1) *
+      short_population.state.population.size();
+  EXPECT_THROW(
+      (void)deserialize_snapshot(serialize_snapshot(short_population)),
+      std::runtime_error);
+
+  // A config of zero individuals, with its key recomputed, and an empty
+  // population agree on the count; the decoder must still refuse it
+  // rather than divide by zero.
+  Snapshot no_population = snap;
+  no_population.config.ga.population_size = 0;
+  no_population.config_key = config_key(no_population.config);
+  no_population.state.population.clear();
+  EXPECT_THROW((void)deserialize_snapshot(serialize_snapshot(no_population)),
+               std::runtime_error);
+}
+
 /// Every truncation and random single/double bit flip of a snapshot either
 /// is rejected with std::runtime_error or decodes to a snapshot that
 /// re-serializes to exactly the corrupted bytes: the decoder accepts only
@@ -384,10 +447,11 @@ TEST(SnapshotFuzz, TruncationAndBitFlipsThrowOrRoundTrip) {
     flip(corrupt, b);
     check(corrupt, "flips " + std::to_string(a) + ", " + std::to_string(b));
   }
-  // Flips in free-valued fields (RNG state, counters, history) are
-  // legitimately accepted. Fitness and genome bits are not free-valued: a
+  // Flips in free-valued fields (RNG state, history) are legitimately
+  // accepted. Fitness, genome bits and the counters are not free-valued: a
   // stored fitness must be its genome's score, so only a genome flip that
-  // keeps that score is accepted.
+  // keeps that score is accepted, and evaluations must equal
+  // (generation + 1) * population, which one flip of either counter breaks.
   EXPECT_GT(accepted, 0u);
 }
 
@@ -587,31 +651,39 @@ TEST(Service, BudgetSuspendsAndResumeCompletesBitIdentically) {
   EXPECT_EQ(finished.evaluations, full.evaluations);
 }
 
-TEST(Service, CheckpointWhileRunningDoesNotPerturbTheRun) {
-  const core::EvolutionConfig config = stuck_config();
-  const std::uint64_t kBudget = 20'000;
+/// A job's snapshot is the state it stopped in. Cancelling a running job
+/// and resuming its snapshot under the same budget reaches exactly the
+/// result of one uninterrupted run to that budget.
+TEST(Service, CancelledRunResumesBitIdentically) {
+  // 300 000 stuck generations, far more than run between the first
+  // published progress and the cancel, so the cancel lands mid-run.
+  const core::EvolutionConfig config = endless_config();
+  const std::uint64_t kBudget = 300'000;
+  core::RunControl control;
+  control.generation_budget = kBudget;
+  const core::EvolutionResult direct = core::evolve(config, control);
+  ASSERT_EQ(direct.generations, kBudget);
 
   EvolutionService service(1);
   JobOptions options;
   options.generation_budget = kBudget;
   options.use_cache = false;
   JobHandle job = service.submit(config, options);
+  while (job.progress().generation == 0) std::this_thread::yield();
+  job.cancel();
+  const core::EvolutionResult partial = job.wait();
+  ASSERT_EQ(job.state(), JobState::kCancelled);
+  EXPECT_LT(partial.generations, kBudget);
+  const std::optional<Snapshot> snap = job.snapshot();
+  ASSERT_TRUE(snap.has_value());
+  EXPECT_EQ(snap->state.generation, partial.generations);
 
-  // Capture a mid-run snapshot; the job keeps running to its budget.
-  const Snapshot mid = job.checkpoint();
-  EXPECT_LE(mid.state.generation, kBudget);
-  const core::EvolutionResult at_budget = job.wait();
-  EXPECT_EQ(job.state(), JobState::kSuspended);
-  EXPECT_EQ(at_budget.generations, kBudget);
-
-  // Resuming the mid-run snapshot to the same budget matches the
-  // checkpointed run exactly: checkpoints are observation, not mutation.
-  JobOptions rest = options;
-  JobHandle resumed = service.resume(mid, rest);
-  const core::EvolutionResult replay = resumed.wait();
-  EXPECT_EQ(replay.generations, at_budget.generations);
-  EXPECT_EQ(replay.best_genome, at_budget.best_genome);
-  EXPECT_EQ(replay.evaluations, at_budget.evaluations);
+  JobHandle resumed = service.resume(*snap, options);
+  const core::EvolutionResult finished = resumed.wait();
+  EXPECT_EQ(resumed.state(), JobState::kSuspended);
+  EXPECT_EQ(finished.generations, direct.generations);
+  EXPECT_EQ(finished.best_genome, direct.best_genome);
+  EXPECT_EQ(finished.evaluations, direct.evaluations);
 }
 
 TEST(Service, CancelBeforeRunIsImmediate) {
@@ -754,49 +826,6 @@ TEST(Service, ThreadsDefaultsToAtLeastOneWorker) {
 TEST(Service, ThreadsReflectsWorkerCount) {
   EvolutionService service(3);
   EXPECT_EQ(service.threads(), 3u);
-}
-
-/// Records every snapshot a service exports to it.
-class RecordingSink : public obs::TelemetrySink {
- public:
-  void on_snapshot(const obs::MetricsSnapshot& snapshot) override {
-    const std::scoped_lock lock(mutex_);
-    snapshots_.push_back(snapshot);
-  }
-  std::vector<obs::MetricsSnapshot> snapshots() const {
-    const std::scoped_lock lock(mutex_);
-    return snapshots_;
-  }
-
- private:
-  mutable std::mutex mutex_;
-  std::vector<obs::MetricsSnapshot> snapshots_;
-};
-
-TEST(Service, TelemetrySinkGetsAFinalSnapshot) {
-  auto sink = std::make_shared<RecordingSink>();
-  std::uint64_t succeeded = 0;
-  {
-    ServiceOptions options;
-    options.threads = 1;
-    options.telemetry = sink;
-    EvolutionService service(options);
-
-    JobOptions no_cache;
-    no_cache.use_cache = false;
-    JobHandle job = service.submit(base_config(7), no_cache);
-    (void)job.wait();
-    EXPECT_EQ(job.state(), JobState::kSucceeded);
-    succeeded = counter_value("leo_serve_jobs_succeeded_total");
-  }
-  // The service's last act is a final snapshot that saw the job finish.
-  const std::vector<obs::MetricsSnapshot> snapshots = sink->snapshots();
-  ASSERT_FALSE(snapshots.empty());
-  const auto& counters = snapshots.back().counters;
-  const auto it = counters.find("leo_serve_jobs_succeeded_total");
-  ASSERT_NE(it, counters.end());
-  EXPECT_GE(it->second, succeeded);
-  EXPECT_GE(succeeded, 1u);
 }
 
 /// Sum of the six `leo_serve_jobs_<state>_total` counters.
@@ -956,8 +985,7 @@ TEST(Trials, SharedServiceCachesRepeatedSweepPoints) {
 
 /// A hardware job stopped by its generation budget cannot snapshot (the
 /// RTL state is not serializable), so it must not masquerade as the
-/// resumable kSuspended: it ends kBudgetExhausted with no snapshot, and
-/// checkpoint() refuses rather than handing back garbage.
+/// resumable kSuspended: it ends kBudgetExhausted with no snapshot.
 TEST(Service, HardwareBudgetStopIsTerminalWithoutSnapshot) {
   core::EvolutionConfig config = base_config(7);
   config.backend = core::Backend::kHardware;
@@ -975,40 +1003,8 @@ TEST(Service, HardwareBudgetStopIsTerminalWithoutSnapshot) {
   EXPECT_GE(partial.generations, 2u);
   EXPECT_FALSE(partial.reached_target);
   EXPECT_FALSE(job.snapshot().has_value());
-  EXPECT_THROW((void)job.checkpoint(), std::runtime_error);
   // The partial result never pollutes the deterministic cache.
   EXPECT_EQ(service.cache_stats().entries, 0u);
-}
-
-/// A checkpoint() on a running hardware job cannot be served — the RTL
-/// state is not serializable — so it throws once the job ends. The request
-/// must not stop the run either: the job still finishes exactly as
-/// core::evolve does. (A software run, by contrast, does stop at the next
-/// generation boundary to take the snapshot.)
-TEST(Service, CheckpointOfRunningHardwareJobThrowsWithoutStoppingIt) {
-  core::EvolutionConfig config = base_config(424242);
-  config.backend = core::Backend::kHardware;
-  // No crossover, no mutation: the run never converges and takes its whole
-  // (bounded) cycle budget, so the checkpoint request lands mid-run.
-  config.gap.mutations_per_generation = 0;
-  config.gap.crossover_threshold = util::Prob8::from_double(0.0);
-  config.max_generations = 500;
-  const core::EvolutionResult direct = core::evolve(config);
-
-  EvolutionService service(1);
-  JobOptions options;
-  options.use_cache = false;
-  JobHandle job = service.submit(config, options);
-  while (job.progress().generation == 0) std::this_thread::yield();
-
-  EXPECT_THROW((void)job.checkpoint(), std::runtime_error);
-  EXPECT_EQ(job.state(), JobState::kSucceeded);
-  EXPECT_FALSE(job.snapshot().has_value());
-  const core::EvolutionResult served = job.wait();
-  EXPECT_EQ(served.generations, direct.generations);
-  EXPECT_EQ(served.best_genome, direct.best_genome);
-  EXPECT_EQ(served.best_fitness, direct.best_fitness);
-  EXPECT_EQ(served.clock_cycles, direct.clock_cycles);
 }
 
 // ---- in-flight coalescing ----------------------------------------------

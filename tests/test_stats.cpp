@@ -35,43 +35,6 @@ TEST(RunningStats, SmallKnownSample) {
   EXPECT_EQ(s.max(), 9.0);
 }
 
-TEST(RunningStats, SampleVarianceUsesBessel) {
-  RunningStats s;
-  s.add(1.0);
-  s.add(3.0);
-  EXPECT_DOUBLE_EQ(s.sample_variance(), 2.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 1.0);
-}
-
-TEST(RunningStats, MergeMatchesSequential) {
-  Xoshiro256 rng(5);
-  RunningStats whole;
-  RunningStats left;
-  RunningStats right;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = unit_double(rng) * 100.0 - 20.0;
-    whole.add(x);
-    (i % 2 == 0 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-9);
-  EXPECT_EQ(left.min(), whole.min());
-  EXPECT_EQ(left.max(), whole.max());
-}
-
-TEST(RunningStats, MergeWithEmptyIsIdentity) {
-  RunningStats a;
-  a.add(3.0);
-  RunningStats b;
-  a.merge(b);
-  EXPECT_EQ(a.count(), 1u);
-  b.merge(a);
-  EXPECT_EQ(b.count(), 1u);
-  EXPECT_EQ(b.mean(), 3.0);
-}
-
 TEST(Histogram, BinsAndClamping) {
   Histogram h(0.0, 10.0, 10);
   h.add(0.5);
@@ -84,35 +47,9 @@ TEST(Histogram, BinsAndClamping) {
   EXPECT_EQ(h.bin_count(9), 1u);
 }
 
-TEST(Histogram, BinEdges) {
-  Histogram h(0.0, 10.0, 10);
-  EXPECT_DOUBLE_EQ(h.bin_lo(3), 3.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(3), 4.0);
-  EXPECT_THROW((void)h.bin_lo(10), std::out_of_range);
-}
-
 TEST(Histogram, RejectsBadRange) {
   EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
   EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(Histogram, QuantileApproximation) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.add(i + 0.5);
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(h.quantile(0.9), 90.0, 1.5);
-}
-
-TEST(Percentile, ExactValues) {
-  std::vector<double> v = {1.0, 2.0, 3.0, 4.0, 5.0};
-  EXPECT_DOUBLE_EQ(percentile(v, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 0.5), 3.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 1.0), 5.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 0.25), 2.0);
-}
-
-TEST(Percentile, EmptyThrows) {
-  EXPECT_THROW((void)percentile({}, 0.5), std::invalid_argument);
 }
 
 TEST(Correlation, PerfectPositiveAndNegative) {

@@ -152,16 +152,6 @@ TEST(Discipulus, ExternalGenomeOverrideDrivesController) {
   EXPECT_NE(top.controller().phase.read(), 0u);  // sequencer is walking
 }
 
-TEST(Discipulus, WalkDuringEvolutionFlag) {
-  DiscipulusParams p = fast_discipulus();
-  p.walk_during_evolution = true;
-  DiscipulusTop top(nullptr, "discipulus", p, 42);
-  rtl::Simulator sim(top);
-  sim.run(30);
-  EXPECT_FALSE(top.evolution_done.read());
-  EXPECT_TRUE(top.controller().run.read());
-}
-
 TEST(Discipulus, SensorsAreForwarded) {
   DiscipulusTop top(nullptr, "discipulus", fast_discipulus(), 42);
   rtl::Simulator sim(top);
