@@ -5,7 +5,6 @@
 //   discipulus_cli play <genome>          analyze + walk a genome
 //   discipulus_cli analyze <genome>       classification + rule breakdown
 //   discipulus_cli resources              FPGA utilization report
-//   discipulus_cli disasm-firmware        list the MCU16 GA firmware
 //   discipulus_cli serve [threads] [metrics.jsonl]
 //                                         interactive evolution job service
 //   discipulus_cli submit <seeds...>      batch-evolve seeds via the service
@@ -22,9 +21,6 @@
 
 #include "core/discipulus.hpp"
 #include "core/evolution_engine.hpp"
-#include "cpu/assembler.hpp"
-#include "cpu/disassembler.hpp"
-#include "cpu/firmware.hpp"
 #include "example_args.hpp"
 #include "fitness/rules.hpp"
 #include "fpga/xc4000.hpp"
@@ -50,7 +46,6 @@ int usage() {
                "  play <genome>       analyze and walk a 36-bit genome\n"
                "  analyze <genome>    classification and rule breakdown\n"
                "  resources           FPGA utilization of the full design\n"
-               "  disasm-firmware     disassemble the MCU16 GA firmware\n"
                "  serve [threads] [metrics.jsonl]\n"
                "                      interactive evolution job service\n"
                "  submit <seeds...>   batch-evolve seeds via the service\n"
@@ -133,6 +128,13 @@ void print_cache_stats(const serve::EvolutionService& service) {
               s.capacity, static_cast<unsigned long long>(s.evictions));
 }
 
+/// Reads the REPL's next token with parse_number: a missing token keeps
+/// `out` as it is, a malformed one returns false.
+bool next_number(std::istream& in, std::uint64_t& out) {
+  std::string token;
+  return !(in >> token) || parse_number(token.c_str(), out);
+}
+
 /// Interactive job service: a tiny line-oriented REPL over an
 /// EvolutionService, mirroring what a robot-side daemon would expose.
 /// Calls `after_command` once each command has been handled.
@@ -142,7 +144,8 @@ void serve_repl(serve::EvolutionService& service, const auto& after_command) {
 
   std::printf("evolution service ready (%zu threads); commands:\n"
               "  submit <seed> [gen-budget]   queue a software-GA job\n"
-              "  submit-hw <seed>             queue a hardware (GAP) job\n"
+              "  submit-hw <seed> [gen-budget]\n"
+              "                               queue a hardware (GAP) job\n"
               "  batch <count> [seed0] [gen-budget]\n"
               "                               queue a fleet of software jobs\n"
               "  status [id]                  job state and progress\n"
@@ -168,25 +171,29 @@ void serve_repl(serve::EvolutionService& service, const auto& after_command) {
         quit = true;
       } else if (cmd == "submit" || cmd == "submit-hw") {
         std::uint64_t seed = 1;
-        in >> seed;
         serve::JobOptions options;
-        in >> options.generation_budget;
-        const auto backend = cmd == "submit" ? core::Backend::kSoftware
-                                             : core::Backend::kHardware;
-        jobs.emplace(next_id,
-                     service.submit(service_config(backend, seed), options));
-        std::printf("queued job %llu\n",
-                    static_cast<unsigned long long>(next_id++));
+        if (!next_number(in, seed) ||
+            !next_number(in, options.generation_budget)) {
+          std::printf("usage: %s <seed> [gen-budget]\n", cmd.c_str());
+        } else {
+          const auto backend = cmd == "submit" ? core::Backend::kSoftware
+                                               : core::Backend::kHardware;
+          jobs.emplace(next_id,
+                       service.submit(service_config(backend, seed), options));
+          std::printf("queued job %llu\n",
+                      static_cast<unsigned long long>(next_id++));
+        }
       } else if (cmd == "batch") {
-        std::size_t count = 0;
+        std::uint64_t count = 0;
         std::uint64_t seed0 = 1;
         serve::JobOptions options;
-        in >> count >> seed0 >> options.generation_budget;
-        if (count == 0) {
+        if (!next_number(in, count) || count == 0 ||
+            !next_number(in, seed0) ||
+            !next_number(in, options.generation_budget)) {
           std::printf("usage: batch <count> [seed0] [gen-budget]\n");
         } else {
           std::vector<serve::BatchItem> items(count);
-          for (std::size_t i = 0; i < count; ++i) {
+          for (std::size_t i = 0; i < items.size(); ++i) {
             items[i].config =
                 service_config(core::Backend::kSoftware, seed0 + i);
             items[i].options = options;
@@ -196,33 +203,39 @@ void serve_repl(serve::EvolutionService& service, const auto& after_command) {
           for (const serve::JobHandle& job : batch.jobs()) {
             jobs.emplace(next_id++, job);
           }
-          std::printf("queued batch of %zu: jobs %llu..%llu\n", count,
+          std::printf("queued batch of %zu: jobs %llu..%llu\n", items.size(),
                       static_cast<unsigned long long>(first),
                       static_cast<unsigned long long>(next_id - 1));
         }
       } else if (cmd == "status") {
+        std::string token;
         std::uint64_t id = 0;
-        if (in >> id) {
-          const auto it = jobs.find(id);
-          if (it == jobs.end()) std::printf("no such job\n");
-          else print_job_line(id, it->second);
-        } else {
+        if (!(in >> token)) {
           for (const auto& [local_id, job] : jobs) {
             print_job_line(local_id, job);
           }
+        } else if (!parse_number(token.c_str(), id)) {
+          std::printf("usage: status [id]\n");
+        } else {
+          const auto it = jobs.find(id);
+          if (it == jobs.end()) std::printf("no such job\n");
+          else print_job_line(id, it->second);
         }
       } else if (cmd == "cancel") {
         std::uint64_t id = 0;
-        in >> id;
-        const auto it = jobs.find(id);
-        if (it == jobs.end()) std::printf("no such job\n");
-        else it->second.cancel();
+        if (!next_number(in, id)) {
+          std::printf("usage: cancel <id>\n");
+        } else {
+          const auto it = jobs.find(id);
+          if (it == jobs.end()) std::printf("no such job\n");
+          else it->second.cancel();
+        }
       } else if (cmd == "save") {
         std::uint64_t id = 0;
         std::string path;
-        in >> id >> path;
+        const bool parsed = next_number(in, id) && (in >> path);
         const auto it = jobs.find(id);
-        if (it == jobs.end() || path.empty()) {
+        if (!parsed || it == jobs.end()) {
           std::printf("usage: save <id> <file>\n");
         } else {
           (void)it->second.wait();  // throws for a failed job
@@ -409,11 +422,6 @@ int main(int argc, char** argv) {
   }
   if (cmd == "status" && argc > 2) {
     return cmd_snapshot_status(argv[2]);
-  }
-  if (cmd == "disasm-firmware") {
-    const cpu::Program p = cpu::assemble(cpu::ga_firmware_source());
-    std::printf("%s", cpu::disassemble(p.words).c_str());
-    return 0;
   }
   return usage();
 }

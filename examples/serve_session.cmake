@@ -1,14 +1,17 @@
 # serve_session.cmake — drives one `discipulus_cli serve` REPL session from
-# a script and checks what it leaves behind: a software job run to a
-# generation budget is saved to a snapshot file and resumed, the file
-# describes cleanly with `status`, and the metrics file holds one JSON line
-# per command plus the final one written after the service shut down.
+# a script and checks what it leaves behind: a malformed number prints
+# usage and queues nothing, a software job run to a generation budget is
+# saved to a snapshot file and resumed, the file describes cleanly with
+# `status`, and the metrics file holds one JSON line per command plus the
+# final one written after the service shut down.
 #
 #   cmake -DCLI=<path-to-discipulus_cli> -DWORK_DIR=<dir> -P serve_session.cmake
 set(snapshot "${WORK_DIR}/serve_session.leos")
 set(metrics "${WORK_DIR}/serve_session.jsonl")
 set(input "${WORK_DIR}/serve_session.in")
 set(commands
+    "submit abc"
+    "submit 7x 5"
     "submit 7 50"
     "save 1 ${snapshot}"
     "resume ${snapshot}"
@@ -27,6 +30,13 @@ execute_process(COMMAND "${CLI}" serve 2 "${metrics}"
 if(NOT status STREQUAL "0" OR NOT out MATCHES "resumed as job 2")
   message(FATAL_ERROR "serve session: expected exit 0 and 'resumed as job 2', "
                       "got exit '${status}'\nstdout:\n${out}\nstderr:\n${err}")
+endif()
+string(REGEX MATCHALL "usage: submit " usages "${out}")
+list(LENGTH usages n_usages)
+if(NOT n_usages EQUAL 2)
+  message(FATAL_ERROR "serve session: expected 2 'usage: submit' lines for "
+                      "the malformed submits, got ${n_usages}\n"
+                      "stdout:\n${out}")
 endif()
 
 execute_process(COMMAND "${CLI}" status "${snapshot}"

@@ -8,9 +8,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "cpu/assembler.hpp"
-#include "cpu/disassembler.hpp"
-#include "cpu/isa.hpp"
 #include "fitness/rules.hpp"
 #include "fpga/bitstream.hpp"
 #include "fpga/config_loader.hpp"
@@ -152,87 +149,6 @@ TEST(Fuzz, BitstreamRejectsEveryPrefixAndOneBitExtension) {
       }
       ASSERT_TRUE(loader.error.read())
           << "trial " << trial << ", " << rom.size() << " bits";
-    }
-  }
-}
-
-/// Randomly generated valid programs must disassemble and reassemble to
-/// identical words (the encoder and decoder are mutual inverses).
-TEST(Fuzz, AssemblerDisassemblerInverse) {
-  util::Xoshiro256 rng(106);
-  for (int trial = 0; trial < 200; ++trial) {
-    // Build a random straight-line program of real instructions (branches
-    // only backward/forward within range, to existing addresses).
-    std::vector<std::uint16_t> words;
-    const std::size_t n = 5 + rng.next_below(60);
-    for (std::size_t i = 0; i < n; ++i) {
-      switch (rng.next_below(8)) {
-        case 0: {
-          const auto func = static_cast<cpu::AluFunc>(rng.next_below(8));
-          // MOV ignores rt; the canonical (assembler-produced) encoding
-          // zeroes it, so the generator does too.
-          const unsigned rt =
-              func == cpu::AluFunc::kMov
-                  ? 0u
-                  : static_cast<unsigned>(rng.next_below(8));
-          words.push_back(
-              cpu::enc_alu(func, static_cast<unsigned>(rng.next_below(8)),
-                           static_cast<unsigned>(rng.next_below(8)), rt));
-          break;
-        }
-        case 1:
-          words.push_back(cpu::enc_imm8(cpu::Op::kLdi,
-                                        static_cast<unsigned>(rng.next_below(8)),
-                                        static_cast<unsigned>(rng.next_below(256))));
-          break;
-        case 2:
-          words.push_back(cpu::enc_imm8(cpu::Op::kAddi,
-                                        static_cast<unsigned>(rng.next_below(8)),
-                                        static_cast<unsigned>(rng.next_below(256))));
-          break;
-        case 3:
-          words.push_back(cpu::enc_mem(cpu::Op::kLd,
-                                       static_cast<unsigned>(rng.next_below(8)),
-                                       static_cast<unsigned>(rng.next_below(8)),
-                                       static_cast<unsigned>(rng.next_below(64))));
-          break;
-        case 4:
-          words.push_back(cpu::enc_mem(cpu::Op::kSt,
-                                       static_cast<unsigned>(rng.next_below(8)),
-                                       static_cast<unsigned>(rng.next_below(8)),
-                                       static_cast<unsigned>(rng.next_below(64))));
-          break;
-        case 5: {
-          // Branch to a random address within the program.
-          const int target = static_cast<int>(rng.next_below(n));
-          const int off = target - (static_cast<int>(i) + 1);
-          if (off >= -256 && off <= 255) {
-            words.push_back(cpu::enc_br(
-                static_cast<cpu::Cond>(rng.next_below(7)), off));
-          } else {
-            words.push_back(cpu::kInsnNop);
-          }
-          break;
-        }
-        case 6:
-          words.push_back(cpu::enc_cmp(
-              static_cast<unsigned>(rng.next_below(8)),
-              static_cast<unsigned>(rng.next_below(8))));
-          break;
-        default:
-          words.push_back(cpu::kInsnNop);
-          break;
-      }
-    }
-    words.push_back(cpu::kInsnHalt);
-
-    const cpu::Program again =
-        cpu::assemble(cpu::disassemble_roundtrip(words));
-    ASSERT_GE(again.words.size(), words.size());
-    for (std::size_t i = 0; i < words.size(); ++i) {
-      ASSERT_EQ(again.words[i], words[i])
-          << "trial " << trial << " word " << i << ": "
-          << cpu::disassemble_word(words[i], static_cast<std::uint16_t>(i));
     }
   }
 }
