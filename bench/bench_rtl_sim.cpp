@@ -7,8 +7,9 @@
 // wasted work. The static schedule evaluates each module at most once per
 // cycle, in rank order, and only when one of its inputs changed. This
 // bench runs the same full evolution (identical seed, so bit-identical
-// trajectories) under both kernels and reports per-kernel cycles/sec and
-// evaluations/cycle.
+// trajectories) under both kernels and reports per-kernel cycles/sec,
+// evaluations/cycle and commits/cycle (registers committed: those
+// set_next() scheduled, the same under both kernels).
 //
 //   ./bench_rtl_sim [seeds]
 //   ./bench_rtl_sim --iters N     # N seeds
@@ -17,7 +18,8 @@
 // exits with status 2.
 //
 // Emits BENCH_rtl.json (shared runner; see bench_harness.hpp) with the
-// speedup and both throughputs as leo_bench_rtl_* gauges. The run aborts
+// speedup, both throughputs and the per-cycle work counts as
+// leo_bench_rtl_* gauges. The run aborts
 // (nonzero exit) if the two kernels disagree on any evolved genome,
 // fitness, generation count, or cycle count — the bench doubles as an
 // end-to-end equivalence check.
@@ -46,6 +48,7 @@ struct RunResult {
   std::uint64_t best_genome = 0;
   unsigned best_fitness = 0;
   std::uint64_t evaluations = 0;
+  std::uint64_t commits = 0;
   double seconds = 0.0;
   bool converged = false;
 };
@@ -69,6 +72,7 @@ RunResult run_gap(std::uint64_t seed, rtl::SimMode mode) {
   r.best_genome = top.best_genome();
   r.best_fitness = top.best_fitness();
   r.evaluations = sim.evaluations();
+  r.commits = sim.commits();
   return r;
 }
 
@@ -90,6 +94,7 @@ int bench_run(const Options& options) {
 
   util::RunningStats cps[kModeCount];
   util::RunningStats evals_per_cycle[kModeCount];
+  util::RunningStats commits_per_cycle[kModeCount];
   for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
     RunResult results[kModeCount];
     bool all_converged = true;
@@ -125,6 +130,8 @@ int bench_run(const Options& options) {
       cps[m].add(cycles / results[m].seconds);
       evals_per_cycle[m].add(static_cast<double>(results[m].evaluations) /
                              cycles);
+      commits_per_cycle[m].add(static_cast<double>(results[m].commits) /
+                               cycles);
     }
   }
   if (cps[0].count() == 0) {
@@ -135,9 +142,10 @@ int bench_run(const Options& options) {
   std::printf("identical results on %llu seed(s); per-kernel throughput:\n",
               static_cast<unsigned long long>(cps[0].count()));
   for (std::size_t m = 0; m < kModeCount; ++m) {
-    std::printf("  %-6s: %10.0f cycles/sec (sd %.0f), %5.2f evaluate()/cycle\n",
+    std::printf("  %-6s: %10.0f cycles/sec (sd %.0f), %5.2f evaluate()/cycle, "
+                "%5.2f commits/cycle\n",
                 kModeNames[m], cps[m].mean(), cps[m].stddev(),
-                evals_per_cycle[m].mean());
+                evals_per_cycle[m].mean(), commits_per_cycle[m].mean());
   }
   const double level_vs_dense = cps[0].mean() / cps[1].mean();
   std::printf("  level vs dense: %.2fx\n", level_vs_dense);
@@ -148,6 +156,7 @@ int bench_run(const Options& options) {
     const std::string prefix = std::string("leo_bench_rtl_") + kModeNames[m];
     reg.gauge(prefix + "_cycles_per_sec").set(cps[m].mean());
     reg.gauge(prefix + "_evals_per_cycle").set(evals_per_cycle[m].mean());
+    reg.gauge(prefix + "_commits_per_cycle").set(commits_per_cycle[m].mean());
   }
   reg.gauge("leo_bench_rtl_level_speedup_vs_dense").set(level_vs_dense);
   return 0;

@@ -42,6 +42,7 @@ REQUIRED_GAUGES = {
         "leo_bench_rtl_dense_cycles_per_sec",
         "leo_bench_rtl_level_evals_per_cycle",
         "leo_bench_rtl_dense_evals_per_cycle",
+        "leo_bench_rtl_level_commits_per_cycle",
         "leo_bench_rtl_level_speedup_vs_dense",
     ),
     "serve": (

@@ -8,14 +8,17 @@
 //   Wire<T>  — a combinational net. Written by exactly one driver module's
 //              evaluate(); readable by anyone.
 //   Reg<T>   — a flip-flop (or register bank). Modules call set_next()
-//              during clock_edge(); the simulator commits all registers
-//              simultaneously afterwards.
+//              during clock_edge(); the simulator then commits the
+//              registers scheduled this cycle simultaneously.
 //
 // Every net keeps its current value as one plain masked u64 word in
 // NetBase, whatever T is: a write is a masked store, a read a narrowing
-// load, and the simulator detects changes by comparing these words (it
-// holds pointers to them), so nothing here is virtual and nothing
-// notifies anyone.
+// load, and the simulator detects wire changes by comparing these words
+// (it holds pointers to them), so nothing here is virtual. set_next() is
+// the one write that notifies anyone: the first call in a cycle appends
+// its register to the pending list of the step in progress on this
+// thread, and the commit walks only that list. An unscheduled register
+// holds its value, like a flip-flop whose enable is low.
 //
 // T is an unsigned integral type; `width` (in bits) is declared explicitly
 // for value masking and VCD dumping.
@@ -77,29 +80,54 @@ class Wire final : public NetBase {
   void write(T v) noexcept { store(static_cast<std::uint64_t>(v)); }
 };
 
-/// Register base: the simulator commits all registers after the clock
-/// edge so updates appear simultaneous.
+/// Register base: the simulator commits the registers scheduled in a
+/// cycle after the clock edge, so their updates appear simultaneous.
 class RegBase : public NetBase {
  public:
   RegBase(Module* owner, std::string name, unsigned width,
           std::uint64_t reset_value);
 
-  /// Applies the pending next value (called only by the Simulator).
-  void commit() noexcept { store(next_); }
   /// Returns the register to its reset value.
-  void reset() noexcept {
-    next_ = reset_;
-    store(reset_);
-  }
+  void reset() noexcept { store(reset_); }
 
  protected:
   ~RegBase() = default;
 
-  void schedule(std::uint64_t v) noexcept { next_ = v & mask(); }
+  /// Records the next value and, the first time in a cycle, the register
+  /// in the pending list of the step in progress on this thread. Outside
+  /// a step there is no list and the value is never committed.
+  void schedule(std::uint64_t v) {
+    next_ = v & mask();
+    if (!pending_ && edge_tail_ != nullptr) {
+      if (top_ != edge_top_) foreign();
+      pending_ = true;
+      *edge_tail_++ = this;
+    }
+  }
 
  private:
+  friend class Simulator;  // numbers registers, opens the edge phase, commits
+
+  /// Throws: the stepping simulator did not number the register.
+  /// Checked before the register joins the list, so the list, sized to
+  /// the simulator's registers, holds each of them at most once.
+  [[noreturn]] static void foreign();
+
+  /// The free end of the pending list of the edge phase open on this
+  /// thread (null outside one) and the top of the simulator that opened
+  /// it. The simulator points them at its own for the span of its
+  /// clock_edge() calls and restores the enclosing values afterwards.
+  static inline thread_local RegBase** edge_tail_ = nullptr;
+  static inline thread_local const Module* edge_top_ = nullptr;
+
   std::uint64_t next_;
   std::uint64_t reset_;
+  /// Written at elaboration: the top the simulator is bound to, and the
+  /// register's place in that simulator's register list, which keys its
+  /// reader masks. Simulators bound to the same top number it alike.
+  const Module* top_ = nullptr;
+  std::uint32_t index_ = 0;
+  bool pending_ = false;  // in the open edge phase's list
 };
 
 template <typename T>
@@ -116,8 +144,8 @@ class Reg final : public RegBase {
 
   /// Schedules the value the register takes at the end of this cycle.
   /// Legal only inside clock_edge(); the old value stays readable until
-  /// the simulator commits.
-  void set_next(T v) noexcept { schedule(static_cast<std::uint64_t>(v)); }
+  /// the simulator commits. The last call in a cycle wins.
+  void set_next(T v) { schedule(static_cast<std::uint64_t>(v)); }
 };
 
 }  // namespace leo::rtl

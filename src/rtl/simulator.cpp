@@ -1,6 +1,7 @@
 #include "rtl/simulator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
@@ -24,9 +25,23 @@ void count_cycles(std::uint64_t cycles) {
 
 }  // namespace
 
+void RegBase::foreign() {
+  throw std::logic_error(
+      "Simulator: a clock_edge() scheduled a register the stepping "
+      "simulator did not number: one of another tree, or one renumbered "
+      "by a simulator elaborated later on part of this tree");
+}
+
 Simulator::Simulator(Module& top, SimMode mode) : top_(&top), mode_(mode) {
   collect(top);
+  for (std::size_t i = 0; i < regs_.size(); ++i) {
+    regs_[i]->top_ = top_;
+    regs_[i]->index_ = static_cast<std::uint32_t>(i);
+  }
   snapshot_.assign(nets_.size(), 0);
+  pending_.resize(regs_.size());
+  readers_.assign(regs_.size(), 0);  // kDense: one all-zero word each
+  dirty_.assign(1, 0);
   if (mode_ == SimMode::kLevel) plan_static_schedule();
   reset();
 }
@@ -140,10 +155,28 @@ void Simulator::plan_static_schedule() {
         "SimMode::kDense");
   }
 
+  // A wire input is compared at every settle; a register input instead
+  // sets the reader's bit in the register's row of readers_, which its
+  // commit ORs into the dirty set.
+  words_ = (modules_.size() + 63) / 64;
+  readers_.assign(regs_.size() * words_, 0);
+  wired_.assign(words_, 0);
+  dirty_.assign(words_, 0);
   for (const std::uint32_t m : order) {
-    for (const NetBase* n : sens[m]) inputs_.push_back({&n->value_, 0});
-    schedule_.push_back(
-        {modules_[m], static_cast<std::uint32_t>(inputs_.size())});
+    const std::size_t slot = schedule_.size();
+    const std::uint64_t bit = std::uint64_t{1} << (slot % 64);
+    const auto begin = static_cast<std::uint32_t>(inputs_.size());
+    for (const NetBase* n : sens[m]) {
+      if (reg_set.count(n) != 0) {
+        const auto& reg = static_cast<const RegBase&>(*n);
+        readers_[reg.index_ * words_ + slot / 64] |= bit;
+      } else {
+        inputs_.push_back({&n->value_, 0});
+        wired_[slot / 64] |= bit;
+      }
+    }
+    schedule_.push_back({modules_[m], begin,
+                         static_cast<std::uint32_t>(inputs_.size())});
   }
 }
 
@@ -154,8 +187,35 @@ void Simulator::reset() {
   if (mode_ == SimMode::kDense) {
     settle_dense();
   } else {
-    settle_static(true);
+    for (std::size_t slot = 0; slot < schedule_.size(); ++slot) {
+      dirty_[slot / 64] |= std::uint64_t{1} << (slot % 64);
+    }
+    settle_static();
   }
+}
+
+void Simulator::commit(std::size_t n) {
+  commits_ += n;
+  // Locals, because a store through a register could alias any member;
+  // and the first word of the dirty set gathers in a register, because
+  // ORing each row into memory would chain every commit through a store
+  // and a reload.
+  const std::size_t words = words_;
+  const std::uint64_t* const readers = readers_.data();
+  std::uint64_t* const dirty = dirty_.data();
+  std::uint64_t woken = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    RegBase& reg = *pending_[i];
+    reg.pending_ = false;
+    // Branch-free: about two in three scheduled registers change value.
+    const std::uint64_t changed =
+        reg.next_ != reg.value_ ? ~std::uint64_t{0} : 0;
+    reg.value_ = reg.next_;
+    const std::uint64_t* const row = readers + reg.index_ * words;
+    woken |= row[0] & changed;
+    for (std::size_t w = 1; w < words; ++w) dirty[w] |= row[w] & changed;
+  }
+  dirty[0] |= woken;
 }
 
 void Simulator::settle_dense() {
@@ -182,24 +242,33 @@ void Simulator::settle_dense() {
   report_oscillation();
 }
 
-void Simulator::settle_static(bool force) {
-  // Each net changes at most once per settle (registers at commit or a
-  // testbench poke before it, wires when their driver runs), and every
-  // reader comes after its drivers. So comparing a module's input words
-  // with what it saw last time activates exactly the modules whose inputs
-  // changed, each once, after all of its inputs are final.
-  std::size_t k = 0;
-  for (const Slot& slot : schedule_) {
-    bool changed = force;
-    for (; k < slot.end; ++k) {
-      const std::uint64_t v = *inputs_[k].word;
-      changed |= v != inputs_[k].seen;
-      inputs_[k].seen = v;
+void Simulator::settle_static() {
+  // Each wire changes at most once per settle (a testbench poke before
+  // it, or its driver's evaluate()), and every reader comes after its
+  // drivers. So comparing a module's wire inputs with what it saw last
+  // time, together with the dirty bit its register inputs' commits set,
+  // activates exactly the modules whose inputs changed, each once, after
+  // all of its inputs are final. Only modules with a wire input or a
+  // dirty bit are visited; a word of the dirty set is cleared after its
+  // modules ran, so an evaluate() that throws leaves them dirty.
+  for (std::size_t w = 0; w < words_; ++w) {
+    const std::uint64_t woken = dirty_[w];
+    for (std::uint64_t todo = woken | wired_[w]; todo != 0;
+         todo &= todo - 1) {
+      const auto bit = static_cast<unsigned>(std::countr_zero(todo));
+      const Slot& slot = schedule_[w * 64 + bit];
+      bool changed = ((woken >> bit) & 1) != 0;
+      for (std::uint32_t k = slot.begin; k < slot.end; ++k) {
+        const std::uint64_t v = *inputs_[k].word;
+        changed |= v != inputs_[k].seen;
+        inputs_[k].seen = v;
+      }
+      if (changed) {
+        slot.module->evaluate();
+        ++evaluations_;
+      }
     }
-    if (changed) {
-      slot.module->evaluate();
-      ++evaluations_;
-    }
+    dirty_[w] = 0;
   }
 }
 
@@ -225,14 +294,34 @@ void Simulator::report_oscillation() {
 }
 
 void Simulator::step() {
-  // Wires already settled (end of previous step / reset).
-  for (auto* m : modules_) m->clock_edge();
-  for (auto* reg : regs_) reg->commit();
+  // Wires already settled (end of previous step / reset). The edge phase
+  // owns this thread's pending list only while clock_edge() runs, so a
+  // simulator stepped from inside a clock_edge() keeps its own, and a
+  // set_next() after a step has no stale list to write to.
+  RegBase** const enclosing_tail = RegBase::edge_tail_;
+  const Module* const enclosing_top = RegBase::edge_top_;
+  RegBase::edge_tail_ = pending_.data();
+  RegBase::edge_top_ = top_;
+  const auto close_edge_phase = [&] {
+    const auto n = static_cast<std::size_t>(RegBase::edge_tail_ -
+                                            pending_.data());
+    RegBase::edge_tail_ = enclosing_tail;
+    RegBase::edge_top_ = enclosing_top;
+    return n;
+  };
+  try {
+    for (auto* m : modules_) m->clock_edge();
+  } catch (...) {
+    const std::size_t n = close_edge_phase();
+    for (std::size_t i = 0; i < n; ++i) pending_[i]->pending_ = false;
+    throw;
+  }
+  commit(close_edge_phase());
   ++cycles_;
   if (mode_ == SimMode::kDense) {
     settle_dense();
   } else {
-    settle_static(false);
+    settle_static();
   }
   if (vcd_ != nullptr) vcd_->sample(cycles_);
 }

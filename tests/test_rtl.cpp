@@ -3,7 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <memory>
 #include <sstream>
+#include <stdexcept>
+#include <thread>
+#include <vector>
+
+#include "gap/gap_top.hpp"
 
 #include "obs/metrics.hpp"
 #include "rtl/module.hpp"
@@ -516,6 +522,327 @@ TEST(RtlKernel, SensitivityNoneModuleOnlyEvaluatesAtReset) {
   EXPECT_EQ(top.out.read(), 99);
   sim.reset();
   EXPECT_EQ(top.calls, 2);
+}
+
+// ---- commit: only the registers a cycle scheduled ----
+
+/// A register written twice per clock_edge() (a default, then the real
+/// value) feeding this module's evaluate(), plus a hold register scheduled
+/// back to its own value every cycle, read by a HoldReader.
+class Rescheduler final : public Module {
+ public:
+  Rescheduler()
+      : Module(nullptr, "resched"), count(this, "count", 8),
+        hold(this, "hold", 8, 5), count_out(this, "count_out", 8) {}
+  Reg<std::uint8_t> count;
+  Reg<std::uint8_t> hold;
+  Wire<std::uint8_t> count_out;
+  void evaluate() override {
+    count_out.write(static_cast<std::uint8_t>(count.read() + 100));
+  }
+  void clock_edge() override {
+    count.set_next(0);  // a default the second call overrides
+    count.set_next(static_cast<std::uint8_t>(count.read() + 1));
+    hold.set_next(hold.read());
+  }
+  [[nodiscard]] Nets inputs() const override { return {&count}; }
+  [[nodiscard]] Nets drives() const override { return {&count_out}; }
+};
+
+/// Reads only the hold register: woken by nothing but its commits.
+class HoldReader final : public Module {
+ public:
+  HoldReader(Module* parent, const Reg<std::uint8_t>& hold)
+      : Module(parent, "hold_reader"), out(this, "out", 8), hold_(hold) {}
+  Wire<std::uint8_t> out;
+  int calls = 0;
+  void evaluate() override {
+    ++calls;
+    out.write(hold_.read());
+  }
+  [[nodiscard]] Nets inputs() const override { return {&hold_}; }
+  [[nodiscard]] Nets drives() const override { return {&out}; }
+
+ private:
+  const Reg<std::uint8_t>& hold_;
+};
+
+TEST(RtlKernel, RegisterScheduledTwiceCommitsTheLastValueOnce) {
+  Rescheduler top;
+  HoldReader reader(&top, top.hold);
+  Simulator sim(top, SimMode::kLevel);
+  EXPECT_EQ(sim.commits(), 0u);
+  EXPECT_EQ(sim.evaluations(), 2u);  // both modules once at reset
+  sim.run(10);
+  EXPECT_EQ(top.count.read(), 10);
+  EXPECT_EQ(top.count_out.read(), 110);
+  // Two registers scheduled per cycle, each committed once however often
+  // set_next() ran.
+  EXPECT_EQ(sim.commits(), 20u);
+  // `hold` is scheduled back to its own value every cycle: its commit
+  // wakes no reader, so only the top (woken by `count`) runs each cycle.
+  EXPECT_EQ(reader.calls, 1);
+  EXPECT_EQ(reader.out.read(), 5);
+  EXPECT_EQ(sim.evaluations(), 2u + 10u);
+
+  Rescheduler dense_top;
+  HoldReader dense_reader(&dense_top, dense_top.hold);
+  Simulator dense(dense_top, SimMode::kDense);
+  dense.run(10);
+  EXPECT_EQ(dense.commits(), 20u);  // the same commit in both modes
+  EXPECT_EQ(dense_top.count.read(), 10);
+}
+
+/// Counts up, and throws from clock_edge() on request after another
+/// module's register (its child's) was already scheduled this cycle.
+class Thrower final : public Module {
+ public:
+  explicit Thrower(Module* parent)
+      : Module(parent, "thrower"), r(this, "r", 8, 3) {}
+  Reg<std::uint8_t> r;
+  bool armed = false;
+  void clock_edge() override {
+    r.set_next(static_cast<std::uint8_t>(r.read() + 3));
+    if (armed) {
+      armed = false;
+      throw std::runtime_error("clock_edge failed");
+    }
+  }
+  [[nodiscard]] Nets inputs() const override { return {}; }
+  [[nodiscard]] Nets drives() const override { return {}; }
+};
+
+class ThrowingChain final : public Module {
+ public:
+  ThrowingChain()
+      : Module(nullptr, "tchain"), plus1(this, "plus1", 8), counter(this),
+        doubler(this, counter.count), thrower(this) {}
+  Wire<std::uint8_t> plus1;
+  Counter counter;  // clock_edge() runs before the thrower's
+  Doubler doubler;
+  Thrower thrower;
+  void evaluate() override {
+    plus1.write(static_cast<std::uint8_t>(doubler.twice.read() +
+                                          thrower.r.read()));
+  }
+  [[nodiscard]] Nets inputs() const override {
+    return {&doubler.twice, &thrower.r};
+  }
+  [[nodiscard]] Nets drives() const override { return {&plus1}; }
+};
+
+void expect_same_nets(const ThrowingChain& a, const ThrowingChain& b,
+                      int cycle) {
+  EXPECT_EQ(a.counter.count.read(), b.counter.count.read()) << cycle;
+  EXPECT_EQ(a.thrower.r.read(), b.thrower.r.read()) << cycle;
+  EXPECT_EQ(a.doubler.twice.read(), b.doubler.twice.read()) << cycle;
+  EXPECT_EQ(a.plus1.read(), b.plus1.read()) << cycle;
+}
+
+TEST(RtlKernel, ThrowingClockEdgeCommitsNothingAndLeavesNothingPending) {
+  for (const SimMode mode : {SimMode::kLevel, SimMode::kDense}) {
+    ThrowingChain top;
+    ThrowingChain fresh;
+    Simulator sim(top, mode);
+    Simulator ref(fresh, mode);
+    sim.run(4);
+    ref.run(4);
+    const std::uint64_t commits = sim.commits();
+    top.thrower.armed = true;
+    EXPECT_THROW(sim.step(), std::runtime_error);
+    // The counter's and the thrower's registers were scheduled before the
+    // throw; neither was committed, and the cycle did not count.
+    EXPECT_EQ(sim.cycles(), 4u);
+    EXPECT_EQ(sim.commits(), commits);
+    expect_same_nets(top, fresh, 4);
+    // A set_next() outside any step has no pending list to join, and no
+    // commit applies it.
+    top.counter.count.set_next(200);
+    top.thrower.r.set_next(200);
+    // Every register the failed cycle scheduled is scheduled again, and
+    // committed, by the next step: the tree runs in lockstep with one that
+    // never threw.
+    for (int cycle = 5; cycle < 40; ++cycle) {
+      sim.step();
+      ref.step();
+      expect_same_nets(top, fresh, cycle);
+    }
+    EXPECT_EQ(sim.commits(), ref.commits());
+  }
+}
+
+TEST(RtlKernel, SetNextAfterTheSimulatorIsGoneWritesNoStaleList) {
+  // The failed step's list belongs to a simulator that no longer exists;
+  // a later set_next() must not append to it (ASan would flag the write)
+  // and a new simulator must commit normally.
+  ThrowingChain top;
+  {
+    Simulator sim(top);
+    top.thrower.armed = true;
+    EXPECT_THROW(sim.step(), std::runtime_error);
+  }
+  top.thrower.r.set_next(9);
+  top.counter.count.set_next(9);
+  Simulator again(top);
+  ThrowingChain fresh;
+  Simulator ref(fresh);
+  for (int cycle = 0; cycle < 10; ++cycle) {
+    again.step();
+    ref.step();
+    expect_same_nets(top, fresh, cycle);
+  }
+}
+
+TEST(RtlKernel, SchedulingARegisterTheSimulatorDidNotNumberThrows) {
+  // set_next() checks a register against the stepping simulator's
+  // numbering before it joins the pending list, so the check holds while
+  // the list still has room. The step throws and commits nothing.
+  class Poacher final : public Module {
+   public:
+    explicit Poacher(Reg<std::uint8_t>& foreign)
+        : Module(nullptr, "poacher"), a(this, "a", 8), b(this, "b", 8),
+          c(this, "c", 8), foreign_(foreign) {}
+    Reg<std::uint8_t> a, b, c;  // `c` keeps room in the list
+    bool poach = true;
+    void clock_edge() override {
+      a.set_next(static_cast<std::uint8_t>(a.read() + 1));
+      if (poach) foreign_.set_next(99);
+      b.set_next(static_cast<std::uint8_t>(b.read() + 2));
+    }
+    [[nodiscard]] Nets inputs() const override { return {}; }
+    [[nodiscard]] Nets drives() const override { return {}; }
+
+   private:
+    Reg<std::uint8_t>& foreign_;
+  };
+  Counter victim(nullptr);
+  Simulator victim_sim(victim);  // numbers victim.count 0, like poacher.a
+  Poacher top(victim.count);
+  Simulator sim(top);
+  try {
+    sim.step();
+    FAIL() << "a register of another tree was committed";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("did not number"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(sim.cycles(), 0u);
+  EXPECT_EQ(sim.commits(), 0u);
+  EXPECT_EQ(top.a.read(), 0);
+  EXPECT_EQ(victim.count.read(), 0);
+  // Nothing was left pending: each tree's own simulator commits its own.
+  victim_sim.run(3);
+  EXPECT_EQ(victim.count.read(), 3);
+  top.poach = false;
+  sim.run(2);
+  EXPECT_EQ(top.a.read(), 2);
+  EXPECT_EQ(top.b.read(), 4);
+  EXPECT_EQ(sim.commits(), 4u);
+
+  // A simulator bound to a subtree renumbers its registers; the one bound
+  // to the whole tree then refuses them instead of keying the wrong
+  // reader masks.
+  ThrowingChain chain;
+  Simulator whole(chain);
+  whole.run(2);
+  { Simulator part(chain.thrower); }
+  EXPECT_THROW(whole.step(), std::logic_error);
+  EXPECT_EQ(whole.cycles(), 2u);
+}
+
+/// One of many stages. Stage i adds i % 3 to its register every cycle (so
+/// a third of them are scheduled back to their own value); even stages
+/// read only their register, odd ones also the previous stage's output.
+class Stage final : public Module {
+ public:
+  Stage(Module* parent, unsigned i, const Wire<std::uint8_t>* prev)
+      : Module(parent, "s" + std::to_string(i)),
+        r(this, "r", 8, static_cast<std::uint8_t>(i)),
+        out(this, "out", 8), step_(static_cast<std::uint8_t>(i % 3)),
+        prev_(i % 2 == 1 ? prev : nullptr) {}
+  Reg<std::uint8_t> r;
+  Wire<std::uint8_t> out;
+  void clock_edge() override {
+    r.set_next(static_cast<std::uint8_t>(r.read() + step_));
+  }
+  void evaluate() override {
+    const unsigned in = prev_ != nullptr ? prev_->read() : 0u;
+    out.write(static_cast<std::uint8_t>(r.read() * 7u + in));
+  }
+  [[nodiscard]] Nets inputs() const override {
+    return prev_ != nullptr ? Nets{&r, prev_} : Nets{&r};
+  }
+  [[nodiscard]] Nets drives() const override { return {&out}; }
+
+ private:
+  std::uint8_t step_;
+  const Wire<std::uint8_t>* prev_;
+};
+
+class ManyStages final : public Module {
+ public:
+  explicit ManyStages(unsigned n) : Module(nullptr, "many") {
+    const Wire<std::uint8_t>* prev = nullptr;
+    for (unsigned i = 0; i < n; ++i) {
+      stages.push_back(std::make_unique<Stage>(this, i, prev));
+      prev = &stages.back()->out;
+    }
+  }
+  std::vector<std::unique_ptr<Stage>> stages;
+  [[nodiscard]] Nets inputs() const override { return {}; }
+  [[nodiscard]] Nets drives() const override { return {}; }
+};
+
+TEST(RtlKernel, MoreThanSixtyFourModulesStepInLockstepWithDense) {
+  constexpr unsigned kStages = 150;  // 151 modules: three words of slots
+  ManyStages level_top(kStages);
+  ManyStages dense_top(kStages);
+  Simulator level(level_top, SimMode::kLevel);
+  Simulator dense(dense_top, SimMode::kDense);
+  ASSERT_GT(level.modules().size(), 128u);
+  for (int cycle = 0; cycle < 50; ++cycle) {
+    for (unsigned i = 0; i < kStages; ++i) {
+      ASSERT_EQ(level_top.stages[i]->out.read(),
+                dense_top.stages[i]->out.read())
+          << "cycle " << cycle << " stage " << i;
+    }
+    level.step();
+    dense.step();
+  }
+  EXPECT_EQ(level.commits(), dense.commits());
+  EXPECT_EQ(level.commits(), 50u * kStages);
+}
+
+struct GapRun {
+  std::uint64_t cycles, generations, genome, evaluations, commits;
+  bool operator==(const GapRun&) const = default;
+};
+
+GapRun run_gap(std::uint64_t seed) {
+  gap::GapParams params;
+  gap::GapTop top(nullptr, "gap", params, seed);
+  Simulator sim(top);
+  EXPECT_TRUE(sim.run_until([&] { return top.done.read(); }, 2'000'000));
+  return {sim.cycles(), top.generation(), top.best_genome(),
+          sim.evaluations(), sim.commits()};
+}
+
+TEST(RtlKernel, TwoGapTreesOnTwoThreadsMatchOneThread) {
+  // Each thread's steps use that thread's pending list: two trees stepped
+  // at once neither lose nor steal each other's scheduled registers.
+  constexpr std::uint64_t kSeeds[] = {5, 3};
+  const GapRun alone[] = {run_gap(kSeeds[0]), run_gap(kSeeds[1])};
+  GapRun together[2];
+  {
+    std::thread a([&] { together[0] = run_gap(kSeeds[0]); });
+    std::thread b([&] { together[1] = run_gap(kSeeds[1]); });
+    a.join();
+    b.join();
+  }
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(together[i], alone[i]) << "seed " << kSeeds[i];
+    EXPECT_GT(alone[i].commits, 0u);
+  }
 }
 
 // ---- SyncRam ----

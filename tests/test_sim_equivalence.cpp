@@ -8,8 +8,8 @@
 // set missing a written wire, shows up here as a lockstep divergence
 // naming the first differing net.
 //
-// The static schedule additionally pins its evaluate() counts on the GAP
-// against a golden table.
+// The static schedule additionally pins its evaluate() and commit counts
+// on the GAP against a golden table.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -409,79 +409,81 @@ TEST(SimEquivalence, DeclaredCombinationalCycleThrowsUnderLevel) {
 
 // --- golden evaluate() counts ---
 
-/// (cycles, evaluate() calls) of full default-parameter GAP runs to the
-/// target fitness under the static schedule, seeds 1..64. The evolution
-/// benchmark pins the same activation count on its hardware fleet, so a
-/// schedule that activates any module more or less often fails here
-/// first — even when every net value still matches the dense sweep.
+/// (cycles, evaluate() calls, registers committed) of full
+/// default-parameter GAP runs to the target fitness under the static
+/// schedule, seeds 1..64. The evolution benchmark pins the same activation
+/// count on its hardware fleet, so a schedule that activates any module
+/// more or less often fails here first — even when every net value still
+/// matches the dense sweep. The commit count pins the other half of a
+/// cycle's work: only the registers set_next() scheduled, each once.
 struct GapGolden {
-  std::uint64_t seed, cycles, evaluations;
+  std::uint64_t seed, cycles, evaluations, commits;
 };
 constexpr GapGolden kGapGolden[] = {
-    {1, 119402u, 495489u},
-    {2, 13554u, 56124u},
-    {3, 6742u, 27841u},
-    {4, 10672u, 44154u},
-    {5, 3336u, 13703u},
-    {6, 27702u, 114857u},
-    {7, 11982u, 49583u},
-    {8, 9886u, 40887u},
-    {9, 16174u, 66986u},
-    {10, 7528u, 31098u},
-    {11, 7528u, 31101u},
-    {12, 9100u, 37617u},
-    {13, 13816u, 57204u},
-    {14, 4908u, 20228u},
-    {15, 6480u, 26751u},
-    {16, 5956u, 24580u},
-    {17, 8314u, 34367u},
-    {18, 5956u, 24579u},
-    {19, 8314u, 34369u},
-    {20, 15912u, 65906u},
-    {21, 18532u, 76773u},
-    {22, 7004u, 28935u},
-    {23, 17484u, 72421u},
-    {24, 10148u, 41980u},
-    {25, 21676u, 89828u},
-    {26, 17222u, 71344u},
-    {27, 9362u, 38715u},
-    {28, 55998u, 232246u},
-    {29, 11196u, 46329u},
-    {30, 10410u, 43058u},
-    {31, 4908u, 20225u},
-    {32, 12768u, 52852u},
-    {33, 22724u, 94182u},
-    {34, 6480u, 26760u},
-    {35, 10672u, 44159u},
-    {36, 20366u, 84390u},
-    {37, 8838u, 36544u},
-    {38, 3336u, 13699u},
-    {39, 13554u, 56120u},
-    {40, 11458u, 47417u},
-    {41, 101586u, 421502u},
-    {42, 28488u, 118100u},
-    {43, 9362u, 38720u},
-    {44, 11196u, 46327u},
-    {45, 8576u, 35460u},
-    {46, 17746u, 73516u},
-    {47, 13292u, 55026u},
-    {48, 12768u, 52851u},
-    {49, 7004u, 28923u},
-    {50, 29536u, 122439u},
-    {51, 6742u, 27845u},
-    {52, 10148u, 41986u},
-    {53, 9886u, 40887u},
-    {54, 5694u, 23488u},
-    {55, 12244u, 50682u},
-    {56, 4908u, 20228u},
-    {57, 9624u, 39810u},
-    {58, 13816u, 57201u},
-    {59, 17222u, 71346u},
-    {60, 20366u, 84394u},
-    {61, 8314u, 34366u},
-    {62, 41326u, 171374u},
-    {63, 80888u, 335567u},
-    {64, 10148u, 41977u},
+    {1, 119402u, 495489u, 1092056u},
+    {2, 13554u, 56124u, 123674u},
+    {3, 6742u, 27841u, 61348u},
+    {4, 10672u, 44154u, 97301u},
+    {5, 3336u, 13703u, 30189u},
+    {6, 27702u, 114857u, 253116u},
+    {7, 11982u, 49583u, 109284u},
+    {8, 9886u, 40887u, 90110u},
+    {9, 16174u, 66986u, 147642u},
+    {10, 7528u, 31098u, 68537u},
+    {11, 7528u, 31101u, 68537u},
+    {12, 9100u, 37617u, 82927u},
+    {13, 13816u, 57204u, 126071u},
+    {14, 4908u, 20228u, 44565u},
+    {15, 6480u, 26751u, 58949u},
+    {16, 5956u, 24580u, 54157u},
+    {17, 8314u, 34367u, 75738u},
+    {18, 5956u, 24579u, 54155u},
+    {19, 8314u, 34369u, 75732u},
+    {20, 15912u, 65906u, 145249u},
+    {21, 18532u, 76773u, 169215u},
+    {22, 7004u, 28935u, 63745u},
+    {23, 17484u, 72421u, 159625u},
+    {24, 10148u, 41980u, 92515u},
+    {25, 21676u, 89828u, 197979u},
+    {26, 17222u, 71344u, 157230u},
+    {27, 9362u, 38715u, 85322u},
+    {28, 55998u, 232246u, 511984u},
+    {29, 11196u, 46329u, 102099u},
+    {30, 10410u, 43058u, 94906u},
+    {31, 4908u, 20225u, 44567u},
+    {32, 12768u, 52852u, 116479u},
+    {33, 22724u, 94182u, 207565u},
+    {34, 6480u, 26760u, 58961u},
+    {35, 10672u, 44159u, 97307u},
+    {36, 20366u, 84390u, 185996u},
+    {37, 8838u, 36544u, 80526u},
+    {38, 3336u, 13699u, 30189u},
+    {39, 13554u, 56120u, 123672u},
+    {40, 11458u, 47417u, 104494u},
+    {41, 101586u, 421502u, 929068u},
+    {42, 28488u, 118100u, 260301u},
+    {43, 9362u, 38720u, 85316u},
+    {44, 11196u, 46327u, 102099u},
+    {45, 8576u, 35460u, 78135u},
+    {46, 17746u, 73516u, 162026u},
+    {47, 13292u, 55026u, 121271u},
+    {48, 12768u, 52851u, 116475u},
+    {49, 7004u, 28923u, 63745u},
+    {50, 29536u, 122439u, 269889u},
+    {51, 6742u, 27845u, 61352u},
+    {52, 10148u, 41986u, 92509u},
+    {53, 9886u, 40887u, 90116u},
+    {54, 5694u, 23488u, 51758u},
+    {55, 12244u, 50682u, 111683u},
+    {56, 4908u, 20228u, 44569u},
+    {57, 9624u, 39810u, 87713u},
+    {58, 13816u, 57201u, 126069u},
+    {59, 17222u, 71346u, 157230u},
+    {60, 20366u, 84394u, 185990u},
+    {61, 8314u, 34366u, 75734u},
+    {62, 41326u, 171374u, 377750u},
+    {63, 80888u, 335567u, 739695u},
+    {64, 10148u, 41977u, 92509u},
 };
 
 TEST(RtlGolden, GapEvaluationCounts) {
@@ -494,6 +496,7 @@ TEST(RtlGolden, GapEvaluationCounts) {
         << "seed " << g.seed;
     EXPECT_EQ(sim.cycles(), g.cycles) << "seed " << g.seed;
     EXPECT_EQ(sim.evaluations(), g.evaluations) << "seed " << g.seed;
+    EXPECT_EQ(sim.commits(), g.commits) << "seed " << g.seed;
   }
 }
 
