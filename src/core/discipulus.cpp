@@ -12,7 +12,7 @@ DiscipulusTop::DiscipulusTop(rtl::Module* parent, std::string name,
       external_genome(this, "external_genome",
                       static_cast<unsigned>(genome::kGenomeBits)),
       evolution_done(this, "evolution_done", 1),
-      gap_(this, "gap", params.gap, rng_seed, spec),
+      gap_(this, "gap", params.gap, rng_seed, gap::make_gait_fitness(spec)),
       controller_(this, "walking_controller", params.controller) {}
 
 void DiscipulusTop::evaluate() {

@@ -1,7 +1,6 @@
 #include "core/evolution_engine.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 #include "gap/gap_top.hpp"
@@ -43,32 +42,28 @@ EvolutionResult evolve_hardware(const EvolutionConfig& config,
                                 const RunControl& control) {
   gap::GapParams params = config.gap;
   params.target_fitness = config.spec.max_score();
-  gap::GapTop top(nullptr, "gap", params, config.seed, config.spec);
+  gap::GapTop top(nullptr, "gap", params, config.seed,
+                  gap::make_gait_fitness(config.spec));
   rtl::Simulator sim(top, config.sim_mode);
 
+  // The run stops at the target or once generation `gen_limit` has been
+  // scored (the GAP leaves EVAL for SEL+XOVER), as the software engine
+  // does; the predicate is checked every cycle.
   const std::uint64_t gen_limit = generation_limit(config, control);
-  // Generous per-generation bound: init + eval + sel/xover + mutation with
-  // stalls never exceeds ~40 cycles per individual. It saturates, so a
-  // huge generation limit means "no cycle bound" instead of wrapping to a
-  // small one. GapTop has already rejected a population below 4.
-  constexpr std::uint64_t kNoBound = std::numeric_limits<std::uint64_t>::max();
-  const std::uint64_t cycles_per_gen =
-      std::uint64_t{params.population_size} * 40;
-  const std::uint64_t max_cycles = gen_limit < kNoBound / cycles_per_gen - 2
-                                       ? (gen_limit + 2) * cycles_per_gen
-                                       : kNoBound;
-  auto done = [&] { return top.done.read(); };
+  auto done = [&] {
+    return top.done.read() ||
+           (top.generation() >= gen_limit &&
+            top.phase() == gap::GapTop::Phase::kSelXover);
+  };
 
   // Run in sub-generation slices so cancellation and progress hooks are
-  // serviced promptly. Slicing does not perturb the simulation: the done
+  // serviced promptly. Slicing does not perturb the simulation: the stop
   // predicate is still checked every cycle, so the stop cycle — and
   // therefore every reported number — matches one unsliced run_until().
   const std::uint64_t slice =
       std::max<std::uint64_t>(std::uint64_t{params.population_size} * 4, 64);
   std::uint64_t last_gen = ~std::uint64_t{0};
-  while (sim.cycles() < max_cycles) {
-    const std::uint64_t budget = max_cycles - sim.cycles();
-    if (sim.run_until(done, std::min(slice, budget))) break;
+  while (!sim.run_until(done, slice)) {
     if (control.on_progress && top.generation() != last_gen) {
       last_gen = top.generation();
       control.on_progress(last_gen, top.best_fitness());

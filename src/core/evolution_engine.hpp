@@ -56,8 +56,9 @@ struct EvolutionResult {
 /// preemptive — the run state stays consistent and resumable.
 struct RunControl {
   /// Absolute generation ceiling for this run (0 = no budget). Acts as a
-  /// per-job deadline: the run stops after this many total generations
-  /// even if the target fitness has not been reached.
+  /// per-job deadline: the run stops once this many total generations
+  /// have been scored, even if the target fitness has not been reached
+  /// (the hardware backend checks it every cycle).
   std::uint64_t generation_budget = 0;
   /// Polled between generations; returning true stops the run early.
   std::function<bool()> should_stop;

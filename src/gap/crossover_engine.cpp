@@ -1,6 +1,12 @@
 #include "gap/crossover_engine.hpp"
 
+#include "genome/gait_genome.hpp"
+
 namespace leo::gap {
+
+namespace {
+constexpr auto kGenomeBits = static_cast<unsigned>(genome::kGenomeBits);
+}  // namespace
 
 CrossoverEngine::CrossoverEngine(rtl::Module* parent, std::string name,
                                  const GapParams& params,
@@ -15,7 +21,7 @@ CrossoverEngine::CrossoverEngine(rtl::Module* parent, std::string name,
       basis_addr(this, "basis_addr", params.addr_bits()),
       inter_addr(this, "inter_addr", params.addr_bits()),
       inter_we(this, "inter_we", 1),
-      inter_wdata(this, "inter_wdata", params.genome_bits),
+      inter_wdata(this, "inter_wdata", kGenomeBits),
       params_(params),
       rand_word_(&rand_word),
       basis_rdata_(&basis_rdata),
@@ -23,8 +29,8 @@ CrossoverEngine::CrossoverEngine(rtl::Module* parent, std::string name,
       state_(this, "state", 3),
       parent_a_idx_(this, "parent_a_idx", params.addr_bits()),
       parent_b_idx_(this, "parent_b_idx", params.addr_bits()),
-      parent_a_(this, "parent_a", params.genome_bits),
-      parent_b_(this, "parent_b", params.genome_bits),
+      parent_a_(this, "parent_a", kGenomeBits),
+      parent_b_(this, "parent_b", kGenomeBits),
       do_cross_(this, "do_cross", 1),
       cut_(this, "cut", 6),
       out_index_(this, "out_index", params.addr_bits()),
@@ -33,9 +39,7 @@ CrossoverEngine::CrossoverEngine(rtl::Module* parent, std::string name,
 std::uint64_t CrossoverEngine::splice(std::uint64_t head, std::uint64_t tail,
                                       unsigned cut) const noexcept {
   const std::uint64_t low_mask = (std::uint64_t{1} << cut) - 1;
-  const std::uint64_t genome_mask =
-      (std::uint64_t{1} << params_.genome_bits) - 1;
-  return ((head & low_mask) | (tail & ~low_mask)) & genome_mask;
+  return ((head & low_mask) | (tail & ~low_mask)) & genome::kGenomeMask;
 }
 
 void CrossoverEngine::evaluate() {
@@ -122,11 +126,11 @@ void CrossoverEngine::clock_edge() {
       const std::uint16_t rand = rand_word_->read();
       do_cross_.set_next(static_cast<std::uint8_t>(rand & 0xFF) <
                          params_.crossover_threshold.raw());
-      // Cut in [1, genome_bits-1]: 6 random bits folded by conditional
-      // subtraction (the hardware's cheap "modulo"; slightly non-uniform,
-      // like the real thing would be).
+      // Cut in [1, 35]: 6 random bits folded mod 35 by one conditional
+      // subtraction (the hardware's cheap "modulo"; cuts 1..29 come up
+      // twice as often as cuts 30..35, like the real thing would).
       unsigned cut = (rand >> 8) & 0x3F;
-      while (cut >= params_.genome_bits - 1) cut -= params_.genome_bits - 1;
+      if (cut >= kGenomeBits - 1) cut -= kGenomeBits - 1;
       cut_.set_next(static_cast<std::uint8_t>(cut + 1));
       state_.set_next(static_cast<std::uint8_t>(State::kWriteA));
       break;
@@ -160,7 +164,7 @@ void CrossoverEngine::clock_edge() {
 
 rtl::ResourceTally CrossoverEngine::own_resources() const {
   rtl::ResourceTally t = Module::own_resources();
-  t.lut4 += params_.genome_bits + 12;  // splice muxes + cut decode + control
+  t.lut4 += kGenomeBits + 12;  // splice muxes + cut decode + control
   return t;
 }
 

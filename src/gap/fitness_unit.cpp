@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <mutex>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -42,26 +41,19 @@ std::uint64_t fitness_lut4(const fitness::FitnessSpec& spec) {
 }  // namespace
 
 CombinationalFitness make_gait_fitness(const fitness::FitnessSpec& spec) {
-  CombinationalFitness f;
-  f.fn = [spec](std::uint64_t g) { return fitness::score(g, spec); };
-  f.lut4 = fitness_lut4(spec);
-  f.genome_bits = static_cast<unsigned>(genome::kGenomeBits);
-  return f;
+  return {spec, fitness_lut4(spec)};
 }
 
 FitnessUnit::FitnessUnit(rtl::Module* parent, std::string name,
                          CombinationalFitness fitness)
     : rtl::Module(parent, std::move(name)),
-      genome(this, "genome", fitness.genome_bits),
+      genome(this, "genome", static_cast<unsigned>(genome::kGenomeBits)),
       score(this, "score", 8),
-      fitness_(std::move(fitness)) {
-  if (!fitness_.fn) {
-    throw std::invalid_argument("FitnessUnit: fitness function required");
-  }
-}
+      fitness_(fitness) {}
 
 void FitnessUnit::evaluate() {
-  score.write(static_cast<std::uint8_t>(fitness_.fn(genome.read()) & 0xFF));
+  score.write(
+      static_cast<std::uint8_t>(fitness::score(genome.read(), fitness_.spec)));
 }
 
 rtl::ResourceTally FitnessUnit::own_resources() const {

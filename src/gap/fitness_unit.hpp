@@ -14,24 +14,18 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "fitness/rules.hpp"
 #include "rtl/module.hpp"
 
 namespace leo::gap {
 
-/// A combinational fitness function pluggable into the GAP — the paper's
-/// future work ("use the same kind of evolvable system in order to solve
-/// problems which deal with bigger genomes and where the final solution
-/// is not known", §4) only requires swapping this block.
+/// The Fitness Module's configuration (paper Fig. 3): the walking-rules
+/// spec it computes and the LUT4 demand of its combinational cover, for
+/// E3 reports.
 struct CombinationalFitness {
-  /// Pure function genome -> score (must fit in 8 bits).
-  std::function<unsigned(std::uint64_t)> fn;
-  /// LUT4 demand of the combinational implementation, for E3 reports.
+  fitness::FitnessSpec spec{};
   std::uint64_t lut4 = 0;
-  /// Genome width the function expects.
-  unsigned genome_bits = 36;
 };
 
 /// The walking-rules fitness of Discipulus Simplex: rule logic elaborated
@@ -44,7 +38,7 @@ struct CombinationalFitness {
 class FitnessUnit final : public rtl::Module {
  public:
   FitnessUnit(rtl::Module* parent, std::string name,
-              CombinationalFitness fitness = make_gait_fitness());
+              CombinationalFitness fitness);
 
   /// The genome under evaluation (driven by the GAP's control logic).
   rtl::Wire<std::uint64_t> genome;
@@ -58,10 +52,6 @@ class FitnessUnit final : public rtl::Module {
   }
 
   [[nodiscard]] rtl::Nets drives() const override { return {&score}; }
-
-  [[nodiscard]] const CombinationalFitness& fitness() const noexcept {
-    return fitness_;
-  }
 
   /// No FFs — the module is pure logic, per the paper.
   [[nodiscard]] rtl::ResourceTally own_resources() const override;

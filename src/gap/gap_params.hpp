@@ -13,8 +13,6 @@ struct GapParams {
   /// §3.3 "Population size: 32 individuals" (power of two; the address
   /// fields sliced from the random word assume it).
   std::uint32_t population_size = 32;
-  /// §3.3 "Genome size: 36 bits".
-  unsigned genome_bits = 36;
   /// §3.3 "Selection threshold: 0.8" (tournament win probability).
   util::Prob8 selection_threshold = util::Prob8::from_double(0.8);
   /// §3.3 "Crossover threshold: 0.7".
@@ -24,7 +22,8 @@ struct GapParams {
   /// §3.2: selection and crossover "in a pipeline" (~2x); false serializes
   /// them for the E7 ablation.
   bool pipelined = true;
-  /// Evolution stops once the best individual reaches this fitness.
+  /// Evolution stops once the best individual reaches this fitness (at
+  /// most 255: scores, the fitness RAM and the best register are 8 bits).
   unsigned target_fitness = 60;
 
   [[nodiscard]] unsigned addr_bits() const noexcept {

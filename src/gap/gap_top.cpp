@@ -2,35 +2,34 @@
 
 #include <stdexcept>
 
+#include "genome/gait_genome.hpp"
+
 namespace leo::gap {
 
 namespace {
+constexpr auto kGenomeBits = static_cast<unsigned>(genome::kGenomeBits);
+
 constexpr std::uint8_t to_u8(GapTop::Phase p) {
   return static_cast<std::uint8_t>(p);
 }
 }  // namespace
 
 GapTop::GapTop(rtl::Module* parent, std::string name, GapParams params,
-               std::uint64_t rng_seed, const fitness::FitnessSpec& spec)
-    : GapTop(parent, std::move(name), params, rng_seed,
-             make_gait_fitness(spec)) {}
-
-GapTop::GapTop(rtl::Module* parent, std::string name, GapParams params,
                std::uint64_t rng_seed, CombinationalFitness fitness)
     : rtl::Module(parent, std::move(name)),
       busy(this, "busy", 1),
       done(this, "done", 1),
-      best_genome_bus(this, "best_genome_bus", params.genome_bits),
+      best_genome_bus(this, "best_genome_bus", kGenomeBits),
       best_fitness_bus(this, "best_fitness_bus", 8),
       params_(params),
       rng_(this, "random_generator", rng_seed),
-      ram_a_(this, "population_a", params.population_size, params.genome_bits),
-      ram_b_(this, "population_b", params.population_size, params.genome_bits),
+      ram_a_(this, "population_a", params.population_size, kGenomeBits),
+      ram_b_(this, "population_b", params.population_size, kGenomeBits),
       fitness_ram_(this, "fitness_ram", params.population_size, 8),
       fitness_unit_(this, "fitness_module", std::move(fitness)),
       fifo_(this, "individual_pipeline",
             static_cast<unsigned>(2 * params.addr_bits())),
-      basis_rdata_mux_(this, "basis_rdata_mux", params.genome_bits),
+      basis_rdata_mux_(this, "basis_rdata_mux", kGenomeBits),
       selection_(this, "selection", params, rng_.word, fitness_ram_.rdata,
                  fifo_),
       crossover_(this, "crossover", params, rng_.word, basis_rdata_mux_,
@@ -45,7 +44,7 @@ GapTop::GapTop(rtl::Module* parent, std::string name, GapParams params,
       mut_addr_(this, "mut_addr", params.addr_bits()),
       mut_bit_(this, "mut_bit", 6),
       generation_(this, "generation", 32),
-      best_genome_(this, "best_genome", params.genome_bits),
+      best_genome_(this, "best_genome", kGenomeBits),
       best_fitness_(this, "best_fitness", 8),
       eval_cycles_(this, "eval_cycles", 48),
       selxover_cycles_(this, "selxover_cycles", 48),
@@ -54,15 +53,12 @@ GapTop::GapTop(rtl::Module* parent, std::string name, GapParams params,
   if (params_.population_size < 4 || params_.population_size % 2 != 0) {
     throw std::invalid_argument("GapTop: population must be even, >= 4");
   }
-  if (params_.genome_bits < 2 || params_.genome_bits > 48) {
-    throw std::invalid_argument("GapTop: genome bits in [2, 48]");
-  }
   if (params_.mutations_per_generation > 255) {
     throw std::invalid_argument("GapTop: too many mutations per generation");
   }
-  if (fitness_unit_.fitness().genome_bits != params_.genome_bits) {
+  if (params_.target_fitness > 255) {
     throw std::invalid_argument(
-        "GapTop: fitness block genome width disagrees with params");
+        "GapTop: target fitness above 255 is out of the 8-bit score's reach");
   }
 }
 
@@ -72,11 +68,6 @@ void GapTop::drive_ram_defaults() {
     ram->we.write(false);
     ram->wdata.write(0);
   }
-}
-
-unsigned GapTop::fold_mod(unsigned value, unsigned mod) const noexcept {
-  while (value >= mod) value -= mod;
-  return value;
 }
 
 void GapTop::evaluate() {
@@ -164,15 +155,12 @@ void GapTop::PortMux::evaluate() {
   rtl::SyncRam& basis_ram = g.basis();
   rtl::SyncRam& inter_ram = g.intermediate();
 
-  const std::uint64_t genome_mask =
-      (std::uint64_t{1} << g.params_.genome_bits) - 1;
-
   switch (static_cast<Phase>(g.phase_.read())) {
     case Phase::kInit:
       basis_ram.addr.write(g.idx_.read());
       if (g.sub_.read() == 3) {
         basis_ram.we.write(true);
-        basis_ram.wdata.write(g.init_acc_.read() & genome_mask);
+        basis_ram.wdata.write(g.init_acc_.read() & genome::kGenomeMask);
       }
       break;
 
@@ -285,8 +273,12 @@ void GapTop::clock_edge() {
         const unsigned addr_bits = params_.addr_bits();
         mut_addr_.set_next(
             static_cast<std::uint8_t>(rand & ((1u << addr_bits) - 1)));
-        mut_bit_.set_next(static_cast<std::uint8_t>(
-            fold_mod((rand >> addr_bits) & 0x3F, params_.genome_bits)));
+        // A 6-bit draw folded mod 36 by one conditional subtraction, the
+        // hardware's cheap "modulo": bits 0..27 come up twice as often as
+        // bits 28..35.
+        unsigned bit = (rand >> addr_bits) & 0x3F;
+        if (bit >= kGenomeBits) bit -= kGenomeBits;
+        mut_bit_.set_next(static_cast<std::uint8_t>(bit));
         sub_.set_next(1);
       } else if (sub == 1) {
         sub_.set_next(2);  // intermediate RAM is capturing the word
@@ -326,7 +318,7 @@ std::uint64_t GapTop::peek_fitness_ram(std::size_t index) const {
 rtl::ResourceTally GapTop::own_resources() const {
   rtl::ResourceTally t = Module::own_resources();
   // Port muxes (three RAMs x addr/wdata/we) and phase decoding.
-  t.lut4 += 3 * (params_.addr_bits() + params_.genome_bits / 2) + 16;
+  t.lut4 += 3 * (params_.addr_bits() + kGenomeBits / 2) + 16;
   // The three per-phase cycle counters are simulation instrumentation
   // (the 1999 hardware had no performance counters); exclude their FFs
   // from the fabric estimate.

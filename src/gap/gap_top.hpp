@@ -35,15 +35,14 @@ namespace leo::gap {
 
 class GapTop final : public rtl::Module {
  public:
-  /// `fitness` is the pluggable combinational fitness block (paper Fig. 3
-  /// "Fitness Module"); its genome width must match params.genome_bits.
+  /// `fitness` configures the combinational fitness block (paper Fig. 3
+  /// "Fitness Module"): make_gait_fitness(spec) for an ablated rule spec.
+  /// Throws std::invalid_argument for an odd population or one below 4,
+  /// more than 255 mutations per generation, or a target fitness above
+  /// 255 (the 8-bit score datapath could never reach it).
   GapTop(rtl::Module* parent, std::string name, GapParams params,
          std::uint64_t rng_seed,
          CombinationalFitness fitness = make_gait_fitness());
-
-  /// Convenience: gait fitness with an ablated/extended rule spec.
-  GapTop(rtl::Module* parent, std::string name, GapParams params,
-         std::uint64_t rng_seed, const fitness::FitnessSpec& spec);
 
   // --- status wires ---
   rtl::Wire<bool> busy;
@@ -162,7 +161,6 @@ class GapTop final : public rtl::Module {
     return bank_.read() ? ram_b_ : ram_a_;
   }
   void drive_ram_defaults();
-  [[nodiscard]] unsigned fold_mod(unsigned value, unsigned mod) const noexcept;
 
   GapParams params_;
 

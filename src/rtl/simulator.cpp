@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <functional>
 #include <stdexcept>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "obs/metrics.hpp"
 #include "rtl/vcd.hpp"
@@ -55,43 +54,50 @@ void Simulator::collect(Module& m) {
 
 void Simulator::plan_static_schedule() {
   // Every list is checked against the design and against the drives()
-  // rules of module.hpp before anything is ranked.
-  const std::unordered_set<const NetBase*> net_set(nets_.begin(), nets_.end());
-  const std::unordered_set<const NetBase*> reg_set(regs_.begin(), regs_.end());
+  // rules of module.hpp before anything is ranked. A net is looked up by
+  // binary search in a sorted copy of nets_, and its position there
+  // indexes the per-net table `driver`.
+  std::vector<const NetBase*> net_order(nets_.begin(), nets_.end());
+  std::vector<const NetBase*> reg_order(regs_.begin(), regs_.end());
+  std::sort(net_order.begin(), net_order.end(), std::less<>());
+  std::sort(reg_order.begin(), reg_order.end(), std::less<>());
+  const auto is_reg = [&](const NetBase* n) {
+    return std::binary_search(reg_order.begin(), reg_order.end(), n,
+                              std::less<>());
+  };
   const auto reject = [](const Module& m, const std::string& why) {
     throw std::logic_error("Simulator: module '" + m.full_name() + "' " +
                            why);
   };
-  const auto check = [&](const Module& m, const NetBase* n, const char* what) {
-    if (net_set.count(n) == 0) {
+  const auto position = [&](const Module& m, const NetBase* n,
+                            const char* what) {
+    const auto it = std::lower_bound(net_order.begin(), net_order.end(), n,
+                                     std::less<>());
+    if (it == net_order.end() || *it != n) {
       reject(m, std::string("declares ") + what + " net '" + n->full_name() +
                     "' which is not part of this design");
     }
+    return static_cast<std::size_t>(it - net_order.begin());
   };
+  constexpr std::uint32_t kNoDriver = ~std::uint32_t{0};
   std::vector<Nets> sens(modules_.size());
-  std::vector<Nets> outs(modules_.size());
-  std::unordered_map<const NetBase*, std::vector<std::uint32_t>> readers;
-  std::unordered_map<const NetBase*, std::uint32_t> driver;
+  std::vector<std::uint32_t> driver(net_order.size(), kNoDriver);
   for (std::uint32_t m = 0; m < modules_.size(); ++m) {
     const Module& mod = *modules_[m];
     sens[m] = mod.inputs();
-    outs[m] = mod.drives();
-    for (const NetBase* n : sens[m]) {
-      check(mod, n, "sensitivity to");
-      readers[n].push_back(m);
-    }
-    for (const NetBase* n : outs[m]) {
-      check(mod, n, "it drives");
-      if (reg_set.count(n) != 0) {
+    for (const NetBase* n : sens[m]) (void)position(mod, n, "sensitivity to");
+    for (const NetBase* n : mod.drives()) {
+      std::uint32_t& d = driver[position(mod, n, "it drives")];
+      if (is_reg(n)) {
         reject(mod, "lists register '" + n->full_name() +
                         "' in drives(); registers change only at commit");
       }
-      const auto [it, first] = driver.emplace(n, m);
-      if (!first && it->second != m) {
+      if (d != kNoDriver && d != m) {
         reject(mod, "drives wire '" + n->full_name() + "' which module '" +
-                        modules_[it->second]->full_name() +
+                        modules_[d]->full_name() +
                         "' drives too; a wire has exactly one driver");
       }
+      d = m;
     }
   }
 
@@ -100,14 +106,15 @@ void Simulator::plan_static_schedule() {
   // a topological order — every module after all of its drivers — which
   // is the schedule; a module it never reaches sits on a cycle.
   std::vector<std::vector<std::uint32_t>> adj(modules_.size());
-  std::vector<std::uint32_t> indegree(modules_.size(), 0);
-  for (std::size_t u = 0; u < modules_.size(); ++u) {
-    auto& edges = adj[u];
-    for (const NetBase* n : outs[u]) {
-      const auto it = readers.find(n);
-      if (it == readers.end()) continue;
-      edges.insert(edges.end(), it->second.begin(), it->second.end());
+  for (std::uint32_t v = 0; v < modules_.size(); ++v) {
+    for (const NetBase* n : sens[v]) {
+      const std::uint32_t u =
+          driver[position(*modules_[v], n, "sensitivity to")];
+      if (u != kNoDriver) adj[u].push_back(v);
     }
+  }
+  std::vector<std::uint32_t> indegree(modules_.size(), 0);
+  for (auto& edges : adj) {
     std::sort(edges.begin(), edges.end());
     edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
     for (const std::uint32_t v : edges) ++indegree[v];
@@ -167,7 +174,7 @@ void Simulator::plan_static_schedule() {
     const std::uint64_t bit = std::uint64_t{1} << (slot % 64);
     const auto begin = static_cast<std::uint32_t>(inputs_.size());
     for (const NetBase* n : sens[m]) {
-      if (reg_set.count(n) != 0) {
+      if (is_reg(n)) {
         const auto& reg = static_cast<const RegBase&>(*n);
         readers_[reg.index_ * words_ + slot / 64] |= bit;
       } else {

@@ -79,9 +79,9 @@ std::vector<std::uint8_t> encode_config(const core::EvolutionConfig& config) {
   w.u8(bool_byte(spec.use_coherence));
   w.u8(bool_byte(spec.use_support));
 
-  // The software GA's genome width and elitism flag are fixed (36 bits,
-  // no elitism) but keep their slots, so keys and snapshots stay
-  // byte-identical to codec v1 as first released.
+  // The genome widths of both backends and the software GA's elitism
+  // flag are fixed (36 bits, no elitism) but keep their slots, so keys
+  // and snapshots stay byte-identical to codec v1 as first released.
   const ga::GaParams& ga = config.ga;
   w.u64(ga.population_size);
   w.u64(genome::kGenomeBits);
@@ -92,7 +92,7 @@ std::vector<std::uint8_t> encode_config(const core::EvolutionConfig& config) {
 
   const gap::GapParams& gap = config.gap;
   w.u32(gap.population_size);
-  w.u32(gap.genome_bits);
+  w.u32(static_cast<std::uint32_t>(genome::kGenomeBits));
   w.u8(gap.selection_threshold.raw());
   w.u8(gap.crossover_threshold.raw());
   w.u32(gap.mutations_per_generation);
@@ -134,7 +134,9 @@ core::EvolutionConfig decode_config(detail::ByteReader& r) {
 
   gap::GapParams& gap = config.gap;
   gap.population_size = r.u32();
-  gap.genome_bits = r.u32();
+  if (r.u32() != genome::kGenomeBits) {
+    throw std::runtime_error("decode: GAP genome width is not 36");
+  }
   gap.selection_threshold = util::Prob8(r.u8());
   gap.crossover_threshold = util::Prob8(r.u8());
   gap.mutations_per_generation = r.u32();

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <stdexcept>
 
 #include "fitness/rules.hpp"
 #include "genome/gait_genome.hpp"
@@ -55,6 +56,36 @@ TEST(Evolve, HardwareHugeGenerationLimitDoesNotWrapCycleBound) {
   EXPECT_EQ(r.best_genome, expected.best_genome);
   EXPECT_EQ(r.clock_cycles, expected.clock_cycles);
   EXPECT_EQ(r.evaluations, expected.evaluations);
+}
+
+TEST(Evolve, HardwareGenerationBudgetIsAnExactCeiling) {
+  // The run stops once generation 20 has been scored, not at a cycle
+  // bound guessed from the population size.
+  EvolutionConfig config;
+  config.backend = Backend::kHardware;
+  config.seed = 7;
+  const EvolutionResult full = evolve(config);
+  ASSERT_TRUE(full.reached_target);
+  ASSERT_GT(full.generations, 20u);
+  RunControl control;
+  control.generation_budget = 20;
+  const EvolutionResult r = evolve(config, control);
+  EXPECT_FALSE(r.reached_target);
+  EXPECT_EQ(r.generations, 20u);
+  EXPECT_EQ(r.evaluations, 21u * config.gap.population_size);
+  EXPECT_LT(r.clock_cycles, full.clock_cycles);
+}
+
+TEST(Evolve, HardwareRejectsATargetAboveTheEightBitScore) {
+  // The GAP's score, fitness RAM and best register are 8 bits wide, so a
+  // spec whose maximum exceeds 255 could never stop at its target.
+  EvolutionConfig config;
+  config.backend = Backend::kHardware;
+  config.seed = 3;
+  config.max_generations = 2000;
+  config.spec.w_equilibrium = 40;
+  ASSERT_EQ(config.spec.max_score(), 356u);
+  EXPECT_THROW((void)evolve(config), std::invalid_argument);
 }
 
 TEST(Evolve, DeterministicPerSeedAndBackend) {

@@ -168,7 +168,7 @@ TEST(Fuzz, GapLongRunInvariants) {
     ASSERT_LE(top.best_fitness(), 60u);
     last_best = top.best_fitness();
     for (std::size_t i = 0; i < params.population_size; ++i) {
-      ASSERT_EQ(top.peek_basis(i) >> params.genome_bits, 0u);
+      ASSERT_EQ(top.peek_basis(i) >> genome::kGenomeBits, 0u);
     }
   }
   ASSERT_GT(top.generation(), 100u);

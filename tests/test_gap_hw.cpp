@@ -9,6 +9,7 @@
 #include "fpga/fitness_netlist.hpp"
 #include "fpga/techmap.hpp"
 #include "gap/pair_fifo.hpp"
+#include "genome/gait_genome.hpp"
 #include "rtl/simulator.hpp"
 
 namespace leo::gap {
@@ -203,7 +204,7 @@ TEST(GapTop, MutationKeepsPopulationWellFormed) {
   rtl::Simulator sim(top);
   sim.run(30'000);
   for (std::size_t i = 0; i < params.population_size; ++i) {
-    EXPECT_EQ(top.peek_basis(i) >> params.genome_bits, 0u)
+    EXPECT_EQ(top.peek_basis(i) >> genome::kGenomeBits, 0u)
         << "genome " << i << " has bits above the genome width";
   }
 }
@@ -232,9 +233,12 @@ TEST(GapTop, ParameterValidation) {
   GapParams odd;
   odd.population_size = 5;
   EXPECT_THROW(GapTop(nullptr, "gap", odd, 1), std::invalid_argument);
-  GapParams wide;
-  wide.genome_bits = 64;
-  EXPECT_THROW(GapTop(nullptr, "gap", wide, 1), std::invalid_argument);
+  // The score, the fitness RAM and the best register are 8 bits wide.
+  GapParams target;
+  target.target_fitness = 256;
+  EXPECT_THROW(GapTop(nullptr, "gap", target, 1), std::invalid_argument);
+  target.target_fitness = 255;
+  EXPECT_NO_THROW(GapTop(nullptr, "gap", target, 1));
 }
 
 TEST(GapTop, SmallerPopulationWorks) {

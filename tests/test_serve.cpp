@@ -90,7 +90,6 @@ TEST(ConfigKey, EveryFieldChangesTheKey) {
   vary([](auto& c) { c.ga.crossover_threshold = util::Prob8::from_double(0.5); });
   vary([](auto& c) { c.ga.mutations_per_generation = 16; });
   vary([](auto& c) { c.gap.population_size = 64; });
-  vary([](auto& c) { c.gap.genome_bits = 40; });
   vary([](auto& c) { c.gap.selection_threshold = util::Prob8::from_double(0.5); });
   vary([](auto& c) { c.gap.crossover_threshold = util::Prob8::from_double(0.5); });
   vary([](auto& c) { c.gap.mutations_per_generation = 16; });
@@ -305,27 +304,34 @@ TEST(Checkpoint, RejectsFitnessThatDisagreesWithGenome) {
   EXPECT_THROW((void)deserialize_snapshot(genome_flipped), std::runtime_error);
 }
 
-// The software GA's width and elitism slots of the config block hold the
-// paper's fixed values (36, 0); any other value is corruption.
-TEST(Checkpoint, RejectsNonPaperSoftwareGaSlots) {
+// The genome width slots of both backends and the software GA's elitism
+// slot of the config block hold the paper's fixed values (36, 0); any
+// other value is corruption.
+TEST(Checkpoint, RejectsNonPaperGenomeSlots) {
   const std::vector<std::uint8_t> bytes = encode_config(base_config());
   // backend u8, seed u64, max_generations u64, track_history u8, four
   // weights u32, four switches u8, then ga: population u64, width u64,
-  // two thresholds u8, mutation count u32, elitism u8.
+  // two thresholds u8, mutation count u32, elitism u8; then gap:
+  // population u32, width u32.
   const std::size_t width_at = 1 + 8 + 8 + 1 + 16 + 4 + 8;
   const std::size_t elitism_at = width_at + 8 + 1 + 1 + 4;
+  const std::size_t gap_width_at = elitism_at + 1 + 4;
   ASSERT_EQ(get_u64(bytes, width_at), 36u);
   ASSERT_EQ(bytes[elitism_at], 0u);
+  ASSERT_EQ(get_u32(bytes, gap_width_at), 36u);
   auto decode = [](const std::vector<std::uint8_t>& block) {
     detail::ByteReader reader(block);
     return decode_config(reader);
   };
   ASSERT_NO_THROW((void)decode(bytes));
 
-  for (const std::uint32_t width : {40u, 64u}) {
-    std::vector<std::uint8_t> bad = bytes;
-    put_u32(bad, width_at, width);
-    EXPECT_THROW((void)decode(bad), std::runtime_error) << "width " << width;
+  for (const std::size_t at : {width_at, gap_width_at}) {
+    for (const std::uint32_t width : {40u, 64u}) {
+      std::vector<std::uint8_t> bad = bytes;
+      put_u32(bad, at, width);
+      EXPECT_THROW((void)decode(bad), std::runtime_error)
+          << "slot at " << at << ", width " << width;
+    }
   }
   std::vector<std::uint8_t> elitism = bytes;
   elitism[elitism_at] = 1;
@@ -998,9 +1004,7 @@ TEST(Service, HardwareBudgetStopIsTerminalWithoutSnapshot) {
 
   const core::EvolutionResult partial = job.wait();
   EXPECT_EQ(job.state(), JobState::kBudgetExhausted);
-  // The RTL loop polls its RunControl at a coarse boundary, so the stop
-  // lands at-or-after the budget — never before.
-  EXPECT_GE(partial.generations, 2u);
+  EXPECT_EQ(partial.generations, 2u);
   EXPECT_FALSE(partial.reached_target);
   EXPECT_FALSE(job.snapshot().has_value());
   // The partial result never pollutes the deterministic cache.
