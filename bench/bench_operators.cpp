@@ -81,8 +81,7 @@ void BM_ExactCountMutation(benchmark::State& state) {
 BENCHMARK(BM_ExactCountMutation);
 
 void BM_GaGeneration(benchmark::State& state) {
-  ga::GaEngine engine(ga::GaParams{},
-                      [](std::uint64_t g) { return fitness::score(g); });
+  ga::GaEngine engine(ga::GaParams{}, fitness::kDefaultSpec);
   util::Xoshiro256 rng(5);
   ga::Population pop = engine.make_initial_population(rng);
   for (auto _ : state) {

@@ -42,7 +42,7 @@ const char* bench_name() { return "rtl"; }
 
 namespace {
 
-struct RunResult {
+struct GapRun {
   std::uint64_t cycles = 0;
   std::uint64_t generations = 0;
   std::uint64_t best_genome = 0;
@@ -57,11 +57,11 @@ constexpr rtl::SimMode kModes[] = {rtl::SimMode::kLevel, rtl::SimMode::kDense};
 constexpr const char* kModeNames[] = {"level", "dense"};
 constexpr std::size_t kModeCount = 2;
 
-RunResult run_gap(std::uint64_t seed, rtl::SimMode mode) {
+GapRun run_gap(std::uint64_t seed, rtl::SimMode mode) {
   gap::GapParams params;
   gap::GapTop top(nullptr, "gap", params, seed);
   rtl::Simulator sim(top, mode);
-  RunResult r;
+  GapRun r;
   const auto start = std::chrono::steady_clock::now();
   r.converged = sim.run_until([&] { return top.done.read(); }, 20'000'000);
   r.seconds =
@@ -96,7 +96,7 @@ int bench_run(const Options& options) {
   util::RunningStats evals_per_cycle[kModeCount];
   util::RunningStats commits_per_cycle[kModeCount];
   for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
-    RunResult results[kModeCount];
+    GapRun results[kModeCount];
     bool all_converged = true;
     for (std::size_t m = 0; m < kModeCount; ++m) {
       results[m] = run_gap(seed, kModes[m]);
@@ -107,8 +107,8 @@ int bench_run(const Options& options) {
                   static_cast<unsigned long long>(seed));
       continue;
     }
-    const RunResult& a = results[0];
-    const RunResult& b = results[1];
+    const GapRun& a = results[0];
+    const GapRun& b = results[1];
     if (a.cycles != b.cycles || a.generations != b.generations ||
         a.best_genome != b.best_genome || a.best_fitness != b.best_fitness) {
       std::printf("MODE DIVERGENCE at seed %llu: "

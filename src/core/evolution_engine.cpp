@@ -23,10 +23,7 @@ void record_gap_run(const gap::GapTop& top) {
 }
 
 ga::GaEngine make_engine(const EvolutionConfig& config) {
-  const fitness::FitnessSpec spec = config.spec;
-  return ga::GaEngine(config.ga, [spec](std::uint64_t g) {
-    return fitness::score(g, spec);
-  });
+  return ga::GaEngine(config.ga, config.spec, config.track_history);
 }
 
 /// Effective generation ceiling: the config's limit, tightened by the
@@ -92,7 +89,7 @@ EvolutionSession::EvolutionSession(const EvolutionConfig& config)
     throw std::invalid_argument(
         "EvolutionSession: only the software backend is suspendable");
   }
-  state_ = engine_.start(rng_, config_.track_history);
+  state_ = engine_.start(rng_);
 }
 
 EvolutionSession::EvolutionSession(const EvolutionConfig& config,
@@ -127,17 +124,14 @@ EvolutionResult EvolutionSession::run(const RunControl& control) {
     };
   }
 
-  const ga::RunResult run = engine_.run_from(
-      state_, rng_, generation_limit(config_, control),
-      config_.spec.max_score(), config_.track_history, on_generation);
-
   EvolutionResult result;
-  result.reached_target = run.reached_target;
-  result.generations = run.generations;
-  result.best_genome = run.best.genome.to_u64();
-  result.best_fitness = run.best.fitness;
-  result.evaluations = run.evaluations;
-  result.history = run.history;
+  result.reached_target = engine_.run_from(
+      state_, rng_, generation_limit(config_, control), on_generation);
+  result.generations = state_.generation;
+  result.best_genome = state_.best.genome.to_u64();
+  result.best_fitness = state_.best.fitness;
+  result.evaluations = state_.evaluations;
+  result.history = state_.history;
   return result;
 }
 

@@ -30,7 +30,9 @@ struct EvolutionConfig {
   Backend backend = Backend::kSoftware;
   fitness::FitnessSpec spec{};
   ga::GaParams ga{};            ///< software backend parameters
-  gap::GapParams gap{};         ///< hardware backend parameters
+  /// Hardware backend parameters. evolve() ignores gap.target_fitness
+  /// and runs to spec.max_score(), as the software backend does.
+  gap::GapParams gap{};
   std::uint64_t seed = 1;
   std::uint64_t max_generations = 100'000;
   bool track_history = false;   ///< software backend only
@@ -66,9 +68,9 @@ struct RunControl {
   std::function<void(std::uint64_t, unsigned)> on_progress;
 };
 
-/// Runs one evolution to the spec's maximum fitness (or the backend
-/// params' target), or until `control` stops it. Deterministic in
-/// (config.seed, config contents).
+/// Runs one evolution to the spec's maximum fitness, spec.max_score(), on
+/// either backend, or until `control` or config.max_generations stops it.
+/// Deterministic in (config.seed, config contents).
 [[nodiscard]] EvolutionResult evolve(const EvolutionConfig& config,
                                      const RunControl& control = {});
 

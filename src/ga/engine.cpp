@@ -61,21 +61,20 @@ GenerationStats observe(EngineState& state, std::uint64_t generation,
 
 }  // namespace
 
-GaEngine::GaEngine(GaParams params, FitnessFn fitness)
+GaEngine::GaEngine(GaParams params, fitness::FitnessSpec spec,
+                   bool track_history)
     : params_(params),
-      fitness_(std::move(fitness)),
+      spec_(spec),
+      track_history_(track_history),
       selection_(params.selection_threshold),
       mutation_(params.mutations_per_generation) {
   if (params_.population_size < 2 || params_.population_size % 2 != 0) {
     throw std::invalid_argument("GaEngine: population size must be even, >= 2");
   }
-  if (!fitness_) {
-    throw std::invalid_argument("GaEngine: fitness function required");
-  }
 }
 
 void GaEngine::evaluate(Population& pop) const {
-  for (auto& ind : pop) ind.fitness = fitness_(ind.genome.bits);
+  for (auto& ind : pop) ind.fitness = fitness::score(ind.genome.bits, spec_);
 }
 
 Population GaEngine::make_initial_population(util::Xoshiro256& rng) const {
@@ -113,37 +112,32 @@ void GaEngine::step_generation(Population& pop, util::Xoshiro256& rng) {
   evaluate(pop);
 }
 
-EngineState GaEngine::start(util::Xoshiro256& rng, bool track_history) {
+EngineState GaEngine::start(util::Xoshiro256& rng) {
   EngineState state;
   state.population = make_initial_population(rng);
   state.best = state.population.front();
   state.evaluations = state.population.size();
-  observe(state, 0, track_history);
+  observe(state, 0, track_history_);
   if (obs::enabled()) GaMetrics::get().evaluations.inc(state.evaluations);
   return state;
 }
 
-RunResult GaEngine::run_from(EngineState& state, util::Xoshiro256& rng,
-                             std::uint64_t max_generations,
-                             std::optional<unsigned> target_fitness,
-                             bool track_history,
-                             const StepCallback& on_generation) {
+bool GaEngine::run_from(EngineState& state, util::Xoshiro256& rng,
+                        std::uint64_t max_generations,
+                        const StepCallback& on_generation) {
   const std::uint64_t first_generation = state.generation;
   const std::uint64_t first_evaluations = state.evaluations;
-  auto reached = [&] {
-    return target_fitness && state.best.fitness >= *target_fitness;
-  };
+  const unsigned target = spec_.max_score();
 
-  RunResult result;
-  result.reached_target = reached();
+  bool reached = state.best.fitness >= target;
   for (std::uint64_t gen = state.generation + 1;
-       !result.reached_target && gen <= max_generations; ++gen) {
+       !reached && gen <= max_generations; ++gen) {
     step_generation(state.population, rng);
-    const GenerationStats gs = observe(state, gen, track_history);
+    const GenerationStats gs = observe(state, gen, track_history_);
     state.generation = gen;
     state.evaluations += state.population.size();
-    result.reached_target = reached();
-    if (!result.reached_target && on_generation && !on_generation(gs)) break;
+    reached = state.best.fitness >= target;
+    if (!reached && on_generation && !on_generation(gs)) break;
   }
 
   if (obs::enabled()) {
@@ -152,19 +146,7 @@ RunResult GaEngine::run_from(EngineState& state, util::Xoshiro256& rng,
     m.generations.inc(state.generation - first_generation);
     m.evaluations.inc(state.evaluations - first_evaluations);
   }
-
-  result.generations = state.generation;
-  result.evaluations = state.evaluations;
-  result.best = state.best;
-  result.history = state.history;
-  return result;
-}
-
-RunResult GaEngine::run(util::Xoshiro256& rng, std::uint64_t max_generations,
-                        std::optional<unsigned> target_fitness,
-                        bool track_history) {
-  EngineState state = start(rng, track_history);
-  return run_from(state, rng, max_generations, target_fitness, track_history);
+  return reached;
 }
 
 }  // namespace leo::ga

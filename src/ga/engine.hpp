@@ -10,8 +10,11 @@
 //
 // Genomes are the paper's 36-bit gait genomes packed in u64 words (see
 // ga/individual.hpp); GaParams carries the paper's defaults. Like the
-// GAP, the engine has no elitism: the best individual survives only
-// through selection.
+// GAP's fitness module, the fitness is fixed: fitness::score() under the
+// engine's fitness::FitnessSpec, whose rule weights are its only
+// parameters, and a run stops at that spec's max_score(). Like the GAP,
+// the engine has no elitism: the best individual survives only through
+// selection.
 //
 // Like the GAP's fixed datapath, the loop has no dispatch per draw or per
 // pair: the engine draws from util::Xoshiro256 (inline draws) and holds
@@ -21,9 +24,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
+#include "fitness/rules.hpp"
 #include "ga/crossover.hpp"
 #include "ga/individual.hpp"
 #include "ga/mutation.hpp"
@@ -53,19 +56,10 @@ struct GenerationStats {
   double diversity = 0.0;
 };
 
-/// Outcome of a run.
-struct RunResult {
-  bool reached_target = false;
-  std::uint64_t generations = 0;   ///< generations executed
-  std::uint64_t evaluations = 0;   ///< fitness evaluations performed
-  Individual best;                 ///< best individual ever seen
-  std::vector<GenerationStats> history;  ///< filled if params.track_history
-};
-
-/// Complete mid-run engine state. Owning it externally (rather than inside
-/// run()) is what makes evolutions suspendable: together with the RNG state
-/// it is everything needed to continue a run bit-for-bit, so the serve
-/// layer can checkpoint it to disk and resume later.
+/// Complete mid-run engine state. Owning it outside the engine is what
+/// makes evolutions suspendable: together with the RNG state it is
+/// everything needed to continue a run bit-for-bit, so the serve layer can
+/// checkpoint it to disk and resume later.
 struct EngineState {
   Population population;
   Individual best;                 ///< best individual ever seen
@@ -84,32 +78,26 @@ class GaEngine {
  public:
   /// Runs the paper's operators: tournament(selection_threshold),
   /// single-point crossover, exact-count(mutations_per_generation)
-  /// mutation. Throws std::invalid_argument for an odd or < 2 population
-  /// or an empty fitness function.
-  GaEngine(GaParams params, FitnessFn fitness);
+  /// mutation, scoring every genome with fitness::score(genome, spec).
+  /// `track_history` stores one GenerationStats per generation in the
+  /// EngineState. Throws std::invalid_argument for an odd or < 2
+  /// population.
+  GaEngine(GaParams params, fitness::FitnessSpec spec,
+           bool track_history = false);
 
-  /// Runs until `target_fitness` is reached (if set) or `max_generations`
-  /// elapse. `track_history` stores one GenerationStats per generation.
-  /// Equivalent to start() followed by run_from().
-  RunResult run(util::Xoshiro256& rng, std::uint64_t max_generations,
-                std::optional<unsigned> target_fitness,
-                bool track_history = false);
+  /// Creates and evaluates the initial population (generation 0).
+  EngineState start(util::Xoshiro256& rng);
 
-  /// Creates and evaluates the initial population (generation 0), drawing
-  /// from `rng` exactly as run() does.
-  EngineState start(util::Xoshiro256& rng, bool track_history = false);
-
-  /// Advances `state` until the target is reached, `max_generations` total
-  /// generations elapse (an absolute count including generations already in
-  /// `state`), or `on_generation` returns false. Resuming a stopped state
-  /// with the same rng stream continues the identical run. Telemetry is
-  /// flushed once on return: the ga counters grow by this call's
-  /// generations and evaluations (start() counts generation 0's).
-  RunResult run_from(EngineState& state, util::Xoshiro256& rng,
-                     std::uint64_t max_generations,
-                     std::optional<unsigned> target_fitness,
-                     bool track_history = false,
-                     const StepCallback& on_generation = {});
+  /// Advances `state` until spec.max_score() is reached, `max_generations`
+  /// total generations elapse (an absolute count including generations
+  /// already in `state`), or `on_generation` returns false; returns whether
+  /// the target was reached. Resuming a stopped state with the same rng
+  /// stream continues the identical run. Telemetry is flushed once on
+  /// return: the ga counters grow by this call's generations and
+  /// evaluations (start() counts generation 0's).
+  bool run_from(EngineState& state, util::Xoshiro256& rng,
+                std::uint64_t max_generations,
+                const StepCallback& on_generation = {});
 
   /// One generation on an explicit population of params().population_size
   /// individuals (exposed for testing and for lock-step comparison against
@@ -127,7 +115,8 @@ class GaEngine {
   void evaluate(Population& pop) const;
 
   GaParams params_;
-  FitnessFn fitness_;
+  fitness::FitnessSpec spec_;
+  bool track_history_;
   TournamentSelection selection_;
   SinglePointCrossover crossover_;
   ExactCountMutation mutation_;

@@ -2,13 +2,12 @@
 //
 // Genomes are packed into one 64-bit word, like the GAP's genome RAM
 // words: the low genome::kGenomeBits (36) bits are the paper's gait
-// genome, and the bits above them are always zero. Fitness is any function
-// of the packed word returning an unsigned score, higher = better; the
-// gait problem plugs in fitness::score().
+// genome, and the bits above them are always zero. Fitness is the paper's
+// gait score, fitness::score() under a fitness::FitnessSpec (higher =
+// better); ga::GaEngine calls it directly.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 namespace leo::ga {
@@ -27,9 +26,5 @@ struct Individual {
 };
 
 using Population = std::vector<Individual>;
-
-/// Fitness evaluator over the packed genome; must be pure (the engine
-/// caches scores).
-using FitnessFn = std::function<unsigned(std::uint64_t)>;
 
 }  // namespace leo::ga

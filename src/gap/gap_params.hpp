@@ -24,6 +24,8 @@ struct GapParams {
   bool pipelined = true;
   /// Evolution stops once the best individual reaches this fitness (at
   /// most 255: scores, the fitness RAM and the best register are 8 bits).
+  /// core::evolve overwrites it with the config's spec.max_score(); only a
+  /// GapTop built directly runs to another target.
   unsigned target_fitness = 60;
 
   [[nodiscard]] unsigned addr_bits() const noexcept {

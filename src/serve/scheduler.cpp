@@ -317,17 +317,13 @@ void EvolutionService::run_job(detail::Job& job) {
     JobState state = JobState::kSucceeded;
     if (job.cancel_requested.load(std::memory_order_relaxed)) {
       state = JobState::kCancelled;
-    } else if (software) {
-      if (!result.reached_target &&
-          result.generations < job.config.max_generations) {
-        state = JobState::kSuspended;  // stopped by the generation budget
-      }
-    } else if (!result.reached_target && job.options.generation_budget != 0 &&
-               result.generations >= job.options.generation_budget) {
-      // The RTL simulator's state is not serializable, so a budget-stopped
-      // hardware run has no snapshot and cannot resume: an honest terminal
-      // state instead of a kSuspended that resume() would reject.
-      state = JobState::kBudgetExhausted;
+    } else if (!result.reached_target &&
+               result.generations < job.config.max_generations) {
+      // Stopped by the generation budget. The RTL simulator's state is not
+      // serializable, so a budget-stopped hardware run has no snapshot and
+      // cannot resume: an honest terminal state instead of a kSuspended
+      // that resume() would reject.
+      state = software ? JobState::kSuspended : JobState::kBudgetExhausted;
     }
 
     if (state == JobState::kSucceeded && job.options.use_cache) {

@@ -8,6 +8,7 @@
 #include <iterator>
 #include <string>
 
+#include "fitness/landscape.hpp"
 #include "fitness/rules.hpp"
 #include "ga/diversity.hpp"
 #include "obs/metrics.hpp"
@@ -161,53 +162,44 @@ TEST(ExactCountMutation, ZeroCountIsIdentity) {
 
 // ---- engine ----
 
-unsigned onemax(std::uint64_t g) {
-  return static_cast<unsigned>(std::popcount(g));
-}
+/// One whole run: start() then run_from() to `max_generations`.
+struct GaRun {
+  EngineState state;
+  bool reached_target = false;
+};
 
-TEST(GaEngine, SolvesOneMax) {
-  GaEngine engine(GaParams{}, onemax);
-  util::Xoshiro256 rng(15);
-  const RunResult r = engine.run(rng, 20'000, 36u);
-  EXPECT_TRUE(r.reached_target);
-  EXPECT_EQ(r.best.fitness, 36u);
-  EXPECT_EQ(std::popcount(r.best.genome.to_u64()), 36);
+GaRun run_ga(GaEngine& engine, std::uint64_t seed,
+             std::uint64_t max_generations) {
+  util::Xoshiro256 rng(seed);
+  GaRun r;
+  r.state = engine.start(rng);
+  r.reached_target = engine.run_from(r.state, rng, max_generations);
+  return r;
 }
 
 TEST(GaEngine, SolvesGaitProblemWithPaperParameters) {
-  GaEngine engine(GaParams{}, [](std::uint64_t g) {
-    return fitness::score(g);
-  });
-  util::Xoshiro256 rng(16);
-  const RunResult r = engine.run(rng, 50'000, 60u);
+  GaEngine engine(GaParams{}, fitness::kDefaultSpec);
+  const GaRun r = run_ga(engine, 16, 50'000);
   EXPECT_TRUE(r.reached_target);
-  EXPECT_TRUE(fitness::is_max_fitness(r.best.genome.to_u64()));
+  EXPECT_TRUE(fitness::is_max_fitness(r.state.best.genome.to_u64()));
 }
 
 TEST(GaEngine, DeterministicGivenSeed) {
-  auto run = [](std::uint64_t seed) {
-    GaEngine engine(GaParams{}, [](std::uint64_t g) {
-      return fitness::score(g);
-    });
-    util::Xoshiro256 rng(seed);
-    return engine.run(rng, 50'000, 60u);
-  };
-  const RunResult a = run(99);
-  const RunResult b = run(99);
-  EXPECT_EQ(a.generations, b.generations);
-  EXPECT_EQ(a.best.genome, b.best.genome);
-  EXPECT_EQ(a.evaluations, b.evaluations);
+  GaEngine engine_a(GaParams{}, fitness::kDefaultSpec);
+  GaEngine engine_b(GaParams{}, fitness::kDefaultSpec);
+  const GaRun a = run_ga(engine_a, 99, 50'000);
+  const GaRun b = run_ga(engine_b, 99, 50'000);
+  EXPECT_EQ(a.state.generation, b.state.generation);
+  EXPECT_EQ(a.state.best.genome, b.state.best.genome);
+  EXPECT_EQ(a.state.evaluations, b.state.evaluations);
 }
 
 TEST(GaEngine, HistoryTracksBestEverMonotonically) {
-  GaEngine engine(GaParams{}, [](std::uint64_t g) {
-    return fitness::score(g);
-  });
-  util::Xoshiro256 rng(17);
-  const RunResult r = engine.run(rng, 300, std::nullopt, true);
-  ASSERT_FALSE(r.history.empty());
+  GaEngine engine(GaParams{}, fitness::kDefaultSpec, /*track_history=*/true);
+  const GaRun r = run_ga(engine, 17, 300);
+  ASSERT_FALSE(r.state.history.empty());
   unsigned last = 0;
-  for (const auto& gs : r.history) {
+  for (const auto& gs : r.state.history) {
     EXPECT_GE(gs.best_ever_fitness, last);
     EXPECT_LE(gs.worst_fitness, gs.best_fitness);
     EXPECT_GE(gs.mean_fitness, gs.worst_fitness);
@@ -217,7 +209,7 @@ TEST(GaEngine, HistoryTracksBestEverMonotonically) {
 }
 
 TEST(GaEngine, PopulationSizeIsStable) {
-  GaEngine engine(GaParams{}, onemax);
+  GaEngine engine(GaParams{}, fitness::kDefaultSpec);
   util::Xoshiro256 rng(19);
   Population pop = engine.make_initial_population(rng);
   EXPECT_EQ(pop.size(), 32u);
@@ -228,12 +220,11 @@ TEST(GaEngine, PopulationSizeIsStable) {
 TEST(GaEngine, RejectsBadParameters) {
   GaParams odd;
   odd.population_size = 7;
-  EXPECT_THROW(GaEngine(odd, onemax), std::invalid_argument);
-  EXPECT_THROW(GaEngine(GaParams{}, FitnessFn{}), std::invalid_argument);
+  EXPECT_THROW(GaEngine(odd, fitness::kDefaultSpec), std::invalid_argument);
 }
 
 TEST(GaEngine, StepGenerationRejectsForeignPopulationSize) {
-  GaEngine engine(GaParams{}, onemax);
+  GaEngine engine(GaParams{}, fitness::kDefaultSpec);
   util::Xoshiro256 rng(24);
   Population pop = engine.make_initial_population(rng);
   pop.pop_back();
@@ -241,7 +232,7 @@ TEST(GaEngine, StepGenerationRejectsForeignPopulationSize) {
 }
 
 TEST(GaEngine, InitialGenomesFitTheWidth) {
-  GaEngine engine(GaParams{}, onemax);
+  GaEngine engine(GaParams{}, fitness::kDefaultSpec);
   util::Xoshiro256 rng(25);
   Population pop = engine.make_initial_population(rng);
   for (int gen = 0; gen < 20; ++gen) {
@@ -252,38 +243,53 @@ TEST(GaEngine, InitialGenomesFitTheWidth) {
   }
 }
 
+// The paper's core quantitative story (E2): evolution needs orders of
+// magnitude fewer evaluations than undirected search, whose expected cost
+// is exact (one over the max-fitness density).
+TEST(Baselines, GaBeatsRandomSearchOnEvaluations) {
+  GaEngine engine(GaParams{}, fitness::kDefaultSpec);
+  double evaluations = 0.0;
+  constexpr std::uint64_t kSeeds = 5;
+  for (std::uint64_t seed = 100; seed < 100 + kSeeds; ++seed) {
+    const GaRun r = run_ga(engine, seed, 100'000);
+    ASSERT_TRUE(r.reached_target) << "seed " << seed;
+    evaluations += static_cast<double>(r.state.evaluations);
+  }
+  const double mean = evaluations / kSeeds;
+  EXPECT_LT(mean * 20.0, fitness::expected_random_draws_to_max())
+      << "GA mean evals " << mean << " vs random "
+      << fitness::expected_random_draws_to_max();
+}
+
 // The ga counters advance by exactly the run's totals (flushed once per
 // run_from, including a suspended-and-resumed run), and telemetry never
 // changes the evolved genome.
 TEST(GaTelemetry, CountersMatchRunTotalsAndObsIsInert) {
   auto& reg = obs::registry();
   auto counter = [&](const char* name) { return reg.counter(name).value(); };
-  auto fitness = [](std::uint64_t g) { return fitness::score(g); };
 
   const std::uint64_t gens0 = counter("leo_ga_generations_total");
   const std::uint64_t evals0 = counter("leo_ga_evaluations_total");
   const std::uint64_t runs0 = counter("leo_ga_runs_total");
-  GaEngine engine(GaParams{}, fitness);
+  GaEngine engine(GaParams{}, fitness::kDefaultSpec);
   util::Xoshiro256 rng(2024);
-  EngineState state = engine.start(rng);
-  (void)engine.run_from(state, rng, 7, 60u);  // suspended at generation 7
-  const RunResult on = engine.run_from(state, rng, 100'000, 60u);
-  ASSERT_TRUE(on.reached_target);
-  ASSERT_GT(on.generations, 7u);
-  EXPECT_EQ(counter("leo_ga_generations_total") - gens0, on.generations);
+  EngineState on = engine.start(rng);
+  (void)engine.run_from(on, rng, 7);  // suspended at generation 7
+  ASSERT_TRUE(engine.run_from(on, rng, 100'000));
+  ASSERT_GT(on.generation, 7u);
+  EXPECT_EQ(counter("leo_ga_generations_total") - gens0, on.generation);
   EXPECT_EQ(counter("leo_ga_evaluations_total") - evals0, on.evaluations);
   EXPECT_EQ(counter("leo_ga_runs_total") - runs0, 2u);
 
   obs::set_enabled(false);
-  GaEngine quiet(GaParams{}, fitness);
-  util::Xoshiro256 quiet_rng(2024);
-  const RunResult off = quiet.run(quiet_rng, 100'000, 60u);
+  GaEngine quiet(GaParams{}, fitness::kDefaultSpec);
+  const GaRun off = run_ga(quiet, 2024, 100'000);
   const std::uint64_t gens_after_off = counter("leo_ga_generations_total");
   obs::set_enabled(true);
-  EXPECT_EQ(gens_after_off - gens0, on.generations);  // nothing recorded
-  EXPECT_EQ(off.best.genome, on.best.genome);
-  EXPECT_EQ(off.generations, on.generations);
-  EXPECT_EQ(off.evaluations, on.evaluations);
+  EXPECT_EQ(gens_after_off - gens0, on.generation);  // nothing recorded
+  EXPECT_EQ(off.state.best.genome, on.best.genome);
+  EXPECT_EQ(off.state.generation, on.generation);
+  EXPECT_EQ(off.state.evaluations, on.evaluations);
 }
 
 // ---- golden trajectories ----
@@ -300,24 +306,20 @@ constexpr GoldenRun kGoldenSeeds[] = {
 };
 
 TEST(GaGolden, PaperConfigSeeds1To1000) {
-  const unsigned target = fitness::FitnessSpec{}.max_score();
   ASSERT_EQ(std::size(kGoldenSeeds), 1000u);
   for (const GoldenRun& g : kGoldenSeeds) {
-    GaEngine engine(GaParams{}, [](std::uint64_t genome) {
-      return fitness::score(genome);
-    });
-    util::Xoshiro256 rng(g.seed);
-    const RunResult r = engine.run(rng, 100'000, target);
+    GaEngine engine(GaParams{}, fitness::kDefaultSpec);
+    const GaRun r = run_ga(engine, g.seed, 100'000);
     ASSERT_TRUE(r.reached_target) << "seed " << g.seed;
-    ASSERT_EQ(r.best.genome.to_u64(), g.genome) << "seed " << g.seed;
-    ASSERT_EQ(r.generations, g.generations) << "seed " << g.seed;
-    ASSERT_EQ(r.evaluations, g.evaluations) << "seed " << g.seed;
+    ASSERT_EQ(r.state.best.genome.to_u64(), g.genome) << "seed " << g.seed;
+    ASSERT_EQ(r.state.generation, g.generations) << "seed " << g.seed;
+    ASSERT_EQ(r.state.evaluations, g.evaluations) << "seed " << g.seed;
   }
 }
 
 // The paper's operators keep their exact trajectory: the same draws in
 // the same order.
-TEST(GaGolden, PaperOperatorsWithAndWithoutElitism) {
+TEST(GaGolden, PaperOperatorsSeed100Trajectory) {
   struct Case {
     std::uint64_t seed;
     std::uint64_t genome;
@@ -328,14 +330,12 @@ TEST(GaGolden, PaperOperatorsWithAndWithoutElitism) {
     {100, 0x01f8ff018, 16, 544},
   };
   for (const Case& c : kCases) {
-    GaEngine engine(GaParams{},
-                    [](std::uint64_t g) { return fitness::score(g); });
-    util::Xoshiro256 rng(c.seed);
-    const RunResult r = engine.run(rng, 3000, 60u);
+    GaEngine engine(GaParams{}, fitness::kDefaultSpec);
+    const GaRun r = run_ga(engine, c.seed, 3000);
     const std::string where = "seed " + std::to_string(c.seed);
-    EXPECT_EQ(r.best.genome.to_u64(), c.genome) << where;
-    EXPECT_EQ(r.generations, c.generations) << where;
-    EXPECT_EQ(r.evaluations, c.evaluations) << where;
+    EXPECT_EQ(r.state.best.genome.to_u64(), c.genome) << where;
+    EXPECT_EQ(r.state.generation, c.generations) << where;
+    EXPECT_EQ(r.state.evaluations, c.evaluations) << where;
   }
 }
 
@@ -376,9 +376,7 @@ TEST(Diversity, MutationSustainsDiversityUnderSelection) {
   auto final_diversity = [](unsigned mutations) {
     GaParams params;
     params.mutations_per_generation = mutations;
-    GaEngine engine(params, [](std::uint64_t g) {
-      return fitness::score(g);
-    });
+    GaEngine engine(params, fitness::kDefaultSpec);
     util::Xoshiro256 rng(33);
     Population pop = engine.make_initial_population(rng);
     for (int gen = 0; gen < 300; ++gen) engine.step_generation(pop, rng);
@@ -391,13 +389,10 @@ TEST(Diversity, MutationSustainsDiversityUnderSelection) {
 }
 
 TEST(Diversity, RecordedInHistory) {
-  GaEngine engine(GaParams{}, [](std::uint64_t g) {
-    return fitness::score(g);
-  });
-  util::Xoshiro256 rng(44);
-  const RunResult r = engine.run(rng, 50, std::nullopt, true);
-  ASSERT_FALSE(r.history.empty());
-  EXPECT_GT(r.history.front().diversity, 10.0);  // random start: ~width/2
+  GaEngine engine(GaParams{}, fitness::kDefaultSpec, /*track_history=*/true);
+  const GaRun r = run_ga(engine, 44, 50);
+  ASSERT_FALSE(r.state.history.empty());
+  EXPECT_GT(r.state.history.front().diversity, 10.0);  // random start: ~width/2
 }
 
 }  // namespace

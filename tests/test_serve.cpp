@@ -1011,6 +1011,31 @@ TEST(Service, HardwareBudgetStopIsTerminalWithoutSnapshot) {
   EXPECT_EQ(service.cache_stats().entries, 0u);
 }
 
+// A budget equal to config.max_generations stops the run where the config
+// does, so the job is complete: kSucceeded, cached like any finished run.
+TEST(Service, HardwareBudgetAtMaxGenerationsSucceedsAndIsCached) {
+  core::EvolutionConfig config = base_config(7);
+  config.backend = core::Backend::kHardware;
+  config.max_generations = 10;
+
+  EvolutionService service(1);
+  JobOptions options;
+  options.generation_budget = 10;
+  JobHandle first = service.submit(config, options);
+
+  const core::EvolutionResult result = first.wait();
+  EXPECT_EQ(first.state(), JobState::kSucceeded);
+  EXPECT_EQ(result.generations, 10u);
+  EXPECT_FALSE(result.reached_target);  // seed 7 converges at 44
+  EXPECT_FALSE(first.snapshot().has_value());
+
+  JobHandle second = service.submit(config, options);
+  EXPECT_EQ(second.wait().generations, 10u);
+  EXPECT_TRUE(second.from_cache());
+  EXPECT_EQ(second.state(), JobState::kSucceeded);
+  EXPECT_EQ(service.cache_stats().hits, 1u);
+}
+
 // ---- in-flight coalescing ----------------------------------------------
 
 /// The acceptance criterion (and the check-then-act regression): a batch
