@@ -6,14 +6,27 @@
 // execution. We characterize the 16-cell hybrid 90/150 machine: period,
 // per-cell balance, serial correlation, byte uniformity, and throughput
 // against a modern generator.
+//
+//   ./bench_ca_rng   # no scale knob: --iters is accepted and ignored
+//
+// Emits BENCH_ca_rng.json (shared runner; see bench_harness.hpp) with
+// the period, balance, correlation and throughput figures as
+// leo_bench_ca_rng_* gauges.
 #include <chrono>
 #include <cstdio>
 
+#include "bench_harness.hpp"
+#include "obs/metrics.hpp"
 #include "util/ca_rng.hpp"
 #include "util/rng.hpp"
 
-int main() {
+namespace leo::bench {
+
+const char* bench_name() { return "ca_rng"; }
+
+int bench_run(const Options&) {
   using namespace leo::util;
+  auto& reg = obs::registry();
 
   std::printf("E8 — the GAP's cellular-automaton random generator "
               "(16-cell hybrid 90/150)\n\n");
@@ -30,6 +43,7 @@ int main() {
     std::printf("period: %llu (maximal = 2^16 - 1 = 65535) %s\n",
                 static_cast<unsigned long long>(period),
                 period == 65535 ? "— maximal-length, as required" : "");
+    reg.gauge("leo_bench_ca_rng_period").set(static_cast<double>(period));
   }
 
   // Per-cell one-density over the full period.
@@ -47,6 +61,7 @@ int main() {
     }
     std::printf("per-cell one-density: worst deviation from 0.5 over the "
                 "full period = %.5f\n", worst);
+    reg.gauge("leo_bench_ca_rng_worst_cell_bias").set(worst);
   }
 
   // Byte uniformity (chi-square over low byte, one period).
@@ -64,6 +79,7 @@ int main() {
                 "(exactly 0 expected: a maximal-length sequence visits "
                 "every state once,\n  so each byte value appears exactly "
                 "256 times — perfect equidistribution)\n", chi2);
+    reg.gauge("leo_bench_ca_rng_low_byte_chi2").set(chi2);
   }
 
   // Serial correlation of successive words.
@@ -78,8 +94,10 @@ int main() {
           16 - __builtin_popcountll(cur ^ prev));
       prev = cur;
     }
+    const double agreement = static_cast<double>(agree) / (16.0 * kSteps);
     std::printf("successive-word bit agreement: %.4f (0.5 = uncorrelated)\n",
-                static_cast<double>(agree) / (16.0 * kSteps));
+                agreement);
+    reg.gauge("leo_bench_ca_rng_serial_bit_agreement").set(agreement);
   }
 
   // Throughput: CA vs xoshiro256**.
@@ -103,6 +121,8 @@ int main() {
                 "xoshiro %.0f M/s (64-bit)%s\n",
                 static_cast<unsigned long long>(kN), kN / ca_s / 1e6,
                 kN / xo_s / 1e6, sink == 42 ? "!" : "");
+    reg.gauge("leo_bench_ca_rng_ca_draws_per_sec").set(kN / ca_s);
+    reg.gauge("leo_bench_ca_rng_xoshiro_draws_per_sec").set(kN / xo_s);
   }
 
   std::printf("\nreading: the CA is weak by modern software standards "
@@ -112,3 +132,5 @@ int main() {
               "GAP uses this CA;\nboth converge (E1).\n");
   return 0;
 }
+
+}  // namespace leo::bench

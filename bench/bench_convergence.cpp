@@ -10,11 +10,8 @@
 // absolute generation counts differ while the shape (a few-thousand-
 // evaluation search in a 6.9e10 space) holds.
 //
-//   ./bench_convergence [sw-trials] [hw-trials] [csv-path]
-//   ./bench_convergence --iters N          # N software / max(1, N/4) hw trials
-//
-// Trial counts are positive integers; anything else prints usage and exits
-// with status 2.
+//   ./bench_convergence [--iters N]   # N software / max(1, N/4) hw trials
+//                                     # (default 100 / 25)
 //
 // Emits BENCH_ga.json (shared runner; see bench_harness.hpp): the paper's
 // headline numbers as leo_bench_ga_* gauges plus the instrumented layers'
@@ -24,15 +21,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <string>
-
-#include "bench_args.hpp"
 #include "bench_harness.hpp"
 #include "core/evolution_engine.hpp"
 #include "obs/metrics.hpp"
 #include "serve/trials.hpp"
-#include "util/csv.hpp"
 
 namespace leo::bench {
 
@@ -63,19 +55,9 @@ double sw_generations_per_sec(const core::EvolutionConfig& config,
 
 int bench_run(const Options& options) {
   using namespace leo;
-  std::uint64_t sw_trials = options.iters ? options.iters : 100;
-  std::uint64_t hw_trials =
+  const std::uint64_t sw_trials = options.iters ? options.iters : 100;
+  const std::uint64_t hw_trials =
       options.iters ? std::max<std::uint64_t>(1, options.iters / 4) : 25;
-  const auto& argv = options.args;
-  if ((argv.size() > 0 && !parse_count(argv[0], sw_trials)) ||
-      (argv.size() > 1 && !parse_count(argv[1], hw_trials)) ||
-      argv.size() > 3) {
-    std::fprintf(stderr,
-                 "usage: bench_convergence [--iters N] [--out PATH] "
-                 "[--no-json] [sw-trials [hw-trials [csv-path]]]\n"
-                 "  trial counts are positive integers\n");
-    return 2;
-  }
 
   std::printf("E1 — generations to maximum fitness "
               "(paper: \"an average of about 2000 generations\")\n\n");
@@ -106,23 +88,6 @@ int bench_run(const Options& options) {
   std::printf("\nshape check: thousands of evaluations out of 2^36 = "
               "6.9e10 genomes — %s\n",
               sw_sum.evaluations.mean() < 1e6 ? "REPRODUCED" : "NOT met");
-
-  if (argv.size() > 2) {
-    util::CsvWriter csv(argv[2], {"backend", "seed", "generations",
-                                  "evaluations", "cycles"});
-    for (std::size_t i = 0; i < sw_sum.runs.size(); ++i) {
-      csv.row({"software", std::to_string(1 + i),
-               std::to_string(sw_sum.runs[i].generations),
-               std::to_string(sw_sum.runs[i].evaluations), "0"});
-    }
-    for (std::size_t i = 0; i < hw_sum.runs.size(); ++i) {
-      csv.row({"hardware", std::to_string(1 + i),
-               std::to_string(hw_sum.runs[i].generations),
-               std::to_string(hw_sum.runs[i].evaluations),
-               std::to_string(hw_sum.runs[i].clock_cycles)});
-    }
-    std::printf("wrote %s\n", argv[2].c_str());
-  }
 
   auto& reg = obs::registry();
   reg.gauge("leo_bench_ga_sw_trials").set(static_cast<double>(sw_trials));

@@ -8,28 +8,27 @@
 // sampled at scale — the numbers that explain why the GA converges in
 // thousands of evaluations.
 //
-//   ./bench_fitness_landscape [samples]
+//   ./bench_fitness_landscape [--iters N]   # N samples (default 2000000)
 //
-// The sample count is a positive integer; anything else prints usage and
-// exits with status 2.
+// Emits BENCH_landscape.json (shared runner; see bench_harness.hpp) with
+// the exact maximum-fitness count and the sampled score statistics as
+// leo_bench_landscape_* gauges.
 #include <algorithm>
 #include <cstdio>
 #include <string>
 
-#include "bench_args.hpp"
+#include "bench_harness.hpp"
 #include "fitness/landscape.hpp"
 #include "genome/gait_genome.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
-int main(int argc, char** argv) {
-  using namespace leo;
-  std::uint64_t samples = 2'000'000;
-  if ((argc > 1 && !bench::parse_count(argv[1], samples)) || argc > 2) {
-    std::fprintf(stderr,
-                 "usage: bench_fitness_landscape [samples]\n"
-                 "  the sample count is a positive integer\n");
-    return 2;
-  }
+namespace leo::bench {
+
+const char* bench_name() { return "landscape"; }
+
+int bench_run(const Options& options) {
+  const std::uint64_t samples = options.iters ? options.iters : 2'000'000;
 
   std::printf("E6 — fitness landscape over 2^36 = %llu genomes\n\n",
               static_cast<unsigned long long>(genome::kSearchSpace));
@@ -74,5 +73,20 @@ int main(int argc, char** argv) {
               "rules are individually\neasy) but the all-rules-satisfied "
               "set has measure ~1.3e-6 — random search\nneeds ~8e5 draws "
               "where the GA needs ~2e3 evaluations (see E1/E2).\n");
+
+  auto& reg = obs::registry();
+  reg.gauge("leo_bench_landscape_max_fitness_genomes")
+      .set(static_cast<double>(max_count));
+  reg.gauge("leo_bench_landscape_max_fitness_density")
+      .set(fitness::max_fitness_density());
+  reg.gauge("leo_bench_landscape_samples").set(static_cast<double>(samples));
+  reg.gauge("leo_bench_landscape_sample_score_mean")
+      .set(sample.scores.mean());
+  reg.gauge("leo_bench_landscape_sample_score_sd")
+      .set(sample.scores.stddev());
+  reg.gauge("leo_bench_landscape_sample_max_hits")
+      .set(static_cast<double>(sample.max_hits));
   return 0;
 }
+
+}  // namespace leo::bench

@@ -10,29 +10,27 @@
 // scan over a 2^24 subspace to validate the density model, and compare
 // against the measured cycle counts of the RTL GAP.
 //
-//   ./bench_ga_vs_exhaustive [hw-trials]
+//   ./bench_ga_vs_exhaustive [--iters N]   # N hw trials (default 15)
 //
-// The trial count is a positive integer; anything else prints usage and
-// exits with status 2.
+// Emits BENCH_exhaustive.json (shared runner; see bench_harness.hpp) with
+// the time-to-solution of each method as leo_bench_exhaustive_* gauges.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 
-#include "bench_args.hpp"
+#include "bench_harness.hpp"
 #include "fitness/landscape.hpp"
 #include "fitness/rules.hpp"
 #include "genome/gait_genome.hpp"
+#include "obs/metrics.hpp"
 #include "serve/trials.hpp"
 
-int main(int argc, char** argv) {
-  using namespace leo;
-  std::uint64_t hw_trials = 15;
-  if ((argc > 1 && !bench::parse_count(argv[1], hw_trials)) || argc > 2) {
-    std::fprintf(stderr,
-                 "usage: bench_ga_vs_exhaustive [hw-trials]\n"
-                 "  the trial count is a positive integer\n");
-    return 2;
-  }
+namespace leo::bench {
+
+const char* bench_name() { return "exhaustive"; }
+
+int bench_run(const Options& options) {
+  const std::uint64_t hw_trials = options.iters ? options.iters : 15;
 
   std::printf("E2 — GA vs exhaustive search at the paper's 1 MHz clock\n\n");
 
@@ -87,5 +85,19 @@ int main(int argc, char** argv) {
               "the GA\nmeasured shape: GA beats undirected search by orders "
               "of magnitude — %s\n",
               full_scan_s / ga_s > 100.0 ? "REPRODUCED" : "NOT met");
+
+  auto& reg = obs::registry();
+  reg.gauge("leo_bench_exhaustive_hw_trials")
+      .set(static_cast<double>(hw_trials));
+  reg.gauge("leo_bench_exhaustive_full_scan_hours").set(full_scan_s / 3600.0);
+  reg.gauge("leo_bench_exhaustive_expected_random_draws").set(expected_draws);
+  reg.gauge("leo_bench_exhaustive_subspace_best_fitness").set(best);
+  reg.gauge("leo_bench_exhaustive_subspace_maxima")
+      .set(static_cast<double>(hits));
+  reg.gauge("leo_bench_exhaustive_subspace_scan_seconds").set(scan_s);
+  reg.gauge("leo_bench_exhaustive_ga_seconds_at_1mhz").set(ga_s);
+  reg.gauge("leo_bench_exhaustive_full_scan_vs_ga").set(full_scan_s / ga_s);
   return 0;
 }
+
+}  // namespace leo::bench

@@ -9,27 +9,32 @@
 // GA-evolved genomes and uniform random genomes, each walked for 10
 // cycles. Quality = forward distance / ideal, zeroed by falls.
 //
-//   ./bench_gait_quality [evolved-seeds] [csv-path]
+//   ./bench_gait_quality [--iters N]   # N evolved seeds (default 50)
 //
-// The seed count is a positive integer; anything else, or a third
-// argument, prints usage and exits with status 2.
+// Emits BENCH_gait.json (shared runner; see bench_harness.hpp): each
+// population's quality mean, distance mean and share of runs with falls
+// as leo_bench_gait_<population>_* gauges.
 #include <cstdio>
+#include <string>
 
-#include "bench_args.hpp"
+#include "bench_harness.hpp"
 #include "core/evolution_engine.hpp"
 #include "fitness/rules.hpp"
 #include "genome/gait_analysis.hpp"
 #include "genome/known_gaits.hpp"
+#include "obs/metrics.hpp"
 #include "robot/walker.hpp"
-#include "util/csv.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
+namespace leo::bench {
+
+const char* bench_name() { return "gait"; }
+
 namespace {
 
-using namespace leo;
-
 struct Row {
+  const char* key = "";  ///< gauge infix: leo_bench_gait_<key>_*
   const char* population = "";
   util::RunningStats quality{};
   util::RunningStats distance{};
@@ -45,13 +50,19 @@ void add_walk(Row& row, robot::Walker& walker, const genome::GaitGenome& g) {
   ++row.n;
 }
 
-void print_row(const Row& row) {
+/// Prints the row and records it as leo_bench_gait_<key>_* gauges.
+void report_row(const Row& row) {
+  const double falls_pct = 100.0 * static_cast<double>(row.with_falls) /
+                           static_cast<double>(row.n);
   std::printf("  %-26s n=%4zu  quality mean %.2f (min %.2f)  dist mean "
               "%+.3f m  falls in %3.0f %% of runs\n",
               row.population, row.n, row.quality.mean(), row.quality.min(),
-              row.distance.mean(),
-              100.0 * static_cast<double>(row.with_falls) /
-                  static_cast<double>(row.n));
+              row.distance.mean(), falls_pct);
+  const std::string prefix = std::string("leo_bench_gait_") + row.key;
+  auto& reg = obs::registry();
+  reg.gauge(prefix + "_quality_mean").set(row.quality.mean());
+  reg.gauge(prefix + "_distance_mean").set(row.distance.mean());
+  reg.gauge(prefix + "_falls_pct").set(falls_pct);
 }
 
 genome::GaitGenome random_rule_optimum(util::Xoshiro256& rng) {
@@ -69,14 +80,8 @@ genome::GaitGenome random_rule_optimum(util::Xoshiro256& rng) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::uint64_t evolved_n = 50;
-  if ((argc > 1 && !bench::parse_count(argv[1], evolved_n)) || argc > 3) {
-    std::fprintf(stderr,
-                 "usage: bench_gait_quality [evolved-seeds] [csv-path]\n"
-                 "  the seed count is a positive integer\n");
-    return 2;
-  }
+int bench_run(const Options& options) {
+  const std::uint64_t evolved_n = options.iters ? options.iters : 50;
 
   std::printf("E4 — walk quality on the quasi-static Leonardo model "
               "(10 cycles, ideal %.3f m)\n\n", 19 * 0.04);
@@ -102,22 +107,22 @@ int main(int argc, char** argv) {
   std::printf("\npopulations:\n");
   util::Xoshiro256 rng(2026);
 
-  Row random_row{"uniform random genomes"};
+  Row random_row{"random", "uniform random genomes"};
   for (int i = 0; i < 300; ++i) {
     add_walk(random_row, walker,
              genome::GaitGenome::from_bits(rng.next_u64() &
                                            genome::kGenomeMask));
   }
-  print_row(random_row);
+  report_row(random_row);
 
-  Row optimum_row{"uniform rule optima (R1-R3)"};
+  Row optimum_row{"rule_optima", "uniform rule optima (R1-R3)"};
   for (int i = 0; i < 300; ++i) {
     add_walk(optimum_row, walker, random_rule_optimum(rng));
   }
-  print_row(optimum_row);
+  report_row(optimum_row);
 
-  Row evolved_row{"GA-evolved (paper rules)"};
-  Row evolved_r4{"GA-evolved (+R4 support)"};
+  Row evolved_row{"evolved", "GA-evolved (paper rules)"};
+  Row evolved_r4{"evolved_r4", "GA-evolved (+R4 support)"};
   std::array<std::size_t, 5> class_counts{};
   for (std::uint64_t s = 0; s < evolved_n; ++s) {
     core::EvolutionConfig c;
@@ -136,8 +141,8 @@ int main(int argc, char** argv) {
                genome::GaitGenome::from_bits(r4.best_genome));
     }
   }
-  print_row(evolved_row);
-  print_row(evolved_r4);
+  report_row(evolved_row);
+  report_row(evolved_r4);
 
   std::printf("\ngait classes among the GA-evolved (paper rules) optima:\n");
   for (std::size_t c = 0; c < class_counts.size(); ++c) {
@@ -161,18 +166,10 @@ int main(int argc, char** argv) {
   std::printf("  extension: adding the R4 support rule lifts mean quality "
               "to %.2f\n", evolved_r4.quality.mean());
 
-  if (argc > 2) {
-    util::CsvWriter csv(argv[2], {"population", "quality_mean", "dist_mean",
-                                  "falls_pct"});
-    for (const Row* row : {&random_row, &optimum_row, &evolved_row,
-                           &evolved_r4}) {
-      csv.row({row->population, util::CsvWriter::cell(row->quality.mean()),
-               util::CsvWriter::cell(row->distance.mean()),
-               util::CsvWriter::cell(
-                   100.0 * static_cast<double>(row->with_falls) /
-                   static_cast<double>(row->n))});
-    }
-    std::printf("wrote %s\n", argv[2]);
-  }
+  obs::registry()
+      .gauge("leo_bench_gait_evolved_seeds")
+      .set(static_cast<double>(evolved_n));
   return 0;
 }
+
+}  // namespace leo::bench

@@ -1,19 +1,19 @@
 // bench_harness.hpp — the shared bench runner contract.
 //
-// A converted bench no longer defines main(); it implements the two
-// functions below and links leo_bench_harness, whose main():
+// A report bench does not define main(); it implements the two functions
+// below and links leo_bench_harness, whose main():
 //
-//   1. parses the common flags
-//        --iters N    scale knob (bench-defined meaning); N is a positive
-//                     integer, anything else prints usage and exits 2
+//   1. parses the only two flags
+//        --iters N    scale knob (bench-defined meaning; absent means the
+//                     bench's default); N is a positive integer
 //        --out PATH   where to write the JSON report
 //                     (default: BENCH_<bench_name()>.json)
-//        --no-json    stdout report only
-//      and passes any remaining positional arguments through untouched,
-//      so each bench's historical CLI keeps working;
+//      Anything else — a bad or missing count, a dangling flag, a bare
+//      argument, an unknown flag — prints usage and exits 2 before any
+//      work is done;
 //   2. runs bench_run();
 //   3. on success, snapshots the obs metrics registry and writes the
-//      machine-readable trajectory point:
+//      machine-readable report:
 //        {"bench":..., "schema":1, "iters":..., "metrics":{...}}
 //      (schema checked in CI by scripts/check_bench_json.py).
 //
@@ -23,8 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 namespace leo::bench {
 
@@ -32,8 +30,6 @@ struct Options {
   /// Scale knob from --iters; 0 (flag absent) means "use the bench's
   /// default".
   std::uint64_t iters = 0;
-  /// Positional arguments after flag extraction (argv order).
-  std::vector<std::string> args;
 };
 
 /// Short bench id; names the output file (BENCH_<id>.json).

@@ -1,54 +1,72 @@
-// bench_main.cpp — main() for every bench linking leo_bench_harness.
+// bench_main.cpp — main() for every report bench (links leo_bench_harness).
 // See bench_harness.hpp for the contract.
 #include "bench_harness.hpp"
 
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
 
-#include "bench_args.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
+
+namespace {
+
+/// Strict positive decimal count; false for empty, signed, non-numeric,
+/// trailing-garbage, out-of-range or zero input.
+bool parse_count(const char* text, std::uint64_t& out) {
+  if (*text == '\0' || std::strspn(text, "0123456789") != std::strlen(text)) {
+    return false;
+  }
+  errno = 0;
+  const unsigned long long value = std::strtoull(text, nullptr, 10);
+  if (errno != 0 || value == 0) return false;
+  out = value;
+  return true;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace leo;
 
   const auto usage = [&](std::FILE* to) {
-    std::fprintf(to,
-                 "usage: %s [--iters N] [--out PATH] [--no-json] "
-                 "[bench-specific args]\n",
-                 argv[0]);
+    std::fprintf(to, "usage: %s [--iters N] [--out PATH]\n", argv[0]);
   };
   bench::Options options;
-  std::string out_path;
-  bool emit_json = true;
+  std::string out_path = std::string("BENCH_") + bench::bench_name() + ".json";
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::strcmp(arg, "--iters") == 0 && i + 1 < argc) {
-      if (!bench::parse_count(argv[++i], options.iters)) {
-        usage(stderr);
-        std::fprintf(stderr, "  the --iters count is a positive integer\n");
-        return 2;
-      }
-    } else if (std::strcmp(arg, "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(arg, "--no-json") == 0) {
-      emit_json = false;
-    } else if (std::strcmp(arg, "--help") == 0) {
+    if (std::strcmp(arg, "--help") == 0) {
       usage(stdout);
       return 0;
-    } else {
-      options.args.emplace_back(arg);
+    }
+    const bool iters = std::strcmp(arg, "--iters") == 0;
+    if (!iters && std::strcmp(arg, "--out") != 0) {
+      usage(stderr);
+      std::fprintf(stderr, "  unknown argument '%s'\n", arg);
+      return 2;
+    }
+    if (i + 1 == argc) {
+      usage(stderr);
+      std::fprintf(stderr, "  %s needs a value\n", arg);
+      return 2;
+    }
+    const char* value = argv[++i];
+    if (!iters) {
+      out_path = value;
+    } else if (!parse_count(value, options.iters)) {
+      usage(stderr);
+      std::fprintf(stderr, "  the --iters count is a positive integer\n");
+      return 2;
     }
   }
 
   const int rc = bench::bench_run(options);
-  if (rc != 0 || !emit_json) return rc;
+  if (rc != 0) return rc;
 
-  if (out_path.empty()) {
-    out_path = std::string("BENCH_") + bench::bench_name() + ".json";
-  }
   std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
   if (!out) {
     std::fprintf(stderr, "cannot open %s\n", out_path.c_str());

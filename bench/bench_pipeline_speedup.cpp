@@ -11,18 +11,13 @@
 // alternates them strictly. We measure cycles spent in the sel+xover
 // phase per generation.
 //
-//   ./bench_pipeline_speedup [seeds]
-//   ./bench_pipeline_speedup --iters N     # N seeds
-//
-// The seed count is a positive integer; anything else prints usage and
-// exits with status 2.
+//   ./bench_pipeline_speedup [--iters N]   # N seeds (default 12)
 //
 // Emits BENCH_pipeline.json (shared runner; see bench_harness.hpp) with
 // the measured speedup and per-phase cycle costs as leo_bench_pipeline_*
 // gauges.
 #include <cstdio>
 
-#include "bench_args.hpp"
 #include "bench_harness.hpp"
 #include "gap/gap_top.hpp"
 #include "obs/metrics.hpp"
@@ -35,15 +30,7 @@ const char* bench_name() { return "pipeline"; }
 
 int bench_run(const Options& options) {
   using namespace leo;
-  std::uint64_t seeds = options.iters ? options.iters : 12;
-  if ((!options.args.empty() && !parse_count(options.args[0], seeds)) ||
-      options.args.size() > 1) {
-    std::fprintf(stderr,
-                 "usage: bench_pipeline_speedup [--iters N] [--out PATH] "
-                 "[--no-json] [seeds]\n"
-                 "  the seed count is a positive integer\n");
-    return 2;
-  }
+  const std::uint64_t seeds = options.iters ? options.iters : 12;
 
   std::printf("E7 — selection+crossover pipelining (paper: \"a factor of "
               "about two\")\n\n");

@@ -8,16 +8,26 @@
 // real gates and LUT-mapped; every other module self-reports its LUT/FF/
 // RAM primitives (formulas documented per module); the XC4000 CLB
 // geometry converts primitives to CLBs and gate equivalents.
+//
+//   ./bench_resources   # no scale knob: --iters is accepted and ignored
+//
+// Emits BENCH_resources.json (shared runner; see bench_harness.hpp) with
+// the fitness module's LUT4 count and the whole design's LUT4, FF, CLB
+// and gate figures as leo_bench_resources_* gauges.
 #include <cstdio>
 
+#include "bench_harness.hpp"
 #include "core/discipulus.hpp"
 #include "fpga/fitness_netlist.hpp"
 #include "fpga/techmap.hpp"
 #include "fpga/xc4000.hpp"
+#include "obs/metrics.hpp"
 
-int main() {
-  using namespace leo;
+namespace leo::bench {
 
+const char* bench_name() { return "resources"; }
+
+int bench_run(const Options&) {
   std::printf("E3 — resource utilization on the %s (paper: 96 %% of 1296 "
               "CLBs, ~30,000 gates)\n\n", fpga::kXc4036Ex.name.c_str());
 
@@ -45,5 +55,19 @@ int main() {
 
   std::printf("module hierarchy (paper Figs. 3-5):\n%s",
               top.hierarchy_report().c_str());
+
+  auto& reg = obs::registry();
+  reg.gauge("leo_bench_resources_fitness_lut4")
+      .set(static_cast<double>(map.lut4));
+  reg.gauge("leo_bench_resources_lut4")
+      .set(static_cast<double>(report.total.lut4));
+  reg.gauge("leo_bench_resources_ff").set(static_cast<double>(report.total.ff));
+  reg.gauge("leo_bench_resources_clbs")
+      .set(static_cast<double>(report.total_clbs));
+  reg.gauge("leo_bench_resources_utilization").set(report.utilization);
+  reg.gauge("leo_bench_resources_gate_equivalents")
+      .set(report.gate_equivalents);
   return 0;
 }
+
+}  // namespace leo::bench

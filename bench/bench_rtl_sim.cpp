@@ -11,11 +11,7 @@
 // evaluations/cycle and commits/cycle (registers committed: those
 // set_next() scheduled, the same under both kernels).
 //
-//   ./bench_rtl_sim [seeds]
-//   ./bench_rtl_sim --iters N     # N seeds
-//
-// The seed count is a positive integer; anything else prints usage and
-// exits with status 2.
+//   ./bench_rtl_sim [--iters N]   # N seeds (default 8)
 //
 // Emits BENCH_rtl.json (shared runner; see bench_harness.hpp) with the
 // speedup, both throughputs and the per-cycle work counts as
@@ -26,10 +22,8 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
-#include "bench_args.hpp"
 #include "bench_harness.hpp"
 #include "gap/gap_top.hpp"
 #include "obs/metrics.hpp"
@@ -79,15 +73,7 @@ GapRun run_gap(std::uint64_t seed, rtl::SimMode mode) {
 }  // namespace
 
 int bench_run(const Options& options) {
-  std::uint64_t seeds = options.iters ? options.iters : 8;
-  if ((!options.args.empty() && !parse_count(options.args[0], seeds)) ||
-      options.args.size() > 1) {
-    std::fprintf(stderr,
-                 "usage: bench_rtl_sim [--iters N] [--out PATH] [--no-json] "
-                 "[seeds]\n"
-                 "  the seed count is a positive integer\n");
-    return 2;
-  }
+  const std::uint64_t seeds = options.iters ? options.iters : 8;
 
   std::printf("RTL settle kernels — static rank-ordered schedule vs dense "
               "sweep on the GAP\n\n");

@@ -7,24 +7,32 @@
 // the ablated spec's maximum, and measure what the optima are worth on
 // the robot.
 //
-//   ./bench_rule_ablation [trials]
+//   ./bench_rule_ablation [--iters N]   # N GA trials per spec (default 30)
 //
-// The trial count is a positive integer; anything else prints usage and
-// exits with status 2.
+// Emits BENCH_ablation.json (shared runner; see bench_harness.hpp): per
+// spec, the targets hit, mean generations, walk quality and falls as
+// leo_bench_ablation_<spec>_* gauges.
 #include <cstdio>
+#include <string>
 
-#include "bench_args.hpp"
+#include "bench_harness.hpp"
 #include "genome/gait_genome.hpp"
+#include "obs/metrics.hpp"
 #include "robot/walker.hpp"
 #include "serve/trials.hpp"
 #include "util/stats.hpp"
 
+namespace leo::bench {
+
+const char* bench_name() { return "ablation"; }
+
 namespace {
 
-using namespace leo;
-
-void run_spec(const char* label, const fitness::FitnessSpec& spec,
-              std::size_t trials, std::uint64_t base_seed) {
+/// Evolves `trials` runs under `spec`, walks the optima, prints one row and
+/// records it as leo_bench_ablation_<key>_* gauges.
+void run_spec(const char* key, const char* label,
+              const fitness::FitnessSpec& spec, std::size_t trials,
+              std::uint64_t base_seed) {
   core::EvolutionConfig config;
   config.spec = spec;
   const serve::TrialSummary sum = serve::run_trials(config, trials, base_seed);
@@ -40,48 +48,50 @@ void run_spec(const char* label, const fitness::FitnessSpec& spec,
     if (m.falls > 0) ++with_falls;
   }
 
+  const double falls_pct =
+      sum.reached_target ? 100.0 * static_cast<double>(with_falls) /
+                               static_cast<double>(sum.reached_target)
+                         : 0.0;
   std::printf("  %-22s max=%2u  hit %2zu/%zu  gens mean %6.1f  walk quality "
               "mean %.2f  falls %3.0f %%\n",
               label, spec.max_score(), sum.reached_target, sum.trials,
-              sum.generations.mean(), quality.mean(),
-              sum.reached_target
-                  ? 100.0 * static_cast<double>(with_falls) /
-                        static_cast<double>(sum.reached_target)
-                  : 0.0);
+              sum.generations.mean(), quality.mean(), falls_pct);
+
+  const std::string prefix = std::string("leo_bench_ablation_") + key;
+  auto& reg = obs::registry();
+  reg.gauge(prefix + "_reached_target")
+      .set(static_cast<double>(sum.reached_target));
+  reg.gauge(prefix + "_generations_mean").set(sum.generations.mean());
+  reg.gauge(prefix + "_quality_mean").set(quality.mean());
+  reg.gauge(prefix + "_falls_pct").set(falls_pct);
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::uint64_t trials = 30;
-  if ((argc > 1 && !bench::parse_count(argv[1], trials)) || argc > 2) {
-    std::fprintf(stderr,
-                 "usage: bench_rule_ablation [trials]\n"
-                 "  the trial count is a positive integer\n");
-    return 2;
-  }
+int bench_run(const Options& options) {
+  const std::uint64_t trials = options.iters ? options.iters : 30;
 
   std::printf("E5 — fitness-rule ablation (%zu GA trials per spec, walk "
               "quality of the evolved optima)\n\n", trials);
 
   fitness::FitnessSpec full;
-  run_spec("R1+R2+R3 (paper)", full, trials, 100);
+  run_spec("paper", "R1+R2+R3 (paper)", full, trials, 100);
 
   fitness::FitnessSpec no_r1 = full;
   no_r1.use_equilibrium = false;
-  run_spec("without R1 equilibrium", no_r1, trials, 200);
+  run_spec("no_r1", "without R1 equilibrium", no_r1, trials, 200);
 
   fitness::FitnessSpec no_r2 = full;
   no_r2.use_symmetry = false;
-  run_spec("without R2 symmetry", no_r2, trials, 300);
+  run_spec("no_r2", "without R2 symmetry", no_r2, trials, 300);
 
   fitness::FitnessSpec no_r3 = full;
   no_r3.use_coherence = false;
-  run_spec("without R3 coherence", no_r3, trials, 400);
+  run_spec("no_r3", "without R3 coherence", no_r3, trials, 400);
 
   fitness::FitnessSpec with_r4 = full;
   with_r4.use_support = true;
-  run_spec("R1-R3 + R4 support", with_r4, trials, 500);
+  run_spec("r4", "R1-R3 + R4 support", with_r4, trials, 500);
 
   std::printf(
       "\nreading: every dropped rule degrades the optima's walking value\n"
@@ -89,5 +99,11 @@ int main(int argc, char** argv) {
       "coherence: legs drag or walk backwards), confirming the paper's\n"
       "rule design; R4 is our extension that also bounds the airborne\n"
       "count — fewer falls, higher quality.\n");
+
+  obs::registry()
+      .gauge("leo_bench_ablation_trials")
+      .set(static_cast<double>(trials));
   return 0;
 }
+
+}  // namespace leo::bench

@@ -10,11 +10,8 @@
 //      in-flight run or hit the result cache: the engine runs once and
 //      the ratio approaches (N-1)/N.
 //
-//   ./bench_serve_throughput [jobs]
-//   ./bench_serve_throughput --iters N     # N*32 jobs per phase
-//
-// The job count is a positive integer; anything else prints usage and
-// exits with status 2.
+//   ./bench_serve_throughput [--iters N]   # N*32 jobs per phase
+//                                         # (default 256)
 //
 // Emits BENCH_serve.json (shared runner; see bench_harness.hpp) with the
 // headline leo_bench_serve_* gauges next to the serve layer's own
@@ -22,7 +19,6 @@
 #include <chrono>
 #include <cstdio>
 
-#include "bench_args.hpp"
 #include "bench_harness.hpp"
 #include "obs/metrics.hpp"
 #include "serve/scheduler.hpp"
@@ -40,15 +36,7 @@ std::uint64_t counter_value(const char* name) {
 const char* bench_name() { return "serve"; }
 
 int bench_run(const Options& options) {
-  std::uint64_t jobs = options.iters ? options.iters * 32 : 256;
-  if ((!options.args.empty() && !parse_count(options.args[0], jobs)) ||
-      options.args.size() > 1) {
-    std::fprintf(stderr,
-                 "usage: bench_serve_throughput [--iters N] [--out PATH] "
-                 "[--no-json] [jobs]\n"
-                 "  the job count is a positive integer\n");
-    return 2;
-  }
+  const std::uint64_t jobs = options.iters ? options.iters * 32 : 256;
 
   std::printf("serve throughput — %zu jobs per phase\n\n", jobs);
 

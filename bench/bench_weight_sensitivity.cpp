@@ -12,25 +12,33 @@
 // the optima set never changes — only the gradient toward it does; the
 // numbers confirm the reproduction does not hinge on the chosen weights.
 //
-//   ./bench_weight_sensitivity [trials]
+//   ./bench_weight_sensitivity [--iters N]   # N GA trials per weighting
+//                                           # (default 25)
 //
-// The trial count is a positive integer; anything else prints usage and
-// exits with status 2.
+// Emits BENCH_weights.json (shared runner; see bench_harness.hpp): per
+// weighting, the correlation, mean generations and walk quality as
+// leo_bench_weights_<weighting>_* gauges.
 #include <cstdio>
+#include <string>
 
-#include "bench_args.hpp"
+#include "bench_harness.hpp"
 #include "genome/gait_genome.hpp"
+#include "obs/metrics.hpp"
 #include "robot/walker.hpp"
 #include "serve/trials.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
+namespace leo::bench {
+
+const char* bench_name() { return "weights"; }
+
 namespace {
 
-using namespace leo;
-
-void run_weighting(const char* label, unsigned w1, unsigned w2, unsigned w3,
-                   std::size_t trials) {
+/// Measures one weighting, prints one row and records it as
+/// leo_bench_weights_<key>_* gauges.
+void run_weighting(const char* key, const char* label, unsigned w1,
+                   unsigned w2, unsigned w3, std::size_t trials) {
   fitness::FitnessSpec spec;
   spec.w_equilibrium = w1;
   spec.w_symmetry = w2;
@@ -64,30 +72,36 @@ void run_weighting(const char* label, unsigned w1, unsigned w2, unsigned w3,
               "gens mean %6.1f +- %5.1f   quality %.2f\n",
               w1, w2, w3, label, corr.r(), sum.generations.mean(),
               util::confidence95(sum.generations), quality.mean());
+
+  const std::string prefix = std::string("leo_bench_weights_") + key;
+  auto& reg = obs::registry();
+  reg.gauge(prefix + "_fitness_distance_corr").set(corr.r());
+  reg.gauge(prefix + "_generations_mean").set(sum.generations.mean());
+  reg.gauge(prefix + "_quality_mean").set(quality.mean());
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::uint64_t trials = 25;
-  if ((argc > 1 && !bench::parse_count(argv[1], trials)) || argc > 2) {
-    std::fprintf(stderr,
-                 "usage: bench_weight_sensitivity [trials]\n"
-                 "  the trial count is a positive integer\n");
-    return 2;
-  }
+int bench_run(const Options& options) {
+  const std::uint64_t trials = options.iters ? options.iters : 25;
 
   std::printf("E5b — sensitivity to the rule-weight substitution "
               "(%zu GA trials per row)\n\n", trials);
-  run_weighting("(ours)", 3, 2, 2, trials);
-  run_weighting("(flat)", 1, 1, 1, trials);
-  run_weighting("(eq-heavy)", 6, 1, 1, trials);
-  run_weighting("(sym-heavy)", 1, 6, 1, trials);
-  run_weighting("(coh-heavy)", 1, 1, 6, trials);
+  run_weighting("ours", "(ours)", 3, 2, 2, trials);
+  run_weighting("flat", "(flat)", 1, 1, 1, trials);
+  run_weighting("eq_heavy", "(eq-heavy)", 6, 1, 1, trials);
+  run_weighting("sym_heavy", "(sym-heavy)", 1, 6, 1, trials);
+  run_weighting("coh_heavy", "(coh-heavy)", 1, 1, 6, trials);
 
   std::printf("\nreading: the optima (and therefore the evolved gaits) are "
               "weight-independent;\nthe weights only modulate convergence "
               "speed and the fitness-distance\ncorrelation. The paper's "
               "conclusions survive any positive weighting.\n");
+
+  obs::registry()
+      .gauge("leo_bench_weights_trials")
+      .set(static_cast<double>(trials));
   return 0;
 }
+
+}  // namespace leo::bench

@@ -49,6 +49,12 @@ REQUIRED_GAUGES = {
         "leo_bench_serve_jobs_per_sec",
         "leo_bench_serve_coalesced_hit_ratio",
     ),
+    "resources": (
+        "leo_bench_resources_clbs",
+        "leo_bench_resources_fitness_lut4",
+    ),
+    "landscape": ("leo_bench_landscape_max_fitness_genomes",),
+    "ca_rng": ("leo_bench_ca_rng_period",),
 }
 
 # Higher-is-better gauges compared against the committed baseline in

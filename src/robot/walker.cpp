@@ -47,9 +47,9 @@ bool Walker::body_blocked_by_obstacle(double forward_m) const {
       .has_value();
 }
 
-Walker::PhaseOutcome Walker::execute_phase(const genome::GaitGenome& genome,
-                                           std::size_t phase,
-                                           SensorFrame& sensors) {
+Walker::PoseStepResult Walker::execute_phase(
+    const genome::GaitGenome& genome, std::size_t phase,
+    SensorFrame& sensors) {
   // A phase changes exactly one pose component per leg (paper §3.1: a
   // vertical move, then a horizontal move, then a vertical move); the
   // other component carries over — which is what makes the second and
@@ -76,21 +76,13 @@ Walker::PhaseOutcome Walker::execute_phase(const genome::GaitGenome& genome,
 Walker::PoseStepResult Walker::apply_pose(
     const std::array<genome::LegPose, kNumLegs>& targets) {
   SensorFrame sensors{};
-  const PhaseOutcome out = move_legs(targets, sensors);
-  PoseStepResult result;
-  result.forward_m = out.forward_m;
-  result.slip_m = out.slip_m;
-  result.margin = out.margin;
-  result.fell = out.fell;
-  result.stumbled = out.stumbled;
-  result.blocked = out.blocked;
-  return result;
+  return move_legs(targets, sensors);
 }
 
-Walker::PhaseOutcome Walker::move_legs(
+Walker::PoseStepResult Walker::move_legs(
     const std::array<genome::LegPose, kNumLegs>& targets,
     SensorFrame& sensors) {
-  PhaseOutcome out;
+  PoseStepResult out;
   Vec2 applied_translation{};
   double applied_heading = 0.0;
 
@@ -217,7 +209,7 @@ WalkMetrics Walker::continue_walk(const genome::GaitGenome& genome,
     for (std::size_t phase = 0; phase < genome::kPhasesPerCycle; ++phase) {
       SensorFrame sensors{};
       const Vec2 before = body_.position;
-      const PhaseOutcome out = execute_phase(genome, phase, sensors);
+      const PoseStepResult out = execute_phase(genome, phase, sensors);
       const Vec2 after = body_.position;
       m.path_length_m += std::hypot(after.x - before.x, after.y - before.y);
       m.slip_m += out.slip_m;

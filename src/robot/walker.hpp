@@ -85,7 +85,8 @@ class Walker {
   /// Returns the robot to the neutral posture at the world origin.
   void reset();
 
-  /// Outcome of one externally-commanded pose step (see apply_pose).
+  /// Outcome of one pose step: a genome phase (walk) or an
+  /// externally-commanded pose (apply_pose).
   struct PoseStepResult {
     double forward_m = 0.0;
     double slip_m = 0.0;
@@ -118,19 +119,11 @@ class Walker {
   [[nodiscard]] const RobotConfig& config() const noexcept { return config_; }
 
  private:
-  struct PhaseOutcome {
-    double forward_m = 0.0;
-    double slip_m = 0.0;
-    double margin = 0.0;
-    bool fell = false;
-    bool stumbled = false;
-    bool blocked = false;
-  };
-
-  PhaseOutcome execute_phase(const genome::GaitGenome& genome,
-                             std::size_t phase, SensorFrame& sensors);
-  PhaseOutcome move_legs(const std::array<genome::LegPose, kNumLegs>& targets,
-                         SensorFrame& sensors);
+  PoseStepResult execute_phase(const genome::GaitGenome& genome,
+                               std::size_t phase, SensorFrame& sensors);
+  PoseStepResult move_legs(
+      const std::array<genome::LegPose, kNumLegs>& targets,
+      SensorFrame& sensors);
   [[nodiscard]] std::vector<Vec2> stance_feet_world() const;
   [[nodiscard]] bool body_blocked_by_obstacle(double forward_m) const;
 

@@ -1,12 +1,8 @@
-// Tests for streaming statistics, histograms and the CSV writer.
+// Tests for streaming statistics and histograms.
 #include "util/stats.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-
-#include "util/csv.hpp"
 #include "util/rng.hpp"
 
 namespace leo::util {
@@ -91,50 +87,6 @@ TEST(Confidence95, ShrinksWithSampleSize) {
   for (int i = 0; i < 1000; ++i) large.add(unit_double(rng));
   EXPECT_GT(confidence95(small), confidence95(large));
   EXPECT_EQ(confidence95(RunningStats{}), 0.0);
-}
-
-TEST(CsvWriter, WritesHeaderAndRows) {
-  const std::string path = ::testing::TempDir() + "/leo_csv_test.csv";
-  {
-    CsvWriter csv(path, {"a", "b"});
-    csv.row({"1", "x"});
-    csv.row({CsvWriter::cell(2.5), "needs,quoting"});
-  }
-  std::ifstream in(path);
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "a,b");
-  std::getline(in, line);
-  EXPECT_EQ(line, "1,x");
-  std::getline(in, line);
-  EXPECT_EQ(line, "2.5,\"needs,quoting\"");
-  std::remove(path.c_str());
-}
-
-TEST(CsvWriter, QuotesEmbeddedQuotes) {
-  const std::string path = ::testing::TempDir() + "/leo_csv_quotes.csv";
-  {
-    CsvWriter csv(path, {"q"});
-    csv.row({"he said \"hi\""});
-  }
-  std::ifstream in(path);
-  std::string header;
-  std::string line;
-  std::getline(in, header);
-  std::getline(in, line);
-  EXPECT_EQ(line, "\"he said \"\"hi\"\"\"");
-  std::remove(path.c_str());
-}
-
-TEST(CsvWriter, RowWidthMismatchThrows) {
-  const std::string path = ::testing::TempDir() + "/leo_csv_mismatch.csv";
-  CsvWriter csv(path, {"a", "b"});
-  EXPECT_THROW(csv.row({"only one"}), std::invalid_argument);
-  std::remove(path.c_str());
-}
-
-TEST(CsvWriter, UnwritablePathThrows) {
-  EXPECT_THROW(CsvWriter("/nonexistent-dir/x.csv", {"a"}), std::runtime_error);
 }
 
 }  // namespace
