@@ -8,25 +8,38 @@
 //
 // Both modes exist in the RTL GAP (GapParams::pipelined): pipelined runs
 // the two engines concurrently through the pair FIFO; sequential
-// alternates them strictly. We measure cycles spent in the sel+xover
-// phase per generation.
+// alternates them strictly. Each seed runs through core::evolve on the
+// hardware backend in both modes; we measure cycles spent in the
+// sel+xover phase per generation, and whole-run cycles with their n and
+// standard error.
 //
 //   ./bench_pipeline_speedup [--iters N]   # N seeds (default 12)
 //
 // Emits BENCH_pipeline.json (shared runner; see bench_harness.hpp) with
-// the measured speedup and per-phase cycle costs as leo_bench_pipeline_*
-// gauges.
+// the measured speedup, per-phase cycle costs and whole-run means (with
+// their standard errors) as leo_bench_pipeline_* gauges.
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 #include "bench_harness.hpp"
-#include "gap/gap_top.hpp"
+#include "core/evolution_engine.hpp"
 #include "obs/metrics.hpp"
-#include "rtl/simulator.hpp"
 #include "util/stats.hpp"
 
 namespace leo::bench {
 
 const char* bench_name() { return "pipeline"; }
+
+namespace {
+
+/// Standard error of the mean, from the sample standard deviation.
+double standard_error(const util::RunningStats& s) {
+  if (s.count() < 2) return 0.0;
+  return s.stddev() / std::sqrt(static_cast<double>(s.count() - 1));
+}
+
+}  // namespace
 
 int bench_run(const Options& options) {
   using namespace leo;
@@ -42,21 +55,22 @@ int bench_run(const Options& options) {
 
   for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
     for (const bool pipelined : {true, false}) {
-      gap::GapParams params;
-      params.pipelined = pipelined;
-      gap::GapTop top(nullptr, "gap", params, seed);
-      rtl::Simulator sim(top);
-      if (!sim.run_until([&] { return top.done.read(); }, 20'000'000)) {
+      core::EvolutionConfig config;
+      config.backend = core::Backend::kHardware;
+      config.gap.pipelined = pipelined;
+      config.seed = seed;
+      const core::EvolutionResult r = core::evolve(config);
+      if (!r.reached_target) {
         std::printf("seed %llu did not converge\n",
                     static_cast<unsigned long long>(seed));
         continue;
       }
       const double per_gen =
-          static_cast<double>(top.cycles_in_selxover()) /
-          static_cast<double>(std::max<std::uint64_t>(1, top.generation()));
+          static_cast<double>(r.selxover_cycles) /
+          static_cast<double>(std::max<std::uint64_t>(1, r.generations));
       (pipelined ? pipe_per_gen : seq_per_gen).add(per_gen);
       (pipelined ? pipe_total : seq_total)
-          .add(static_cast<double>(sim.cycles()));
+          .add(static_cast<double>(r.clock_cycles));
     }
   }
 
@@ -70,8 +84,10 @@ int bench_run(const Options& options) {
               "(paper claims \"about two\")\n\n", ratio);
 
   std::printf("whole-run cycles to convergence (all phases):\n");
-  std::printf("  pipelined : %8.0f mean\n", pipe_total.mean());
-  std::printf("  sequential: %8.0f mean\n", seq_total.mean());
+  std::printf("  pipelined : %8.0f mean (n %zu, se %.0f)\n", pipe_total.mean(),
+              pipe_total.count(), standard_error(pipe_total));
+  std::printf("  sequential: %8.0f mean (n %zu, se %.0f)\n", seq_total.mean(),
+              seq_total.count(), standard_error(seq_total));
 
   std::printf("\nanalysis: our selection pass costs 9+ cycles/pair "
               "(candidates, two fitness-RAM\nreads, decide — twice) and "
@@ -89,6 +105,10 @@ int bench_run(const Options& options) {
       .set(seq_per_gen.mean());
   reg.gauge("leo_bench_pipeline_pipelined_total_cycles").set(pipe_total.mean());
   reg.gauge("leo_bench_pipeline_sequential_total_cycles").set(seq_total.mean());
+  reg.gauge("leo_bench_pipeline_pipelined_total_cycles_se")
+      .set(standard_error(pipe_total));
+  reg.gauge("leo_bench_pipeline_sequential_total_cycles_se")
+      .set(standard_error(seq_total));
   return 0;
 }
 

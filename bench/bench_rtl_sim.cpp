@@ -6,10 +6,12 @@
 // every module, rescan every net, every pass, every cycle — does mostly
 // wasted work. The static schedule evaluates each module at most once per
 // cycle, in rank order, and only when one of its inputs changed. This
-// bench runs the same full evolution (identical seed, so bit-identical
-// trajectories) under both kernels and reports per-kernel cycles/sec,
-// evaluations/cycle and commits/cycle (registers committed: those
-// set_next() scheduled, the same under both kernels).
+// bench runs the same full evolution (core::evolve on the hardware
+// backend, identical seed, so bit-identical trajectories) under both
+// kernels and reports per-kernel cycles/sec (timed over the whole
+// evolve() call, tree build and elaboration included), evaluations/cycle
+// and commits/cycle (registers committed: those set_next() scheduled, the
+// same under both kernels).
 //
 //   ./bench_rtl_sim [--iters N]   # N seeds (default 8)
 //
@@ -25,9 +27,8 @@
 #include <string>
 
 #include "bench_harness.hpp"
-#include "gap/gap_top.hpp"
+#include "core/evolution_engine.hpp"
 #include "obs/metrics.hpp"
-#include "rtl/simulator.hpp"
 #include "util/stats.hpp"
 
 namespace leo::bench {
@@ -36,39 +37,9 @@ const char* bench_name() { return "rtl"; }
 
 namespace {
 
-struct GapRun {
-  std::uint64_t cycles = 0;
-  std::uint64_t generations = 0;
-  std::uint64_t best_genome = 0;
-  unsigned best_fitness = 0;
-  std::uint64_t evaluations = 0;
-  std::uint64_t commits = 0;
-  double seconds = 0.0;
-  bool converged = false;
-};
-
 constexpr rtl::SimMode kModes[] = {rtl::SimMode::kLevel, rtl::SimMode::kDense};
 constexpr const char* kModeNames[] = {"level", "dense"};
 constexpr std::size_t kModeCount = 2;
-
-GapRun run_gap(std::uint64_t seed, rtl::SimMode mode) {
-  gap::GapParams params;
-  gap::GapTop top(nullptr, "gap", params, seed);
-  rtl::Simulator sim(top, mode);
-  GapRun r;
-  const auto start = std::chrono::steady_clock::now();
-  r.converged = sim.run_until([&] { return top.done.read(); }, 20'000'000);
-  r.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  r.cycles = sim.cycles();
-  r.generations = top.generation();
-  r.best_genome = top.best_genome();
-  r.best_fitness = top.best_fitness();
-  r.evaluations = sim.evaluations();
-  r.commits = sim.commits();
-  return r;
-}
 
 }  // namespace
 
@@ -82,41 +53,50 @@ int bench_run(const Options& options) {
   util::RunningStats evals_per_cycle[kModeCount];
   util::RunningStats commits_per_cycle[kModeCount];
   for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
-    GapRun results[kModeCount];
+    core::EvolutionResult results[kModeCount];
+    double seconds[kModeCount];
     bool all_converged = true;
     for (std::size_t m = 0; m < kModeCount; ++m) {
-      results[m] = run_gap(seed, kModes[m]);
-      all_converged = all_converged && results[m].converged;
+      core::EvolutionConfig config;
+      config.backend = core::Backend::kHardware;
+      config.seed = seed;
+      config.sim_mode = kModes[m];
+      const auto start = std::chrono::steady_clock::now();
+      results[m] = core::evolve(config);
+      seconds[m] = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
+      all_converged = all_converged && results[m].reached_target;
     }
     if (!all_converged) {
       std::printf("seed %llu did not converge\n",
                   static_cast<unsigned long long>(seed));
       continue;
     }
-    const GapRun& a = results[0];
-    const GapRun& b = results[1];
-    if (a.cycles != b.cycles || a.generations != b.generations ||
+    const core::EvolutionResult& a = results[0];
+    const core::EvolutionResult& b = results[1];
+    if (a.clock_cycles != b.clock_cycles || a.generations != b.generations ||
         a.best_genome != b.best_genome || a.best_fitness != b.best_fitness) {
       std::printf("MODE DIVERGENCE at seed %llu: "
                   "%s {cycles %llu gen %llu genome %09llx fit %u} vs "
                   "%s {cycles %llu gen %llu genome %09llx fit %u}\n",
                   static_cast<unsigned long long>(seed), kModeNames[0],
-                  static_cast<unsigned long long>(a.cycles),
+                  static_cast<unsigned long long>(a.clock_cycles),
                   static_cast<unsigned long long>(a.generations),
                   static_cast<unsigned long long>(a.best_genome),
                   a.best_fitness, kModeNames[1],
-                  static_cast<unsigned long long>(b.cycles),
+                  static_cast<unsigned long long>(b.clock_cycles),
                   static_cast<unsigned long long>(b.generations),
                   static_cast<unsigned long long>(b.best_genome),
                   b.best_fitness);
       return 1;
     }
     for (std::size_t m = 0; m < kModeCount; ++m) {
-      const double cycles = static_cast<double>(results[m].cycles);
-      cps[m].add(cycles / results[m].seconds);
-      evals_per_cycle[m].add(static_cast<double>(results[m].evaluations) /
+      const double cycles = static_cast<double>(results[m].clock_cycles);
+      cps[m].add(cycles / seconds[m]);
+      evals_per_cycle[m].add(static_cast<double>(results[m].rtl_evaluations) /
                              cycles);
-      commits_per_cycle[m].add(static_cast<double>(results[m].commits) /
+      commits_per_cycle[m].add(static_cast<double>(results[m].rtl_commits) /
                                cycles);
     }
   }

@@ -6,7 +6,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cmake -B build -G Ninja
+# No -G: reuse whatever generator build/ was configured with.
+cmake -B build -S .
 cmake --build build
 ctest --test-dir build 2>&1 | tee test_output.txt
 for b in build/bench/*; do

@@ -3,8 +3,7 @@
 namespace leo::core {
 
 DiscipulusTop::DiscipulusTop(rtl::Module* parent, std::string name,
-                             DiscipulusParams params, std::uint64_t rng_seed,
-                             fitness::FitnessSpec spec)
+                             DiscipulusParams params, std::uint64_t rng_seed)
     : rtl::Module(parent, std::move(name)),
       ground_sensors(this, "ground_sensors", 6),
       obstacle_sensors(this, "obstacle_sensors", 6),
@@ -12,7 +11,7 @@ DiscipulusTop::DiscipulusTop(rtl::Module* parent, std::string name,
       external_genome(this, "external_genome",
                       static_cast<unsigned>(genome::kGenomeBits)),
       evolution_done(this, "evolution_done", 1),
-      gap_(this, "gap", params.gap, rng_seed, gap::make_gait_fitness(spec)),
+      gap_(this, "gap", params.gap, rng_seed),
       controller_(this, "walking_controller", params.controller) {}
 
 void DiscipulusTop::evaluate() {

@@ -33,8 +33,7 @@ struct DiscipulusParams {
 class DiscipulusTop final : public rtl::Module {
  public:
   DiscipulusTop(rtl::Module* parent, std::string name, DiscipulusParams params,
-                std::uint64_t rng_seed,
-                fitness::FitnessSpec spec = fitness::kDefaultSpec);
+                std::uint64_t rng_seed);
 
   // --- board-level inputs ---
   rtl::Wire<std::uint8_t> ground_sensors;

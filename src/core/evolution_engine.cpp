@@ -78,6 +78,9 @@ EvolutionResult evolve_hardware(const EvolutionConfig& config,
   result.evaluations = (top.generation() + 1) * params.population_size;
   result.clock_cycles = sim.cycles();
   result.seconds_at_1mhz = sim.seconds_at(gap::kGapClockHz);
+  result.rtl_evaluations = sim.evaluations();
+  result.rtl_commits = sim.commits();
+  result.selxover_cycles = top.cycles_in_selxover();
   return result;
 }
 

@@ -49,6 +49,14 @@ struct EvolutionResult {
   std::uint64_t evaluations = 0;       ///< fitness evaluations (SW) / pop*gen (HW)
   std::uint64_t clock_cycles = 0;      ///< HW backend: simulated cycles
   double seconds_at_1mhz = 0.0;        ///< HW backend: paper wall clock
+  /// HW backend (0 for software runs): module evaluate() calls of the run's
+  /// rtl::Simulator, Simulator::evaluations().
+  std::uint64_t rtl_evaluations = 0;
+  /// HW backend: registers the simulator committed, Simulator::commits().
+  std::uint64_t rtl_commits = 0;
+  /// HW backend: cycles the GAP spent in its SEL+XOVER phase,
+  /// GapTop::cycles_in_selxover().
+  std::uint64_t selxover_cycles = 0;
   std::vector<ga::GenerationStats> history;
 };
 

@@ -25,6 +25,9 @@ TEST(Evolve, SoftwareBackendReachesMaximum) {
   EXPECT_TRUE(fitness::is_max_fitness(r.best_genome));
   EXPECT_GT(r.evaluations, 32u);
   EXPECT_EQ(r.clock_cycles, 0u);  // no hardware clock in software mode
+  EXPECT_EQ(r.rtl_evaluations, 0u);
+  EXPECT_EQ(r.rtl_commits, 0u);
+  EXPECT_EQ(r.selxover_cycles, 0u);
 }
 
 TEST(Evolve, HardwareBackendReachesMaximumAndReportsCycles) {
@@ -38,6 +41,8 @@ TEST(Evolve, HardwareBackendReachesMaximumAndReportsCycles) {
   EXPECT_GT(r.clock_cycles, 0u);
   EXPECT_DOUBLE_EQ(r.seconds_at_1mhz,
                    static_cast<double>(r.clock_cycles) / 1.0e6);
+  // The pipelined SEL+XOVER phase costs 152 cycles every generation (E7).
+  EXPECT_EQ(r.selxover_cycles, 152u * r.generations);
 }
 
 TEST(Evolve, HardwareHugeGenerationLimitDoesNotWrapCycleBound) {

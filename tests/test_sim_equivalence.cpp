@@ -497,6 +497,17 @@ TEST(RtlGolden, GapEvaluationCounts) {
     EXPECT_EQ(sim.cycles(), g.cycles) << "seed " << g.seed;
     EXPECT_EQ(sim.evaluations(), g.evaluations) << "seed " << g.seed;
     EXPECT_EQ(sim.commits(), g.commits) << "seed " << g.seed;
+
+    // The same run through the one GAP run loop reports the same counts.
+    core::EvolutionConfig config;
+    config.backend = core::Backend::kHardware;
+    config.sim_mode = rtl::SimMode::kLevel;
+    config.seed = g.seed;
+    const core::EvolutionResult r = core::evolve(config);
+    ASSERT_TRUE(r.reached_target) << "seed " << g.seed;
+    EXPECT_EQ(r.clock_cycles, g.cycles) << "seed " << g.seed;
+    EXPECT_EQ(r.rtl_evaluations, g.evaluations) << "seed " << g.seed;
+    EXPECT_EQ(r.rtl_commits, g.commits) << "seed " << g.seed;
   }
 }
 
