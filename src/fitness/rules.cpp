@@ -70,80 +70,8 @@ RuleViolations count_violations_reference(std::uint64_t g) noexcept {
   return v;
 }
 
-namespace {
-
-/// Bit 0 (v_first) of each of one step's six leg fields.
-constexpr std::uint64_t kStepLegs = 0b001'001'001'001'001'001;
-/// Bit 0 of every leg field of both steps.
-constexpr std::uint64_t kLegs = kStepLegs | (kStepLegs << 18);
-/// The first leg field of each side (legs 0 and 3) of both steps.
-constexpr std::uint64_t kStepSides = 0b001'000'000'001;
-constexpr std::uint64_t kSides = kStepSides | (kStepSides << 18);
-
-/// Per-step sums of small counts held at the leg-field positions of `x`
-/// (bit 3*leg, and 18 + 3*leg for step 1). Multiplying by kStepLegs adds
-/// each step's six fields into bits 15..17 (step 0) and 33..35 (step 1);
-/// the 3-bit fields never carry because every partial sum stays <= 6.
-constexpr std::uint64_t step_sums(std::uint64_t x) noexcept {
-  return x * kStepLegs;
-}
-constexpr unsigned step_total(std::uint64_t sums, unsigned step) noexcept {
-  return static_cast<unsigned>(sums >> (15 + 18 * step)) & 7u;
-}
-constexpr unsigned both_steps(std::uint64_t sums) noexcept {
-  return step_total(sums, 0) + step_total(sums, 1);
-}
-
-}  // namespace
-
-RuleViolations count_violations(std::uint64_t g) noexcept {
-  // Each leg's v_first and v_last, moved to bit 0 of its field.
-  const std::uint64_t first = g & kLegs;
-  const std::uint64_t last = (g >> 2) & kLegs;
-  RuleViolations v;
-  // R1: a side is all raised when its three consecutive leg fields are;
-  // the AND lands on the side's first leg, which sums 0..2 (one per pose).
-  const std::uint64_t side_up =
-      (first & (first >> 3) & (first >> 6) & kSides) +
-      (last & (last >> 3) & (last >> 6) & kSides);
-  v.equilibrium = both_steps(step_sums(side_up));
-  // R4: a pose with more than three raised legs — a step total of 4..6,
-  // i.e. bit 2 of its 3-bit field.
-  const std::uint64_t first_sums = step_sums(first);
-  const std::uint64_t last_sums = step_sums(last);
-  v.support = static_cast<unsigned>(((first_sums >> 17) & 1) +
-                                    ((first_sums >> 35) & 1) +
-                                    ((last_sums >> 17) & 1) +
-                                    ((last_sums >> 35) & 1));
-  // R3: horizontal (field bit 1) differs from v_first (field bit 0).
-  v.coherence = both_steps(step_sums((g ^ (g >> 1)) & kLegs));
-  // R2 is the one cross-step rule: a leg violates unless its horizontal
-  // bits differ between steps.
-  const std::uint64_t alternates = ((g ^ (g >> 18)) >> 1) & kStepLegs;
-  v.symmetry = kNumLegs - step_total(step_sums(alternates), 0);
-  return v;
-}
-
 RuleViolations count_violations(const genome::GaitGenome& g) {
   return count_violations(g.to_bits());
-}
-
-unsigned score(std::uint64_t genome_bits, const FitnessSpec& spec) noexcept {
-  const RuleViolations v = count_violations(genome_bits);
-  unsigned s = 0;
-  if (spec.use_equilibrium) {
-    s += spec.w_equilibrium * (kMaxEquilibriumViolations - v.equilibrium);
-  }
-  if (spec.use_symmetry) {
-    s += spec.w_symmetry * (kMaxSymmetryViolations - v.symmetry);
-  }
-  if (spec.use_coherence) {
-    s += spec.w_coherence * (kMaxCoherenceViolations - v.coherence);
-  }
-  if (spec.use_support) {
-    s += spec.w_support * (kMaxSupportViolations - v.support);
-  }
-  return s;
 }
 
 unsigned score(const genome::GaitGenome& g, const FitnessSpec& spec) {

@@ -32,13 +32,15 @@ GenerationStats population_stats(const Population& pop,
   GenerationStats gs;
   gs.generation = generation;
   gs.worst_fitness = pop.front().fitness;
-  double sum = 0.0;
+  // An integer sum divided once is bit-identical to summing doubles:
+  // every partial sum is an integer below 2^53.
+  std::uint64_t sum = 0;
   for (const auto& ind : pop) {
     gs.best_fitness = std::max(gs.best_fitness, ind.fitness);
     gs.worst_fitness = std::min(gs.worst_fitness, ind.fitness);
-    sum += static_cast<double>(ind.fitness);
+    sum += ind.fitness;
   }
-  gs.mean_fitness = sum / static_cast<double>(pop.size());
+  gs.mean_fitness = static_cast<double>(sum) / static_cast<double>(pop.size());
   return gs;
 }
 
@@ -90,25 +92,30 @@ void GaEngine::step_generation(Population& pop, util::Xoshiro256& rng) {
   if (pop.size() != params_.population_size) {
     throw std::invalid_argument("step_generation: population size mismatch");
   }
+  // Draws come from a local copy, written back once after the swap. Its
+  // address never escapes, so it stays in registers that stores into the
+  // populations cannot alias, and a throw leaves `rng` untouched.
+  util::Xoshiro256 gen = rng;
   // Selection + crossover into the intermediate population (paper's
   // pipelined pair of operators writing the second RAM).
   intermediate_.resize(pop.size());
   for (std::size_t i = 0; i < pop.size(); i += 2) {
-    const std::size_t pa = selection_.select(pop, rng);
-    const std::size_t pb = selection_.select(pop, rng);
+    const std::size_t pa = selection_.select(pop, gen);
+    const std::size_t pb = selection_.select(pop, gen);
     GenomePair children{pop[pa].genome.bits, pop[pb].genome.bits};
-    if (rng.next_bool_p8(params_.crossover_threshold.raw())) {
-      children = crossover_.apply(children.first, children.second, rng);
+    if (gen.next_bool_p8(params_.crossover_threshold.raw())) {
+      children = crossover_.apply(children.first, children.second, gen);
     }
     intermediate_[i].genome.bits = children.first;
     intermediate_[i + 1].genome.bits = children.second;
   }
 
-  mutation_.apply(intermediate_, rng);
+  mutation_.apply(intermediate_, gen);
 
   // The intermediate population becomes the basis population; the old
   // basis buffer is reused as the next generation's intermediate.
   pop.swap(intermediate_);
+  rng = gen;
   evaluate(pop);
 }
 

@@ -102,7 +102,10 @@ class GaEngine {
   /// One generation on an explicit population of params().population_size
   /// individuals (exposed for testing and for lock-step comparison against
   /// the hardware GAP). The next generation is built in an engine-owned
-  /// buffer and swapped into `pop`.
+  /// buffer and swapped into `pop`. Strong guarantee: if it throws (a
+  /// size mismatch, or a genome with a bit above genome::kGenomeMask
+  /// reaching crossover), `pop` and `rng` keep their values from before
+  /// the call.
   void step_generation(Population& pop, util::Xoshiro256& rng);
 
   /// Random initial population, evaluated: one next_u64() per individual,

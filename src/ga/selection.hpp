@@ -19,7 +19,8 @@ namespace leo::ga {
 
 /// Binary tournament with a win probability, hardware-faithful: the
 /// probability is an 8-bit threshold compared against a random byte, so
-/// the paper's 0.8 quantizes to 205/256.
+/// the paper's 0.8 quantizes to 205/256. Draws a, b, then the byte; a wins
+/// a tie. Like the GAP's comparator and mux, the pick selects on two bits.
 class TournamentSelection {
  public:
   explicit TournamentSelection(util::Prob8 win_probability)
@@ -31,9 +32,8 @@ class TournamentSelection {
     const std::size_t a = rng.next_below(pop.size());
     const std::size_t b = rng.next_below(pop.size());
     const bool a_better = pop[a].fitness >= pop[b].fitness;
-    const std::size_t better = a_better ? a : b;
-    const std::size_t worse = a_better ? b : a;
-    return rng.next_bool_p8(win_probability_.raw()) ? better : worse;
+    const bool better_wins = rng.next_bool_p8(win_probability_.raw());
+    return a_better == better_wins ? a : b;
   }
 
  private:

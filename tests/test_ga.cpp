@@ -73,6 +73,38 @@ TEST(TournamentSelection, ThresholdControlsWinRate) {
   EXPECT_NEAR(static_cast<double>(better) / mixed, expected, 0.01);
 }
 
+// Pins the draw order (a, b, then the byte) and the tie rule locally: a
+// replaying copy of the generator predicts every pick.
+TEST(TournamentSelection, ReplaysItsThreeDraws) {
+  // Ties (two 7s, two 12s, two 30s) among distinct values.
+  const Population pop = make_pop({7, 30, 7, 12, 30, 0, 55, 12});
+  for (const unsigned t : {0u, 205u, 255u}) {
+    const TournamentSelection sel(util::Prob8(static_cast<std::uint8_t>(t)));
+    util::Xoshiro256 rng(40 + t);
+    int mixed = 0;
+    int fitter_picks = 0;
+    for (int i = 0; i < 20'000; ++i) {
+      util::Xoshiro256 replay = rng;
+      const std::size_t a = replay.next_below(pop.size());
+      const std::size_t b = replay.next_below(pop.size());
+      const unsigned byte = replay.next_u64() & 0xFF;
+      const std::size_t fitter = pop[a].fitness >= pop[b].fitness ? a : b;
+      const std::size_t weaker = fitter == a ? b : a;
+      const std::size_t picked = sel.select(pop, rng);
+      ASSERT_EQ(picked, byte < t ? fitter : weaker)
+          << "t " << t << " call " << i << " a " << a << " b " << b;
+      ASSERT_EQ(rng.state(), replay.state()) << "t " << t << " call " << i;
+      if (pop[a].fitness != pop[b].fitness) {
+        ++mixed;
+        fitter_picks += picked == fitter;
+      }
+    }
+    // Over distinct-fitness pairs the fitter one wins at rate t/256.
+    EXPECT_NEAR(static_cast<double>(fitter_picks) / mixed, t / 256.0, 0.02)
+        << "t " << t;
+  }
+}
+
 TEST(TournamentSelection, EmptyPopulationThrows) {
   const TournamentSelection sel(util::Prob8(200));
   Population empty;
@@ -229,6 +261,40 @@ TEST(GaEngine, StepGenerationRejectsForeignPopulationSize) {
   Population pop = engine.make_initial_population(rng);
   pop.pop_back();
   EXPECT_THROW(engine.step_generation(pop, rng), std::invalid_argument);
+}
+
+// A generation that throws part-way (here: the first crossover that fires
+// meets a genome with a bit above the genome mask) leaves the caller's
+// population and generator as they were, and a later step of the same
+// engine is unaffected by the half-written intermediate buffer.
+TEST(GaEngine, ThrowingGenerationLeavesPopulationAndRngUnchanged) {
+  GaEngine engine(GaParams{}, fitness::kDefaultSpec);
+  util::Xoshiro256 rng(26);
+  Population pop = engine.make_initial_population(rng);
+  const Population valid = pop;
+  for (auto& ind : pop) ind.genome.bits |= std::uint64_t{1} << 40;
+  const Population before = pop;
+  const util::Xoshiro256::State state = rng.state();
+
+  EXPECT_THROW(engine.step_generation(pop, rng), std::invalid_argument);
+  EXPECT_EQ(rng.state(), state);
+  ASSERT_EQ(pop.size(), before.size());
+  for (std::size_t i = 0; i < pop.size(); ++i) {
+    EXPECT_EQ(pop[i].genome, before[i].genome) << "individual " << i;
+    EXPECT_EQ(pop[i].fitness, before[i].fitness) << "individual " << i;
+  }
+
+  GaEngine fresh(GaParams{}, fitness::kDefaultSpec);
+  Population a = valid;
+  Population b = valid;
+  util::Xoshiro256 rng_a = rng;
+  util::Xoshiro256 rng_b = rng;
+  engine.step_generation(a, rng_a);
+  fresh.step_generation(b, rng_b);
+  EXPECT_EQ(rng_a.state(), rng_b.state());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].genome, b[i].genome) << "individual " << i;
+  }
 }
 
 TEST(GaEngine, InitialGenomesFitTheWidth) {
