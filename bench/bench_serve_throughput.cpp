@@ -15,7 +15,8 @@
 //
 // Emits BENCH_serve.json (shared runner; see bench_harness.hpp) with the
 // headline leo_bench_serve_* gauges next to the serve layer's own
-// counters (queue depth, admission, cache traffic).
+// counters (jobs by state, coalesced followers, admission). The hit ratio
+// is read from the coalescing batch's own record, its BatchProgress.
 #include <chrono>
 #include <cstdio>
 
@@ -24,14 +25,6 @@
 #include "serve/scheduler.hpp"
 
 namespace leo::bench {
-
-namespace {
-
-std::uint64_t counter_value(const char* name) {
-  return obs::registry().counter(name).value();
-}
-
-}  // namespace
 
 const char* bench_name() { return "serve"; }
 
@@ -70,10 +63,6 @@ int bench_run(const Options& options) {
 
   // Phase 2: in-flight coalescing. Identical submissions race the cache;
   // exactly one engine execution should serve the whole fleet.
-  const std::uint64_t coalesced0 =
-      counter_value("leo_serve_jobs_coalesced_total");
-  const std::uint64_t hits0 = counter_value("leo_serve_cache_hits_total");
-
   core::EvolutionConfig identical;
   identical.backend = core::Backend::kSoftware;
   identical.seed = 7;
@@ -82,16 +71,12 @@ int bench_run(const Options& options) {
   serve::BatchHandle fleet = service.submit_batch(same);
   fleet.wait_all();
 
-  const std::uint64_t coalesced =
-      counter_value("leo_serve_jobs_coalesced_total") - coalesced0;
-  const std::uint64_t hits =
-      counter_value("leo_serve_cache_hits_total") - hits0;
-  const double ratio =
-      static_cast<double>(coalesced + hits) / static_cast<double>(jobs);
-  std::printf("coalescing (%zu identical jobs): %llu attached in flight, "
-              "%llu cache hits -> hit ratio %.4f (ideal %.4f)\n",
-              jobs, static_cast<unsigned long long>(coalesced),
-              static_cast<unsigned long long>(hits), ratio,
+  const serve::BatchProgress reuse = fleet.progress();
+  const double ratio = static_cast<double>(reuse.coalesced + reuse.from_cache) /
+                       static_cast<double>(jobs);
+  std::printf("coalescing (%zu identical jobs): %zu attached in flight, "
+              "%zu cache hits -> hit ratio %.4f (ideal %.4f)\n",
+              jobs, reuse.coalesced, reuse.from_cache, ratio,
               static_cast<double>(jobs - 1) / static_cast<double>(jobs));
 
   auto& reg = obs::registry();

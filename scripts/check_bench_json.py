@@ -6,9 +6,8 @@ Usage: check_bench_json.py [--floor DIR] [--floor-tolerance PCT] FILE...
 Validates, per file:
   * top-level object with string "bench", int "schema" == 1, int "iters",
     and object "metrics";
-  * metrics has counters/gauges/histograms maps of the right value types;
-  * every histogram is internally consistent: len(counts) == len(bounds)+1,
-    ascending bounds, sum(counts) == count;
+  * metrics holds exactly the keys obs::MetricsSnapshot writes ("type",
+    "counters", "gauges"), with maps of the right value types;
   * at least one metric was recorded (an empty report means the bench
     never touched the registry — a wiring regression, not a tiny run);
   * benches with a known headline contract (REQUIRED_GAUGES) recorded
@@ -78,29 +77,6 @@ def fail(path, message):
     return False
 
 
-def check_histogram(path, name, hist):
-    if not isinstance(hist, dict):
-        return fail(path, f"histogram {name} is not an object")
-    for key in ("bounds", "counts", "count", "sum"):
-        if key not in hist:
-            return fail(path, f"histogram {name} missing '{key}'")
-    bounds, counts = hist["bounds"], hist["counts"]
-    if not all(isinstance(b, (int, float)) for b in bounds):
-        return fail(path, f"histogram {name} has non-numeric bounds")
-    if sorted(bounds) != bounds or len(set(bounds)) != len(bounds):
-        return fail(path, f"histogram {name} bounds not strictly ascending")
-    if not all(isinstance(c, int) and c >= 0 for c in counts):
-        return fail(path, f"histogram {name} has bad bucket counts")
-    if len(counts) != len(bounds) + 1:
-        return fail(path, f"histogram {name}: len(counts) != len(bounds)+1")
-    if sum(counts) != hist["count"]:
-        return fail(path, f"histogram {name}: buckets sum {sum(counts)} "
-                          f"!= count {hist['count']}")
-    if not isinstance(hist["sum"], (int, float)):
-        return fail(path, f"histogram {name} has non-numeric sum")
-    return True
-
-
 def check_floor(path, bench, gauges, floor_dir, tolerance_pct):
     """Warn-only comparison against the committed baseline report."""
     baseline_path = os.path.join(floor_dir, os.path.basename(path))
@@ -148,26 +124,26 @@ def check_file(path, floor_dir=None, tolerance_pct=20.0):
     if not isinstance(metrics, dict):
         return fail(path, "'metrics' missing or not an object")
 
+    unknown = sorted(set(metrics) - {"type", "counters", "gauges"})
+    if unknown:
+        return fail(path, f"unknown metrics keys {unknown}")
     counters = metrics.get("counters", {})
     gauges = metrics.get("gauges", {})
-    histograms = metrics.get("histograms", {})
+    if not isinstance(counters, dict) or not isinstance(gauges, dict):
+        return fail(path, "'counters' or 'gauges' is not an object")
     for name, value in counters.items():
         if not isinstance(value, int) or value < 0:
             return fail(path, f"counter {name} is not a non-negative int")
     for name, value in gauges.items():
         if not isinstance(value, (int, float)):
             return fail(path, f"gauge {name} is not numeric")
-    for name, hist in histograms.items():
-        if not check_histogram(path, name, hist):
-            return False
-    if not counters and not gauges and not histograms:
+    if not counters and not gauges:
         return fail(path, "no metrics recorded at all")
     for required in REQUIRED_GAUGES.get(doc["bench"], ()):
         if required not in gauges:
             return fail(path, f"required gauge {required} not recorded")
 
-    print(f"{path}: ok ({len(counters)} counters, {len(gauges)} gauges, "
-          f"{len(histograms)} histograms)")
+    print(f"{path}: ok ({len(counters)} counters, {len(gauges)} gauges)")
     if floor_dir is not None:
         check_floor(path, doc["bench"], gauges, floor_dir, tolerance_pct)
     return True

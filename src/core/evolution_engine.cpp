@@ -12,14 +12,16 @@ namespace leo::core {
 
 namespace {
 
-/// Counts a finished hardware run. Its cycle counts belong to the job, not
-/// the process: EvolutionResult::clock_cycles, and GapTop::cycles_in_*()
-/// per GA phase.
+/// Counts a finished hardware run, through counters resolved once per
+/// process. Its cycle counts belong to the job, not the process:
+/// EvolutionResult::clock_cycles, and GapTop::cycles_in_*() per GA phase.
 void record_gap_run(const gap::GapTop& top) {
   if (!obs::enabled()) return;
-  auto& reg = obs::registry();
-  reg.counter("leo_gap_runs_total").inc();
-  reg.counter("leo_gap_generations_total").inc(top.generation());
+  static obs::Counter& runs = obs::registry().counter("leo_gap_runs_total");
+  static obs::Counter& generations =
+      obs::registry().counter("leo_gap_generations_total");
+  runs.inc();
+  generations.inc(top.generation());
 }
 
 ga::GaEngine make_engine(const EvolutionConfig& config) {
@@ -114,9 +116,6 @@ EvolutionSession::EvolutionSession(const EvolutionConfig& config,
 }
 
 EvolutionResult EvolutionSession::run(const RunControl& control) {
-  if (obs::enabled()) {
-    obs::registry().counter("leo_core_session_runs_total").inc();
-  }
   ga::StepCallback on_generation;
   if (control.should_stop || control.on_progress) {
     on_generation = [&control](const ga::GenerationStats& gs) {

@@ -12,10 +12,13 @@
 //      the bench_pipeline_speedup ±2% criterion).
 //
 // Naming convention (DESIGN.md §10): `leo_<subsystem>_<metric>[_total]`,
-// e.g. leo_serve_queue_depth, leo_ga_generations_total,
+// e.g. leo_serve_jobs_submitted_total, leo_ga_generations_total,
 // leo_rtl_cycles_total. `_total` marks monotone counters (Prometheus
-// idiom). Gauges describe the process (queue depth, running jobs), never
-// one job: a job's own numbers are in its result.
+// idiom). The library code sets no gauge: a job's own numbers are in its
+// result and a service's in its own records (queue_depth(),
+// cache_stats()), so no process-wide copy can be overwritten by another
+// worker or service. Gauges carry the benches' leo_bench_* headline
+// values only.
 #pragma once
 
 #include <atomic>
@@ -49,7 +52,7 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// Last-write-wins instantaneous value (queue depth, running jobs).
+/// Last-write-wins value: a bench's headline number.
 class Gauge {
  public:
   void set(double v) noexcept { value_.store(v, std::memory_order_relaxed); }

@@ -1,7 +1,5 @@
 #include "serve/cache.hpp"
 
-#include "obs/metrics.hpp"
-
 namespace leo::serve {
 
 std::optional<core::EvolutionResult> ResultCache::lookup(std::uint64_t key) {
@@ -18,26 +16,19 @@ std::optional<core::EvolutionResult> ResultCache::lookup(std::uint64_t key) {
 
 void ResultCache::insert(std::uint64_t key,
                          const core::EvolutionResult& result) {
-  std::uint64_t evicted = 0;
-  {
-    const std::scoped_lock lock(mutex_);
-    const auto it = index_.find(key);
-    if (it != index_.end()) {
-      it->second->second = result;
-      lru_.splice(lru_.begin(), lru_, it->second);
-      return;
-    }
-    lru_.emplace_front(key, result);
-    index_.emplace(key, lru_.begin());
-    while (capacity_ != 0 && index_.size() > capacity_) {
-      index_.erase(lru_.back().first);
-      lru_.pop_back();
-      ++evictions_;
-      ++evicted;
-    }
+  const std::scoped_lock lock(mutex_);
+  const auto it = index_.find(key);
+  if (it != index_.end()) {
+    it->second->second = result;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return;
   }
-  if (evicted != 0 && obs::enabled()) {
-    obs::registry().counter("leo_serve_cache_evictions_total").inc(evicted);
+  lru_.emplace_front(key, result);
+  index_.emplace(key, lru_.begin());
+  while (capacity_ != 0 && index_.size() > capacity_) {
+    index_.erase(lru_.back().first);
+    lru_.pop_back();
+    ++evictions_;
   }
 }
 
@@ -48,11 +39,6 @@ CacheStats ResultCache::stats() const {
                     .entries = index_.size(),
                     .evictions = evictions_,
                     .capacity = capacity_};
-}
-
-std::size_t ResultCache::size() const {
-  const std::scoped_lock lock(mutex_);
-  return index_.size();
 }
 
 }  // namespace leo::serve

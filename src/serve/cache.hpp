@@ -12,9 +12,9 @@
 // Capacity: one LRU list plus an index under one mutex, so `capacity` is
 // an exact bound on the total entry count; the least-recently-used entry
 // is evicted first. The service already looks the cache up under its own
-// admission mutex, so a finer lock would buy nothing. Evictions are
-// counted in CacheStats and in the `leo_serve_cache_evictions_total`
-// counter.
+// admission mutex, so a finer lock would buy nothing. Hits, misses and
+// evictions are counted in CacheStats only: one record per service, in
+// which hits + misses = lookups.
 #pragma once
 
 #include <cstddef>
@@ -57,8 +57,6 @@ class ResultCache {
   void insert(std::uint64_t key, const core::EvolutionResult& result);
 
   [[nodiscard]] CacheStats stats() const;
-  [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
  private:
   using Entry = std::pair<std::uint64_t, core::EvolutionResult>;

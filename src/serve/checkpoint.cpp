@@ -6,7 +6,6 @@
 
 #include "fitness/rules.hpp"
 #include "genome/gait_genome.hpp"
-#include "obs/metrics.hpp"
 #include "serve/config_hash.hpp"
 
 namespace leo::serve {
@@ -84,13 +83,7 @@ std::vector<std::uint8_t> serialize_snapshot(const Snapshot& snapshot) {
     w.u32(gs.best_ever_fitness);
     w.f64(gs.diversity);
   }
-  std::vector<std::uint8_t> bytes = w.take();
-  if (obs::enabled()) {
-    obs::registry()
-        .counter("leo_serve_checkpoint_bytes_total")
-        .inc(bytes.size());
-  }
-  return bytes;
+  return w.take();
 }
 
 Snapshot deserialize_snapshot(const std::vector<std::uint8_t>& bytes) {

@@ -3,6 +3,7 @@
 #include <array>
 #include <cstddef>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/metrics.hpp"
 
@@ -44,36 +45,28 @@ obs::Counter& terminal_counter(JobState s) {
 
 }  // namespace
 
-void Job::enter_terminal_locked(JobState s, std::uint64_t index) {
+void Job::terminate(std::unique_lock<std::mutex> lock, JobState s) {
   state = s;
-  completion_index = index;
   if (obs::enabled()) terminal_counter(s).inc();
   cv.notify_all();
   if (batch) {
-    const std::scoped_lock lock(batch->mutex);
+    const std::scoped_lock batch_lock(batch->mutex);
     ++batch->terminal;
     batch->cv.notify_all();
   }
-}
-
-void complete_followers(std::vector<std::shared_ptr<Job>>&& followers,
-                        const Job& primary,
-                        std::atomic<std::uint64_t>* completions) {
-  if (followers.empty()) return;
-  // The primary is terminal, so its outcome fields are immutable; read
-  // them without its mutex.
-  for (const auto& follower : followers) {
-    const std::scoped_lock lock(follower->mutex);
+  const std::vector<std::shared_ptr<Job>> taken = std::exchange(followers, {});
+  lock.unlock();
+  // This job is terminal, so its outcome fields no longer change; read
+  // them without its mutex. A follower never has followers of its own.
+  for (const auto& follower : taken) {
+    std::unique_lock follower_lock(follower->mutex);
     if (follower->state != JobState::kQueued) continue;  // cancelled solo
-    follower->result = primary.result;
-    follower->error = primary.error;
-    follower->snapshot = primary.snapshot;
-    follower->progress.store(primary.progress.load(std::memory_order_acquire),
+    follower->result = result;
+    follower->error = error;
+    follower->snapshot = snapshot;
+    follower->progress.store(progress.load(std::memory_order_acquire),
                              std::memory_order_release);
-    const std::uint64_t index =
-        completions ? completions->fetch_add(1, std::memory_order_relaxed) + 1
-                    : 0;
-    follower->enter_terminal_locked(primary.state, index);
+    follower->terminate(std::move(follower_lock), s);
   }
 }
 
@@ -117,12 +110,6 @@ bool JobHandle::coalesced() const {
   return job.coalesced;
 }
 
-std::uint64_t JobHandle::completion_index() const {
-  detail::Job& job = deref(job_);
-  const std::scoped_lock lock(job.mutex);
-  return job.completion_index;
-}
-
 std::string JobHandle::error() const {
   detail::Job& job = deref(job_);
   const std::scoped_lock lock(job.mutex);
@@ -147,19 +134,14 @@ core::EvolutionResult JobHandle::wait() {
 void JobHandle::cancel() {
   detail::Job& job = deref(job_);
   job.cancel_requested.store(true, std::memory_order_relaxed);
-  std::vector<std::shared_ptr<detail::Job>> followers;
-  {
-    const std::scoped_lock lock(job.mutex);
-    if (job.state == JobState::kQueued) {
-      followers = std::move(job.followers);
-      job.followers.clear();
-      job.enter_terminal_locked(JobState::kCancelled, 0);
-    }
+  std::unique_lock lock(job.mutex);
+  // A running job stops at its next generation boundary. A queued one ends
+  // here, and a queued primary takes its coalesced followers with it: they
+  // share one execution, and that execution will never run. (The stale
+  // in-flight map entry is reaped lazily.)
+  if (job.state == JobState::kQueued) {
+    job.terminate(std::move(lock), JobState::kCancelled);
   }
-  // A queued primary cancelled through its handle takes its coalesced
-  // followers with it: they share one execution, and that execution will
-  // never run. (The stale in-flight map entry is reaped lazily.)
-  detail::complete_followers(std::move(followers), job, nullptr);
 }
 
 std::optional<Snapshot> JobHandle::snapshot() const {

@@ -33,6 +33,10 @@
 // submit() whose identical job was already queued/running — likewise never
 // run: they stay kQueued until the primary execution finishes and then
 // inherit its terminal state, result and snapshot (coalesced() == true).
+//
+// Every arrow into a terminal state above goes through one function,
+// detail::Job::terminate(): the scheduler's transitions, a handle
+// cancelling a queued job, and a follower completing with its primary.
 #pragma once
 
 #include <atomic>
@@ -112,7 +116,7 @@ namespace detail {
 
 /// Completion bookkeeping shared by every job of one submit_batch() call:
 /// `terminal` counts jobs that reached a terminal state, bumped exactly
-/// once per job (Job::enter_terminal_locked). BatchHandle waits on `cv`.
+/// once per job (Job::terminate). BatchHandle waits on `cv`.
 /// Leaf in the lock order: job mutexes are never taken while holding it.
 struct BatchState {
   std::mutex mutex;
@@ -153,29 +157,22 @@ struct Job {
   /// True for followers that attached to an identical in-flight job
   /// instead of enqueueing their own execution.
   bool coalesced = false;
-  std::uint64_t completion_index = 0;
   std::optional<Snapshot> snapshot;
   /// Coalesced submissions attached to THIS job's execution; completed
   /// with this job's outcome when it turns terminal. Guarded by `mutex`.
   std::vector<std::shared_ptr<Job>> followers;
 
   /// Moves the job into terminal state `s`, bumps its
-  /// `leo_serve_jobs_<state>_total` counter and wakes every waiter — the
-  /// job's own cv and, for batch members, the batch cv. `mutex` must be
-  /// held. Must be called exactly once per job (callers guard on the
-  /// current state being non-terminal); every path that terminalizes a
-  /// job — scheduler, handle-side cancel, follower propagation — goes
-  /// through here, so each terminal transition counts once.
-  void enter_terminal_locked(JobState s, std::uint64_t index);
+  /// `leo_serve_jobs_<state>_total` counter, wakes every waiter — the
+  /// job's own cv and, for batch members, the batch cv — and completes
+  /// its coalesced followers with its outcome (state, result, error,
+  /// snapshot, progress), skipping those already cancelled through their
+  /// own handles. `lock` holds `mutex`, and the caller has checked under
+  /// it that the job is live; the lock is released before the followers
+  /// are completed. This is the only way a job becomes terminal, so each
+  /// transition counts once.
+  void terminate(std::unique_lock<std::mutex> lock, JobState s);
 };
-
-/// Completes `followers` with `primary`'s terminal outcome (state, result,
-/// error, snapshot, progress). Call after the primary is terminal, without
-/// its mutex held; followers already cancelled individually are skipped.
-/// `completions` stamps completion_index when non-null.
-void complete_followers(std::vector<std::shared_ptr<Job>>&& followers,
-                        const Job& primary,
-                        std::atomic<std::uint64_t>* completions);
 
 }  // namespace detail
 
@@ -195,9 +192,6 @@ class JobHandle {
   /// True if this submission attached to an identical in-flight execution
   /// instead of running its own (see EvolutionService coalescing).
   [[nodiscard]] bool coalesced() const;
-  /// Monotone completion stamp (1, 2, ...) assigned when a job reaches a
-  /// terminal state; 0 while live. Exposes scheduling order to callers.
-  [[nodiscard]] std::uint64_t completion_index() const;
   /// Error message; empty unless state() is kFailed or kRejected.
   [[nodiscard]] std::string error() const;
 

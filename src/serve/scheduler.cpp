@@ -19,12 +19,8 @@ struct ServeMetrics {
   obs::Counter& resumed = obs::registry().counter("leo_serve_jobs_resumed_total");
   obs::Counter& coalesced = obs::registry().counter("leo_serve_jobs_coalesced_total");
   obs::Counter& batches = obs::registry().counter("leo_serve_batches_submitted_total");
-  obs::Counter& cache_hits = obs::registry().counter("leo_serve_cache_hits_total");
-  obs::Counter& cache_misses = obs::registry().counter("leo_serve_cache_misses_total");
   obs::Counter& admission_blocked =
       obs::registry().counter("leo_serve_admission_blocked_total");
-  obs::Gauge& queue_depth = obs::registry().gauge("leo_serve_queue_depth");
-  obs::Gauge& jobs_running = obs::registry().gauge("leo_serve_jobs_running");
 
   static ServeMetrics& get() {
     static ServeMetrics instance;
@@ -39,6 +35,15 @@ struct ServeMetrics {
 bool cancelled_while_queued(const std::shared_ptr<detail::Job>& job) {
   const std::scoped_lock lock(job->mutex);
   return is_terminal(job->state);
+}
+
+/// Ends `job` in `state`, recording `error` if non-empty, unless it is
+/// already terminal: cancelled through its handle.
+void terminate(detail::Job& job, JobState state, std::string error = {}) {
+  std::unique_lock lock(job.mutex);
+  if (is_terminal(job.state)) return;
+  if (!error.empty()) job.error = std::move(error);
+  job.terminate(std::move(lock), state);
 }
 
 constexpr const char* kShedError =
@@ -124,7 +129,6 @@ JobHandle EvolutionService::submit_one(
   };
 
   std::unique_lock lock(mutex_);
-  bool cache_counted = false;  // obs hit/miss counted once per submission
   for (;;) {
     if (shutting_down_) {
       throw std::runtime_error("EvolutionService: submit after shutdown");
@@ -160,9 +164,6 @@ JobHandle EvolutionService::submit_one(
       }
 
       if (auto cached = cache_.lookup(key)) {
-        if (obs::enabled() && !cache_counted) {
-          ServeMetrics::get().cache_hits.inc();
-        }
         auto job = make_job();  // not yet shared: no lock needed to fill it
         job->progress.store(
             detail::pack_progress(cached->generations, cached->best_fitness),
@@ -172,8 +173,6 @@ JobHandle EvolutionService::submit_one(
         terminate(*job, JobState::kSucceeded);
         return JobHandle(std::move(job));
       }
-      if (obs::enabled() && !cache_counted) ServeMetrics::get().cache_misses.inc();
-      cache_counted = true;
     }
 
     if (admit_locked(lock)) break;
@@ -191,9 +190,6 @@ JobHandle EvolutionService::submit_one(
   auto job = make_job();
   queue_.push_back(job);
   if (fresh && options.use_cache) inflight_[key] = job;
-  if (obs::enabled()) {
-    ServeMetrics::get().queue_depth.set(static_cast<double>(queue_.size()));
-  }
   lock.unlock();
   work_cv_.notify_one();
   return JobHandle(std::move(job));
@@ -212,9 +208,6 @@ bool EvolutionService::admit_locked(std::unique_lock<std::mutex>& lock) {
 bool EvolutionService::has_room_locked() {
   if (max_queue_depth_ == 0 || queue_.size() < max_queue_depth_) return true;
   if (std::erase_if(queue_, cancelled_while_queued) == 0) return false;
-  if (obs::enabled()) {
-    ServeMetrics::get().queue_depth.set(static_cast<double>(queue_.size()));
-  }
   return queue_.size() < max_queue_depth_;
 }
 
@@ -249,9 +242,6 @@ void EvolutionService::work(std::size_t slot) {
       job = std::move(queue_.front());
       queue_.pop_front();
       running_[slot] = job;
-      if (obs::enabled()) {
-        ServeMetrics::get().queue_depth.set(static_cast<double>(queue_.size()));
-      }
     }
     if (max_queue_depth_ != 0) admission_cv_.notify_one();
     bool cancelled = false;
@@ -268,9 +258,7 @@ void EvolutionService::work(std::size_t slot) {
       finish(*job, JobState::kCancelled);
       continue;
     }
-    if (obs::enabled()) ServeMetrics::get().jobs_running.add(1.0);
     run_job(*job);
-    if (obs::enabled()) ServeMetrics::get().jobs_running.add(-1.0);
   }
 }
 
@@ -350,21 +338,6 @@ void EvolutionService::finish(detail::Job& job, JobState state,
     forget_inflight_locked(job);
   }
   terminate(job, state, std::move(error));
-}
-
-void EvolutionService::terminate(detail::Job& job, JobState state,
-                                 std::string error) {
-  std::vector<std::shared_ptr<detail::Job>> followers;
-  {
-    const std::scoped_lock lock(job.mutex);
-    if (is_terminal(job.state)) return;
-    if (!error.empty()) job.error = std::move(error);
-    followers = std::move(job.followers);
-    job.followers.clear();
-    job.enter_terminal_locked(
-        state, completions_.fetch_add(1, std::memory_order_relaxed) + 1);
-  }
-  detail::complete_followers(std::move(followers), job, &completions_);
 }
 
 }  // namespace leo::serve

@@ -34,7 +34,6 @@
 // only threads.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -138,12 +137,9 @@ class EvolutionService {
   /// Erases the in-flight entry for `job`'s key if it maps to `job`.
   /// Requires `mutex_` held.
   void forget_inflight_locked(const detail::Job& job);
-  /// Moves `job` into terminal `state` (recording `error` if non-empty),
-  /// stamps its completion index, and completes its coalesced followers
-  /// with the same outcome. A job already terminal — cancelled through its
-  /// handle — is left as it is.
-  void terminate(detail::Job& job, JobState state, std::string error = {});
-  /// Erases the job's in-flight entry, then terminate()s it.
+  /// Erases the job's in-flight entry, then ends the job in `state`
+  /// (recording `error` if non-empty) unless a handle already cancelled
+  /// it; its coalesced followers end with it (detail::Job::terminate).
   void finish(detail::Job& job, JobState state, std::string error = {});
 
   mutable std::mutex mutex_;
@@ -154,7 +150,6 @@ class EvolutionService {
   std::uint64_t next_id_ = 1;
   std::size_t max_queue_depth_ = 0;
   AdmissionPolicy admission_ = AdmissionPolicy::kBlock;
-  std::atomic<std::uint64_t> completions_{0};
   /// Admitted jobs waiting for a worker, oldest first.
   std::deque<std::shared_ptr<detail::Job>> queue_;
   /// Primary (non-follower) jobs by cache key while queued or running;

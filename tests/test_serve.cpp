@@ -726,28 +726,38 @@ TEST(Service, CancelRunningJobStopsPromptlyWithSnapshot) {
 
 TEST(Service, QueuedJobsRunInSubmissionOrder) {
   // While a blocker occupies the single worker, a submission, a resume and
-  // another submission queue behind it; they run (and finish) in the order
-  // they were admitted.
-  const Snapshot snap = make_snapshot(core::EvolutionSession(base_config(62)));
+  // another submission queue behind it. Each runs until cancelled, so the
+  // job that leaves kQueued next must be the oldest one still waiting,
+  // while the others stay queued behind it.
+  const Snapshot snap =
+      make_snapshot(core::EvolutionSession(endless_config(62)));
   EvolutionService service(1);
-  JobOptions blocker_opts;
-  blocker_opts.use_cache = false;
-  blocker_opts.generation_budget = 500'000;
-  JobHandle blocker = service.submit(endless_config(), blocker_opts);
+  JobHandle blocker = service.submit(endless_config());
   while (blocker.state() == JobState::kQueued) std::this_thread::yield();
 
-  JobHandle first = service.submit(base_config(60));
-  JobHandle resumed = service.resume(snap);
-  JobHandle last = service.submit(base_config(61));
+  std::vector<JobHandle> queued{service.submit(endless_config(60)),
+                                service.resume(snap),
+                                service.submit(endless_config(61))};
   EXPECT_EQ(service.queue_depth(), 3u);
   blocker.cancel();
 
-  for (JobHandle* job : {&first, &resumed, &last}) {
-    (void)job->wait();
-    EXPECT_EQ(job->state(), JobState::kSucceeded);
+  for (std::size_t next = 0; next < queued.size(); ++next) {
+    const auto all_queued = [&] {
+      for (std::size_t i = next; i < queued.size(); ++i) {
+        if (queued[i].state() != JobState::kQueued) return false;
+      }
+      return true;
+    };
+    while (all_queued()) std::this_thread::yield();
+    EXPECT_NE(queued[next].state(), JobState::kQueued) << "job " << next;
+    for (std::size_t later = next + 1; later < queued.size(); ++later) {
+      EXPECT_EQ(queued[later].state(), JobState::kQueued)
+          << "job " << later << " started before job " << next;
+    }
+    queued[next].cancel();
+    (void)queued[next].wait();
+    EXPECT_EQ(queued[next].state(), JobState::kCancelled);
   }
-  EXPECT_LT(first.completion_index(), resumed.completion_index());
-  EXPECT_LT(resumed.completion_index(), last.completion_index());
 }
 
 TEST(Service, FailedJobThrowsOnWait) {
@@ -780,15 +790,28 @@ TEST(Service, DestructorCancelsOutstandingJobs) {
   EXPECT_TRUE(is_terminal(job.state()));
 }
 
+/// Sum of the six `leo_serve_jobs_<state>_total` counters.
+std::uint64_t terminal_total() {
+  std::uint64_t total = 0;
+  for (const char* state : {"succeeded", "suspended", "budget_exhausted",
+                            "cancelled", "rejected", "failed"}) {
+    total += counter_value(
+        ("leo_serve_jobs_" + std::string(state) + "_total").c_str());
+  }
+  return total;
+}
+
 /// A 1-worker service destroyed with one running job, a queue behind it
 /// and a coalesced follower: shutdown must find every job through the
-/// queue and the worker's running slot, and the worker drains the queue.
+/// queue and the worker's running slot, the worker drains the queue, and
+/// each job becomes terminal exactly once.
 TEST(Service, DestructorCancelsRunningQueuedAndCoalescedJobs) {
   constexpr std::uint64_t kQueued = 8;
   // endless_config() runs for seconds unless cancelled, so a shutdown that
   // misses a job fails the state check below instead of hanging.
   JobHandle running;
   std::vector<JobHandle> handles;
+  const std::uint64_t total = terminal_total();
   {
     EvolutionService service(1);
     running = service.submit(endless_config(999));
@@ -802,13 +825,10 @@ TEST(Service, DestructorCancelsRunningQueuedAndCoalescedJobs) {
     EXPECT_EQ(service.queue_depth(), kQueued);
   }
   handles.push_back(running);
-  std::set<std::uint64_t> completions;
   for (const JobHandle& handle : handles) {
     EXPECT_EQ(handle.state(), JobState::kCancelled) << "job " << handle.id();
-    completions.insert(handle.completion_index());
   }
-  EXPECT_EQ(completions.size(), handles.size());
-  EXPECT_EQ(completions.count(0), 0u);
+  EXPECT_EQ(terminal_total() - total, handles.size());
 }
 
 TEST(Service, WorkerSurvivesAFailedJob) {
@@ -834,20 +854,10 @@ TEST(Service, ThreadsReflectsWorkerCount) {
   EXPECT_EQ(service.threads(), 3u);
 }
 
-/// Sum of the six `leo_serve_jobs_<state>_total` counters.
-std::uint64_t terminal_total() {
-  std::uint64_t total = 0;
-  for (const char* state : {"succeeded", "suspended", "budget_exhausted",
-                            "cancelled", "rejected", "failed"}) {
-    total += counter_value(
-        ("leo_serve_jobs_" + std::string(state) + "_total").c_str());
-  }
-  return total;
-}
-
-/// Each of the three paths that makes a job terminal — the scheduler, a
-/// handle cancelling a queued job, and a coalesced follower completing
-/// with its primary — bumps the state's counter exactly once.
+/// Every terminal transition goes through detail::Job::terminate(), which
+/// its three callers — the scheduler, a handle cancelling a queued job,
+/// and a primary completing its coalesced followers — reach once per job:
+/// each bumps the state's counter exactly once.
 TEST(Service, TerminalCountersCountEachTransitionOnce) {
   constexpr const char* kSucceeded = "leo_serve_jobs_succeeded_total";
   constexpr const char* kCancelled = "leo_serve_jobs_cancelled_total";
@@ -1043,7 +1053,8 @@ TEST(Service, HardwareBudgetAtMaxGenerationsSucceedsAndIsCached) {
 /// the first execution completes — yet the engine must run exactly once.
 /// Coalescing closes the race: the first submission becomes the primary,
 /// every later one either attaches to it in flight or (if the primary
-/// already finished) hits the cache. Verified via the obs counters.
+/// already finished) hits the cache. Verified via the obs counters and the
+/// service's CacheStats.
 TEST(Coalescing, BatchOf64IdenticalConfigsRunsEngineOnce) {
   const core::EvolutionConfig config = base_config(77);
   const core::EvolutionResult direct = core::evolve(config);
@@ -1052,7 +1063,6 @@ TEST(Coalescing, BatchOf64IdenticalConfigsRunsEngineOnce) {
       counter_value("leo_serve_jobs_submitted_total");
   const std::uint64_t coalesced0 =
       counter_value("leo_serve_jobs_coalesced_total");
-  const std::uint64_t hits0 = counter_value("leo_serve_cache_hits_total");
   const std::uint64_t succeeded0 =
       counter_value("leo_serve_jobs_succeeded_total");
 
@@ -1073,7 +1083,7 @@ TEST(Coalescing, BatchOf64IdenticalConfigsRunsEngineOnce) {
   EXPECT_EQ(counter_value("leo_serve_jobs_succeeded_total") - succeeded0, 64u);
   const std::uint64_t coalesced =
       counter_value("leo_serve_jobs_coalesced_total") - coalesced0;
-  const std::uint64_t hits = counter_value("leo_serve_cache_hits_total") - hits0;
+  const std::uint64_t hits = service.cache_stats().hits;
   EXPECT_EQ(coalesced + hits, 63u) << "coalesced=" << coalesced
                                    << " cache hits=" << hits;
   EXPECT_EQ(service.cache_stats().entries, 1u) << "exactly one execution";
@@ -1538,7 +1548,7 @@ core::EvolutionResult fake_result(std::uint64_t tag) {
 
 TEST(CacheLRU, EvictsLeastRecentlyUsedFirst) {
   ResultCache cache(2);
-  EXPECT_EQ(cache.capacity(), 2u);
+  EXPECT_EQ(cache.stats().capacity, 2u);
 
   cache.insert(1, fake_result(1));
   cache.insert(2, fake_result(2));
@@ -1574,7 +1584,7 @@ TEST(CacheLRU, CapacityIsAGlobalExactBound) {
   const auto key = [](std::uint64_t i) { return i * 8; };
   for (std::uint64_t i = 0; i < 8; ++i) cache.insert(key(i), fake_result(i));
   EXPECT_EQ(cache.stats().evictions, 0u);
-  EXPECT_EQ(cache.size(), 8u);
+  EXPECT_EQ(cache.stats().entries, 8u);
   for (std::uint64_t i = 0; i < 8; ++i) {
     EXPECT_TRUE(cache.lookup(key(i)).has_value()) << "key " << key(i);
   }
@@ -1599,7 +1609,6 @@ TEST(CacheLRU, StatsStayConsistentUnderSweep) {
   EXPECT_EQ(stats.entries, 64u);
   EXPECT_EQ(stats.entries + stats.evictions, kKeys)
       << "every insert either grew the cache or evicted exactly one entry";
-  EXPECT_EQ(cache.size(), stats.entries);
 
   std::uint64_t present = 0;
   for (std::uint64_t i = 0; i < kKeys; ++i) {
@@ -1622,22 +1631,25 @@ TEST(CacheLRU, LookupRacesInsertWithoutCorruption) {
     }
     stop.store(true, std::memory_order_relaxed);
   });
-  std::thread reader([&cache, &stop] {
-    std::uint64_t key = 0;
+  std::uint64_t lookups = 0;
+  std::thread reader([&cache, &stop, &lookups] {
     while (!stop.load(std::memory_order_relaxed)) {
-      if (const auto hit = cache.lookup(key & 0x3FF)) {
+      if (const auto hit = cache.lookup(lookups & 0x3FF)) {
         // Entries are copied out whole: the tag fields always agree.
         EXPECT_EQ(hit->best_genome, hit->generations);
       }
-      ++key;
+      ++lookups;
     }
   });
   writer.join();
   reader.join();
 
+  // 1024 distinct keys went in, so the cache ends full; every lookup
+  // counted exactly once.
   const CacheStats stats = cache.stats();
-  EXPECT_LE(stats.entries, cache.capacity());
-  EXPECT_EQ(cache.size(), stats.entries);
+  EXPECT_EQ(stats.entries, stats.capacity);
+  EXPECT_EQ(stats.capacity, 128u);
+  EXPECT_EQ(stats.hits + stats.misses, lookups);
 }
 
 }  // namespace
