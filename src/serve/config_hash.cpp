@@ -56,10 +56,30 @@ bool read_bool(detail::ByteReader& r) {
   return byte != 0;
 }
 
-}  // namespace
+/// FNV-1a 64 over the bytes written to it, in ByteWriter's byte order,
+/// without storing them.
+class Fnv1aWriter {
+ public:
+  void u8(std::uint8_t v) {
+    hash_ ^= v;
+    hash_ *= 0x100000001b3ULL;
+  }
+  void u32(std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+  void u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+  [[nodiscard]] std::uint64_t hash() const noexcept { return hash_; }
 
-std::vector<std::uint8_t> encode_config(const core::EvolutionConfig& config) {
-  detail::ByteWriter w;
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+/// The canonical bytes of `config`, written to `w`: a ByteWriter for
+/// encode_config(), an Fnv1aWriter for config_key().
+template <typename Writer>
+void write_config(Writer& w, const core::EvolutionConfig& config) {
   w.u8(static_cast<std::uint8_t>(config.backend));
   w.u64(config.seed);
   w.u64(config.max_generations);
@@ -98,6 +118,13 @@ std::vector<std::uint8_t> encode_config(const core::EvolutionConfig& config) {
   w.u32(gap.mutations_per_generation);
   w.u8(bool_byte(gap.pipelined));
   w.u32(gap.target_fitness);
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> encode_config(const core::EvolutionConfig& config) {
+  detail::ByteWriter w;
+  write_config(w, config);
   return w.take();
 }
 
@@ -146,18 +173,12 @@ core::EvolutionConfig decode_config(detail::ByteReader& r) {
 }
 
 std::uint64_t config_key(const core::EvolutionConfig& config) {
-  // FNV-1a 64, seeded with the codec version so encoding changes never
-  // alias keys across releases.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](std::uint8_t byte) {
-    h ^= byte;
-    h *= 0x100000001b3ULL;
-  };
-  for (int i = 0; i < 4; ++i) {
-    mix(static_cast<std::uint8_t>(kConfigCodecVersion >> (8 * i)));
-  }
-  for (const std::uint8_t byte : encode_config(config)) mix(byte);
-  return h;
+  // Hashed as written, so a key costs no allocation. The codec version
+  // goes first so encoding changes never alias keys across releases.
+  Fnv1aWriter w;
+  w.u32(kConfigCodecVersion);
+  write_config(w, config);
+  return w.hash();
 }
 
 std::string key_to_string(std::uint64_t key) {

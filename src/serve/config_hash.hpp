@@ -79,6 +79,7 @@ class ByteReader {
 /// Deterministic result-cache key: FNV-1a 64 over the canonical bytes,
 /// salted with kConfigCodecVersion. Any field change — seed, backend, GA
 /// or GAP parameter, fitness weight or rule toggle — changes the key.
+/// Hashes the bytes as they are written, so it allocates nothing.
 [[nodiscard]] std::uint64_t config_key(const core::EvolutionConfig& config);
 
 /// "0x"-prefixed hex form of a key, for logs and CLI output.

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
+#include "serve/scheduler.hpp"
 
 namespace leo::serve {
 
@@ -119,6 +120,9 @@ std::string JobHandle::error() const {
 core::EvolutionResult JobHandle::wait() {
   detail::Job& job = deref(job_);
   std::unique_lock lock(job.mutex);
+  if (job.state == JobState::kQueued && job.service != nullptr) {
+    job.service->run_if_head(job_, lock);
+  }
   job.cv.wait(lock, [&job] { return is_terminal(job.state); });
   if (job.state == JobState::kFailed) {
     throw std::runtime_error("job " + std::to_string(job.id) +

@@ -7,7 +7,8 @@
 //                                              queued; wait() throws)
 //   kQueued ──────────────► kCancelled        (cancelled before starting;
 //      │                                       its queue slot is freed)
-//      │ popped by a worker, oldest first
+//      │ popped oldest first, by a worker or by the
+//      │ thread waiting on it (JobHandle::wait)
 //      ▼
 //   kRunning ─► kSucceeded                    (target reached, or
 //      │                                       config.max_generations done)
@@ -27,6 +28,12 @@
 // stopped in, on its way to kSucceeded, kSuspended or kCancelled. There is
 // no mid-run capture; to snapshot a running job, cancel() it and resume()
 // its snapshot, which continues bit-identically to an uninterrupted run.
+//
+// A job runs on a worker thread, or on the thread that calls wait() on it
+// while it is at the head of the queue: that waiter pops it and runs it
+// through the same claim and runner as a worker, instead of sleeping while
+// a worker runs it. A job further back is waited for, so jobs still start
+// oldest first and a waiter only ever runs its own job.
 //
 // Jobs that hit the result cache go straight to kSucceeded without ever
 // occupying a worker (from_cache() == true). Coalesced followers — a
@@ -52,6 +59,8 @@
 #include "serve/checkpoint.hpp"
 
 namespace leo::serve {
+
+class EvolutionService;
 
 enum class JobState : std::uint8_t {
   kQueued,
@@ -143,6 +152,11 @@ struct Job {
   std::optional<Snapshot> resume_from;
   /// Set before the job is published; nullptr outside submit_batch().
   std::shared_ptr<BatchState> batch;
+  /// The service whose queue holds the job; set before it is queued,
+  /// nullptr for jobs never queued (cache hits, refusals, followers). Only
+  /// dereferenced by a waiter that found the job kQueued under `mutex`
+  /// (see EvolutionService::run_if_head).
+  EvolutionService* service = nullptr;
 
   std::atomic<bool> cancel_requested{false};
   /// See pack_progress() for the layout and ordering contract.
@@ -195,9 +209,11 @@ class JobHandle {
   /// Error message; empty unless state() is kFailed or kRejected.
   [[nodiscard]] std::string error() const;
 
-  /// Blocks until the job is terminal. Returns the (possibly partial)
-  /// result for kSucceeded / kSuspended / kBudgetExhausted / kCancelled;
-  /// throws std::runtime_error for kFailed and kRejected.
+  /// Blocks until the job is terminal. A job still at the head of its
+  /// service's queue runs here, on the calling thread; any other live job
+  /// is waited for. Returns the (possibly partial) result for kSucceeded /
+  /// kSuspended / kBudgetExhausted / kCancelled; throws std::runtime_error
+  /// for kFailed and kRejected.
   core::EvolutionResult wait();
 
   /// Requests cooperative cancellation; returns immediately. Queued jobs

@@ -57,15 +57,16 @@ EvolutionService::EvolutionService(std::size_t threads)
 EvolutionService::EvolutionService(const ServiceOptions& options)
     : max_queue_depth_(options.max_queue_depth),
       admission_(options.admission),
-      running_(options.threads != 0
-                   ? options.threads
-                   : std::max<std::size_t>(
-                         1, std::thread::hardware_concurrency())),
       cache_(options.cache_capacity) {
-  workers_.reserve(running_.size());
+  const std::size_t threads =
+      options.threads != 0
+          ? options.threads
+          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  running_.reserve(threads);
+  workers_.reserve(threads);
   try {
-    for (std::size_t slot = 0; slot < running_.size(); ++slot) {
-      workers_.emplace_back([this, slot] { work(slot); });
+    for (std::size_t i = 0; i < threads; ++i) {
+      workers_.emplace_back([this] { work(); });
     }
   } catch (...) {
     shutdown();  // join the workers already started
@@ -79,17 +80,23 @@ void EvolutionService::shutdown() {
   {
     const std::scoped_lock lock(mutex_);
     shutting_down_ = true;
-    const auto cancel = [](const std::shared_ptr<detail::Job>& job) {
-      if (job) job->cancel_requested.store(true, std::memory_order_relaxed);
-    };
-    std::ranges::for_each(queue_, cancel);
-    std::ranges::for_each(running_, cancel);
+    for (const auto& job : queue_) {
+      job->cancel_requested.store(true, std::memory_order_relaxed);
+    }
+    for (detail::Job* job : running_) {
+      job->cancel_requested.store(true, std::memory_order_relaxed);
+    }
   }
   admission_cv_.notify_all();  // wake blocked submitters; they throw
   // Workers drain the queue (each cancelled job still completes, releasing
   // its coalesced followers), then return.
   work_cv_.notify_all();
   for (std::thread& worker : workers_) worker.join();
+  // Every queued job has now left kQueued, so no waiter can register any
+  // more; those registered may still be running their job or about to
+  // look at the queue, and this service must outlive them.
+  std::unique_lock lock(mutex_);
+  work_cv_.wait(lock, [this] { return waiters_ == 0; });
 }
 
 JobHandle EvolutionService::submit(const core::EvolutionConfig& config,
@@ -188,6 +195,7 @@ JobHandle EvolutionService::submit_one(
   }
 
   auto job = make_job();
+  job->service = this;
   queue_.push_back(job);
   if (fresh && options.use_cache) inflight_[key] = job;
   lock.unlock();
@@ -231,35 +239,66 @@ std::size_t EvolutionService::queue_depth() const {
                              queue_, cancelled_while_queued));
 }
 
-void EvolutionService::work(std::size_t slot) {
+void EvolutionService::work() {
   for (;;) {
-    std::shared_ptr<detail::Job> job;
-    {
-      std::unique_lock lock(mutex_);
-      running_[slot].reset();
-      work_cv_.wait(lock, [this] { return shutting_down_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // shutting down and drained
-      job = std::move(queue_.front());
-      queue_.pop_front();
-      running_[slot] = job;
+    std::unique_lock lock(mutex_);
+    work_cv_.wait(lock, [this] { return shutting_down_ || !queue_.empty(); });
+    if (queue_.empty()) return;  // shutting down and drained
+    if (const auto job = claim_head(std::move(lock))) run_job(*job);
+  }
+}
+
+void EvolutionService::run_if_head(const std::shared_ptr<detail::Job>& job,
+                                   std::unique_lock<std::mutex>& job_lock) {
+  // Registered while the job is kQueued under its mutex, so this service
+  // is alive: its shutdown cannot finish before the job leaves kQueued,
+  // and then waits for every registered waiter.
+  ++waiters_;
+  job_lock.unlock();
+  std::shared_ptr<detail::Job> claimed;
+  {
+    std::unique_lock lock(mutex_);
+    if (!queue_.empty() && queue_.front() == job) {
+      claimed = claim_head(std::move(lock));
     }
-    if (max_queue_depth_ != 0) admission_cv_.notify_one();
-    bool cancelled = false;
-    {
-      const std::scoped_lock job_lock(job->mutex);
-      if (job->state != JobState::kQueued) continue;  // cancelled while queued
-      // Claim the job before releasing the lock so a concurrent handle-side
-      // cancel cannot terminalize it twice; the cancelled branch below goes
-      // through finish(), which also releases coalesced followers.
+  }
+  if (claimed) run_job(*claimed);
+  {
+    const std::scoped_lock lock(mutex_);
+    if (--waiters_ == 0 && shutting_down_) work_cv_.notify_all();
+  }
+  job_lock.lock();
+}
+
+std::shared_ptr<detail::Job> EvolutionService::claim_head(
+    std::unique_lock<std::mutex> lock) {
+  std::shared_ptr<detail::Job> job = std::move(queue_.front());
+  queue_.pop_front();
+  bool claimed = false;
+  bool cancelled = false;
+  {
+    const std::scoped_lock job_lock(job->mutex);
+    // A job cancelled through its handle while queued is already terminal.
+    // Otherwise claim it under its mutex, so a concurrent handle-side
+    // cancel cannot terminalize it twice.
+    if (job->state == JobState::kQueued) {
       job->state = JobState::kRunning;
+      running_.push_back(job.get());
+      claimed = true;
       cancelled = job->cancel_requested.load(std::memory_order_relaxed);
     }
-    if (cancelled) {
-      finish(*job, JobState::kCancelled);
-      continue;
-    }
-    run_job(*job);
   }
+  lock.unlock();
+  if (max_queue_depth_ != 0) admission_cv_.notify_one();
+  if (!claimed) return nullptr;
+  if (cancelled) {
+    // Flagged before its claim, by shutdown or by a cancel() that has not
+    // reached the job's mutex yet: it ends without running, through
+    // finish(), which also releases its coalesced followers.
+    finish(*job, JobState::kCancelled);
+    return nullptr;
+  }
+  return job;
 }
 
 void EvolutionService::run_job(detail::Job& job) {
@@ -336,6 +375,7 @@ void EvolutionService::finish(detail::Job& job, JobState state,
   {
     const std::scoped_lock lock(mutex_);
     forget_inflight_locked(job);
+    std::erase(running_, &job);
   }
   terminate(job, state, std::move(error));
 }

@@ -6,8 +6,10 @@
 // thousands of (config, seed) points. The service turns the blocking
 // core::evolve() call into a job system:
 //
-//   * one FIFO queue drained by the service's own worker threads, so jobs
-//     start in the order they were admitted;
+//   * one FIFO queue drained by the service's worker threads, and by a
+//     caller waiting on the job at its head, which runs that job itself
+//     instead of sleeping while a worker runs it; jobs start in the order
+//     they were admitted;
 //   * job handles with status/progress polling and blocking wait(), and
 //     batch handles (submit_batch) over whole sweeps;
 //   * bounded admission with backpressure: a configurable max queue depth
@@ -30,10 +32,12 @@
 // Every submission — submit(), submit_batch() and resume() — goes through
 // one admission path (submit_one), and every queued job through one
 // runner (run_job) that differs per backend only in how the run is driven
-// and which state an early stop maps to. The workers are the service's
-// only threads.
+// and which state an early stop maps to. Workers and waiters take a job
+// off the queue through one claim (claim_head). The workers are the only
+// threads the service starts.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -80,8 +84,8 @@ class EvolutionService {
   explicit EvolutionService(const ServiceOptions& options);
 
   /// Cancels every queued and running job cooperatively, lets the workers
-  /// drain the queue, joins them, then returns. Outstanding handles stay
-  /// valid (terminal).
+  /// drain the queue, joins them, waits for callers still inside a job's
+  /// wait(), then returns. Outstanding handles stay valid (terminal).
   ~EvolutionService();
 
   EvolutionService(const EvolutionService&) = delete;
@@ -112,6 +116,8 @@ class EvolutionService {
   [[nodiscard]] std::size_t queue_depth() const;
 
  private:
+  friend class JobHandle;
+
   /// The one admission path. A fresh submission (no `resume_from`)
   /// first coalesces onto an identical in-flight job or hits the cache; a
   /// resume skips both and is never registered in flight. Then the
@@ -129,22 +135,38 @@ class EvolutionService {
   /// hold their slots until a worker popped them. Requires `mutex_` held.
   bool has_room_locked();
   /// Cancels every queued and running job, wakes blocked submitters and
-  /// the workers, and joins the workers once they have drained the queue.
+  /// the workers, joins the workers once they have drained the queue, then
+  /// waits for the registered waiters.
   void shutdown();
-  /// Worker `slot`'s loop: pops the queue until shutdown drains it.
-  void work(std::size_t slot);
+  /// A worker's loop: claims the queue's head until shutdown drains it.
+  void work();
+  /// JobHandle::wait() on a kQueued job of this service, with `job_lock`
+  /// holding the job's mutex: registers as a waiter, releases the lock,
+  /// runs the job here if it is at the queue's head, unregisters, and
+  /// retakes the lock. A job further back is left to the workers.
+  void run_if_head(const std::shared_ptr<detail::Job>& job,
+                   std::unique_lock<std::mutex>& job_lock);
+  /// The one way a job leaves the queue for a runner, a worker or a
+  /// waiter. `lock` holds `mutex_` over a non-empty queue; pops the head,
+  /// releases `lock` and frees the admission slot. Returns the job for the
+  /// caller to run_job(), claimed (kQueued -> kRunning) and in running_;
+  /// or null if a handle cancelled it while queued, or if it was flagged
+  /// for cancellation before the claim and has been finished here.
+  std::shared_ptr<detail::Job> claim_head(std::unique_lock<std::mutex> lock);
   void run_job(detail::Job& job);
   /// Erases the in-flight entry for `job`'s key if it maps to `job`.
   /// Requires `mutex_` held.
   void forget_inflight_locked(const detail::Job& job);
-  /// Erases the job's in-flight entry, then ends the job in `state`
-  /// (recording `error` if non-empty) unless a handle already cancelled
-  /// it; its coalesced followers end with it (detail::Job::terminate).
+  /// Erases the job's in-flight entry and takes it out of running_, then
+  /// ends the job in `state` (recording `error` if non-empty) unless a
+  /// handle already cancelled it; its coalesced followers end with it
+  /// (detail::Job::terminate).
   void finish(detail::Job& job, JobState state, std::string error = {});
 
   mutable std::mutex mutex_;
   std::condition_variable admission_cv_;
-  /// Wakes a worker when a job is queued, and all of them at shutdown.
+  /// Wakes a worker when a job is queued, and all of them at shutdown;
+  /// shutdown then waits on it for the last registered waiter to leave.
   std::condition_variable work_cv_;
   bool shutting_down_ = false;
   std::uint64_t next_id_ = 1;
@@ -156,10 +178,13 @@ class EvolutionService {
   /// identical submissions coalesce onto the mapped job. Entries are
   /// erased on completion, or lazily when found dead.
   std::unordered_map<std::uint64_t, std::weak_ptr<detail::Job>> inflight_;
-  /// The job each worker is running, by worker slot (null while it
-  /// waits); set in the critical section that pops the job, so shutdown
-  /// finds every running job here.
-  std::vector<std::shared_ptr<detail::Job>> running_;
+  /// Jobs being run, by a worker or by a waiter; entered in the critical
+  /// section that claims the job and left in finish(), so shutdown finds
+  /// every running job here. Each runner holds its job alive meanwhile.
+  std::vector<detail::Job*> running_;
+  /// Callers inside run_if_head(). Incremented under a queued job's
+  /// mutex (not mutex_, which ranks above it), decremented under mutex_.
+  std::atomic<std::size_t> waiters_{0};
   ResultCache cache_;
   std::vector<std::thread> workers_;
 };

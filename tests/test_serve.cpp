@@ -895,6 +895,153 @@ TEST(Service, TerminalCountersCountEachTransitionOnce) {
   EXPECT_EQ(terminal_total() - total, 3u) << "follower";
 }
 
+// ---- a waiter runs the job at the queue's head -------------------------
+
+/// Holds a 1-worker service's only worker with an endless job, so the
+/// next submission sits at the queue's head until its waiter runs it.
+JobHandle occupy_the_worker(EvolutionService& service) {
+  JobHandle blocker = service.submit(endless_config());
+  while (blocker.state() == JobState::kQueued) std::this_thread::yield();
+  return blocker;
+}
+
+TEST(Service, WaitRunsTheHeadSoftwareJobOnTheCallingThread) {
+  const core::EvolutionConfig config = base_config(7);
+  const core::EvolutionResult direct = core::evolve(config);
+  EvolutionService service(1);
+  JobHandle blocker = occupy_the_worker(service);
+
+  JobHandle job = service.submit(config);
+  const core::EvolutionResult served = job.wait();
+  EXPECT_EQ(job.state(), JobState::kSucceeded);
+  // The only worker is still busy, so the waiter ran the job.
+  EXPECT_EQ(blocker.state(), JobState::kRunning);
+  EXPECT_EQ(served.best_genome, direct.best_genome);
+  EXPECT_EQ(served.generations, direct.generations);
+  EXPECT_EQ(served.evaluations, direct.evaluations);
+  ASSERT_TRUE(job.snapshot().has_value());
+  EXPECT_EQ(job.snapshot()->state.generation, direct.generations);
+  blocker.cancel();
+  (void)blocker.wait();
+}
+
+TEST(Service, WaitRunsTheHeadHardwareJobOnTheCallingThread) {
+  core::EvolutionConfig config = base_config(7);
+  config.backend = core::Backend::kHardware;
+  const core::EvolutionResult direct = core::evolve(config);
+  EvolutionService service(1);
+  JobHandle blocker = occupy_the_worker(service);
+
+  JobHandle job = service.submit(config);
+  const core::EvolutionResult served = job.wait();
+  EXPECT_EQ(job.state(), JobState::kSucceeded);
+  EXPECT_EQ(blocker.state(), JobState::kRunning);
+  EXPECT_EQ(served.best_genome, direct.best_genome);
+  EXPECT_EQ(served.generations, direct.generations);
+  EXPECT_EQ(served.evaluations, direct.evaluations);
+  EXPECT_EQ(served.clock_cycles, direct.clock_cycles);
+  EXPECT_EQ(served.rtl_evaluations, direct.rtl_evaluations);
+  EXPECT_FALSE(job.snapshot().has_value());
+  blocker.cancel();
+  (void)blocker.wait();
+}
+
+/// A waiter on a job behind the head does not run it: the job leaves
+/// kQueued only after the one ahead of it has, as if nobody waited.
+TEST(Service, WaitBehindTheHeadKeepsTheQueueOrder) {
+  EvolutionService service(1);
+  JobHandle blocker = occupy_the_worker(service);
+  JobHandle head = service.submit(endless_config(70));
+  JobHandle behind = service.submit(base_config(71));
+
+  std::optional<core::EvolutionResult> waited;
+  std::thread waiter([&] { waited = behind.wait(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(head.state(), JobState::kQueued);
+  EXPECT_EQ(behind.state(), JobState::kQueued);
+
+  blocker.cancel();
+  while (head.state() == JobState::kQueued) std::this_thread::yield();
+  EXPECT_EQ(behind.state(), JobState::kQueued)
+      << "the waited-on job started before the job ahead of it";
+  head.cancel();
+  waiter.join();
+  EXPECT_EQ(head.state(), JobState::kCancelled);
+  EXPECT_EQ(behind.state(), JobState::kSucceeded);
+  ASSERT_TRUE(waited.has_value());
+  EXPECT_EQ(waited->best_genome, core::evolve(base_config(71)).best_genome);
+}
+
+TEST(Service, CancelStopsAnInlineRunWithItsSnapshot) {
+  EvolutionService service(1);
+  JobHandle blocker = occupy_the_worker(service);
+  JobHandle job = service.submit(endless_config(72));
+
+  std::optional<core::EvolutionResult> partial;
+  std::thread waiter([&] { partial = job.wait(); });
+  while (job.state() == JobState::kQueued) std::this_thread::yield();
+  job.cancel();
+  waiter.join();
+  EXPECT_EQ(job.state(), JobState::kCancelled);
+  EXPECT_EQ(blocker.state(), JobState::kRunning);
+  ASSERT_TRUE(partial.has_value());
+  EXPECT_LT(partial->generations, endless_config().max_generations);
+  ASSERT_TRUE(job.snapshot().has_value());
+  EXPECT_EQ(job.snapshot()->state.generation, partial->generations);
+  blocker.cancel();
+  (void)blocker.wait();
+}
+
+/// Destroying the service while a caller runs a job inside wait():
+/// shutdown cancels the inline run like a worker's, waits for the caller
+/// to leave, and each job turns terminal exactly once.
+TEST(Service, DestructorCancelsAnInlineRunAndOutlivesItsWaiter) {
+  const std::uint64_t total = terminal_total();
+  JobHandle blocker;
+  JobHandle job;
+  std::optional<core::EvolutionResult> partial;
+  std::thread waiter;
+  {
+    EvolutionService service(1);
+    blocker = occupy_the_worker(service);
+    job = service.submit(endless_config(73));
+    waiter = std::thread([&] { partial = job.wait(); });
+    while (job.state() == JobState::kQueued) std::this_thread::yield();
+  }
+  waiter.join();
+  EXPECT_EQ(job.state(), JobState::kCancelled);
+  EXPECT_EQ(blocker.state(), JobState::kCancelled);
+  EXPECT_TRUE(partial.has_value());
+  EXPECT_EQ(terminal_total() - total, 2u);
+}
+
+/// Destroying the service while another thread is about to wait on a
+/// queued job: the waiter finds the job queued (and runs it until
+/// shutdown cancels it), or finds it already terminal; the service is
+/// never touched after it is gone. Repeated to vary the interleaving.
+TEST(Service, DestructorRacesAWaiterOnAQueuedJob) {
+  for (int round = 0; round < 20; ++round) {
+    const std::uint64_t total = terminal_total();
+    JobHandle job;
+    std::atomic<bool> go{false};
+    std::thread waiter;
+    {
+      EvolutionService service(1);
+      (void)occupy_the_worker(service);
+      job = service.submit(endless_config(74));
+      waiter = std::thread([&] {
+        while (!go.load()) std::this_thread::yield();
+        (void)job.wait();
+      });
+      go.store(true);
+      if (round % 2 == 1) std::this_thread::yield();
+    }
+    waiter.join();
+    EXPECT_EQ(job.state(), JobState::kCancelled) << "round " << round;
+    EXPECT_EQ(terminal_total() - total, 2u) << "round " << round;
+  }
+}
+
 // ---- progress snapshots ------------------------------------------------
 
 TEST(Progress, PackUnpackRoundTrip) {
@@ -1126,6 +1273,31 @@ TEST(Coalescing, FollowerInheritsSuspendedOutcomeAndSnapshot) {
             serialize_snapshot(*primary.snapshot()));
   // Budget-suspended partial results never enter the cache.
   EXPECT_EQ(service.cache_stats().entries, 0u);
+}
+
+/// The primary runs inside its waiter's wait() and completes its
+/// follower with its outcome, as a worker's run would.
+TEST(Coalescing, FollowerOfAnInlineRunPrimaryInheritsItsOutcome) {
+  EvolutionService service(1);
+  JobHandle blocker = occupy_the_worker(service);
+  JobOptions options;
+  options.generation_budget = 5;
+  JobHandle primary = service.submit(base_config(7), options);
+  JobHandle follower = service.submit(base_config(7), options);
+  ASSERT_TRUE(follower.coalesced());
+
+  const core::EvolutionResult a = primary.wait();
+  EXPECT_EQ(primary.state(), JobState::kSuspended);
+  EXPECT_EQ(blocker.state(), JobState::kRunning);
+  EXPECT_EQ(follower.state(), JobState::kSuspended);
+  const core::EvolutionResult b = follower.wait();
+  EXPECT_EQ(b.generations, a.generations);
+  EXPECT_EQ(b.best_genome, a.best_genome);
+  ASSERT_TRUE(follower.snapshot().has_value());
+  EXPECT_EQ(serialize_snapshot(*follower.snapshot()),
+            serialize_snapshot(*primary.snapshot()));
+  blocker.cancel();
+  (void)blocker.wait();
 }
 
 TEST(Coalescing, RequiresMatchingBudgetAndCacheOptIn) {
