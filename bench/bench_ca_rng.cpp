@@ -10,13 +10,12 @@
 //   ./bench_ca_rng   # no scale knob: --iters is accepted and ignored
 //
 // Emits BENCH_ca_rng.json (shared runner; see bench_harness.hpp) with
-// the period, balance, correlation and throughput figures as
-// leo_bench_ca_rng_* gauges.
+// the period, balance and correlation as exact leo_bench_ca_rng_* values
+// and the two throughputs as measured ones.
 #include <chrono>
 #include <cstdio>
 
 #include "bench_harness.hpp"
-#include "obs/metrics.hpp"
 #include "util/ca_rng.hpp"
 #include "util/rng.hpp"
 
@@ -24,9 +23,8 @@ namespace leo::bench {
 
 const char* bench_name() { return "ca_rng"; }
 
-int bench_run(const Options&) {
+int bench_run(const Options&, Report& report) {
   using namespace leo::util;
-  auto& reg = obs::registry();
 
   std::printf("E8 — the GAP's cellular-automaton random generator "
               "(16-cell hybrid 90/150)\n\n");
@@ -43,7 +41,7 @@ int bench_run(const Options&) {
     std::printf("period: %llu (maximal = 2^16 - 1 = 65535) %s\n",
                 static_cast<unsigned long long>(period),
                 period == 65535 ? "— maximal-length, as required" : "");
-    reg.gauge("leo_bench_ca_rng_period").set(static_cast<double>(period));
+    report.exact["leo_bench_ca_rng_period"] = static_cast<double>(period);
   }
 
   // Per-cell one-density over the full period.
@@ -61,7 +59,7 @@ int bench_run(const Options&) {
     }
     std::printf("per-cell one-density: worst deviation from 0.5 over the "
                 "full period = %.5f\n", worst);
-    reg.gauge("leo_bench_ca_rng_worst_cell_bias").set(worst);
+    report.exact["leo_bench_ca_rng_worst_cell_bias"] = worst;
   }
 
   // Byte uniformity (chi-square over low byte, one period).
@@ -79,7 +77,7 @@ int bench_run(const Options&) {
                 "(exactly 0 expected: a maximal-length sequence visits "
                 "every state once,\n  so each byte value appears exactly "
                 "256 times — perfect equidistribution)\n", chi2);
-    reg.gauge("leo_bench_ca_rng_low_byte_chi2").set(chi2);
+    report.exact["leo_bench_ca_rng_low_byte_chi2"] = chi2;
   }
 
   // Serial correlation of successive words.
@@ -97,7 +95,7 @@ int bench_run(const Options&) {
     const double agreement = static_cast<double>(agree) / (16.0 * kSteps);
     std::printf("successive-word bit agreement: %.4f (0.5 = uncorrelated)\n",
                 agreement);
-    reg.gauge("leo_bench_ca_rng_serial_bit_agreement").set(agreement);
+    report.exact["leo_bench_ca_rng_serial_bit_agreement"] = agreement;
   }
 
   // Throughput: CA vs xoshiro256**.
@@ -121,8 +119,8 @@ int bench_run(const Options&) {
                 "xoshiro %.0f M/s (64-bit)%s\n",
                 static_cast<unsigned long long>(kN), kN / ca_s / 1e6,
                 kN / xo_s / 1e6, sink == 42 ? "!" : "");
-    reg.gauge("leo_bench_ca_rng_ca_draws_per_sec").set(kN / ca_s);
-    reg.gauge("leo_bench_ca_rng_xoshiro_draws_per_sec").set(kN / xo_s);
+    report.measured = {{"leo_bench_ca_rng_ca_draws_per_sec", kN / ca_s},
+                       {"leo_bench_ca_rng_xoshiro_draws_per_sec", kN / xo_s}};
   }
 
   std::printf("\nreading: the CA is weak by modern software standards "

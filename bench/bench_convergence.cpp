@@ -14,17 +14,17 @@
 //                                     # (default 100 / 25)
 //
 // Emits BENCH_ga.json (shared runner; see bench_harness.hpp): the paper's
-// headline numbers as leo_bench_ga_* gauges plus the instrumented layers'
-// own counters, so the perf trajectory accumulates run over run. The
-// software GA's throughput, leo_bench_ga_sw_generations_per_sec, times
+// headline numbers, each backend's mean generations with their standard
+// error, as exact leo_bench_ga_* values. The one measured value, the
+// software GA's throughput leo_bench_ga_sw_generations_per_sec, times
 // core::evolve() over the software trials' seeds on one thread.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include "bench_harness.hpp"
 #include "core/evolution_engine.hpp"
-#include "obs/metrics.hpp"
 #include "serve/trials.hpp"
+#include "util/stats.hpp"
 
 namespace leo::bench {
 
@@ -53,7 +53,7 @@ double sw_generations_per_sec(const core::EvolutionConfig& config,
 
 }  // namespace
 
-int bench_run(const Options& options) {
+int bench_run(const Options& options, Report& report) {
   using namespace leo;
   const std::uint64_t sw_trials = options.iters ? options.iters : 100;
   const std::uint64_t hw_trials =
@@ -89,16 +89,20 @@ int bench_run(const Options& options) {
               "6.9e10 genomes — %s\n",
               sw_sum.evaluations.mean() < 1e6 ? "REPRODUCED" : "NOT met");
 
-  auto& reg = obs::registry();
-  reg.gauge("leo_bench_ga_sw_trials").set(static_cast<double>(sw_trials));
-  reg.gauge("leo_bench_ga_hw_trials").set(static_cast<double>(hw_trials));
-  reg.gauge("leo_bench_ga_sw_generations_mean").set(sw_sum.generations.mean());
-  reg.gauge("leo_bench_ga_sw_evaluations_mean").set(sw_sum.evaluations.mean());
-  reg.gauge("leo_bench_ga_sw_generations_per_sec").set(sw_gens_per_sec);
-  reg.gauge("leo_bench_ga_hw_generations_mean").set(hw_sum.generations.mean());
-  reg.gauge("leo_bench_ga_hw_cycles_mean").set(hw_sum.clock_cycles.mean());
-  reg.gauge("leo_bench_ga_hw_seconds_at_1mhz_mean")
-      .set(hw_sum.clock_cycles.mean() / 1e6);
+  report.exact = {
+      {"leo_bench_ga_sw_trials", static_cast<double>(sw_trials)},
+      {"leo_bench_ga_hw_trials", static_cast<double>(hw_trials)},
+      {"leo_bench_ga_sw_generations_mean", sw_sum.generations.mean()},
+      {"leo_bench_ga_sw_generations_se",
+       util::standard_error(sw_sum.generations)},
+      {"leo_bench_ga_sw_evaluations_mean", sw_sum.evaluations.mean()},
+      {"leo_bench_ga_hw_generations_mean", hw_sum.generations.mean()},
+      {"leo_bench_ga_hw_generations_se",
+       util::standard_error(hw_sum.generations)},
+      {"leo_bench_ga_hw_cycles_mean", hw_sum.clock_cycles.mean()},
+      {"leo_bench_ga_hw_seconds_at_1mhz_mean",
+       hw_sum.clock_cycles.mean() / 1e6}};
+  report.measured = {{"leo_bench_ga_sw_generations_per_sec", sw_gens_per_sec}};
   return 0;
 }
 

@@ -11,8 +11,8 @@
 //   ./bench_fitness_landscape [--iters N]   # N samples (default 2000000)
 //
 // Emits BENCH_landscape.json (shared runner; see bench_harness.hpp) with
-// the exact maximum-fitness count and the sampled score statistics as
-// leo_bench_landscape_* gauges.
+// the exact maximum-fitness count and the seeded sample's score
+// statistics as exact leo_bench_landscape_* values.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -20,14 +20,13 @@
 #include "bench_harness.hpp"
 #include "fitness/landscape.hpp"
 #include "genome/gait_genome.hpp"
-#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace leo::bench {
 
 const char* bench_name() { return "landscape"; }
 
-int bench_run(const Options& options) {
+int bench_run(const Options& options, Report& report) {
   const std::uint64_t samples = options.iters ? options.iters : 2'000'000;
 
   std::printf("E6 — fitness landscape over 2^36 = %llu genomes\n\n",
@@ -74,18 +73,16 @@ int bench_run(const Options& options) {
               "set has measure ~1.3e-6 — random search\nneeds ~8e5 draws "
               "where the GA needs ~2e3 evaluations (see E1/E2).\n");
 
-  auto& reg = obs::registry();
-  reg.gauge("leo_bench_landscape_max_fitness_genomes")
-      .set(static_cast<double>(max_count));
-  reg.gauge("leo_bench_landscape_max_fitness_density")
-      .set(fitness::max_fitness_density());
-  reg.gauge("leo_bench_landscape_samples").set(static_cast<double>(samples));
-  reg.gauge("leo_bench_landscape_sample_score_mean")
-      .set(sample.scores.mean());
-  reg.gauge("leo_bench_landscape_sample_score_sd")
-      .set(sample.scores.stddev());
-  reg.gauge("leo_bench_landscape_sample_max_hits")
-      .set(static_cast<double>(sample.max_hits));
+  report.exact = {
+      {"leo_bench_landscape_max_fitness_genomes",
+       static_cast<double>(max_count)},
+      {"leo_bench_landscape_max_fitness_density",
+       fitness::max_fitness_density()},
+      {"leo_bench_landscape_samples", static_cast<double>(samples)},
+      {"leo_bench_landscape_sample_score_mean", sample.scores.mean()},
+      {"leo_bench_landscape_sample_score_sd", sample.scores.stddev()},
+      {"leo_bench_landscape_sample_max_hits",
+       static_cast<double>(sample.max_hits)}};
   return 0;
 }
 

@@ -13,7 +13,7 @@
 //
 // Emits BENCH_gait.json (shared runner; see bench_harness.hpp): each
 // population's quality mean, distance mean and share of runs with falls
-// as leo_bench_gait_<population>_* gauges.
+// as exact leo_bench_gait_<population>_* values.
 #include <cstdio>
 #include <string>
 
@@ -22,7 +22,6 @@
 #include "fitness/rules.hpp"
 #include "genome/gait_analysis.hpp"
 #include "genome/known_gaits.hpp"
-#include "obs/metrics.hpp"
 #include "robot/walker.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -34,7 +33,7 @@ const char* bench_name() { return "gait"; }
 namespace {
 
 struct Row {
-  const char* key = "";  ///< gauge infix: leo_bench_gait_<key>_*
+  const char* key = "";  ///< key infix: leo_bench_gait_<key>_*
   const char* population = "";
   util::RunningStats quality{};
   util::RunningStats distance{};
@@ -50,8 +49,8 @@ void add_walk(Row& row, robot::Walker& walker, const genome::GaitGenome& g) {
   ++row.n;
 }
 
-/// Prints the row and records it as leo_bench_gait_<key>_* gauges.
-void report_row(const Row& row) {
+/// Prints the row and records it as leo_bench_gait_<key>_* values.
+void report_row(const Row& row, Report& report) {
   const double falls_pct = 100.0 * static_cast<double>(row.with_falls) /
                            static_cast<double>(row.n);
   std::printf("  %-26s n=%4zu  quality mean %.2f (min %.2f)  dist mean "
@@ -59,10 +58,9 @@ void report_row(const Row& row) {
               row.population, row.n, row.quality.mean(), row.quality.min(),
               row.distance.mean(), falls_pct);
   const std::string prefix = std::string("leo_bench_gait_") + row.key;
-  auto& reg = obs::registry();
-  reg.gauge(prefix + "_quality_mean").set(row.quality.mean());
-  reg.gauge(prefix + "_distance_mean").set(row.distance.mean());
-  reg.gauge(prefix + "_falls_pct").set(falls_pct);
+  report.exact[prefix + "_quality_mean"] = row.quality.mean();
+  report.exact[prefix + "_distance_mean"] = row.distance.mean();
+  report.exact[prefix + "_falls_pct"] = falls_pct;
 }
 
 genome::GaitGenome random_rule_optimum(util::Xoshiro256& rng) {
@@ -80,7 +78,7 @@ genome::GaitGenome random_rule_optimum(util::Xoshiro256& rng) {
 
 }  // namespace
 
-int bench_run(const Options& options) {
+int bench_run(const Options& options, Report& report) {
   const std::uint64_t evolved_n = options.iters ? options.iters : 50;
 
   std::printf("E4 — walk quality on the quasi-static Leonardo model "
@@ -113,13 +111,13 @@ int bench_run(const Options& options) {
              genome::GaitGenome::from_bits(rng.next_u64() &
                                            genome::kGenomeMask));
   }
-  report_row(random_row);
+  report_row(random_row, report);
 
   Row optimum_row{"rule_optima", "uniform rule optima (R1-R3)"};
   for (int i = 0; i < 300; ++i) {
     add_walk(optimum_row, walker, random_rule_optimum(rng));
   }
-  report_row(optimum_row);
+  report_row(optimum_row, report);
 
   Row evolved_row{"evolved", "GA-evolved (paper rules)"};
   Row evolved_r4{"evolved_r4", "GA-evolved (+R4 support)"};
@@ -141,8 +139,8 @@ int bench_run(const Options& options) {
                genome::GaitGenome::from_bits(r4.best_genome));
     }
   }
-  report_row(evolved_row);
-  report_row(evolved_r4);
+  report_row(evolved_row, report);
+  report_row(evolved_r4, report);
 
   std::printf("\ngait classes among the GA-evolved (paper rules) optima:\n");
   for (std::size_t c = 0; c < class_counts.size(); ++c) {
@@ -166,9 +164,7 @@ int bench_run(const Options& options) {
   std::printf("  extension: adding the R4 support rule lifts mean quality "
               "to %.2f\n", evolved_r4.quality.mean());
 
-  obs::registry()
-      .gauge("leo_bench_gait_evolved_seeds")
-      .set(static_cast<double>(evolved_n));
+  report.exact["leo_bench_gait_evolved_seeds"] = static_cast<double>(evolved_n);
   return 0;
 }
 

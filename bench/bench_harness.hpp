@@ -12,17 +12,18 @@
 //      argument, an unknown flag — prints usage and exits 2 before any
 //      work is done;
 //   2. runs bench_run();
-//   3. on success, snapshots the obs metrics registry and writes the
-//      machine-readable report:
-//        {"bench":..., "schema":1, "iters":..., "metrics":{...}}
-//      (schema checked in CI by scripts/check_bench_json.py).
+//   3. on success, writes the Report it filled as {"bench", "schema":2,
+//      "iters", "exact":{...}, "measured":{...}}, or exits 1 naming a value
+//      that is not finite. ctest <bench>.ExactMatchesBaseline requires
+//      `exact` to equal bench/baselines/BENCH_<name>.json's.
 //
-// Benches report through the registry: headline numbers land in gauges
-// named leo_bench_<bench>_<quantity> next to whatever the instrumented
-// layers (ga/rtl/gap/serve) recorded during the run.
+// Keys are named leo_bench_<name>_<quantity>. A library counter a bench
+// claims (leo_rtl_cycles_total) is copied into `exact` under its own name.
 #pragma once
 
 #include <cstdint>
+#include <map>
+#include <string>
 
 namespace leo::bench {
 
@@ -32,12 +33,20 @@ struct Options {
   std::uint64_t iters = 0;
 };
 
+/// A bench's machine-readable results.
+struct Report {
+  /// Functions of the seeds, --iters and the code only: the same on every
+  /// run, build and machine.
+  std::map<std::string, double> exact;
+  /// Read from a clock, or moved by the thread schedule or the machine.
+  std::map<std::string, double> measured;
+};
+
 /// Short bench id; names the output file (BENCH_<id>.json).
 const char* bench_name();
 
-/// Runs the bench, printing its human report to stdout and recording
-/// machine-readable results into obs::registry(). Nonzero return skips
-/// the JSON emission.
-int bench_run(const Options& options);
+/// Runs the bench, printing its human report to stdout and filling
+/// `report`. Nonzero return skips the JSON emission.
+int bench_run(const Options& options, Report& report);
 
 }  // namespace leo::bench

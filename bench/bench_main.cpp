@@ -3,14 +3,14 @@
 #include "bench_harness.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iomanip>
+#include <sstream>
 #include <string>
-
-#include "obs/export.hpp"
-#include "obs/metrics.hpp"
 
 namespace {
 
@@ -24,6 +24,26 @@ bool parse_count(const char* text, std::uint64_t& out) {
   const unsigned long long value = std::strtoull(text, nullptr, 10);
   if (errno != 0 || value == 0) return false;
   out = value;
+  return true;
+}
+
+/// Appends one report section as a JSON member, one key per line. False,
+/// naming the key on stderr, when a value is not finite: JSON has no Inf
+/// or NaN.
+bool write_section(std::ostream& out, const char* section,
+                   const std::map<std::string, double>& values) {
+  out << ",\n\"" << section << "\":{";
+  const char* separator = "\n";
+  for (const auto& [key, value] : values) {
+    if (!std::isfinite(value)) {
+      std::fprintf(stderr, "%s: %s is %g, not a finite number\n", section,
+                   key.c_str(), value);
+      return false;
+    }
+    out << separator << "\"" << key << "\":" << value;
+    separator = ",\n";
+  }
+  out << "}";
   return true;
 }
 
@@ -64,18 +84,26 @@ int main(int argc, char** argv) {
     }
   }
 
-  const int rc = bench::bench_run(options);
+  bench::Report report;
+  const int rc = bench::bench_run(options, report);
   if (rc != 0) return rc;
+
+  std::ostringstream json;
+  json << std::setprecision(17)  // the digits that round-trip a double
+       << "{\"bench\":\"" << bench::bench_name() << "\",\"schema\":2,"
+       << "\"iters\":" << options.iters;
+  if (!write_section(json, "exact", report.exact) ||
+      !write_section(json, "measured", report.measured)) {
+    return 1;
+  }
+  json << "}\n";
 
   std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
   if (!out) {
     std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
     return 1;
   }
-  out << "{\"bench\":\"" << bench::bench_name() << "\",\"schema\":1,"
-      << "\"iters\":" << options.iters << ",\"metrics\":"
-      << obs::to_json_line(obs::registry().snapshot()) << "}\n";
-  if (!out.flush()) {
+  if (!(out << json.str()).flush()) {
     std::fprintf(stderr, "write failed for %s\n", out_path.c_str());
     return 1;
   }

@@ -13,7 +13,7 @@
 //
 // Emits BENCH_resources.json (shared runner; see bench_harness.hpp) with
 // the fitness module's LUT4 count and the whole design's LUT4, FF, CLB
-// and gate figures as leo_bench_resources_* gauges.
+// and gate figures as exact leo_bench_resources_* values.
 #include <cstdio>
 
 #include "bench_harness.hpp"
@@ -21,13 +21,12 @@
 #include "fpga/fitness_netlist.hpp"
 #include "fpga/techmap.hpp"
 #include "fpga/xc4000.hpp"
-#include "obs/metrics.hpp"
 
 namespace leo::bench {
 
 const char* bench_name() { return "resources"; }
 
-int bench_run(const Options&) {
+int bench_run(const Options&, Report& report) {
   std::printf("E3 — resource utilization on the %s (paper: 96 %% of 1296 "
               "CLBs, ~30,000 gates)\n\n", fpga::kXc4036Ex.name.c_str());
 
@@ -41,13 +40,13 @@ int bench_run(const Options&) {
 
   core::DiscipulusParams params;
   core::DiscipulusTop top(nullptr, "discipulus", params, 1);
-  const fpga::UtilizationReport report = fpga::report_utilization(top);
-  std::printf("%s\n", report.to_string(fpga::kXc4036Ex).c_str());
+  const fpga::UtilizationReport usage = fpga::report_utilization(top);
+  std::printf("%s\n", usage.to_string(fpga::kXc4036Ex).c_str());
 
   std::printf("paper-reported : 1296 CLBs (96 %%), ~30,000 gates\n");
   std::printf("measured       : %llu CLBs (%.1f %%), ~%.0f gates\n",
-              static_cast<unsigned long long>(report.total_clbs),
-              report.utilization * 100.0, report.gate_equivalents);
+              static_cast<unsigned long long>(usage.total_clbs),
+              usage.utilization * 100.0, usage.gate_equivalents);
   std::printf("\nThe design fits the paper's device with the same order of "
               "magnitude of logic;\nour model is ~2x leaner because it "
               "counts ideal primitives (no routing/placement\nloss, no 1998 "
@@ -56,17 +55,13 @@ int bench_run(const Options&) {
   std::printf("module hierarchy (paper Figs. 3-5):\n%s",
               top.hierarchy_report().c_str());
 
-  auto& reg = obs::registry();
-  reg.gauge("leo_bench_resources_fitness_lut4")
-      .set(static_cast<double>(map.lut4));
-  reg.gauge("leo_bench_resources_lut4")
-      .set(static_cast<double>(report.total.lut4));
-  reg.gauge("leo_bench_resources_ff").set(static_cast<double>(report.total.ff));
-  reg.gauge("leo_bench_resources_clbs")
-      .set(static_cast<double>(report.total_clbs));
-  reg.gauge("leo_bench_resources_utilization").set(report.utilization);
-  reg.gauge("leo_bench_resources_gate_equivalents")
-      .set(report.gate_equivalents);
+  report.exact = {
+      {"leo_bench_resources_fitness_lut4", static_cast<double>(map.lut4)},
+      {"leo_bench_resources_lut4", static_cast<double>(usage.total.lut4)},
+      {"leo_bench_resources_ff", static_cast<double>(usage.total.ff)},
+      {"leo_bench_resources_clbs", static_cast<double>(usage.total_clbs)},
+      {"leo_bench_resources_utilization", usage.utilization},
+      {"leo_bench_resources_gate_equivalents", usage.gate_equivalents}};
   return 0;
 }
 

@@ -16,8 +16,8 @@
 //   ./bench_rtl_sim [--iters N]   # N seeds (default 8)
 //
 // Emits BENCH_rtl.json (shared runner; see bench_harness.hpp) with the
-// speedup, both throughputs and the per-cycle work counts as
-// leo_bench_rtl_* gauges. The run aborts
+// per-cycle work counts and leo_rtl_cycles_total as exact values and both
+// throughputs and their ratio as measured ones. The run aborts
 // (nonzero exit) if the two kernels disagree on any evolved genome,
 // fitness, generation count, or cycle count — the bench doubles as an
 // end-to-end equivalence check.
@@ -43,7 +43,7 @@ constexpr std::size_t kModeCount = 2;
 
 }  // namespace
 
-int bench_run(const Options& options) {
+int bench_run(const Options& options, Report& report) {
   const std::uint64_t seeds = options.iters ? options.iters : 8;
 
   std::printf("RTL settle kernels — static rank-ordered schedule vs dense "
@@ -116,15 +116,16 @@ int bench_run(const Options& options) {
   const double level_vs_dense = cps[0].mean() / cps[1].mean();
   std::printf("  level vs dense: %.2fx\n", level_vs_dense);
 
-  auto& reg = obs::registry();
-  reg.gauge("leo_bench_rtl_seeds").set(static_cast<double>(cps[0].count()));
+  report.exact["leo_bench_rtl_seeds"] = static_cast<double>(cps[0].count());
+  report.exact["leo_rtl_cycles_total"] = static_cast<double>(
+      obs::registry().counter("leo_rtl_cycles_total").value());
   for (std::size_t m = 0; m < kModeCount; ++m) {
     const std::string prefix = std::string("leo_bench_rtl_") + kModeNames[m];
-    reg.gauge(prefix + "_cycles_per_sec").set(cps[m].mean());
-    reg.gauge(prefix + "_evals_per_cycle").set(evals_per_cycle[m].mean());
-    reg.gauge(prefix + "_commits_per_cycle").set(commits_per_cycle[m].mean());
+    report.measured[prefix + "_cycles_per_sec"] = cps[m].mean();
+    report.exact[prefix + "_evals_per_cycle"] = evals_per_cycle[m].mean();
+    report.exact[prefix + "_commits_per_cycle"] = commits_per_cycle[m].mean();
   }
-  reg.gauge("leo_bench_rtl_level_speedup_vs_dense").set(level_vs_dense);
+  report.measured["leo_bench_rtl_level_speedup_vs_dense"] = level_vs_dense;
   return 0;
 }
 

@@ -11,13 +11,12 @@
 //
 // Emits BENCH_ablation.json (shared runner; see bench_harness.hpp): per
 // spec, the targets hit, mean generations, walk quality and falls as
-// leo_bench_ablation_<spec>_* gauges.
+// exact leo_bench_ablation_<spec>_* values.
 #include <cstdio>
 #include <string>
 
 #include "bench_harness.hpp"
 #include "genome/gait_genome.hpp"
-#include "obs/metrics.hpp"
 #include "robot/walker.hpp"
 #include "serve/trials.hpp"
 #include "util/stats.hpp"
@@ -29,10 +28,10 @@ const char* bench_name() { return "ablation"; }
 namespace {
 
 /// Evolves `trials` runs under `spec`, walks the optima, prints one row and
-/// records it as leo_bench_ablation_<key>_* gauges.
+/// records it as leo_bench_ablation_<key>_* values.
 void run_spec(const char* key, const char* label,
               const fitness::FitnessSpec& spec, std::size_t trials,
-              std::uint64_t base_seed) {
+              std::uint64_t base_seed, Report& report) {
   core::EvolutionConfig config;
   config.spec = spec;
   const serve::TrialSummary sum = serve::run_trials(config, trials, base_seed);
@@ -58,40 +57,39 @@ void run_spec(const char* key, const char* label,
               sum.generations.mean(), quality.mean(), falls_pct);
 
   const std::string prefix = std::string("leo_bench_ablation_") + key;
-  auto& reg = obs::registry();
-  reg.gauge(prefix + "_reached_target")
-      .set(static_cast<double>(sum.reached_target));
-  reg.gauge(prefix + "_generations_mean").set(sum.generations.mean());
-  reg.gauge(prefix + "_quality_mean").set(quality.mean());
-  reg.gauge(prefix + "_falls_pct").set(falls_pct);
+  report.exact[prefix + "_reached_target"] =
+      static_cast<double>(sum.reached_target);
+  report.exact[prefix + "_generations_mean"] = sum.generations.mean();
+  report.exact[prefix + "_quality_mean"] = quality.mean();
+  report.exact[prefix + "_falls_pct"] = falls_pct;
 }
 
 }  // namespace
 
-int bench_run(const Options& options) {
+int bench_run(const Options& options, Report& report) {
   const std::uint64_t trials = options.iters ? options.iters : 30;
 
   std::printf("E5 — fitness-rule ablation (%zu GA trials per spec, walk "
               "quality of the evolved optima)\n\n", trials);
 
   fitness::FitnessSpec full;
-  run_spec("paper", "R1+R2+R3 (paper)", full, trials, 100);
+  run_spec("paper", "R1+R2+R3 (paper)", full, trials, 100, report);
 
   fitness::FitnessSpec no_r1 = full;
   no_r1.use_equilibrium = false;
-  run_spec("no_r1", "without R1 equilibrium", no_r1, trials, 200);
+  run_spec("no_r1", "without R1 equilibrium", no_r1, trials, 200, report);
 
   fitness::FitnessSpec no_r2 = full;
   no_r2.use_symmetry = false;
-  run_spec("no_r2", "without R2 symmetry", no_r2, trials, 300);
+  run_spec("no_r2", "without R2 symmetry", no_r2, trials, 300, report);
 
   fitness::FitnessSpec no_r3 = full;
   no_r3.use_coherence = false;
-  run_spec("no_r3", "without R3 coherence", no_r3, trials, 400);
+  run_spec("no_r3", "without R3 coherence", no_r3, trials, 400, report);
 
   fitness::FitnessSpec with_r4 = full;
   with_r4.use_support = true;
-  run_spec("r4", "R1-R3 + R4 support", with_r4, trials, 500);
+  run_spec("r4", "R1-R3 + R4 support", with_r4, trials, 500, report);
 
   std::printf(
       "\nreading: every dropped rule degrades the optima's walking value\n"
@@ -100,9 +98,7 @@ int bench_run(const Options& options) {
       "rule design; R4 is our extension that also bounds the airborne\n"
       "count — fewer falls, higher quality.\n");
 
-  obs::registry()
-      .gauge("leo_bench_ablation_trials")
-      .set(static_cast<double>(trials));
+  report.exact["leo_bench_ablation_trials"] = static_cast<double>(trials);
   return 0;
 }
 

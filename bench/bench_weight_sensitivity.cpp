@@ -17,13 +17,12 @@
 //
 // Emits BENCH_weights.json (shared runner; see bench_harness.hpp): per
 // weighting, the correlation, mean generations and walk quality as
-// leo_bench_weights_<weighting>_* gauges.
+// exact leo_bench_weights_<weighting>_* values.
 #include <cstdio>
 #include <string>
 
 #include "bench_harness.hpp"
 #include "genome/gait_genome.hpp"
-#include "obs/metrics.hpp"
 #include "robot/walker.hpp"
 #include "serve/trials.hpp"
 #include "util/rng.hpp"
@@ -36,9 +35,10 @@ const char* bench_name() { return "weights"; }
 namespace {
 
 /// Measures one weighting, prints one row and records it as
-/// leo_bench_weights_<key>_* gauges.
+/// leo_bench_weights_<key>_* values.
 void run_weighting(const char* key, const char* label, unsigned w1,
-                   unsigned w2, unsigned w3, std::size_t trials) {
+                   unsigned w2, unsigned w3, std::size_t trials,
+                   Report& report) {
   fitness::FitnessSpec spec;
   spec.w_equilibrium = w1;
   spec.w_symmetry = w2;
@@ -74,33 +74,30 @@ void run_weighting(const char* key, const char* label, unsigned w1,
               util::confidence95(sum.generations), quality.mean());
 
   const std::string prefix = std::string("leo_bench_weights_") + key;
-  auto& reg = obs::registry();
-  reg.gauge(prefix + "_fitness_distance_corr").set(corr.r());
-  reg.gauge(prefix + "_generations_mean").set(sum.generations.mean());
-  reg.gauge(prefix + "_quality_mean").set(quality.mean());
+  report.exact[prefix + "_fitness_distance_corr"] = corr.r();
+  report.exact[prefix + "_generations_mean"] = sum.generations.mean();
+  report.exact[prefix + "_quality_mean"] = quality.mean();
 }
 
 }  // namespace
 
-int bench_run(const Options& options) {
+int bench_run(const Options& options, Report& report) {
   const std::uint64_t trials = options.iters ? options.iters : 25;
 
   std::printf("E5b — sensitivity to the rule-weight substitution "
               "(%zu GA trials per row)\n\n", trials);
-  run_weighting("ours", "(ours)", 3, 2, 2, trials);
-  run_weighting("flat", "(flat)", 1, 1, 1, trials);
-  run_weighting("eq_heavy", "(eq-heavy)", 6, 1, 1, trials);
-  run_weighting("sym_heavy", "(sym-heavy)", 1, 6, 1, trials);
-  run_weighting("coh_heavy", "(coh-heavy)", 1, 1, 6, trials);
+  run_weighting("ours", "(ours)", 3, 2, 2, trials, report);
+  run_weighting("flat", "(flat)", 1, 1, 1, trials, report);
+  run_weighting("eq_heavy", "(eq-heavy)", 6, 1, 1, trials, report);
+  run_weighting("sym_heavy", "(sym-heavy)", 1, 6, 1, trials, report);
+  run_weighting("coh_heavy", "(coh-heavy)", 1, 1, 6, trials, report);
 
   std::printf("\nreading: the optima (and therefore the evolved gaits) are "
               "weight-independent;\nthe weights only modulate convergence "
               "speed and the fitness-distance\ncorrelation. The paper's "
               "conclusions survive any positive weighting.\n");
 
-  obs::registry()
-      .gauge("leo_bench_weights_trials")
-      .set(static_cast<double>(trials));
+  report.exact["leo_bench_weights_trials"] = static_cast<double>(trials);
   return 0;
 }
 

@@ -4,63 +4,69 @@
 Usage: check_bench_json.py [--floor DIR] [--floor-tolerance PCT] FILE...
 
 Validates, per file:
-  * top-level object with string "bench", int "schema" == 1, int "iters",
-    and object "metrics";
-  * metrics holds exactly the keys obs::MetricsSnapshot writes ("type",
-    "counters", "gauges"), with maps of the right value types;
-  * at least one metric was recorded (an empty report means the bench
-    never touched the registry — a wiring regression, not a tiny run);
-  * benches with a known headline contract (REQUIRED_GAUGES) recorded
-    every gauge that contract promises.
+  * a top-level object with exactly the keys "bench" (non-empty string),
+    "schema" (int == 2), "iters" (non-negative int), "exact" and
+    "measured";
+  * "exact" and "measured" are objects of finite numbers, and not both
+    empty (an empty report means the bench recorded nothing: a wiring
+    regression, not a tiny run);
+  * benches with a known headline contract (REQUIRED) recorded every key
+    that contract promises, each in its own section.
+
+Whether the exact values are right is ctest's <bench>.ExactMatchesBaseline
+(bench/expect_exact.cmake), which requires them to equal the committed
+baseline's.
 
 With --floor DIR, each file is additionally compared against the committed
 baseline DIR/<basename> (e.g. bench/baselines/BENCH_rtl.json): every
-higher-is-better gauge in FLOOR_GAUGES must reach the baseline value minus
-the tolerance (default 20%, to absorb shared-runner noise). Floor misses
-are WARNINGS — they print prominently but never change the exit code,
-because absolute throughput on anonymous CI hardware is not a commitment.
-Schema failures always fail.
+higher-is-better measured value in FLOOR must reach the baseline value
+minus the tolerance (default 20%, to absorb shared-runner noise). Floor
+misses are WARNINGS — they print prominently but never change the exit
+code, because absolute throughput on anonymous CI hardware is not a
+commitment. Schema failures always fail.
 
 Exit code 0 iff every file passes the schema check. No dependencies
 beyond the stdlib.
 """
 import json
+import math
 import os
 import sys
 
-# Headline gauges a bench's JSON must contain, keyed by its "bench" id.
-# Benches not listed are only schema-checked.
-REQUIRED_GAUGES = {
-    "ga": (
-        "leo_bench_ga_sw_generations_mean",
-        "leo_bench_ga_hw_generations_mean",
-        "leo_bench_ga_sw_generations_per_sec",
-    ),
-    "rtl": (
-        "leo_bench_rtl_level_cycles_per_sec",
-        "leo_bench_rtl_dense_cycles_per_sec",
-        "leo_bench_rtl_level_evals_per_cycle",
-        "leo_bench_rtl_dense_evals_per_cycle",
-        "leo_bench_rtl_level_commits_per_cycle",
-        "leo_bench_rtl_level_speedup_vs_dense",
-    ),
-    "serve": (
-        "leo_bench_serve_jobs_per_sec",
-        "leo_bench_serve_coalesced_hit_ratio",
-    ),
-    "resources": (
-        "leo_bench_resources_clbs",
-        "leo_bench_resources_fitness_lut4",
-    ),
-    "landscape": ("leo_bench_landscape_max_fitness_genomes",),
-    "ca_rng": ("leo_bench_ca_rng_period",),
+SECTIONS = ("exact", "measured")
+
+# Headline keys a bench's report must contain, keyed by its "bench" id and
+# then by section. Benches not listed are only schema-checked.
+REQUIRED = {
+    "ga": {
+        "exact": ("leo_bench_ga_sw_generations_mean",
+                  "leo_bench_ga_hw_generations_mean"),
+        "measured": ("leo_bench_ga_sw_generations_per_sec",),
+    },
+    "rtl": {
+        "exact": ("leo_bench_rtl_level_evals_per_cycle",
+                  "leo_bench_rtl_dense_evals_per_cycle",
+                  "leo_bench_rtl_level_commits_per_cycle"),
+        "measured": ("leo_bench_rtl_level_cycles_per_sec",
+                     "leo_bench_rtl_dense_cycles_per_sec",
+                     "leo_bench_rtl_level_speedup_vs_dense"),
+    },
+    "serve": {
+        "exact": ("leo_bench_serve_coalesced_hit_ratio",),
+        "measured": ("leo_bench_serve_jobs_per_sec",),
+    },
+    "resources": {
+        "exact": ("leo_bench_resources_clbs",
+                  "leo_bench_resources_fitness_lut4"),
+    },
+    "landscape": {"exact": ("leo_bench_landscape_max_fitness_genomes",)},
+    "ca_rng": {"exact": ("leo_bench_ca_rng_period",)},
 }
 
-# Higher-is-better gauges compared against the committed baseline in
-# --floor mode. Only wall-clock throughputs and deterministic speedup
-# ratios belong here; deterministic count metrics (generations, cycles)
-# are exact-equality material for the equivalence tests, not floors.
-FLOOR_GAUGES = {
+# Higher-is-better measured values compared against the committed baseline
+# in --floor mode. Exact values are not floors: ctest requires them to
+# equal the baseline's.
+FLOOR = {
     "ga": ("leo_bench_ga_sw_generations_per_sec",),
     "rtl": (
         "leo_bench_rtl_level_cycles_per_sec",
@@ -68,7 +74,6 @@ FLOOR_GAUGES = {
         "leo_bench_rtl_level_speedup_vs_dense",
     ),
     "serve": ("leo_bench_serve_jobs_per_sec",),
-    "pipeline": ("leo_bench_pipeline_speedup",),
 }
 
 
@@ -77,7 +82,12 @@ def fail(path, message):
     return False
 
 
-def check_floor(path, bench, gauges, floor_dir, tolerance_pct):
+def is_number(value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def check_floor(path, bench, measured, floor_dir, tolerance_pct):
     """Warn-only comparison against the committed baseline report."""
     baseline_path = os.path.join(floor_dir, os.path.basename(path))
     if not os.path.exists(baseline_path):
@@ -89,16 +99,16 @@ def check_floor(path, bench, gauges, floor_dir, tolerance_pct):
     except (OSError, json.JSONDecodeError) as e:
         print(f"{path}: floor: unreadable baseline {baseline_path}: {e}")
         return
-    base_gauges = baseline.get("metrics", {}).get("gauges", {})
+    base = baseline.get("measured", {})
     scale = 1.0 - tolerance_pct / 100.0
-    for name in FLOOR_GAUGES.get(bench, ()):
-        if name not in base_gauges:
+    for name in FLOOR.get(bench, ()):
+        if name not in base:
             continue
-        floor = base_gauges[name] * scale
-        current = gauges.get(name)
+        floor = base[name] * scale
+        current = measured.get(name)
         if current is None or current < floor:
             print(f"{path}: FLOOR WARN: {name} = {current} below "
-                  f"{floor:.6g} (baseline {base_gauges[name]:.6g} "
+                  f"{floor:.6g} (baseline {base[name]:.6g} "
                   f"- {tolerance_pct:.0f}%)")
         else:
             print(f"{path}: floor ok: {name} = {current:.6g} "
@@ -114,38 +124,38 @@ def check_file(path, floor_dir=None, tolerance_pct=20.0):
 
     if not isinstance(doc, dict):
         return fail(path, "top level is not an object")
-    if not isinstance(doc.get("bench"), str) or not doc["bench"]:
-        return fail(path, "'bench' missing or not a non-empty string")
-    if doc.get("schema") != 1:
+    if type(doc.get("schema")) is not int or doc["schema"] != 2:
         return fail(path, f"unsupported schema {doc.get('schema')!r}")
-    if not isinstance(doc.get("iters"), int) or doc["iters"] < 0:
-        return fail(path, "'iters' missing or not a non-negative int")
-    metrics = doc.get("metrics")
-    if not isinstance(metrics, dict):
-        return fail(path, "'metrics' missing or not an object")
+    keys = set(doc)
+    expected = {"bench", "schema", "iters", *SECTIONS}
+    if keys != expected:
+        return fail(path, f"top-level keys {sorted(keys)}, expected "
+                          f"{sorted(expected)}")
+    if not isinstance(doc["bench"], str) or not doc["bench"]:
+        return fail(path, "'bench' is not a non-empty string")
+    if type(doc["iters"]) is not int or doc["iters"] < 0:
+        return fail(path, "'iters' is not a non-negative int")
+    for section in SECTIONS:
+        values = doc[section]
+        if not isinstance(values, dict):
+            return fail(path, f"'{section}' is not an object")
+        for name, value in values.items():
+            if not is_number(value):
+                return fail(path, f"{section} value {name} = {value!r} is "
+                                  f"not a finite number")
+    if not doc["exact"] and not doc["measured"]:
+        return fail(path, "both 'exact' and 'measured' are empty")
+    for section, names in REQUIRED.get(doc["bench"], {}).items():
+        for name in names:
+            if name not in doc[section]:
+                return fail(path, f"required {section} value {name} not "
+                                  f"recorded")
 
-    unknown = sorted(set(metrics) - {"type", "counters", "gauges"})
-    if unknown:
-        return fail(path, f"unknown metrics keys {unknown}")
-    counters = metrics.get("counters", {})
-    gauges = metrics.get("gauges", {})
-    if not isinstance(counters, dict) or not isinstance(gauges, dict):
-        return fail(path, "'counters' or 'gauges' is not an object")
-    for name, value in counters.items():
-        if not isinstance(value, int) or value < 0:
-            return fail(path, f"counter {name} is not a non-negative int")
-    for name, value in gauges.items():
-        if not isinstance(value, (int, float)):
-            return fail(path, f"gauge {name} is not numeric")
-    if not counters and not gauges:
-        return fail(path, "no metrics recorded at all")
-    for required in REQUIRED_GAUGES.get(doc["bench"], ()):
-        if required not in gauges:
-            return fail(path, f"required gauge {required} not recorded")
-
-    print(f"{path}: ok ({len(counters)} counters, {len(gauges)} gauges)")
+    print(f"{path}: ok ({len(doc['exact'])} exact, "
+          f"{len(doc['measured'])} measured)")
     if floor_dir is not None:
-        check_floor(path, doc["bench"], gauges, floor_dir, tolerance_pct)
+        check_floor(path, doc["bench"], doc["measured"], floor_dir,
+                    tolerance_pct)
     return True
 
 

@@ -1,7 +1,6 @@
 #include "obs/export.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <iomanip>
 #include <sstream>
@@ -35,15 +34,6 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-/// Shortest round-trip double formatting; JSON has no Inf/NaN, so those
-/// degrade to 0 (metrics never legitimately produce them).
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "0";
-  std::ostringstream os;
-  os << std::setprecision(17) << v;
-  return os.str();
-}
-
 }  // namespace
 
 std::string to_json_line(const MetricsSnapshot& snapshot) {
@@ -55,41 +45,22 @@ std::string to_json_line(const MetricsSnapshot& snapshot) {
     first = false;
     os << "\"" << json_escape(name) << "\":" << value;
   }
-  os << "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, value] : snapshot.gauges) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << json_escape(name) << "\":" << json_number(value);
-  }
   os << "}}";
   return os.str();
 }
 
 std::string pretty_print(const MetricsSnapshot& snapshot) {
-  std::ostringstream os;
+  if (snapshot.counters.empty()) return "(no metrics recorded)\n";
   std::size_t width = 0;
   for (const auto& [name, value] : snapshot.counters) {
     width = std::max(width, name.size());
   }
-  for (const auto& [name, value] : snapshot.gauges) {
-    width = std::max(width, name.size());
+  std::ostringstream os;
+  os << "counters:\n";
+  for (const auto& [name, value] : snapshot.counters) {
+    os << "  " << std::left << std::setw(static_cast<int>(width)) << name
+       << "  " << value << "\n";
   }
-  if (!snapshot.counters.empty()) {
-    os << "counters:\n";
-    for (const auto& [name, value] : snapshot.counters) {
-      os << "  " << std::left << std::setw(static_cast<int>(width)) << name
-         << "  " << value << "\n";
-    }
-  }
-  if (!snapshot.gauges.empty()) {
-    os << "gauges:\n";
-    for (const auto& [name, value] : snapshot.gauges) {
-      os << "  " << std::left << std::setw(static_cast<int>(width)) << name
-         << "  " << std::setprecision(6) << value << "\n";
-    }
-  }
-  if (snapshot.empty()) os << "(no metrics recorded)\n";
   return os.str();
 }
 

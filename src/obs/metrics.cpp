@@ -22,27 +22,16 @@ Counter& MetricsRegistry::counter(std::string_view name) {
   return *it->second;
 }
 
-Gauge& MetricsRegistry::gauge(std::string_view name) {
-  const std::scoped_lock lock(mutex_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first;
-  }
-  return *it->second;
-}
-
 MetricsSnapshot MetricsRegistry::snapshot() const {
   const std::scoped_lock lock(mutex_);
   MetricsSnapshot snap;
   for (const auto& [name, c] : counters_) snap.counters[name] = c->value();
-  for (const auto& [name, g] : gauges_) snap.gauges[name] = g->value();
   return snap;
 }
 
 void MetricsRegistry::reset() {
   const std::scoped_lock lock(mutex_);
   for (auto& [name, c] : counters_) c->reset();
-  for (auto& [name, g] : gauges_) g->reset();
 }
 
 MetricsRegistry& registry() {

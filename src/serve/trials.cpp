@@ -48,6 +48,7 @@ std::string describe(const TrialSummary& summary) {
       << " trials reached the target";
   if (summary.reached_target > 0) {
     out << "; generations mean=" << summary.generations.mean()
+        << " se=" << util::standard_error(summary.generations)
         << " sd=" << summary.generations.stddev()
         << " min=" << summary.generations.min()
         << " max=" << summary.generations.max()

@@ -42,8 +42,9 @@ struct TrialSummary {
                                          std::size_t n,
                                          std::uint64_t base_seed);
 
-/// Formats a one-line summary ("24/24 reached max, generations mean=68.6
-/// min=14 max=220 ...") for bench output.
+/// Formats a one-line summary ("24/24 trials reached the target;
+/// generations mean=68.6 se=9.8 sd=48 min=14 max=220 ...") for bench
+/// output; the generations are over the trials that reached the target.
 [[nodiscard]] std::string describe(const TrialSummary& summary);
 
 }  // namespace leo::serve

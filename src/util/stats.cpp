@@ -59,12 +59,14 @@ double Correlation::r() const noexcept {
   return cov_ / std::sqrt(m2x_ * m2y_);
 }
 
-double confidence95(const RunningStats& stats) {
+double standard_error(const RunningStats& stats) {
   if (stats.count() < 2) return 0.0;
-  // 1.96 * sqrt(sample variance / n), with sample variance
-  // = variance * n / (n - 1).
-  return 1.96 * stats.stddev() /
-         std::sqrt(static_cast<double>(stats.count() - 1));
+  // sqrt(sample variance / n), with sample variance = variance * n / (n - 1).
+  return stats.stddev() / std::sqrt(static_cast<double>(stats.count() - 1));
+}
+
+double confidence95(const RunningStats& stats) {
+  return 1.96 * standard_error(stats);
 }
 
 }  // namespace leo::util

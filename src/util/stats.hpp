@@ -46,6 +46,10 @@ class Histogram {
   std::size_t total_ = 0;
 };
 
+/// Standard error of the mean, from the sample standard deviation; 0 for
+/// fewer than two samples.
+[[nodiscard]] double standard_error(const RunningStats& stats);
+
 /// Half-width of the ~95% confidence interval on the mean (1.96 standard
 /// errors; adequate for the n >= 10 trial counts the benches use).
 [[nodiscard]] double confidence95(const RunningStats& stats);

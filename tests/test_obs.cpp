@@ -1,5 +1,5 @@
-// Tests for the observability subsystem: counters and gauges, snapshots,
-// and the JSON and pretty-print renderings.
+// Tests for the observability subsystem: counters, snapshots, and the
+// JSON and pretty-print renderings.
 #include "obs/metrics.hpp"
 
 #include <gtest/gtest.h>
@@ -13,7 +13,7 @@
 namespace leo::obs {
 namespace {
 
-// ---- counters and gauges -----------------------------------------------
+// ---- counters ----------------------------------------------------------
 
 TEST(Counter, IncrementsAndResets) {
   Counter c;
@@ -23,15 +23,6 @@ TEST(Counter, IncrementsAndResets) {
   EXPECT_EQ(c.value(), 42u);
   c.reset();
   EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(Gauge, SetAddAndReset) {
-  Gauge g;
-  g.set(2.5);
-  g.add(-1.0);
-  EXPECT_DOUBLE_EQ(g.value(), 1.5);
-  g.reset();
-  EXPECT_DOUBLE_EQ(g.value(), 0.0);
 }
 
 TEST(Counter, ConcurrentIncrementsAreLossless) {
@@ -56,11 +47,9 @@ TEST(Registry, InstrumentsAreStableAndSnapshotIsPlainValues) {
   Counter& c = reg.counter("leo_test_events_total");
   EXPECT_EQ(&c, &reg.counter("leo_test_events_total"));
   c.inc(3);
-  reg.gauge("leo_test_depth").set(2.0);
 
   const MetricsSnapshot snap = reg.snapshot();
   EXPECT_EQ(snap.counters.at("leo_test_events_total"), 3u);
-  EXPECT_DOUBLE_EQ(snap.gauges.at("leo_test_depth"), 2.0);
 
   // The snapshot is a copy: later increments do not mutate it.
   c.inc();
@@ -82,11 +71,11 @@ TEST(Registry, DisabledGateStopsNewSamplesOnly) {
 TEST(Export, JsonLineRoundTripsThroughExpectedShape) {
   MetricsRegistry reg;
   reg.counter("leo_x_total").inc(5);
-  reg.gauge("leo_depth").set(1.5);
+  reg.counter("leo_y_total").inc(2);
 
   EXPECT_EQ(to_json_line(reg.snapshot()),
-            "{\"type\":\"metrics\",\"counters\":{\"leo_x_total\":5},"
-            "\"gauges\":{\"leo_depth\":1.5}}");
+            "{\"type\":\"metrics\",\"counters\":"
+            "{\"leo_x_total\":5,\"leo_y_total\":2}}");
 }
 
 TEST(Export, JsonEscapesControlCharactersInNames) {
@@ -98,11 +87,11 @@ TEST(Export, JsonEscapesControlCharactersInNames) {
 
 TEST(Export, PrettyPrintListsEverySection) {
   MetricsRegistry reg;
+  EXPECT_EQ(pretty_print(reg.snapshot()), "(no metrics recorded)\n");
   reg.counter("leo_a_total").inc();
-  reg.gauge("leo_b").set(3.0);
-  const std::string text = pretty_print(reg.snapshot());
-  EXPECT_NE(text.find("leo_a_total"), std::string::npos);
-  EXPECT_NE(text.find("leo_b"), std::string::npos);
+  reg.counter("leo_b_total").inc(3);
+  EXPECT_EQ(pretty_print(reg.snapshot()),
+            "counters:\n  leo_a_total  1\n  leo_b_total  3\n");
 }
 
 }  // namespace
